@@ -1,20 +1,18 @@
 (* Load generator for the admission service.
 
    e2e-loadgen --requests 2000 --seed 42 -j 4 --out BENCH_serve.json
-   e2e-loadgen --connect 127.0.0.1:7070 --requests 500 --connections 4
    e2e-loadgen --self-serve --connections 8 --pipeline 16 --requests 2000
 
    Replays a Prng-seeded request stream — submits of fresh task sets,
    permuted resubmissions (canonical-cache exercisers), incremental
    adds, queries and drops — against an in-process Batcher (default;
-   measures the engine itself), over TCP against a running e2e-serve
-   (--connect), or against an in-process concurrent TCP server on an
-   ephemeral port (--self-serve; measures the whole transport).  TCP
-   modes replay over --connections parallel client domains, each
-   closed-loop with up to --pipeline requests in flight (open-loop
-   with exponential arrivals when --rate is set), on disjoint
-   per-connection shop namespaces so every connection's reply log is
-   deterministic.  Reports throughput, latency percentiles and the
+   measures the engine itself), against an in-process concurrent TCP
+   server on an ephemeral port (--self-serve; measures the whole
+   transport) or against in-process shards behind an in-process
+   dispatcher (--spawn-shards).  TCP modes replay over --connections
+   parallel client domains, each closed-loop with up to --pipeline
+   requests in flight, on disjoint per-connection shop namespaces so
+   every connection's reply log is deterministic.  Reports throughput, latency percentiles and the
    cache hit rate, optionally as a JSON file (`make bench-serve`
    writes BENCH_serve.json, including a connections x batch
    saturation sweep). *)
@@ -31,6 +29,7 @@ module Cache = E2e_serve.Cache
 module Protocol = E2e_serve.Protocol
 module Rtrace = E2e_serve.Rtrace
 module Server = E2e_serve.Server
+module Wire = E2e_serve.Wire
 module Pool = E2e_exec.Pool
 module Obs = E2e_obs.Obs
 module Json = E2e_obs.Json
@@ -152,11 +151,10 @@ let tally_reply t = function
   | Admission.Dropped _ -> t.dropped <- t.dropped + 1
   | Admission.Request_error _ -> t.errors <- t.errors + 1
 
-(* In-process replay: open-loop pacing (when [rate] > 0) against the
-   batcher; per-request latency = reply time - arrival time, both read
-   from [Obs.Clock] so a deterministic source makes the whole
-   measurement (and any trace) reproducible. *)
-let run_inproc ~stream ~config ~rate =
+(* In-process replay against the batcher; per-request latency = reply
+   time - arrival time, both read from [Obs.Clock] so a deterministic
+   source makes the whole measurement (and any trace) reproducible. *)
+let run_inproc ~stream ~config =
   let batcher = Batcher.create ~config () in
   let n = List.length stream in
   let t_arrival = Array.make n 0. in
@@ -178,17 +176,8 @@ let run_inproc ~stream ~config ~rate =
       replies
   in
   let t0 = Obs.Clock.now () in
-  let next_arrival = ref t0 in
-  let pace_g = Prng.create 0x9e3779b9 in
   List.iteri
     (fun i req ->
-      if rate > 0. then begin
-        (* Open loop: arrivals at exponential spacing, independent of
-           service progress. *)
-        next_arrival := !next_arrival +. Prng.exponential pace_g ~rate;
-        let now = Unix.gettimeofday () in
-        if !next_arrival > now then Unix.sleepf (!next_arrival -. now)
-      end;
       t_arrival.(i) <- Obs.Clock.now ();
       (match Batcher.submit batcher req with
       | `Queued -> Queue.push i pending_idx
@@ -221,18 +210,14 @@ let tally_line t line =
   | "overloaded" :: _ -> t.overloaded <- t.overloaded + 1
   | _ -> t.errors <- t.errors + 1
 
-(* One TCP client: windowed pipelined replay of [stream].  Closed loop
-   when [rate] = 0 — at most [pipeline] requests in flight; open loop
-   otherwise — exponential inter-arrivals at [rate], still capped at
-   [pipeline] in flight so an overloaded server backpressures the
-   client instead of growing an unbounded flight set.  Returns the
-   latency sketch, the verdict tally and every line received, in
-   order: the per-connection reply log the determinism smokes
-   byte-compare. *)
-let run_client ~host ~port ~stream ~pipeline ~rate ~pace_seed =
+(* One TCP client: closed-loop windowed pipelined replay of [stream],
+   at most [pipeline] requests in flight.  Returns the latency sketch,
+   the verdict tally and every line received, in order: the
+   per-connection reply log the determinism smokes byte-compare. *)
+let run_client ~port ~stream ~pipeline =
   let pipeline = max 1 pipeline in
   let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-  Unix.connect fd (Unix.ADDR_INET (Server.resolve_host host, port));
+  Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
   (try Unix.setsockopt fd Unix.TCP_NODELAY true with Unix.Unix_error _ -> ());
   let ic = Unix.in_channel_of_descr fd and oc = Unix.out_channel_of_descr fd in
   let log = ref [] in
@@ -247,19 +232,9 @@ let run_client ~host ~port ~stream ~pipeline ~rate ~pace_seed =
   let latency = Quantile.create () in
   let tally = new_tally () in
   let t_send = Array.make (max n 1) 0. in
-  let pace_g = Prng.create pace_seed in
-  let next_arrival = ref (Unix.gettimeofday ()) in
   let sent = ref 0 and recvd = ref 0 in
   while !recvd < n do
     while !sent < n && !sent - !recvd < pipeline do
-      if rate > 0. then begin
-        next_arrival := !next_arrival +. Prng.exponential pace_g ~rate;
-        let now = Unix.gettimeofday () in
-        if !next_arrival > now then begin
-          flush oc;
-          Unix.sleepf (!next_arrival -. now)
-        end
-      end;
       t_send.(!sent) <- Unix.gettimeofday ();
       output_string oc reqs.(!sent);
       output_char oc '\n';
@@ -317,37 +292,22 @@ let merge_client_results results =
     results;
   (latency, tally)
 
-let run_clients ~host ~port ~streams ~pipeline ~rate =
-  let nconn = List.length streams in
-  let rate = if rate > 0. then rate /. float_of_int nconn else 0. in
+(* Every stream on its own client domain against the loopback [port]. *)
+let run_clients ~port ~streams ~pipeline =
   let t0 = Unix.gettimeofday () in
   let domains =
-    List.mapi
-      (fun i stream ->
-        Domain.spawn (fun () ->
-            run_client ~host ~port ~stream ~pipeline ~rate ~pace_seed:(0x9e3779b9 + i)))
+    List.map
+      (fun stream -> Domain.spawn (fun () -> run_client ~port ~stream ~pipeline))
       streams
   in
   let results = List.map Domain.join domains in
   let duration = Unix.gettimeofday () -. t0 in
   (duration, results)
 
-(* TCP replay against a running server. *)
-let run_tcp ~streams ~addr ~pipeline ~rate ~reply_log =
-  let host, port =
-    match String.split_on_char ':' addr with
-    | [ h; p ] -> (h, int_of_string p)
-    | _ -> failwith "--connect expects HOST:PORT"
-  in
-  let duration, results = run_clients ~host ~port ~streams ~pipeline ~rate in
-  write_reply_logs reply_log results;
-  let latency, tally = merge_client_results results in
-  (duration, latency, tally, None, None)
-
 (* Full-transport replay: an in-process concurrent TCP server on an
    ephemeral port, the clients over real sockets against it.  This is
    the configuration the saturation sweep measures. *)
-let run_self ~streams ~config ~accept_pool ~window ~drainers ~pipeline ~rate ~reply_log =
+let run_self ~streams ~config ~accept_pool ~window ~drainers ~pipeline ~reply_log =
   let stripes = E2e_serve.Stripes.create ~config ~stripes:drainers () in
   let nconn = List.length streams in
   let mu = Mutex.create () in
@@ -369,7 +329,7 @@ let run_self ~streams ~config ~accept_pool ~window ~drainers ~pipeline ~rate ~re
   done;
   let port = Option.get !port in
   Mutex.unlock mu;
-  let duration, results = run_clients ~host:"127.0.0.1" ~port ~streams ~pipeline ~rate in
+  let duration, results = run_clients ~port ~streams ~pipeline in
   Domain.join server;
   write_reply_logs reply_log results;
   let latency, tally = merge_client_results results in
@@ -401,8 +361,7 @@ let sat_measure ~streams ~config ~window ~drainers ~pipeline ~workload ~shops =
   let connections = List.length streams in
   let accept_pool = min connections 8 in
   let duration, latency, _, _, _ =
-    run_self ~streams ~config ~accept_pool ~window ~drainers ~pipeline ~rate:0.
-      ~reply_log:None
+    run_self ~streams ~config ~accept_pool ~window ~drainers ~pipeline ~reply_log:None
   in
   let completed = Quantile.count latency in
   {
@@ -430,15 +389,13 @@ let run_sat_sweep ~seed ~requests ~config ~pipeline ~window points =
 
 (* ------------------------------------------------------------------ *)
 (* Cluster modes: an in-process shard fleet behind an in-process
-   dispatcher (--spawn-shards), replay against an external dispatcher
-   (--cluster), shard-count scaling sweeps (--cluster-sweep, the
-   source of BENCH_cluster.json), and the kill-one-shard failover
-   check `make cluster-smoke` runs (--failover-check). *)
+   dispatcher (--spawn-shards), shard-count scaling sweeps
+   (--cluster-sweep, the source of BENCH_cluster.json), and the
+   kill-one-shard failover check `make cluster-smoke` runs
+   (--failover-check). *)
 
 module Dispatcher = E2e_cluster.Dispatcher
 module Registry = E2e_cluster.Registry
-module Health = E2e_cluster.Health
-module Wire = E2e_serve.Wire
 
 (* A one-shot mailbox for the ready-port handshake with a spawned
    server domain. *)
@@ -464,7 +421,7 @@ let wait_slot () =
 
 type shard = {
   sh_port : int;
-  sh_control : Server.control;
+  sh_control : Wire.control;
   sh_domain : unit Domain.t;
 }
 
@@ -473,7 +430,7 @@ type shard = {
    a control handle so a test can kill it like a process.  Schedules
    are off — cluster runs measure the service, not reply rendering. *)
 let spawn_shard ~config ~accept_pool ~window ?(port = 0) () =
-  let control = Server.control () in
+  let control = Wire.control () in
   let set, get = wait_slot () in
   let stripes = E2e_serve.Stripes.create ~config () in
   let domain =
@@ -515,12 +472,11 @@ let spawn_cluster ~nshards ~config ~window ~probe_interval ~client_slots
 let stop_cluster c =
   Dispatcher.shutdown c.cl_t;
   Domain.join c.cl_domain;
-  List.iter (fun s -> Server.shutdown s.sh_control) c.cl_shards;
+  List.iter (fun s -> Wire.shutdown s.sh_control) c.cl_shards;
   List.iter (fun s -> Domain.join s.sh_domain) c.cl_shards
 
 (* What the cluster run reports beyond throughput: routing balance and
-   failover counters, from the in-process dispatcher handle or a
-   remote dispatcher's stats/metrics replies. *)
+   failover counters, from the in-process dispatcher handle. *)
 type cluster_info = {
   ci_shards : int;
   ci_live : int;
@@ -540,54 +496,6 @@ let cluster_info_of_stats (st : Dispatcher.stats) =
     ci_balance =
       List.map (fun s -> (s.Dispatcher.shard_id, s.Dispatcher.shard_routed)) st.per_shard;
   }
-
-(* Remote dispatcher: one stats line (k=v tokens) and the aggregated
-   metrics exposition (cluster_shard_routed_total{shard="id"} N). *)
-let fetch_cluster_remote ~host ~port =
-  match Health.rpc ~host ~port [ "stats"; "metrics" ] with
-  | Error _ | Ok ([] | [ _ ] | _ :: _ :: _ :: _) -> None
-  | Ok [ stats_line; metrics_line ] ->
-      let kv = Hashtbl.create 8 in
-      List.iter
-        (fun tok ->
-          match String.index_opt tok '=' with
-          | None -> ()
-          | Some i -> (
-              let k = String.sub tok 0 i
-              and v = String.sub tok (i + 1) (String.length tok - i - 1) in
-              match int_of_string_opt v with
-              | Some n -> Hashtbl.replace kv k n
-              | None -> ()))
-        (String.split_on_char ' ' stats_line);
-      let get k = Option.value ~default:0 (Hashtbl.find_opt kv k) in
-      let balance =
-        String.split_on_char ';' metrics_line
-        |> List.filter_map (fun line ->
-               let prefix = "cluster_shard_routed_total{shard=\"" in
-               let pl = String.length prefix in
-               if String.length line > pl && String.sub line 0 pl = prefix then
-                 match String.index_from_opt line pl '"' with
-                 | None -> None
-                 | Some q -> (
-                     let id = String.sub line pl (q - pl) in
-                     match String.rindex_opt line ' ' with
-                     | None -> None
-                     | Some sp ->
-                         Option.map
-                           (fun n -> (id, n))
-                           (int_of_string_opt
-                              (String.sub line (sp + 1) (String.length line - sp - 1))))
-               else None)
-      in
-      Some
-        {
-          ci_shards = get "shards";
-          ci_live = get "live";
-          ci_routed = get "routed";
-          ci_failovers = get "failovers";
-          ci_unavailable = get "unavailable";
-          ci_balance = balance;
-        }
 
 let print_cluster_info ci =
   Format.printf "cluster       shards=%d live=%d routed=%d failovers=%d unavailable=%d@."
@@ -712,9 +620,7 @@ let run_cluster_point ~nshards ~config ~connections ~pipeline ~shops ~requests ~
         in
         gen_cluster_stream ~cid:c ~seed ~shops ~requests:per ())
   in
-  let duration, results =
-    run_clients ~host:"127.0.0.1" ~port:cluster.cl_port ~streams ~pipeline ~rate:0.
-  in
+  let duration, results = run_clients ~port:cluster.cl_port ~streams ~pipeline in
   let latency, _tally = merge_client_results results in
   let info = cluster_info_of_stats (Dispatcher.stats cluster.cl_t) in
   stop_cluster cluster;
@@ -885,7 +791,7 @@ let failover_check ~config ~window ~seed ~upstream_conns =
   let extra_shard = ref None in
   let fail fmt = Printf.ksprintf (fun s -> fail_reasons := s :: !fail_reasons) fmt in
   let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-  Unix.connect fd (Unix.ADDR_INET (Server.resolve_host "127.0.0.1", cluster.cl_port));
+  Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_loopback, cluster.cl_port));
   (try Unix.setsockopt fd Unix.TCP_NODELAY true with Unix.Unix_error _ -> ());
   (* A reply that takes >10s is a hang — the exact bug this check
      exists to catch — so bound every read. *)
@@ -990,7 +896,7 @@ let failover_check ~config ~window ~seed ~upstream_conns =
   done;
   if pending_on_doomed () < 8 then
     fail "phase2: burst never seen pending on the doomed shard";
-  Server.shutdown doomed.sh_control;
+  Wire.shutdown doomed.sh_control;
   let post_kill = List.init 24 (fun _ -> submit_line ()) in
   send post_kill;
   let replies2 = read_replies (40 + 24) in
@@ -1055,7 +961,7 @@ let failover_check ~config ~window ~seed ~upstream_conns =
   (try Unix.close fd with Unix.Unix_error _ -> ());
   (match !extra_shard with
   | Some s ->
-      Server.shutdown s.sh_control;
+      Wire.shutdown s.sh_control;
       Domain.join s.sh_domain
   | None -> ());
   (* The killed shard's domain is already joined; stop_cluster joins
@@ -1063,7 +969,7 @@ let failover_check ~config ~window ~seed ~upstream_conns =
   Dispatcher.shutdown cluster.cl_t;
   Domain.join cluster.cl_domain;
   List.iter
-    (fun s -> Server.shutdown s.sh_control)
+    (fun s -> Wire.shutdown s.sh_control)
     (List.tl cluster.cl_shards);
   List.iter (fun s -> Domain.join s.sh_domain) (List.tl cluster.cl_shards);
   match List.rev !fail_reasons with
@@ -1075,130 +981,6 @@ let failover_check ~config ~window ~seed ~upstream_conns =
   | reasons ->
       List.iter (fun r -> Format.printf "failover-check: FAIL %s@." r) reasons;
       false
-
-(* ------------------------------------------------------------------ *)
-(* Soak mode: run closed-loop TCP clients for a wall-clock duration,
-   printing windowed latency snapshots as the run progresses.  Each
-   client replays freshly generated chunks on new shop namespaces
-   every cycle, so committed state and cache contents keep churning
-   like a long-lived deployment. *)
-
-type soak_snapshot = {
-  sn_t : float;  (* seconds since soak start *)
-  sn_count : int;
-  sn_rps : float;
-  sn_p50_ms : float;
-  sn_p99_ms : float;
-}
-
-type soak_state = {
-  so_mu : Mutex.t;
-  mutable so_window : Quantile.t;
-  so_total : Quantile.t;
-  so_tally : tally;
-}
-
-let run_soak ~host ~port ~connections ~pipeline ~seed ~duration ~snapshot_every =
-  let st =
-    { so_mu = Mutex.create (); so_window = Quantile.create ();
-      so_total = Quantile.create (); so_tally = new_tally () }
-  in
-  let observe lat line =
-    Mutex.lock st.so_mu;
-    Quantile.observe st.so_window lat;
-    Quantile.observe st.so_total lat;
-    tally_line st.so_tally line;
-    Mutex.unlock st.so_mu
-  in
-  let t0 = Unix.gettimeofday () in
-  let deadline = t0 +. duration in
-  let client cid =
-    let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-    Unix.connect fd (Unix.ADDR_INET (Server.resolve_host host, port));
-    (try Unix.setsockopt fd Unix.TCP_NODELAY true with Unix.Unix_error _ -> ());
-    let r = Wire.make_reader fd in
-    let recv () =
-      match Wire.read_line r with
-      | `Line l -> Some l
-      | `Eof | `Too_long | `Error _ -> None
-    in
-    (match recv () with Some _ -> () | None -> failwith "no greeting");
-    let cycle = ref 0 in
-    let stop = ref false in
-    while not !stop do
-      (* A fresh chunk per cycle: cid*offset keeps every cycle's shop
-         namespace disjoint from every other client's and cycle's. *)
-      let stream =
-        gen_stream ~cid:((cid * 1_000_003) + !cycle) ~seed ~requests:256 ()
-      in
-      incr cycle;
-      let reqs = Array.of_list (List.map Protocol.render_request stream) in
-      let n = Array.length reqs in
-      let t_send = Array.make n 0. in
-      let sent = ref 0 and recvd = ref 0 in
-      let target () = if !stop then !sent else n in
-      while !recvd < target () do
-        while (not !stop) && !sent < n && !sent - !recvd < pipeline do
-          if Unix.gettimeofday () >= deadline then stop := true
-          else begin
-            t_send.(!sent) <- Unix.gettimeofday ();
-            Wire.write_all fd (reqs.(!sent) ^ "\n");
-            incr sent
-          end
-        done;
-        if !recvd < target () then
-          match recv () with
-          | None -> stop := true
-          | Some line ->
-              observe (Unix.gettimeofday () -. t_send.(!recvd)) line;
-              incr recvd
-      done;
-      if Unix.gettimeofday () >= deadline then stop := true
-    done;
-    (try Wire.write_all fd "quit\n" with Unix.Unix_error _ -> ());
-    (try Unix.close fd with Unix.Unix_error _ -> ())
-  in
-  let domains = List.init connections (fun c -> Domain.spawn (fun () -> client c)) in
-  let snapshots = ref [] in
-  let take_snapshot () =
-    Mutex.lock st.so_mu;
-    let q = st.so_window in
-    st.so_window <- Quantile.create ();
-    Mutex.unlock st.so_mu;
-    let now = Unix.gettimeofday () in
-    let count = Quantile.count q in
-    let sn =
-      {
-        sn_t = now -. t0;
-        sn_count = count;
-        sn_rps = (if snapshot_every > 0. then float_of_int count /. snapshot_every else 0.);
-        sn_p50_ms = Quantile.quantile q 0.50 *. 1000.;
-        sn_p99_ms = Quantile.quantile q 0.99 *. 1000.;
-      }
-    in
-    snapshots := sn :: !snapshots;
-    Format.printf "soak +%6.1fs  %6d replies (%6.0f/s)  p50=%.3fms p99=%.3fms@." sn.sn_t
-      sn.sn_count sn.sn_rps sn.sn_p50_ms sn.sn_p99_ms;
-    Format.print_flush ()
-  in
-  while Unix.gettimeofday () < deadline do
-    let remaining = deadline -. Unix.gettimeofday () in
-    Unix.sleepf (Float.min snapshot_every remaining);
-    take_snapshot ()
-  done;
-  List.iter Domain.join domains;
-  let t_end = Unix.gettimeofday () in
-  (t_end -. t0, st.so_total, st.so_tally, List.rev !snapshots)
-
-let soak_snapshot_json sn =
-  Json.Obj
-    [
-      ("t_s", Json.Num sn.sn_t);
-      ("count", Json.int sn.sn_count);
-      ("requests_per_sec", Json.Num sn.sn_rps);
-      ("latency_p50_ms", Json.Num sn.sn_p50_ms);
-      ("latency_p99_ms", Json.Num sn.sn_p99_ms);
-    ]
 
 (* ------------------------------------------------------------------ *)
 (* Reporting                                                          *)
@@ -1379,13 +1161,6 @@ let seed_arg =
   let doc = "Stream seed: the request sequence is a pure function of it." in
   Arg.(value & opt int 42 & info [ "seed" ] ~docv:"SEED" ~doc)
 
-let rate_arg =
-  let doc =
-    "Open-loop arrival rate in requests/second (exponential inter-arrivals); 0 replays as \
-     fast as possible."
-  in
-  Arg.(value & opt float 0. & info [ "rate" ] ~docv:"R" ~doc)
-
 let jobs_arg =
   let doc = "Worker domains for the in-process engine's batch solves." in
   Arg.(value & opt (some int) None & info [ "j"; "jobs" ] ~docv:"N" ~doc)
@@ -1410,10 +1185,6 @@ let sweep_arg =
      run's cache statistics alongside the main run (in-process only)."
   in
   Arg.(value & opt (some (list int)) None & info [ "cache-sweep" ] ~docv:"N,N,..." ~doc)
-
-let connect_arg =
-  let doc = "Replay over TCP against a running e2e-serve at $(docv) instead of in-process." in
-  Arg.(value & opt (some string) None & info [ "connect" ] ~docv:"HOST:PORT" ~doc)
 
 let self_serve_arg =
   let doc =
@@ -1506,16 +1277,9 @@ let det_clock_arg =
     "Replace the wall clock with a deterministic counter (one tick of 1/1024 s per \
      reading): timings stop measuring real time but the trace, the latency report and the \
      stage percentiles become exact functions of the request stream — byte-identical at \
-     every -j.  Implies --rate 0 semantics for timing."
+     every -j."
   in
   Arg.(value & flag & info [ "det-clock" ] ~doc)
-
-let cluster_arg =
-  let doc =
-    "Replay over TCP against a running e2e-dispatch front end at $(docv); after the run, \
-     query it for routing balance and failover counters (the cluster report)."
-  in
-  Arg.(value & opt (some string) None & info [ "cluster" ] ~docv:"HOST:PORT" ~doc)
 
 let spawn_shards_arg =
   let doc =
@@ -1538,18 +1302,6 @@ let cluster_shops_arg =
   let doc = "Shops each connection submits before the query phase of the cluster sweep." in
   Arg.(value & opt int 8 & info [ "cluster-shops" ] ~docv:"K" ~doc)
 
-let duration_arg =
-  let doc =
-    "Soak mode: run the TCP replay closed-loop for $(docv) seconds of wall-clock time \
-     (freshly generated request chunks per connection) instead of a fixed request count, \
-     printing windowed latency snapshots as it runs."
-  in
-  Arg.(value & opt float 0. & info [ "duration" ] ~docv:"SECS" ~doc)
-
-let snapshot_arg =
-  let doc = "Seconds between soak-mode latency snapshots." in
-  Arg.(value & opt float 1.0 & info [ "snapshot" ] ~docv:"SECS" ~doc)
-
 let failover_arg =
   let doc =
     "Run the cluster failover check: 2 in-process shards behind a dispatcher, kill one \
@@ -1558,13 +1310,6 @@ let failover_arg =
      Exits non-zero on failure."
   in
   Arg.(value & flag & info [ "failover-check" ] ~doc)
-
-let parse_addr flag addr =
-  match Registry.parse_id addr with
-  | Some (h, p) -> (h, p)
-  | None ->
-      Printf.eprintf "e2e-loadgen: %s expects HOST:PORT (got %S)\n%!" flag addr;
-      exit 2
 
 (* Stage sketches accumulated by Rtrace.finish during the main run, in
    pipeline order, with the end-to-end sketch last.  Captured before the
@@ -1577,24 +1322,17 @@ let capture_stages () =
     (Array.to_list Rtrace.stages)
   @ (match find "serve.e2e" with Some q -> [ ("e2e", q) ] | None -> [])
 
-let run requests seed rate jobs batch queue cache sweep connect self_serve connections
-    pipeline accept_pool window drainers drainer_sweep upstream_sweep upstream_conns
-    reply_log sat_conns sat_batch out trace det_clock cluster spawn_shards cluster_sweep
-    cluster_shops duration snapshot failover =
+let run requests seed jobs batch queue cache sweep self_serve connections pipeline
+    accept_pool window drainers drainer_sweep upstream_sweep upstream_conns reply_log
+    sat_conns sat_batch out trace det_clock spawn_shards cluster_sweep cluster_shops failover =
   let jobs = Pool.resolve_jobs jobs in
   let config =
     { Batcher.queue_capacity = queue; batch; budget = Admission.Unbounded; jobs;
       cache_capacity = cache }
   in
-  let n_targets =
-    List.length
-      (List.filter Fun.id
-         [ connect <> None; self_serve; cluster <> None; spawn_shards <> None ])
-  in
-  if n_targets > 1 then begin
-    prerr_endline
-      "e2e-loadgen: --connect, --self-serve, --cluster and --spawn-shards are mutually \
-       exclusive";
+  let tcp_mode = self_serve || spawn_shards <> None in
+  if self_serve && spawn_shards <> None then begin
+    prerr_endline "e2e-loadgen: --self-serve and --spawn-shards are mutually exclusive";
     exit 2
   end;
   if drainers < 1 then begin
@@ -1605,7 +1343,7 @@ let run requests seed rate jobs batch queue cache sweep connect self_serve conne
     prerr_endline "e2e-loadgen: --upstream-conns must be >= 1";
     exit 2
   end;
-  if (failover || cluster_sweep <> None || upstream_sweep <> None) && n_targets > 0 then begin
+  if (failover || cluster_sweep <> None || upstream_sweep <> None) && tcp_mode then begin
     prerr_endline
       "e2e-loadgen: --failover-check, --cluster-sweep and --upstream-sweep spawn their \
        own clusters";
@@ -1622,70 +1360,13 @@ let run requests seed rate jobs batch queue cache sweep connect self_serve conne
         ~config ~connections ~pipeline ~shops:cluster_shops ~requests ~seed ~window ~jobs
         ~out;
       exit 0);
-  let tcp_mode = n_targets > 0 in
   if reply_log <> None && not tcp_mode then begin
     prerr_endline "e2e-loadgen: --reply-log requires a TCP mode";
     exit 2
   end;
   let transport =
-    if self_serve then "self-tcp"
-    else if spawn_shards <> None then "cluster-self"
-    else if cluster <> None then "cluster"
-    else if connect <> None then "tcp"
-    else "inproc"
+    if self_serve then "self-tcp" else if spawn_shards <> None then "cluster-self" else "inproc"
   in
-  if duration > 0. then begin
-    if not tcp_mode then begin
-      prerr_endline "e2e-loadgen: --duration (soak mode) requires a TCP mode";
-      exit 2
-    end;
-    let host, port, finish =
-      match (spawn_shards, cluster, connect) with
-      | Some n, _, _ ->
-          let cl =
-            spawn_cluster ~nshards:(max 1 n) ~config ~window ~probe_interval:0.5
-              ~client_slots:(connections + 2) ~upstream_conns ()
-          in
-          ( "127.0.0.1",
-            cl.cl_port,
-            fun () ->
-              let info = cluster_info_of_stats (Dispatcher.stats cl.cl_t) in
-              stop_cluster cl;
-              Some info )
-      | None, Some addr, _ ->
-          let host, port = parse_addr "--cluster" addr in
-          (host, port, fun () -> fetch_cluster_remote ~host ~port)
-      | None, None, Some addr ->
-          let host, port = parse_addr "--connect" addr in
-          (host, port, fun () -> None)
-      | None, None, None ->
-          let stripes = E2e_serve.Stripes.create ~config ~stripes:drainers () in
-          let set, get = wait_slot () in
-          let d =
-            Domain.spawn (fun () ->
-                Server.serve_tcp ~max_connections:connections ~accept_pool ~window
-                  ~ready:set ~port:0 stripes)
-          in
-          ( "127.0.0.1",
-            get (),
-            fun () ->
-              Domain.join d;
-              None )
-    in
-    let soak_duration, latency, tally, snapshots =
-      run_soak ~host ~port ~connections ~pipeline ~seed ~duration ~snapshot_every:snapshot
-    in
-    let info = finish () in
-    Option.iter print_cluster_info info;
-    let extra =
-      [ ("soak_snapshots", Json.List (List.map soak_snapshot_json snapshots)) ]
-      @ (match info with None -> [] | Some ci -> [ ("cluster", cluster_json ci) ])
-    in
-    report ~extra ~out ~requests:(Quantile.count latency) ~jobs ~config ~transport
-      ~connections ~duration:soak_duration ~latency ~tally ~cache_stats:None
-      ~keyer_stats:None ~stages:[] ~sweep:[] ~sat:[] ();
-    exit 0
-  end;
   if det_clock then begin
     (* Dyadic step: every reading is an exact float, so durations and
        their sums are exact and the trace is byte-reproducible. *)
@@ -1717,47 +1398,32 @@ let run requests seed rate jobs batch queue cache sweep connect self_serve conne
         Some (path, oc)
     | Some _, true ->
         prerr_endline
-          "e2e-loadgen: --trace requires the in-process engine (no --connect/--self-serve)";
+          "e2e-loadgen: --trace requires the in-process engine (no --self-serve or \
+           --spawn-shards)";
         exit 2
     | None, _ -> None
   in
-  let cluster_finish = ref (fun () -> None) in
-  let duration, latency, tally, cache_stats, keyer_stats =
+  let (duration, latency, tally, cache_stats, keyer_stats), info =
     if self_serve then
-      run_self
-        ~streams:(client_streams ~connections ~seed ~requests)
-        ~config ~accept_pool ~window ~drainers ~pipeline ~rate ~reply_log
+      ( run_self
+          ~streams:(client_streams ~connections ~seed ~requests)
+          ~config ~accept_pool ~window ~drainers ~pipeline ~reply_log,
+        None )
     else
-      match (spawn_shards, cluster, connect) with
-      | Some n, _, _ ->
+      match spawn_shards with
+      | Some n ->
           let cl =
             spawn_cluster ~nshards:(max 1 n) ~config ~window ~probe_interval:0.5
               ~client_slots:(connections + 2) ~upstream_conns ()
           in
-          (cluster_finish :=
-             fun () ->
-               let info = cluster_info_of_stats (Dispatcher.stats cl.cl_t) in
-               stop_cluster cl;
-               Some info);
           let streams = client_streams ~connections ~seed ~requests in
-          let duration, results =
-            run_clients ~host:"127.0.0.1" ~port:cl.cl_port ~streams ~pipeline ~rate
-          in
+          let duration, results = run_clients ~port:cl.cl_port ~streams ~pipeline in
           write_reply_logs reply_log results;
+          let info = cluster_info_of_stats (Dispatcher.stats cl.cl_t) in
+          stop_cluster cl;
           let latency, tally = merge_client_results results in
-          (duration, latency, tally, None, None)
-      | None, Some addr, _ ->
-          let host, port = parse_addr "--cluster" addr in
-          (cluster_finish := fun () -> fetch_cluster_remote ~host ~port);
-          run_tcp
-            ~streams:(client_streams ~connections ~seed ~requests)
-            ~addr ~pipeline ~rate ~reply_log
-      | None, None, Some addr ->
-          run_tcp
-            ~streams:(client_streams ~connections ~seed ~requests)
-            ~addr ~pipeline ~rate ~reply_log
-      | None, None, None ->
-          run_inproc ~stream:(gen_stream ~seed ~requests ()) ~config ~rate
+          ((duration, latency, tally, None, None), Some info)
+      | None -> (run_inproc ~stream:(gen_stream ~seed ~requests ()) ~config, None)
   in
   (match trace_oc with
   | None -> ()
@@ -1773,7 +1439,7 @@ let run requests seed rate jobs batch queue cache sweep connect self_serve conne
          uninstrumented run's. *)
       Obs.set_stats true;
       Obs.reset_metrics ();
-      ignore (run_inproc ~stream:(gen_stream ~seed ~requests ()) ~config ~rate:0.);
+      ignore (run_inproc ~stream:(gen_stream ~seed ~requests ()) ~config);
       capture_stages ()
     end
     else []
@@ -1786,7 +1452,7 @@ let run requests seed rate jobs batch queue cache sweep connect self_serve conne
         List.filter_map
           (fun capacity ->
             let config = { config with Batcher.cache_capacity = capacity } in
-            let _, _, _, stats, _ = run_inproc ~stream ~config ~rate:0. in
+            let _, _, _, stats, _ = run_inproc ~stream ~config in
             Option.map (fun s -> (capacity, s)) stats)
           capacities
   in
@@ -1820,7 +1486,6 @@ let run requests seed rate jobs batch queue cache sweep connect self_serve conne
           ~requests ~seed ~window
   in
   let connections = if tcp_mode then connections else 1 in
-  let info = !cluster_finish () in
   Option.iter print_cluster_info info;
   let extra = match info with None -> [] | Some ci -> [ ("cluster", cluster_json ci) ] in
   report ~extra ~out ~requests ~jobs ~config ~transport ~connections ~duration ~latency
@@ -1831,12 +1496,11 @@ let () =
   let info = Cmd.info "e2e-loadgen" ~version:"1.0.0" ~doc in
   let term =
     Term.(
-      const run $ requests_arg $ seed_arg $ rate_arg $ jobs_arg $ batch_arg $ queue_arg
-      $ cache_arg $ sweep_arg $ connect_arg $ self_serve_arg $ connections_arg
-      $ pipeline_arg $ accept_pool_arg $ window_arg $ drainers_arg $ drainer_sweep_arg
-      $ upstream_sweep_arg $ upstream_conns_arg $ reply_log_arg $ sat_conns_arg
-      $ sat_batch_arg $ out_arg $ trace_arg $ det_clock_arg $ cluster_arg
-      $ spawn_shards_arg $ cluster_sweep_arg $ cluster_shops_arg $ duration_arg
-      $ snapshot_arg $ failover_arg)
+      const run $ requests_arg $ seed_arg $ jobs_arg $ batch_arg $ queue_arg $ cache_arg
+      $ sweep_arg $ self_serve_arg $ connections_arg $ pipeline_arg $ accept_pool_arg
+      $ window_arg $ drainers_arg $ drainer_sweep_arg $ upstream_sweep_arg
+      $ upstream_conns_arg $ reply_log_arg $ sat_conns_arg $ sat_batch_arg $ out_arg
+      $ trace_arg $ det_clock_arg $ spawn_shards_arg $ cluster_sweep_arg
+      $ cluster_shops_arg $ failover_arg)
   in
   exit (Cmd.eval (Cmd.v info term))

@@ -171,8 +171,9 @@ let run stdio tcp host max_conns accept_pool window drainers queue batch cache b
                Out_channel.output_char oc '\n'));
         Some oc
   in
+  let stripes = E2e_serve.Stripes.create ~config ~stripes:drainers () in
   (match tcp with
-  | None -> Server.serve_stdio ~schedules (Batcher.create ~config ())
+  | None -> Server.serve_stdio ~schedules stripes
   | Some port ->
       let advertised = ref None in
       let ready p =
@@ -189,8 +190,7 @@ let run stdio tcp host max_conns accept_pool window drainers queue batch cache b
             ctl_rpc ~register:r (Printf.sprintf "ctl/1 register %s" addr)
       in
       Server.serve_tcp ~schedules ~host ?max_connections:max_conns ~accept_pool ~window
-        ~ready ~port
-        (E2e_serve.Stripes.create ~config ~stripes:drainers ());
+        ~ready ~port stripes;
       match (register, !advertised) with
       | Some r, Some addr -> ctl_rpc ~register:r (Printf.sprintf "ctl/1 deregister %s" addr)
       | _ -> ());

@@ -128,11 +128,7 @@ type t = {
   (* upstream table *)
   tmu : Mutex.t;
   upstreams : (string, upstream) Hashtbl.t;
-  (* listener/connection lifecycle (shutdown support) *)
-  dmu : Mutex.t;
-  mutable stop : bool;
-  mutable listener : Unix.file_descr option;
-  mutable conns : Unix.file_descr list;
+  control : Wire.control;  (* the client listener's shutdown handle *)
 }
 
 let create ?(config = default_config) shards =
@@ -150,10 +146,7 @@ let create ?(config = default_config) shards =
     per_shard = Hashtbl.create 8;
     tmu = Mutex.create ();
     upstreams = Hashtbl.create 8;
-    dmu = Mutex.create ();
-    stop = false;
-    listener = None;
-    conns = [];
+    control = Wire.control ();
   }
 
 let registry t = t.registry
@@ -615,17 +608,17 @@ let pong = "pong " ^ version
    lanes) answer.  [sticky] is this connection's lane memo — the
    connection affinity that keeps its per-shard request flow on one
    upstream lane. *)
-let client_loop t (conn : Wire.conn) r =
+let client_loop t conn r =
   let sticky = sticky () in
   let rec loop () =
     match Wire.read_line r with
-    | `Eof -> Wire.push_cell conn (End None)
+    | `Eof -> Wire.push_end conn None
     | `Error _ ->
         Mutex.lock t.smu;
         t.client_read_errors <- t.client_read_errors + 1;
         Mutex.unlock t.smu;
-        Wire.push_cell conn (End None)
-    | `Too_long -> Wire.push_cell conn (End (Some "error shop=- request line too long"))
+        Wire.push_end conn None
+    | `Too_long -> Wire.push_end conn (Some "error shop=- request line too long")
     | `Line l ->
         let trimmed = String.trim l in
         if trimmed = "" || trimmed.[0] = '#' then loop ()
@@ -634,7 +627,7 @@ let client_loop t (conn : Wire.conn) r =
           match keyword with
           | "hello" -> Wire.push_line conn (Protocol.render_hello ~requested:rest); loop ()
           | "ping" when rest = "" -> Wire.push_line conn pong; loop ()
-          | "quit" when rest = "" -> Wire.push_cell conn (End (Some "bye"))
+          | "quit" when rest = "" -> Wire.push_end conn (Some "bye")
           | "stats" when rest = "" -> Wire.push_line conn (stats_line t); loop ()
           | "metrics" when rest = "" -> Wire.push_line conn (gather_metrics t); loop ()
           | k when k = ctl_version -> Wire.push_line conn (handle_ctl t rest); loop ()
@@ -648,139 +641,39 @@ let client_loop t (conn : Wire.conn) r =
                  connection byte for byte. *)
               let shop, _ = Protocol.cut_word rest in
               let key = if shop = "" then trimmed else shop in
-              Semaphore.Counting.acquire conn.Wire.window;
-              let p = { Wire.line = None } in
-              Wire.push_cell conn (Out p);
-              dispatch t ~sticky ~shop:key l (fun reply -> Wire.fill conn p reply);
+              dispatch t ~sticky ~shop:key l (Wire.push_slot conn);
               loop ()
         end
   in
   loop ()
 
 (* ------------------------------------------------------------------ *)
-(* Listener plumbing (mirrors Server.serve_tcp). *)
-
-let conn_register t fd =
-  Mutex.lock t.dmu;
-  let accept = not t.stop in
-  if accept then t.conns <- fd :: t.conns;
-  Mutex.unlock t.dmu;
-  accept
-
-let conn_unregister t fd =
-  Mutex.lock t.dmu;
-  t.conns <- List.filter (fun fd' -> fd' != fd) t.conns;
-  Mutex.unlock t.dmu
-
-let stopped t =
-  Mutex.lock t.dmu;
-  let s = t.stop in
-  Mutex.unlock t.dmu;
-  s
+(* The listener is {!Wire.serve}; the dispatcher adds the status
+   checker for the listener's lifetime and tears its upstreams down
+   with it. *)
 
 let shutdown t =
-  Mutex.lock t.dmu;
-  t.stop <- true;
-  let listener = t.listener in
-  let conns = t.conns in
-  t.listener <- None;
-  Mutex.unlock t.dmu;
-  let shut fd = try Unix.shutdown fd Unix.SHUTDOWN_ALL with Unix.Unix_error _ -> () in
-  Option.iter shut listener;
-  List.iter shut conns;
-  let us = Mutex.lock t.tmu; let us = Hashtbl.fold (fun _ u acc -> u :: acc) t.upstreams [] in
-    Mutex.unlock t.tmu; us
+  Wire.shutdown t.control;
+  let us =
+    Mutex.lock t.tmu;
+    let us = Hashtbl.fold (fun _ u acc -> u :: acc) t.upstreams [] in
+    Mutex.unlock t.tmu;
+    us
   in
   List.iter (fun u -> teardown_all_lanes t u) us
 
-let handle_client t ~window fd =
-  Fun.protect
-    ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
-    (fun () ->
-      (try Unix.setsockopt fd Unix.TCP_NODELAY true with Unix.Unix_error _ -> ());
-      match Wire.write_all fd (greeting ^ "\n") with
-      | exception Unix.Unix_error _ -> ()
-      | () ->
-          let conn = Wire.make_conn ~window fd in
-          let writer = Wire.spawn_writer conn in
-          Fun.protect
-            ~finally:(fun () -> Thread.join writer)
-            (fun () ->
-              try client_loop t conn (Wire.make_reader fd)
-              with _ -> Wire.push_cell conn (End None)))
-
-let retriable = function
-  | Unix.EINTR | Unix.ECONNABORTED | Unix.EAGAIN | Unix.EWOULDBLOCK -> true
-  | _ -> false
-
-let serve ?(host = "127.0.0.1") ?max_connections ?(accept_pool = 4) ?(window = 64)
-    ?ready ~port t =
-  let addr = Unix.ADDR_INET (E2e_serve.Server.resolve_host host, port) in
-  let sock = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-  let old_sigpipe =
-    try Some (Sys.signal Sys.sigpipe Sys.Signal_ignore) with Invalid_argument _ -> None
+let serve ?host ?max_connections ?accept_pool ?window ?ready ~port t =
+  let checker = ref None in
+  let ready p =
+    Option.iter (fun f -> f p) ready;
+    checker :=
+      Some
+        (Health.start ~interval:t.config.probe_interval ~timeout:t.config.probe_timeout
+           t.registry)
   in
-  Fun.protect
-    ~finally:(fun () ->
-      (try Unix.close sock with Unix.Unix_error _ -> ());
-      Option.iter
-        (fun b -> try Sys.set_signal Sys.sigpipe b with Invalid_argument _ -> ())
-        old_sigpipe)
-    (fun () ->
-      Unix.setsockopt sock Unix.SO_REUSEADDR true;
-      Unix.bind sock addr;
-      Unix.listen sock 64;
-      Mutex.lock t.dmu;
-      let already_stopped = t.stop in
-      if not already_stopped then t.listener <- Some sock;
-      Mutex.unlock t.dmu;
-      if not already_stopped then begin
-        (match ready with
-        | None -> ()
-        | Some f ->
-            let bound_port =
-              match Unix.getsockname sock with Unix.ADDR_INET (_, p) -> p | _ -> port
-            in
-            f bound_port);
-        let checker =
-          Health.start ~interval:t.config.probe_interval ~timeout:t.config.probe_timeout
-            t.registry
-        in
-        let slots = Atomic.make 0 in
-        let accept_domain () =
-          let rec loop () =
-            if stopped t then ()
-            else
-              let slot = Atomic.fetch_and_add slots 1 in
-              let quota_ok =
-                match max_connections with None -> true | Some n -> slot < n
-              in
-              if quota_ok then
-                match Unix.accept sock with
-                | fd, _ ->
-                    if conn_register t fd then begin
-                      (try handle_client t ~window fd with _ -> ());
-                      conn_unregister t fd
-                    end
-                    else (try Unix.close fd with Unix.Unix_error _ -> ());
-                    loop ()
-                | exception Unix.Unix_error (e, _, _) when retriable e ->
-                    Atomic.decr slots;
-                    loop ()
-                | exception Unix.Unix_error ((Unix.EBADF | Unix.EINVAL), _, _) -> ()
-                | exception Unix.Unix_error (_, _, _) ->
-                    Atomic.decr slots;
-                    Unix.sleepf 0.01;
-                    loop ()
-          in
-          loop ()
-        in
-        let accepters =
-          Array.init (max 1 accept_pool) (fun _ -> Domain.spawn accept_domain)
-        in
-        Array.iter Domain.join accepters;
-        Health.stop checker;
-        (* Make sure upstream threads die with the listener (no-op when
-           [shutdown] already ran). *)
-        shutdown t
-      end)
+  Wire.serve ?host ?max_connections ?accept_pool ?window ~ready ~control:t.control ~greeting
+    ~port (client_loop t);
+  Option.iter Health.stop !checker;
+  (* Make sure upstream threads die with the listener (no-op when
+     [shutdown] already ran). *)
+  shutdown t

@@ -17,7 +17,8 @@
 
     Reply-order contract: per client connection, replies come back in
     request order regardless of which shards answer (the same
-    {!E2e_serve.Wire} slot machinery as the single-shard server).
+    {!E2e_serve.Wire} listener and slot machinery as the single-shard
+    server).
     Each shard upstream may be widened to [upstream_conns] pipelined
     connections ({e lanes}); a client connection keeps a sticky lane
     per shard, so its own requests stay FIFO per shard while distinct
@@ -119,16 +120,17 @@ val serve :
   port:int ->
   t ->
   unit
-(** Listen on [host:port] (default host 127.0.0.1; [port = 0] binds an
-    ephemeral port, reported through [ready]) and serve clients with
-    an [accept_pool] (default 4) of reader domains, each connection
-    pipelining up to [window] (default 64) outstanding replies.  Also
-    starts the status-checker thread for the lifetime of the listener.
-    [max_connections] bounds total accepted connections, after which
-    the dispatcher drains and returns.  Returns after {!shutdown}. *)
+(** {!E2e_serve.Wire.serve} with the dispatcher's {!greeting} and
+    client reader: the same listener, options and teardown as a shard
+    ([accept_pool] default 4, [window] default 64, [max_connections]
+    bounding total accepted connections).  The status checker runs
+    from [ready] until the listener returns, and the upstreams are
+    torn down with it.  Returns after {!shutdown} — at once, without
+    calling [ready], when {!shutdown} came first. *)
 
 val shutdown : t -> unit
-(** Stop serving: wake blocked accepts, reset client connections, tear
-    down every upstream (pending requests get
-    [error shard-unavailable]).  Registered shards are {e not} marked
-    dead.  Idempotent; safe from any thread. *)
+(** Stop serving: {!E2e_serve.Wire.shutdown} on the client listener
+    (wakes blocked accepts, resets client connections), then tear down
+    every upstream (pending requests get [error shard-unavailable]).
+    Registered shards are {e not} marked dead.  Idempotent; safe from
+    any thread. *)

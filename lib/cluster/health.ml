@@ -17,7 +17,7 @@ module Wire = E2e_serve.Wire
    sessions; persistent upstream connections leave it off — an idle
    socket timing out a read is not a dead shard. *)
 let connect_gen ~host ~port ~rw_timeout timeout =
-  match E2e_serve.Server.resolve_host host with
+  match E2e_serve.Wire.resolve_host host with
   | exception Failure e -> Error e
   | inet -> (
       let addr = Unix.ADDR_INET (inet, port) in

@@ -143,71 +143,42 @@ let render_hello ~requested =
   if requested = version then "ok " ^ version
   else Printf.sprintf "error unsupported version %S (this server speaks %s)" requested version
 
-(* Both the single-batcher and the striped transports render stats and
-   metrics from the same aggregate view, so the line formats agree and
-   a striped server's exposition is the per-stripe sum. *)
-type agg = {
-  agg_pending : int;
-  agg_shops : int;
-  agg_tasks : int;
-  agg_warm : int;
-  agg_svc : Batcher.service_stats;
-  agg_cache : Cache.stats option;
-}
+let sum_engines stripes f =
+  Array.fold_left (fun acc b -> acc + f (Batcher.engine b)) 0 (Stripes.batchers stripes)
 
-let agg_of_batchers batchers ~pending ~cache ~svc =
-  let sum f = Array.fold_left (fun acc b -> acc + f b) 0 batchers in
-  {
-    agg_pending = pending;
-    agg_shops = sum (fun b -> List.length (Admission.shops (Batcher.engine b)));
-    agg_tasks = sum (fun b -> Admission.n_committed (Batcher.engine b));
-    agg_warm = sum (fun b -> Admission.warm_resident (Batcher.engine b));
-    agg_svc = svc;
-    agg_cache = cache;
-  }
+let n_shops stripes = sum_engines stripes (fun e -> List.length (Admission.shops e))
 
-let agg_of_batcher b =
-  agg_of_batchers [| b |] ~pending:(Batcher.pending b) ~cache:(Batcher.cache_stats b)
-    ~svc:(Batcher.service_stats b)
-
-let agg_of_stripes s =
-  agg_of_batchers (Stripes.batchers s) ~pending:(Stripes.pending s)
-    ~cache:(Stripes.cache_stats s) ~svc:(Stripes.service_stats s)
-
-let stats_of_agg ?read_errors a =
+(* Every figure is the sum over stripes, so a one-stripe service (the
+   stdio session) and a striped TCP server render the same format. *)
+let render_stats stripes =
   let base =
-    Printf.sprintf "stats pending=%d shops=%d tasks=%d" a.agg_pending a.agg_shops a.agg_tasks
+    Printf.sprintf "stats pending=%d shops=%d tasks=%d" (Stripes.pending stripes)
+      (n_shops stripes)
+      (sum_engines stripes Admission.n_committed)
   in
   let base =
-    match a.agg_cache with
+    match Stripes.cache_stats stripes with
     | None -> base ^ " cache=off"
     | Some { Cache.hits; misses; evictions; size } ->
         Printf.sprintf "%s cache_hits=%d cache_misses=%d cache_evictions=%d cache_size=%d"
           base hits misses evictions size
   in
-  match read_errors with
-  | None -> base
-  | Some n -> Printf.sprintf "%s read_errors=%d" base n
-
-let render_stats batcher = stats_of_agg (agg_of_batcher batcher)
-
-let render_stats_striped ?read_errors stripes =
-  stats_of_agg ?read_errors (agg_of_stripes stripes)
+  Printf.sprintf "%s read_errors=%d" base (Stripes.read_errors stripes)
 
 (* The [metrics] reply: live batcher-derived exposition lines (always
    available, registry on or off) followed by the registry's own
    exposition.  The live names are chosen disjoint from any registry
    name's mangling, so the concatenation never repeats a sample. *)
-let metrics_of_agg ?(extra = []) a =
+let render_metrics stripes =
   let module Obs = E2e_obs.Obs in
   let line ?labels name v = Obs.exposition_line ?labels name v in
   let iline ?labels name v = line ?labels name (float_of_int v) in
-  let svc = a.agg_svc in
+  let svc = Stripes.service_stats stripes in
   let live =
     [
-      iline "serve_queue_depth" a.agg_pending;
-      iline "serve_committed_shops" a.agg_shops;
-      iline "serve_committed_tasks" a.agg_tasks;
+      iline "serve_queue_depth" (Stripes.pending stripes);
+      iline "serve_committed_shops" (n_shops stripes);
+      iline "serve_committed_tasks" (sum_engines stripes Admission.n_committed);
       iline "serve_submitted_total" svc.Batcher.submitted;
       iline "serve_backpressure_rejections_total" svc.Batcher.rejected_backpressure;
       iline "serve_batches_completed_total" svc.Batcher.batches;
@@ -217,14 +188,15 @@ let metrics_of_agg ?(extra = []) a =
       iline "serve_verify_downgrades_total" svc.Batcher.verify_failures;
       iline "serve_incremental_hits_total" svc.Batcher.inc_hits;
       iline "serve_incremental_misses_total" svc.Batcher.inc_misses;
-      iline "serve_warm_resident_tasks" a.agg_warm;
+      iline "serve_warm_resident_tasks" (sum_engines stripes Admission.warm_resident);
+      iline "serve_stripes" (Stripes.count stripes);
+      iline "serve_transport_read_errors_total" (Stripes.read_errors stripes);
     ]
-    @ extra
     @ List.map
         (fun (shop, n) ->
           iline ~labels:[ ("shop", shop) ] "serve_shop_resident_tasks" n)
         svc.Batcher.resident
-    @ (match a.agg_cache with
+    @ (match Stripes.cache_stats stripes with
       | None -> []
       | Some { Cache.hits; misses; evictions; size } ->
           [
@@ -245,16 +217,3 @@ let metrics_of_agg ?(extra = []) a =
   in
   let lines = live @ Obs.exposition_lines () in
   "metrics " ^ String.concat ";" lines
-
-let render_metrics batcher = metrics_of_agg (agg_of_batcher batcher)
-
-let render_metrics_striped ?(read_errors = 0) stripes =
-  let module Obs = E2e_obs.Obs in
-  let iline name v = Obs.exposition_line name (float_of_int v) in
-  metrics_of_agg
-    ~extra:
-      [
-        iline "serve_stripes" (Stripes.count stripes);
-        iline "serve_transport_read_errors_total" read_errors;
-      ]
-    (agg_of_stripes stripes)

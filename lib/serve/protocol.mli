@@ -94,26 +94,21 @@ val render_hello : requested:string -> string
 (** [ok e2e-serve/1] when [requested] matches {!version}, an [error]
     line otherwise. *)
 
-val render_stats : Batcher.t -> string
-(** The [stats] reply: queue depth, committed shops/tasks, verdict
-    counts and cache counters of this batcher. *)
+val render_stats : Stripes.t -> string
+(** The [stats] reply: queue depth, committed shops/tasks and cache
+    counters summed over the stripes, then [read_errors=] (hard
+    transport read errors, as distinct from clean EOFs —
+    {!Stripes.read_errors}). *)
 
-val render_stats_striped : ?read_errors:int -> Stripes.t -> string
-(** The striped transport's [stats] reply: the same line format with
-    every figure aggregated across stripes, plus [read_errors=] (hard
-    transport read errors, as distinct from clean EOFs) when given. *)
-
-val render_metrics : Batcher.t -> string
-(** The [metrics] reply: [;]-framed exposition lines — this batcher's
-    live {!Batcher.service_stats} samples followed by
+val render_metrics : Stripes.t -> string
+(** The [metrics] reply: [;]-framed exposition lines — the live
+    {!Stripes.service_stats} samples summed over stripes, the drainer
+    stripe count ([serve_stripes]) and
+    [serve_transport_read_errors_total], followed by
     {!E2e_obs.Obs.exposition_lines} (the latter empty unless stats are
-    on).  Live and registry sample names never collide.  Deterministic:
-    a function of the batcher state and registry contents only. *)
-
-val render_metrics_striped : ?read_errors:int -> Stripes.t -> string
-(** {!render_metrics} aggregated across stripes, with two extra
-    samples: [serve_stripes] (the drainer stripe count) and
-    [serve_transport_read_errors_total]. *)
+    on).  Live and registry sample names never collide.
+    Deterministic: a function of the stripes' state and registry
+    contents only. *)
 
 val render_schedule : E2e_schedule.Schedule.t -> string
 (** The [;]-framed CSV used in [admitted] replies (exposed for tests

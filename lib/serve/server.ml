@@ -2,14 +2,14 @@ module Obs = E2e_obs.Obs
 
 (* One chunk's worth of session work: each parsed line becomes either an
    immediate output line or a pending admission request; pending requests
-   drain through the batcher as one group, then outputs are emitted in
+   drain through their stripes as one group, then outputs are emitted in
    request order.  Control replies (hello/stats) are rendered at emission
    time, after the drain, so they observe the chunk's completed work. *)
 type action =
   | Emit of string
   | Emit_stats
   | Emit_metrics
-  | Pending  (* resolved by the next drained reply, in order *)
+  | Pending of int  (* resolved by stripe [k]'s next drained reply, in order *)
 
 let pong = "pong " ^ Protocol.version
 
@@ -17,13 +17,21 @@ let error_line ?(schedules = true) message =
   Protocol.render_reply ~schedules
     (Batcher.Reply (Admission.Request_error { shop = "-"; message }))
 
+(* A hard read error — a reset or half-closed peer, as opposed to a
+   clean EOF — is counted on both transports, so stats distinguish
+   connection failures from hangups. *)
+let note_read_error stripes =
+  Stripes.note_read_error stripes;
+  Obs.incr "serve.read_errors"
+
 (* Read up to [n] lines through the bounded {!Wire} reader — the same
    read path as the TCP transport, so the 1 MiB line cap and [\r]
    stripping apply to stdio sessions too.  The terminal tag reports why
    the chunk is short: [`More] (chunk full, keep reading), [`Eof]
    (clean end of stream), [`Too_long] (protocol error, session ends
-   after an error reply) or [`Error] (hard read error, session ends). *)
-let read_chunk r n =
+   after an error reply) or [`Error] (hard read error, counted before
+   the chunk's lines are answered; session ends). *)
+let read_chunk stripes r n =
   let rec go acc k =
     if k = 0 then (List.rev acc, `More)
     else
@@ -31,11 +39,13 @@ let read_chunk r n =
       | `Line line -> go (line :: acc) (k - 1)
       | `Eof -> (List.rev acc, `Eof)
       | `Too_long -> (List.rev acc, `Too_long)
-      | `Error _ -> (List.rev acc, `Error)
+      | `Error _ ->
+          note_read_error stripes;
+          (List.rev acc, `Error)
   in
   go [] n
 
-let process_chunk ~schedules batcher lines =
+let process_chunk ~schedules stripes lines =
   (* Returns (output lines, saw quit). *)
   let rec classify acc = function
     | [] -> (List.rev acc, false)
@@ -49,8 +59,8 @@ let process_chunk ~schedules batcher lines =
         | Ok Protocol.Ping -> classify (Emit pong :: acc) rest
         | Ok Protocol.Quit -> (List.rev (Emit "bye" :: acc), true)
         | Ok (Protocol.Request req) -> (
-            match Batcher.submit batcher req with
-            | `Queued -> classify (Pending :: acc) rest
+            match Stripes.submit stripes req with
+            | `Queued k -> classify (Pending k :: acc) rest
             | `Overloaded ->
                 classify
                   (Emit (Protocol.render_reply ~schedules Batcher.Overloaded) :: acc)
@@ -59,18 +69,18 @@ let process_chunk ~schedules batcher lines =
             classify (Emit (error_line ~schedules message) :: acc) rest)
   in
   let actions, quit = classify [] lines in
-  let replies = ref (Batcher.drain batcher) in
+  let replies = Array.map (fun b -> ref (Batcher.drain b)) (Stripes.batchers stripes) in
   let outputs =
     List.map
       (fun action ->
         match action with
         | Emit line -> line
-        | Emit_stats -> Protocol.render_stats batcher
-        | Emit_metrics -> Protocol.render_metrics batcher
-        | Pending -> (
-            match !replies with
+        | Emit_stats -> Protocol.render_stats stripes
+        | Emit_metrics -> Protocol.render_metrics stripes
+        | Pending k -> (
+            match !(replies.(k)) with
             | (_, tr, reply) :: rest ->
-                replies := rest;
+                replies.(k) := rest;
                 let line = Protocol.render_reply ~schedules (Batcher.Reply reply) in
                 (* The render stage closes once the reply line exists. *)
                 Rtrace.finish tr;
@@ -80,18 +90,18 @@ let process_chunk ~schedules batcher lines =
   in
   (outputs, quit)
 
-let session ?(schedules = true) ?chunk batcher fd oc =
-  let chunk = match chunk with Some c -> max 1 c | None -> (Batcher.config batcher).batch in
+let session ?(schedules = true) ?chunk stripes fd oc =
+  let chunk = match chunk with Some c -> max 1 c | None -> (Stripes.config stripes).batch in
   Obs.incr "serve.sessions";
   output_string oc (Protocol.greeting ^ "\n");
   flush oc;
   let r = Wire.make_reader fd in
   let rec loop () =
-    match read_chunk r chunk with
+    match read_chunk stripes r chunk with
     | [], (`More | `Eof | `Error) -> ()
     | lines, term ->
         let outputs, quit =
-          match lines with [] -> ([], false) | _ -> process_chunk ~schedules batcher lines
+          match lines with [] -> ([], false) | _ -> process_chunk ~schedules stripes lines
         in
         List.iter (fun line -> output_string oc (line ^ "\n")) outputs;
         (match term with
@@ -106,25 +116,25 @@ let session ?(schedules = true) ?chunk batcher fd oc =
   in
   loop ()
 
-let serve_stdio ?schedules batcher = session ?schedules batcher Unix.stdin stdout
+let serve_stdio ?schedules stripes = session ?schedules stripes Unix.stdin stdout
 
 (* ------------------------------------------------------------------ *)
 (* Concurrent TCP transport.
 
-   An accept pool of dedicated reader domains owns up to [accept_pool]
-   simultaneous connections; each connection pipelines up to [window]
-   outstanding replies over a bounded fixed-size read buffer and a
-   per-reply write queue.  Requests are routed by shop to a {!Stripes}
-   batcher stripe — same shop, same stripe — and one drainer domain
-   per stripe steps its batcher and routes replies back.  Admission
-   semantics, trace stage attribution and the per-connection reply
-   order are exactly the sequential transport's.  Per-connection reply
-   streams stay byte-identical at every [jobs] value and {e at every
-   stripe count} (and under any cross-connection interleaving) as long
-   as connections use disjoint shop namespaces: an admission decision
-   reads only its own shop's committed set, the stripe map is a pure
-   function of the shop name, and the canonical cache is
-   transparency-verified.
+   The listener — accept pool, connection quota, shutdown control,
+   per-connection writer thread and window — is {!Wire.serve}, shared
+   with the cluster dispatcher; this transport contributes the
+   per-connection reader and the drainers.  Requests are routed by
+   shop to a {!Stripes} batcher stripe — same shop, same stripe — and
+   one drainer domain per stripe steps its batcher and routes replies
+   back.  Admission semantics, trace stage attribution and the
+   per-connection reply order are exactly the sequential transport's.
+   Per-connection reply streams stay byte-identical at every [jobs]
+   value and {e at every stripe count} (and under any cross-connection
+   interleaving) as long as connections use disjoint shop namespaces:
+   an admission decision reads only its own shop's committed set, the
+   stripe map is a pure function of the shop name, and the canonical
+   cache is transparency-verified.
 
    Domain/thread layout and locking:
    - each stripe has its own [smu] ordering every touch of its batcher
@@ -134,35 +144,18 @@ let serve_stdio ?schedules batcher = session ?schedules batcher Unix.stdin stdou
      stripes in index order (drainers only ever hold their own lock,
      so the order is deadlock-free);
    - each connection runs its reader in its accept domain and one
-     writer thread; [conn.mu] protects the cell queue, and the
-     counting semaphore [conn.window] bounds reader lead over the
+     {!Wire} writer thread, the window bounding reader lead over the
      writer (the bounded write buffer);
    - only the reader and drainer domains touch [Obs]/[Rtrace]
      (writer threads get pre-rendered lines), so each domain-local
      telemetry store keeps a single writing thread. *)
 
-let resolve_host host =
-  match Unix.inet_addr_of_string host with
-  | addr -> addr
-  | exception _ -> (
-      match
-        Unix.getaddrinfo host ""
-          [ Unix.AI_FAMILY Unix.PF_INET; Unix.AI_SOCKTYPE Unix.SOCK_STREAM ]
-      with
-      | { Unix.ai_addr = Unix.ADDR_INET (addr, _); _ } :: _ -> addr
-      | _ -> failwith (Printf.sprintf "cannot resolve host %S" host))
-
-(* The per-connection reader/writer machinery — bounded line reader,
-   ordered reply-slot queue, window semaphore, coalescing writer
-   thread — lives in {!Wire}, shared with the cluster dispatcher. *)
-
-(* One stripe's serialised submit/drain path: the striped analogue of
-   the old single [center]. *)
+(* One stripe's serialised submit/drain path. *)
 type lane = {
   sbatcher : Batcher.t;
   smu : Mutex.t;  (* orders every touch of this stripe's batcher *)
   skick : Condition.t;  (* work queued or stop requested *)
-  sroute : (Wire.conn * Wire.pending) Queue.t;  (* reply slots, batcher queue order *)
+  sroute : (string -> unit) Queue.t;  (* reply-slot fills, batcher queue order *)
   mutable sstop : bool;
 }
 
@@ -170,10 +163,7 @@ type center = {
   stripes : Stripes.t;
   lanes : lane array;  (* one per stripe *)
   schedules : bool;
-  read_errors : int Atomic.t;  (* hard transport read errors (not EOFs) *)
 }
-
-let push_cell = Wire.push_cell
 
 (* Aggregated stats/metrics: lock every stripe in index order so the
    snapshot is consistent per stripe and the lock order is global. *)
@@ -184,21 +174,23 @@ let with_all_lanes center f =
   r
 
 (* Reader: parse lines, render control replies immediately, route
-   admission requests through their shop's stripe.  The window is
-   acquired before any cell is queued, so at most [window] replies are
-   ever buffered ahead of the writer. *)
-let reader_loop center (conn : Wire.conn) r =
+   admission requests through their shop's stripe.  Every reply slot
+   takes a window slot before it is queued, so at most [window]
+   replies are ever buffered ahead of the writer. *)
+let reader_loop center conn r =
+  Obs.incr "serve.sessions";
   let schedules = center.schedules in
+  let snapshot render =
+    let fill = Wire.push_slot conn in
+    fill (with_all_lanes center (fun () -> render center.stripes))
+  in
   let rec loop () =
     match Wire.read_line r with
-    | `Eof -> push_cell conn (End None)
+    | `Eof -> Wire.push_end conn None
     | `Error _ ->
-        (* A half-closed or reset peer, not an orderly EOF: count it so
-           stats distinguish connection failures from hangups. *)
-        Atomic.incr center.read_errors;
-        Obs.incr "serve.read_errors";
-        push_cell conn (End None)
-    | `Too_long -> push_cell conn (End (Some (error_line ~schedules "request line too long")))
+        note_read_error center.stripes;
+        Wire.push_end conn None
+    | `Too_long -> Wire.push_end conn (Some (error_line ~schedules "request line too long"))
     | `Line l -> (
         match Protocol.parse_request l with
         | Ok Protocol.Blank -> loop ()
@@ -209,41 +201,24 @@ let reader_loop center (conn : Wire.conn) r =
             Wire.push_line conn pong;
             loop ()
         | Ok Protocol.Stats ->
-            Semaphore.Counting.acquire conn.window;
-            let line =
-              with_all_lanes center (fun () ->
-                  Protocol.render_stats_striped
-                    ~read_errors:(Atomic.get center.read_errors)
-                    center.stripes)
-            in
-            push_cell conn (Out { line = Some line });
+            snapshot Protocol.render_stats;
             loop ()
         | Ok Protocol.Metrics ->
-            Semaphore.Counting.acquire conn.window;
-            let line =
-              with_all_lanes center (fun () ->
-                  Protocol.render_metrics_striped
-                    ~read_errors:(Atomic.get center.read_errors)
-                    center.stripes)
-            in
-            push_cell conn (Out { line = Some line });
+            snapshot Protocol.render_metrics;
             loop ()
-        | Ok Protocol.Quit -> push_cell conn (End (Some "bye"))
+        | Ok Protocol.Quit -> Wire.push_end conn (Some "bye")
         | Ok (Protocol.Request req) ->
-            Semaphore.Counting.acquire conn.window;
+            let fill = Wire.push_slot conn in
             let lane = center.lanes.(Stripes.stripe_of center.stripes req) in
             Mutex.lock lane.smu;
             (match Batcher.submit lane.sbatcher req with
             | `Queued ->
-                let p = { Wire.line = None } in
-                Queue.push (conn, p) lane.sroute;
+                Queue.push fill lane.sroute;
                 Condition.signal lane.skick;
-                Mutex.unlock lane.smu;
-                push_cell conn (Out p)
+                Mutex.unlock lane.smu
             | `Overloaded ->
                 Mutex.unlock lane.smu;
-                push_cell conn
-                  (Out { line = Some (Protocol.render_reply ~schedules Batcher.Overloaded) }));
+                fill (Protocol.render_reply ~schedules Batcher.Overloaded));
             loop ()
         | Error message ->
             Wire.push_line conn (error_line ~schedules message);
@@ -262,12 +237,12 @@ let drainer_loop schedules lane =
   let route_replies replies =
     List.iter
       (fun (_req, tr, reply) ->
-        let conn, p = Queue.pop lane.sroute in
+        let fill = Queue.pop lane.sroute in
         let line = Protocol.render_reply ~schedules (Batcher.Reply reply) in
         (* The reply line exists: close the render stage here, on the
            one domain that owns this stripe's trace activity. *)
         Rtrace.finish tr;
-        Wire.fill conn p line)
+        fill line)
       replies
   in
   Mutex.lock lane.smu;
@@ -304,185 +279,29 @@ let drainer_loop schedules lane =
   loop ();
   Mutex.unlock lane.smu
 
-(* ------------------------------------------------------------------ *)
-(* External shutdown: a control handle the embedding process can use to
-   stop a running [serve_tcp] — the in-process analogue of killing a
-   shard process, which the cluster harnesses use to exercise failover.
-   [shutdown] wakes blocked accepts by shutting the listener down
-   (accept fails with EINVAL) and resets every live connection (readers
-   see EOF, writers see EPIPE), so all accept domains drain and
-   [serve_tcp] returns. *)
-
-type control = {
-  ctl_mu : Mutex.t;
-  mutable ctl_stop : bool;
-  mutable ctl_listener : Unix.file_descr option;
-  mutable ctl_conns : Unix.file_descr list;
-}
-
-let control () =
-  { ctl_mu = Mutex.create (); ctl_stop = false; ctl_listener = None; ctl_conns = [] }
-
-let stopped = function
-  | None -> false
-  | Some c ->
-      Mutex.lock c.ctl_mu;
-      let s = c.ctl_stop in
-      Mutex.unlock c.ctl_mu;
-      s
-
-let ctl_register_conn control fd =
-  match control with
-  | None -> true
-  | Some c ->
-      Mutex.lock c.ctl_mu;
-      let accept = not c.ctl_stop in
-      if accept then c.ctl_conns <- fd :: c.ctl_conns;
-      Mutex.unlock c.ctl_mu;
-      accept
-
-let ctl_unregister_conn control fd =
-  match control with
-  | None -> ()
-  | Some c ->
-      Mutex.lock c.ctl_mu;
-      c.ctl_conns <- List.filter (fun fd' -> fd' != fd) c.ctl_conns;
-      Mutex.unlock c.ctl_mu
-
-let shutdown c =
-  Mutex.lock c.ctl_mu;
-  c.ctl_stop <- true;
-  let listener = c.ctl_listener in
-  let conns = c.ctl_conns in
-  c.ctl_listener <- None;
-  Mutex.unlock c.ctl_mu;
-  let shut fd = try Unix.shutdown fd Unix.SHUTDOWN_ALL with Unix.Unix_error _ -> () in
-  Option.iter shut listener;
-  List.iter shut conns
-
-(* One connection, in the accept domain that owns it: greeting, writer
-   thread, reader loop, then teardown — join the writer (which flushes
-   every outstanding reply and the farewell) before closing the fd, so
-   a [quit] races nothing and no buffered reply is ever lost. *)
-let handle_conn center ?(window = 64) fd =
-  Fun.protect
-    ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
-    (fun () ->
-      (try Unix.setsockopt fd Unix.TCP_NODELAY true with Unix.Unix_error _ -> ());
-      Obs.incr "serve.sessions";
-      match Wire.write_all fd (Protocol.greeting ^ "\n") with
-      | exception Unix.Unix_error _ -> ()
-      | () ->
-          let conn = Wire.make_conn ~window fd in
-          let writer = Wire.spawn_writer conn in
-          Fun.protect
-            ~finally:(fun () -> Thread.join writer)
-            (fun () ->
-              try reader_loop center conn (Wire.make_reader fd)
-              with _ -> push_cell conn (End None)))
-
-let retriable = function
-  | Unix.EINTR | Unix.ECONNABORTED | Unix.EAGAIN | Unix.EWOULDBLOCK -> true
-  | _ -> false
-
-let serve_tcp ?schedules:(sch = true) ?(host = "127.0.0.1") ?max_connections
-    ?(accept_pool = 4) ?(window = 64) ?ready ?control:ctl ~port stripes =
-  let addr = Unix.ADDR_INET (resolve_host host, port) in
-  let sock = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-  let old_sigpipe =
-    (* A peer that disappears mid-reply must surface as EPIPE on the
-       write, not kill the whole server. *)
-    try Some (Sys.signal Sys.sigpipe Sys.Signal_ignore) with Invalid_argument _ -> None
+let serve_tcp ?(schedules = true) ?host ?max_connections ?accept_pool ?window ?ready
+    ?control ~port stripes =
+  let lanes =
+    Array.map
+      (fun b ->
+        { sbatcher = b; smu = Mutex.create (); skick = Condition.create ();
+          sroute = Queue.create (); sstop = false })
+      (Stripes.batchers stripes)
+  in
+  let drainers =
+    Array.map (fun lane -> Domain.spawn (fun () -> drainer_loop schedules lane)) lanes
   in
   Fun.protect
     ~finally:(fun () ->
-      (try Unix.close sock with Unix.Unix_error _ -> ());
-      Option.iter (fun b -> try Sys.set_signal Sys.sigpipe b with Invalid_argument _ -> ()) old_sigpipe)
-    (fun () ->
-      Unix.setsockopt sock Unix.SO_REUSEADDR true;
-      Unix.bind sock addr;
-      Unix.listen sock 64;
-      (match ctl with
-      | None -> ()
-      | Some c ->
-          Mutex.lock c.ctl_mu;
-          c.ctl_listener <- Some sock;
-          Mutex.unlock c.ctl_mu);
-      (match ready with
-      | None -> ()
-      | Some f ->
-          let bound_port =
-            match Unix.getsockname sock with
-            | Unix.ADDR_INET (_, p) -> p
-            | _ -> port
-          in
-          f bound_port);
-      let center =
-        {
-          stripes;
-          lanes =
-            Array.map
-              (fun b ->
-                {
-                  sbatcher = b;
-                  smu = Mutex.create ();
-                  skick = Condition.create ();
-                  sroute = Queue.create ();
-                  sstop = false;
-                })
-              (Stripes.batchers stripes);
-          schedules = sch;
-          read_errors = Atomic.make 0;
-        }
-      in
-      let drainers =
-        Array.map (fun lane -> Domain.spawn (fun () -> drainer_loop sch lane)) center.lanes
-      in
-      (* Connection slots are claimed before accepting, so with a quota
-         exactly [max_connections] accepts happen across the pool and
-         every accept domain terminates. *)
-      let slots = Atomic.make 0 in
-      let accept_domain () =
-        let rec loop () =
-          if stopped ctl then ()
-          else
-            let slot = Atomic.fetch_and_add slots 1 in
-            let quota_ok = match max_connections with None -> true | Some n -> slot < n in
-            if quota_ok then
-              match Unix.accept sock with
-              | fd, _ ->
-                  if ctl_register_conn ctl fd then begin
-                    (try handle_conn center ~window fd with _ -> ());
-                    ctl_unregister_conn ctl fd
-                  end
-                  else (try Unix.close fd with Unix.Unix_error _ -> ());
-                  loop ()
-              | exception Unix.Unix_error (e, _, _) when retriable e ->
-                  (* Transient accept failures (EINTR, a connection that
-                     aborted in the backlog) must not kill the server:
-                     retry on the same slot. *)
-                  Atomic.decr slots;
-                  loop ()
-              | exception Unix.Unix_error ((Unix.EBADF | Unix.EINVAL), _, _) ->
-                  () (* listener closed or shut down: stop accepting *)
-              | exception Unix.Unix_error (_, _, _) ->
-                  (* Resource pressure (EMFILE and friends): back off and
-                     keep serving rather than dying. *)
-                  Atomic.decr slots;
-                  Unix.sleepf 0.01;
-                  loop ()
-        in
-        loop ()
-      in
-      let accepters =
-        Array.init (max 1 accept_pool) (fun _ -> Domain.spawn accept_domain)
-      in
-      Array.iter Domain.join accepters;
       Array.iter
         (fun lane ->
           Mutex.lock lane.smu;
           lane.sstop <- true;
           Condition.broadcast lane.skick;
           Mutex.unlock lane.smu)
-        center.lanes;
+        lanes;
       Array.iter Domain.join drainers)
+    (fun () ->
+      Wire.serve ?host ?max_connections ?accept_pool ?window ?ready ?control
+        ~greeting:Protocol.greeting ~port
+        (reader_loop { stripes; lanes; schedules }))

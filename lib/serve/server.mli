@@ -2,10 +2,12 @@
 
     {!session} runs the framed line protocol ({!Protocol}) over a raw
     input fd and an output channel; {!serve_stdio} binds it to
-    stdin/stdout and {!serve_tcp} to a concurrent multi-domain TCP
-    front end.  Both transports share one read path — the bounded
-    {!Wire} line reader — so the 1 MiB request-line cap and trailing
-    [\r] stripping apply identically to stdio and TCP sessions.
+    stdin/stdout and {!serve_tcp} to the shared {!Wire.serve} listener
+    with a concurrent multi-domain reader.  Both transports serve a
+    {!Stripes.t} (one stripe on stdio), share one read path — the
+    bounded {!Wire} line reader — so the 1 MiB request-line cap and
+    trailing [\r] stripping apply identically, and count hard read
+    errors the same way.
 
     Channel sessions are {e pipelined}: up to [chunk] request lines are
     read before replies are written, so a replayed request log flows
@@ -35,42 +37,23 @@
     in reply order, completing the per-request JSONL trace. *)
 
 val session :
-  ?schedules:bool -> ?chunk:int -> Batcher.t -> Unix.file_descr -> out_channel -> unit
+  ?schedules:bool -> ?chunk:int -> Stripes.t -> Unix.file_descr -> out_channel -> unit
 (** Serve one session: write {!Protocol.greeting}, then read request
     lines (through the bounded {!Wire} reader) until end-of-stream or
-    [quit].  [chunk] (default: the batcher's batch size) is the
+    [quit].  [chunk] (default: the stripes' batch size) is the
     pipelining depth — how many lines are read before the pending
     requests are drained and their replies written.  Interactive
     channel transports use [chunk = 1] so every request line is
     answered before the next is read.  An oversized request line
     (longer than {!Wire.max_line}) is answered with an [error] reply
     and ends the session — the line was never fully read, so there is
-    no safe resynchronisation point. *)
+    no safe resynchronisation point.  A hard read error ends the
+    session too; it is counted first ({!Stripes.note_read_error} and
+    the [serve.read_errors] counter), so a [stats] or [metrics] line
+    read in the same chunk already reports it. *)
 
-val serve_stdio : ?schedules:bool -> Batcher.t -> unit
+val serve_stdio : ?schedules:bool -> Stripes.t -> unit
 (** {!session} over stdin/stdout. *)
-
-val resolve_host : string -> Unix.inet_addr
-(** Resolve a dotted quad ([127.0.0.1]) or a hostname ([localhost])
-    to an IPv4 address.
-    @raise Failure when the name does not resolve. *)
-
-type control
-(** External-shutdown handle for an embedded {!serve_tcp}: the
-    in-process analogue of killing a shard process.  Create one with
-    {!control}, pass it to {!serve_tcp}, and {!shutdown} from any
-    thread — the listener stops accepting and every live connection is
-    reset, so the server drains and {!serve_tcp} returns.  The cluster
-    harnesses use it to exercise shard failover deterministically. *)
-
-val control : unit -> control
-
-val shutdown : control -> unit
-(** Stop the server attached to this handle: wakes blocked accepts by
-    shutting the listener down and resets every live connection
-    (peers see a closed socket, exactly like a process kill).
-    Requests already queued in the batcher are still answered before
-    their connections tear down.  Idempotent; safe from any thread. *)
 
 val serve_tcp :
   ?schedules:bool ->
@@ -79,33 +62,20 @@ val serve_tcp :
   ?accept_pool:int ->
   ?window:int ->
   ?ready:(int -> unit) ->
-  ?control:control ->
+  ?control:Wire.control ->
   port:int ->
   Stripes.t ->
   unit
-(** Listen on [host:port] (default host 127.0.0.1; [port = 0] binds an
-    ephemeral port, reported through [ready]) and serve connections
-    concurrently: [accept_pool] (default 4) reader domains each own one
-    live connection at a time, [window] (default 64) bounds the
-    pipelined replies buffered per connection, and one drainer domain
-    per stripe of the given {!Stripes.t} steps that stripe's batcher
-    ([Stripes.create ~stripes:1] reproduces the single-drainer
-    server exactly).  Committed state persists across connections.
-    [ready] is called with the bound port once the listener accepts
-    connections — the hook tests and the in-process load generator use
-    to connect to an ephemeral port.  [max_connections] bounds the
-    {e total} number of connections accepted across the pool, after
-    which the server drains and returns (tests and scripted runs);
-    omitted, it serves until the process is killed.
-
-    Robustness: transient accept failures ([EINTR], [ECONNABORTED],
-    [EAGAIN]) are retried, resource-pressure failures back off and
-    retry, [SIGPIPE] is ignored for the server's lifetime (a vanished
-    peer surfaces as a write error on its own connection), a
-    connection whose handler setup fails is closed without taking the
-    server down, and teardown joins the connection's writer before
-    closing the socket so every buffered reply — including the [quit]
-    farewell — is flushed.  Hard read errors (a reset or half-closed
-    peer, as opposed to a clean EOF) are counted and surfaced as
+(** {!Wire.serve} with the {!Protocol.greeting} and this transport's
+    reader, plus one drainer domain per stripe of the given
+    {!Stripes.t} stepping that stripe's batcher ([Stripes.create
+    ~stripes:1] is the single-drainer server).  The listener options —
+    [host], [max_connections], [accept_pool] (default 4), [window]
+    (default 64), [ready], and [control] for an external
+    {!Wire.shutdown} — mean exactly what they mean there; requests
+    already queued in a batcher are still answered before their
+    connections tear down.  Committed state persists across
+    connections.  Hard read errors (a reset or half-closed peer, as
+    opposed to a clean EOF) are counted and surfaced as
     [read_errors=] in [stats] and [serve_transport_read_errors_total]
     in [metrics]. *)

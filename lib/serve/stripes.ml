@@ -42,7 +42,10 @@ let fnv1a s =
 
 let stripe_index ~stripes shop = if stripes <= 1 then 0 else fnv1a shop mod stripes
 
-type t = { batchers : Batcher.t array }
+type t = {
+  batchers : Batcher.t array;
+  read_errors : int Atomic.t;  (* hard transport read errors, every session *)
+}
 
 let create ?config ?(stripes = 1) () =
   if stripes < 1 then invalid_arg "Stripes.create: stripes must be >= 1";
@@ -50,6 +53,7 @@ let create ?config ?(stripes = 1) () =
     batchers =
       Array.init stripes (fun k ->
           Batcher.create ?config ~id_offset:k ~id_stride:stripes ());
+    read_errors = Atomic.make 0;
   }
 
 let count t = Array.length t.batchers
@@ -64,6 +68,8 @@ let submit t req =
   | `Queued -> `Queued k
   | `Overloaded -> `Overloaded
 
+let note_read_error t = Atomic.incr t.read_errors
+let read_errors t = Atomic.get t.read_errors
 let pending t = Array.fold_left (fun acc b -> acc + Batcher.pending b) 0 t.batchers
 let last_id t = Array.fold_left (fun acc b -> max acc (Batcher.last_id b)) 0 t.batchers
 

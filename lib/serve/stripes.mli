@@ -56,6 +56,15 @@ val submit : t -> Admission.request -> [ `Queued of int | `Overloaded ]
 (** Route to the shop's stripe and submit there; [`Queued k] names the
     stripe so the transport can kick stripe [k]'s drainer. *)
 
+val note_read_error : t -> unit
+(** Count one hard transport read error (a reset or half-closed peer,
+    as distinct from a clean EOF) against the service these stripes
+    back.  Every session over the same [t] — stdio or TCP — shares the
+    count. *)
+
+val read_errors : t -> int
+(** Hard transport read errors counted so far. *)
+
 val pending : t -> int
 (** Total queued requests across stripes. *)
 

@@ -1,10 +1,11 @@
 (* Shared socket plumbing for the line-protocol transports: a bounded
-   line reader over a raw fd, and the per-connection reply machinery —
-   an ordered cell queue of reply slots, a counting-semaphore window
+   line reader over a raw fd, the per-connection reply machinery — an
+   ordered cell queue of reply slots, a counting-semaphore window
    bounding reader lead, and a writer thread that flushes every
-   consecutive ready reply with one [write] (writev-style coalescing).
-   Both the admission server's TCP transport and the cluster
-   dispatcher's client/upstream connections are built on it. *)
+   consecutive ready reply with one [write] (writev-style coalescing) —
+   and the one TCP listener both the admission server and the cluster
+   dispatcher run: accept pool, connection quota, shutdown control and
+   the per-connection lifecycle. *)
 
 let write_all fd s =
   let b = Bytes.unsafe_of_string s in
@@ -87,6 +88,7 @@ let rec read_line r =
         r.rpos <- r.rlen;
         read_line r
 
+
 (* A reply slot: filled with the rendered line by whoever resolves the
    request (a drainer domain, an upstream receiver thread, or the
    reader itself for control replies), written by the connection's
@@ -105,7 +107,7 @@ type conn = {
   window : Semaphore.Counting.t;  (* bounds reader lead over writer *)
 }
 
-let make_conn ?(window = 64) fd =
+let make_conn ~window fd =
   {
     fd;
     cmu = Mutex.create ();
@@ -125,12 +127,19 @@ let push_line conn line =
   Semaphore.Counting.acquire conn.window;
   push_cell conn (Out { line = Some line })
 
-(* Resolve a reply slot from another thread/domain. *)
-let fill conn p line =
-  Mutex.lock conn.cmu;
-  p.line <- Some line;
-  Condition.signal conn.filled;
-  Mutex.unlock conn.cmu
+(* Acquire a window slot and queue an empty reply slot; the returned
+   function resolves it from any thread or domain. *)
+let push_slot conn =
+  Semaphore.Counting.acquire conn.window;
+  let p = { line = None } in
+  push_cell conn (Out p);
+  fun line ->
+    Mutex.lock conn.cmu;
+    p.line <- Some line;
+    Condition.signal conn.filled;
+    Mutex.unlock conn.cmu
+
+let push_end conn last = push_cell conn (End last)
 
 (* Writer thread: pops cells in order, blocking while the head is an
    unfilled reply slot.  Consecutive ready replies are coalesced into
@@ -203,4 +212,143 @@ let writer_loop conn =
   in
   loop ()
 
-let spawn_writer conn = Thread.create writer_loop conn
+(* ------------------------------------------------------------------ *)
+(* The listener.
+
+   An accept pool of [accept_pool] domains each owns one live
+   connection at a time.  [control] is the external-shutdown handle:
+   [shutdown] wakes blocked accepts by shutting the listener down
+   (accept fails with EINVAL) and resets every live connection
+   (readers see EOF, writers see EPIPE), so every accept domain drains
+   and [serve] returns — the in-process analogue of killing the
+   process, which the cluster harnesses use to exercise failover. *)
+
+let resolve_host host =
+  match Unix.inet_addr_of_string host with
+  | addr -> addr
+  | exception _ -> (
+      match
+        Unix.getaddrinfo host ""
+          [ Unix.AI_FAMILY Unix.PF_INET; Unix.AI_SOCKTYPE Unix.SOCK_STREAM ]
+      with
+      | { Unix.ai_addr = Unix.ADDR_INET (addr, _); _ } :: _ -> addr
+      | _ -> failwith (Printf.sprintf "cannot resolve host %S" host))
+
+type control = {
+  mu : Mutex.t;
+  mutable stop : bool;
+  mutable listener : Unix.file_descr option;
+  mutable conns : Unix.file_descr list;
+}
+
+let control () = { mu = Mutex.create (); stop = false; listener = None; conns = [] }
+
+let locked c f =
+  Mutex.lock c.mu;
+  Fun.protect ~finally:(fun () -> Mutex.unlock c.mu) f
+
+let shutdown c =
+  let listener, conns =
+    locked c (fun () ->
+        c.stop <- true;
+        let l = c.listener in
+        c.listener <- None;
+        (l, c.conns))
+  in
+  let shut fd = try Unix.shutdown fd Unix.SHUTDOWN_ALL with Unix.Unix_error _ -> () in
+  Option.iter shut listener;
+  List.iter shut conns
+
+(* One connection, in the accept domain that owns it: greeting, writer
+   thread, handler, then teardown — join the writer (which flushes
+   every outstanding reply and the farewell) before closing the fd, so
+   a [quit] races nothing and no buffered reply is ever lost. *)
+let handle_conn ~greeting ~window handler fd =
+  Fun.protect
+    ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
+    (fun () ->
+      (try Unix.setsockopt fd Unix.TCP_NODELAY true with Unix.Unix_error _ -> ());
+      match write_all fd (greeting ^ "\n") with
+      | exception Unix.Unix_error _ -> ()
+      | () ->
+          let conn = make_conn ~window fd in
+          let writer = Thread.create writer_loop conn in
+          Fun.protect
+            ~finally:(fun () -> Thread.join writer)
+            (fun () -> try handler conn (make_reader fd) with _ -> push_end conn None))
+
+let retriable = function
+  | Unix.EINTR | Unix.ECONNABORTED | Unix.EAGAIN | Unix.EWOULDBLOCK -> true
+  | _ -> false
+
+let serve ?(host = "127.0.0.1") ?max_connections ?(accept_pool = 4) ?(window = 64) ?ready
+    ?(control = control ()) ~greeting ~port handler =
+  let addr = Unix.ADDR_INET (resolve_host host, port) in
+  let sock = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+  let old_sigpipe =
+    (* A peer that disappears mid-reply must surface as EPIPE on the
+       write, not kill the whole process. *)
+    try Some (Sys.signal Sys.sigpipe Sys.Signal_ignore) with Invalid_argument _ -> None
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      locked control (fun () -> control.listener <- None);
+      (try Unix.close sock with Unix.Unix_error _ -> ());
+      Option.iter
+        (fun b -> try Sys.set_signal Sys.sigpipe b with Invalid_argument _ -> ())
+        old_sigpipe)
+    (fun () ->
+      Unix.setsockopt sock Unix.SO_REUSEADDR true;
+      Unix.bind sock addr;
+      Unix.listen sock 64;
+      let already_stopped =
+        locked control (fun () ->
+            if not control.stop then control.listener <- Some sock;
+            control.stop)
+      in
+      if not already_stopped then begin
+        (match ready with
+        | None -> ()
+        | Some f ->
+            f (match Unix.getsockname sock with Unix.ADDR_INET (_, p) -> p | _ -> port));
+        (* Connection slots are claimed before accepting, so with a
+           quota exactly [max_connections] accepts happen across the
+           pool and every accept domain terminates. *)
+        let slots = Atomic.make 0 in
+        let rec accept_loop () =
+          if not (locked control (fun () -> control.stop)) then
+            let slot = Atomic.fetch_and_add slots 1 in
+            let quota_ok = match max_connections with None -> true | Some n -> slot < n in
+            if quota_ok then
+              match Unix.accept sock with
+              | fd, _ ->
+                  (* Register under the lock, or refuse when a shutdown
+                     raced the accept: no live connection escapes it. *)
+                  if locked control (fun () ->
+                         if not control.stop then control.conns <- fd :: control.conns;
+                         not control.stop)
+                  then begin
+                    (try handle_conn ~greeting ~window handler fd with _ -> ());
+                    locked control (fun () ->
+                        control.conns <- List.filter (fun fd' -> fd' != fd) control.conns)
+                  end
+                  else (try Unix.close fd with Unix.Unix_error _ -> ());
+                  accept_loop ()
+              | exception Unix.Unix_error (e, _, _) when retriable e ->
+                  (* Transient accept failures (EINTR, a connection that
+                     aborted in the backlog) must not kill the listener:
+                     retry on the same slot. *)
+                  Atomic.decr slots;
+                  accept_loop ()
+              | exception Unix.Unix_error ((Unix.EBADF | Unix.EINVAL), _, _) ->
+                  () (* listener closed or shut down: stop accepting *)
+              | exception Unix.Unix_error (_, _, _) ->
+                  (* Resource pressure (EMFILE and friends): back off and
+                     keep serving rather than dying. *)
+                  Atomic.decr slots;
+                  Unix.sleepf 0.01;
+                  accept_loop ()
+        in
+        Array.init (max 1 accept_pool) (fun _ -> Domain.spawn accept_loop)
+        |> Array.iter Domain.join
+      end)

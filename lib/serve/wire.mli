@@ -1,21 +1,29 @@
 (** Shared socket plumbing for the line-protocol transports.
 
-    A bounded line reader over a raw [Unix.file_descr], and the
-    per-connection reply machinery the concurrent transports are built
-    on: an ordered queue of reply {e slots} (cells), a counting
-    semaphore bounding how far a reader may run ahead of the writer,
-    and a writer thread that batches every consecutive ready reply
-    into one [write] call (writev-style coalescing — under pipelining
-    a drained batch of replies costs one syscall, not one per line).
-
-    Both {!Server.serve_tcp} and the cluster dispatcher
-    ([E2e_cluster.Dispatcher]) use this module; the reply-ordering
-    contract is identical on both: cells are written strictly in push
-    order, and a reply slot blocks the writer until it is filled. *)
+    A bounded line reader over a raw [Unix.file_descr], and the one TCP
+    listener both front ends run — {!Server.serve_tcp} and the cluster
+    dispatcher ([E2e_cluster.Dispatcher.serve]) are thin callers of
+    {!serve} that differ only in their greeting and their per-connection
+    handler.  {!serve} owns the whole accept/teardown policy: socket
+    setup and [SIGPIPE], the [ready] hook, the accept-pool domains with
+    the connection quota and accept retry rules, the {!control} handle,
+    and each connection's reply machinery: an ordered queue of reply
+    {e slots}, a counting semaphore ({e window}) bounding how far the
+    handler may run ahead of the writer, and a writer thread that
+    batches every consecutive ready reply into one [write] call
+    (writev-style coalescing — under pipelining a drained batch of
+    replies costs one syscall, not one per line).  Replies are written
+    strictly in push order, and an unfilled slot blocks the writer
+    until it is filled. *)
 
 val write_all : Unix.file_descr -> string -> unit
 (** Write the whole string, retrying on [EINTR].
     @raise Unix.Unix_error on a real write error. *)
+
+val resolve_host : string -> Unix.inet_addr
+(** Resolve a dotted quad ([127.0.0.1]) or a hostname ([localhost])
+    to an IPv4 address.
+    @raise Failure when the name does not resolve. *)
 
 val max_line : int
 (** Request-line length cap (1 MiB): an oversized line is a protocol
@@ -36,45 +44,67 @@ val read_line :
     internally.  When a whole line sits inside the chunk buffer it is
     built with a single copy (no accumulator round trip). *)
 
-type pending = { mutable line : string option }
-(** A reply slot, filled exactly once with the rendered reply line. *)
-
-type cell =
-  | Out of pending  (** One reply, written once the slot is filled. *)
-  | End of string option
-      (** Final line (if any), then writer teardown. *)
-
-type conn = {
-  fd : Unix.file_descr;
-  cmu : Mutex.t;
-  filled : Condition.t;
-  cells : cell Queue.t;
-  window : Semaphore.Counting.t;
-}
-(** One connection's writer state.  [cells] is the ordered reply
-    queue; [window] bounds the replies buffered ahead of the writer
-    (acquire before queueing, released by the writer after the
-    flush). *)
-
-val make_conn : ?window:int -> Unix.file_descr -> conn
-(** Default window: 64. *)
-
-val push_cell : conn -> cell -> unit
-(** Queue a cell (no window accounting — callers acquire the window
-    themselves before queueing an [Out]). *)
+type conn
+(** One connection's reply queue, as seen by its handler. *)
 
 val push_line : conn -> string -> unit
 (** Acquire one window slot and queue an already-rendered reply. *)
 
-val fill : conn -> pending -> string -> unit
-(** Resolve a reply slot from another thread/domain and wake the
-    writer. *)
+val push_slot : conn -> (string -> unit)
+(** [push_slot conn] acquires one window slot and queues an empty reply
+    slot; the returned function fills it (exactly once, from any thread
+    or domain) and wakes the writer.  Replies behind the slot wait for
+    it, so a connection's reply order is its push order whichever
+    thread answers first. *)
 
-val writer_loop : conn -> unit
-(** The writer body: pops cells in order, blocking while the head slot
-    is unfilled, coalescing consecutive ready replies into one
-    [write]; returns after an [End] cell.  Write errors switch to
-    discard mode — every slot is still consumed so window slots
-    release and later fills go somewhere. *)
+val push_end : conn -> string option -> unit
+(** Queue the final line (if any) and end the connection: the writer
+    flushes everything before it, then exits.  A handler returns right
+    after pushing it. *)
 
-val spawn_writer : conn -> Thread.t
+type control
+(** External-shutdown handle for a running {!serve}: the in-process
+    analogue of killing the process.  The cluster harnesses use it to
+    exercise shard failover deterministically. *)
+
+val control : unit -> control
+
+val shutdown : control -> unit
+(** Stop the listener attached to this handle: wakes blocked accepts
+    by shutting the listening socket down and resets every live
+    connection (peers see a closed socket, exactly like a process
+    kill).  A {!serve} given a handle that is already shut down
+    returns as soon as it has bound, without calling [ready].
+    Idempotent; safe from any thread. *)
+
+val serve :
+  ?host:string ->
+  ?max_connections:int ->
+  ?accept_pool:int ->
+  ?window:int ->
+  ?ready:(int -> unit) ->
+  ?control:control ->
+  greeting:string ->
+  port:int ->
+  (conn -> reader -> unit) ->
+  unit
+(** [serve ~greeting ~port handler] listens on [host:port] (default
+    host 127.0.0.1; [port = 0] binds an ephemeral port, reported
+    through [ready] once connections are accepted) and serves
+    connections with [accept_pool] (default 4) domains, each owning
+    one live connection at a time.  Per connection: [TCP_NODELAY],
+    the [greeting] line, a writer thread over a [window] (default 64)
+    of buffered replies, then [handler conn reader] in the accept
+    domain; the handler ends the connection with {!push_end} (an
+    exception counts as [push_end conn None]).  Teardown joins the
+    writer before closing the socket, so every buffered reply —
+    including a farewell line — is flushed.  [max_connections] bounds
+    the {e total} number of connections accepted across the pool,
+    after which [serve] returns; omitted, it serves until {!shutdown}.
+
+    Robustness: transient accept failures ([EINTR], [ECONNABORTED],
+    [EAGAIN]) are retried, resource-pressure failures back off and
+    retry, [SIGPIPE] is ignored for the listener's lifetime (a
+    vanished peer surfaces as a write error on its own connection),
+    and a connection whose setup or handler fails is closed without
+    taking the listener down. *)

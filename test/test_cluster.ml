@@ -10,6 +10,7 @@ module Dispatcher = E2e_cluster.Dispatcher
 module Health = E2e_cluster.Health
 module Batcher = E2e_serve.Batcher
 module Server = E2e_serve.Server
+module Wire = E2e_serve.Wire
 
 (* ------------------------------------------------------------------ *)
 (* Registry unit tests                                                *)
@@ -161,7 +162,7 @@ let test_relabel () =
 (* ------------------------------------------------------------------ *)
 (* End-to-end: in-process shards behind a TCP dispatcher              *)
 
-type shard = { sport : int; sctl : Server.control; sdomain : unit Domain.t }
+type shard = { sport : int; sctl : Wire.control; sdomain : unit Domain.t }
 
 let wait_port () =
   let mu = Mutex.create () and cv = Condition.create () and port = ref 0 in
@@ -185,7 +186,7 @@ let wait_port () =
 let spawn_shard () =
   let config = { Batcher.default_config with Batcher.jobs = 1; queue_capacity = 4096 } in
   let stripes = E2e_serve.Stripes.create ~config () in
-  let sctl = Server.control () in
+  let sctl = Wire.control () in
   let set, get = wait_port () in
   let sdomain =
     Domain.spawn (fun () ->
@@ -214,7 +215,7 @@ let with_cluster ?(upstream_conns = 1) f =
     Domain.join ddomain;
     List.iter
       (fun s ->
-        Server.shutdown s.sctl;
+        Wire.shutdown s.sctl;
         Domain.join s.sdomain)
       [ s0; s1 ]
   in
@@ -352,7 +353,7 @@ let test_e2e_failover_on_kill () =
       (* Warm traffic across the cluster, then kill shard 0. *)
       client_send c (List.map (fun s -> "query " ^ s) victims);
       ignore (client_recv c (List.length victims));
-      Server.shutdown s0.sctl;
+      Wire.shutdown s0.sctl;
       (* Keep querying a shop homed on the dead shard: every request is
          answered (shard-unavailable at worst, never a hang), and
          within the probe budget traffic fails over to the live
@@ -481,7 +482,7 @@ let test_e2e_multi_lane () =
       (* Kill shard 0 with requests on its lanes: every request is
          answered (unavailable at worst), then traffic fails over. *)
       let victim = List.hd on0 in
-      Server.shutdown s0.sctl;
+      Wire.shutdown s0.sctl;
       let deadline = Unix.gettimeofday () +. 10.0 in
       let rec await_failover () =
         if Unix.gettimeofday () > deadline then

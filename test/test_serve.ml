@@ -17,6 +17,7 @@ module Batcher = E2e_serve.Batcher
 module Cache = E2e_serve.Cache
 module Protocol = E2e_serve.Protocol
 module Server = E2e_serve.Server
+module Wire = E2e_serve.Wire
 module Stripes = E2e_serve.Stripes
 module Serve_fuzz = E2e_fuzz.Serve_fuzz
 
@@ -488,8 +489,10 @@ let test_metrics_exposes_incremental () =
   let log =
     [ Admission.Submit { shop = "w"; instance = identical_instance 3 }; add_one "w" Rat.zero ]
   in
-  let _, b = run_log ~jobs:1 ~cache_capacity:0 log in
-  let metrics = Protocol.render_metrics b in
+  let config = { Batcher.default_config with Batcher.batch = 4; cache_capacity = 0 } in
+  let stripes = Stripes.create ~config () in
+  ignore (Batcher.process_log (Stripes.batcher stripes 0) log);
+  let metrics = Protocol.render_metrics stripes in
   let contains needle =
     let nl = String.length needle and ml = String.length metrics in
     let rec go i = i + nl <= ml && (String.sub metrics i nl = needle || go (i + 1)) in
@@ -560,10 +563,10 @@ let test_parse_tasks_whitelist () =
 
 let test_resolve_host () =
   Alcotest.(check string) "dotted quad" "127.0.0.1"
-    (Unix.string_of_inet_addr (Server.resolve_host "127.0.0.1"));
+    (Unix.string_of_inet_addr (Wire.resolve_host "127.0.0.1"));
   Alcotest.(check string) "hostname resolves" "127.0.0.1"
-    (Unix.string_of_inet_addr (Server.resolve_host "localhost"));
-  match Server.resolve_host "no-such-host.invalid" with
+    (Unix.string_of_inet_addr (Wire.resolve_host "localhost"));
+  match Wire.resolve_host "no-such-host.invalid" with
   | exception Failure _ -> ()
   | _ -> Alcotest.fail "bogus hostname resolved"
 
@@ -783,9 +786,8 @@ let test_multi_drainer_transport () =
 (* ------------------------------------------------------------------ *)
 (* Wire read-error surface and the shared stdio read path              *)
 
-(* A peer that dies hard (RST) must surface as [`Error], not a clean
-   [`Eof] — serve_tcp and the dispatcher account the two separately. *)
-let test_wire_error_surface () =
+(* A connected loopback socket pair: (client, accepted server side). *)
+let loopback_pair () =
   let lsock = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
   Unix.setsockopt lsock Unix.SO_REUSEADDR true;
   Unix.bind lsock (Unix.ADDR_INET (Unix.inet_addr_loopback, 0));
@@ -797,15 +799,24 @@ let test_wire_error_surface () =
   Unix.connect client (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
   let server, _ = Unix.accept lsock in
   Unix.close lsock;
-  let r = E2e_serve.Wire.make_reader server in
+  (client, server)
+
+(* Close [client] with SO_LINGER 0: the peer sees RST instead of FIN. *)
+let reset client =
+  Unix.setsockopt_optint client Unix.SO_LINGER (Some 0);
+  Unix.close client
+
+(* A peer that dies hard (RST) must surface as [`Error], not a clean
+   [`Eof] — serve_tcp and the dispatcher account the two separately. *)
+let test_wire_error_surface () =
+  let client, server = loopback_pair () in
+  let r = Wire.make_reader server in
   ignore (Unix.write_substring client "hello\n" 0 6);
-  (match E2e_serve.Wire.read_line r with
+  (match Wire.read_line r with
   | `Line l -> Alcotest.(check string) "line before reset" "hello" l
   | _ -> Alcotest.fail "expected the line written before the reset");
-  (* SO_LINGER 0 close sends RST instead of FIN. *)
-  Unix.setsockopt_optint client Unix.SO_LINGER (Some 0);
-  Unix.close client;
-  (match E2e_serve.Wire.read_line r with
+  reset client;
+  (match Wire.read_line r with
   | `Error _ -> ()
   | `Eof -> Alcotest.fail "reset surfaced as clean EOF"
   | `Line _ | `Too_long -> Alcotest.fail "reset surfaced as data");
@@ -821,18 +832,17 @@ let test_session_oversized_line () =
   (try ignore (Sys.signal Sys.sigpipe Sys.Signal_ignore) with Invalid_argument _ -> ());
   let req_r, req_w = Unix.pipe () in
   let rep_r, rep_w = Unix.pipe () in
-  let oversized = String.make (E2e_serve.Wire.max_line + 8) 'a' in
+  let oversized = String.make (Wire.max_line + 8) 'a' in
   let writer =
     Thread.create
       (fun () ->
         let payload = "query ghost\n" ^ oversized ^ "\nquery ghost\n" in
-        (try E2e_serve.Wire.write_all req_w payload with Unix.Unix_error _ -> ());
+        (try Wire.write_all req_w payload with Unix.Unix_error _ -> ());
         Unix.close req_w)
       ()
   in
   let oc = Unix.out_channel_of_descr rep_w in
-  let batcher = Batcher.create () in
-  Server.session ~schedules:false ~chunk:1 batcher req_r oc;
+  Server.session ~schedules:false ~chunk:1 (Stripes.create ()) req_r oc;
   close_out oc;
   Unix.close req_r;
   Thread.join writer;
@@ -855,6 +865,147 @@ let test_session_oversized_line () =
   | lines ->
       Alcotest.failf "expected greeting+reply+error then EOF, got %d lines"
         (List.length lines)
+
+(* Regression: the stdio session ended silently on a hard read error
+   while the TCP transport counted it.  Same RST setup as
+   [test_wire_error_surface], with the session on the accepted socket:
+   the reset is counted into the stripes' [stats]/[metrics]. *)
+let test_session_counts_read_errors () =
+  let client, server = loopback_pair () in
+  let rep_r, rep_w = Unix.pipe () in
+  let stripes = Stripes.create () in
+  let session =
+    Thread.create
+      (fun () ->
+        let oc = Unix.out_channel_of_descr rep_w in
+        Server.session ~schedules:false ~chunk:1 stripes server oc;
+        close_out oc)
+      ()
+  in
+  let ic = Unix.in_channel_of_descr rep_r in
+  Alcotest.(check string) "greeting" Protocol.greeting (input_line ic);
+  Wire.write_all client "query ghost\n";
+  (* The reply proves the line was consumed before the reset. *)
+  Alcotest.(check string) "reply before reset" "info shop=ghost unknown" (input_line ic);
+  reset client;
+  Thread.join session;
+  Alcotest.(check bool) "session ended after the reset" true
+    (try ignore (input_line ic); false with End_of_file -> true);
+  close_in ic;
+  Unix.close server;
+  let stats = Protocol.render_stats stripes in
+  let metrics = String.split_on_char ';' (Protocol.render_metrics stripes) in
+  Alcotest.(check bool) ("stats count the reset: " ^ stats) true
+    (String.ends_with ~suffix:" read_errors=1" stats);
+  List.iter
+    (fun line ->
+      Alcotest.(check bool) ("metrics carry " ^ line) true (List.mem line metrics))
+    [ "serve_stripes 1"; "serve_transport_read_errors_total 1" ]
+
+(* ------------------------------------------------------------------ *)
+(* The shared listener, driven with a trivial echo handler             *)
+
+let echo conn r =
+  let rec loop () =
+    match Wire.read_line r with
+    | `Line "quit" -> Wire.push_end conn (Some "bye")
+    | `Line l ->
+        Wire.push_line conn l;
+        loop ()
+    | `Eof | `Error _ | `Too_long -> Wire.push_end conn None
+  in
+  loop ()
+
+(* [Wire.serve] over [echo] in its own domain: the bound port, a flag
+   set once [serve] returns, and the count of handled connections. *)
+let spawn_echo ?max_connections ~accept_pool ~control () =
+  let mu = Mutex.create () and cv = Condition.create () in
+  let port = ref 0 in
+  let finished = Atomic.make false and handled = Atomic.make 0 in
+  let domain =
+    Domain.spawn (fun () ->
+        Wire.serve ?max_connections ~accept_pool ~control ~greeting:"echo ready"
+          ~ready:(fun p ->
+            Mutex.lock mu;
+            port := p;
+            Condition.signal cv;
+            Mutex.unlock mu)
+          ~port:0
+          (fun conn r ->
+            Atomic.incr handled;
+            echo conn r);
+        Atomic.set finished true)
+  in
+  Mutex.lock mu;
+  while !port = 0 do
+    Condition.wait cv mu
+  done;
+  let p = !port in
+  Mutex.unlock mu;
+  (p, finished, handled, domain)
+
+(* Wait (bounded) for [serve] to return; on a timeout shut it down so
+   the domain can be joined and the failure reported. *)
+let await_return ~control (finished, domain) what =
+  let deadline = Unix.gettimeofday () +. 5.0 in
+  while (not (Atomic.get finished)) && Unix.gettimeofday () < deadline do
+    Unix.sleepf 0.005
+  done;
+  let returned = Atomic.get finished in
+  if not returned then Wire.shutdown control;
+  Domain.join domain;
+  Alcotest.(check bool) what true returned
+
+let test_wire_quota () =
+  let control = Wire.control () in
+  let port, finished, handled, domain =
+    spawn_echo ~max_connections:2 ~accept_pool:4 ~control ()
+  in
+  List.iter
+    (fun line ->
+      let greeting, replies = tcp_session port [ line ] in
+      Alcotest.(check string) "greeting" "echo ready" greeting;
+      Alcotest.(check (list string)) "echoed" [ line; "bye" ] replies)
+    [ "a"; "b" ];
+  await_return ~control (finished, domain) "serve returns after the quota";
+  Alcotest.(check int) "exactly N connections handled" 2 (Atomic.get handled);
+  let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+  (match Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_loopback, port)) with
+  | () -> Alcotest.fail "listener still accepting after the quota"
+  | exception Unix.Unix_error (Unix.ECONNREFUSED, _, _) -> ());
+  Unix.close fd
+
+let test_wire_shutdown () =
+  let control = Wire.control () in
+  let port, finished, _, domain = spawn_echo ~accept_pool:2 ~control () in
+  let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+  Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
+  Unix.setsockopt_float fd Unix.SO_RCVTIMEO 5.0;
+  let r = Wire.make_reader fd in
+  let next () = Wire.read_line r in
+  Alcotest.(check bool) "greeted" true (next () = `Line "echo ready");
+  Wire.write_all fd "ping\n";
+  Alcotest.(check bool) "live connection echoes" true (next () = `Line "ping");
+  (* One accept domain owns the live connection; the other is blocked
+     in accept.  Shutdown must release both. *)
+  Wire.shutdown control;
+  (match next () with
+  | `Eof -> ()
+  | `Error (Unix.EAGAIN | Unix.EWOULDBLOCK) -> Alcotest.fail "live connection not reset"
+  | `Error _ -> ()
+  | `Line l -> Alcotest.failf "unexpected line after shutdown: %s" l
+  | `Too_long -> Alcotest.fail "unexpected oversized line");
+  Unix.close fd;
+  await_return ~control (finished, domain) "serve returns after shutdown";
+  Wire.shutdown control (* idempotent *)
+
+let test_wire_shutdown_before_bind () =
+  let control = Wire.control () in
+  Wire.shutdown control;
+  let ready_called = ref false in
+  Wire.serve ~control ~greeting:"echo ready" ~ready:(fun _ -> ready_called := true) ~port:0
+    echo;
+  Alcotest.(check bool) "ready never called" false !ready_called
 
 let suite =
   [
@@ -900,4 +1051,10 @@ let suite =
     ("wire: hard reset surfaces as `Error, not EOF", `Quick, test_wire_error_surface);
     ("server: oversized stdio line answered and session ended", `Quick,
      test_session_oversized_line);
+    ("server: stdio session counts hard read errors", `Quick,
+     test_session_counts_read_errors);
+    ("wire: max_connections ends serve after N accepts", `Quick, test_wire_quota);
+    ("wire: shutdown wakes accepts, resets connections", `Quick, test_wire_shutdown);
+    ("wire: shutdown before bind returns at once", `Quick,
+     test_wire_shutdown_before_bind);
   ]

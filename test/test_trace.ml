@@ -194,9 +194,9 @@ let test_metrics_command () =
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "metrics takes no arguments");
   let config = { Batcher.default_config with Batcher.cache_capacity = 64 } in
-  let batcher = Batcher.create ~config () in
-  ignore (Batcher.process_log batcher log);
-  let reply = Protocol.render_metrics batcher in
+  let stripes = E2e_serve.Stripes.create ~config () in
+  ignore (Batcher.process_log (E2e_serve.Stripes.batcher stripes 0) log);
+  let reply = Protocol.render_metrics stripes in
   Alcotest.(check bool) "reply framed as metrics" true
     (String.starts_with ~prefix:"metrics " reply);
   let lines =
