@@ -19,13 +19,15 @@ TRACE_A := /tmp/e2e_sched_trace_j1.jsonl
 TRACE_B := /tmp/e2e_sched_trace_j4.jsonl
 TRACE_SUM := /tmp/e2e_sched_trace_summary.txt
 TRACE_LG := /tmp/e2e_sched_trace_loadgen.json
+SWEEP_D := /tmp/e2e_sched_sweep_drainers.jsonl
+SWEEP_S := /tmp/e2e_sched_sweep_shards.jsonl
 JOBS ?= 4
 # full = sizes 10..5000 with 7 trimmed trials; small = the CI smoke
 # configuration (sizes 10 and 100 only).
 BENCH_TRIALS ?= full
 
 .PHONY: all build test bench bench-par bench-serve bench-core bench-cluster \
-  fuzz-smoke fuzz-inc serve-smoke serve-conc-smoke cluster-smoke trace-smoke \
+  fuzz-smoke fuzz-inc serve-smoke serve-conc-smoke cluster-smoke trace-smoke sweep-smoke \
   check clean
 
 all: build
@@ -44,21 +46,25 @@ bench:
 bench-par:
 	dune exec bench/main.exe -- --parallel BENCH_parallel.json --jobs $(JOBS)
 
-# Fixed-seed load-generator run against the in-process admission
-# service: requests/sec, latency percentiles, the solver cache hit
-# rate, a full-transport saturation sweep (connections x batch over
-# the concurrent TCP server), and a drainer-stripe scaling sweep (the
+# Fixed-seed load-generator points over the admission service, rebuilt
+# from scratch as JSONL in BENCH_serve.json (one self-describing record
+# per point: config, host, throughput, latency, verdicts, cache stats).
+# Three runs append to it: the in-process engine at three solver-cache
+# capacities (with the per-stage latency breakdown); the full transport
+# (embedded TCP server) at connections x batch on the mixed stream; and
+# the embedded server at 1, 2 and 4 drainer stripes on the
 # seed-then-resubmit workload over a working set ~3x one stripe's
-# solver cache: striping the queue by shop multiplies aggregate cache
-# capacity, so 4 drainers hold the working set while 1 thrashes),
-# written to BENCH_serve.json.
+# solver cache (striping the queue by shop multiplies aggregate cache
+# capacity, so 4 drainers hold the working set while 1 thrashes).
+BENCH_SERVE_RUN := dune exec bin/loadgen.exe -- --requests 8000 --seed 42 -j $(JOBS) \
+  --pipeline 8 --out BENCH_serve.json
 bench-serve:
-	dune exec bin/loadgen.exe -- --requests 8000 --seed 42 -j $(JOBS) \
-	  --cache-sweep 128,512,4096 \
-	  --sat-connections 1,2,4,8 --sat-batch 16,64 \
-	  --drainer-sweep 1,2,4 --connections 4 --pipeline 8 \
-	  --cluster-shops 96 --cache 128 \
-	  --out BENCH_serve.json
+	rm -f BENCH_serve.json
+	$(BENCH_SERVE_RUN) --cache 128,512,4096
+	$(BENCH_SERVE_RUN) --cache 128 --self-serve --connections 1,2,4,8 --batch 16,64
+	$(BENCH_SERVE_RUN) --cache 128 --self-serve --connections 4 --drainers 1,2,4 \
+	  --resubmit-shops 96
+	dune exec bin/jsonl_check.exe -- --bench BENCH_serve.json
 
 # Tracked hot-path micro-benchmarks: the indexed single-machine engine
 # against the retained scan-based reference (the speedup ratio is part
@@ -68,23 +74,23 @@ bench-core:
 	dune exec bench/core_bench.exe -- --trials $(BENCH_TRIALS) \
 	  --out BENCH_core.json
 
-# Shard-count scaling sweep over the cluster transport: 1, 2 and 4
-# in-process shards behind the dispatcher on the seed-then-resubmit
-# workload (permuted resubmissions over a working set ~3x one shard's
-# solver cache), written to tracked BENCH_cluster.json.  The headline
-# number is the 1 -> 4 shard aggregate-throughput ratio: sticky routing
-# gives each shard only its own shops, so four shards hold the whole
-# working set in cache while one shard thrashes and re-solves.
-# The upstream sweep rides along: a 1-shard cluster on a cache-resident
-# workload at 1, 2 and 4 pipelined upstream connections per shard,
-# recorded in the same file (lanes relieve head-of-line blocking on the
+# Cluster points, rebuilt from scratch as JSONL in tracked
+# BENCH_cluster.json.  Shard-count scaling: 1, 2 and 4 in-process shards
+# behind the dispatcher on the seed-then-resubmit workload (permuted
+# resubmissions over a working set ~3x one shard's solver cache) —
+# sticky routing gives each shard only its own shops, so four shards
+# hold the whole working set in cache while one shard thrashes and
+# re-solves.  Upstream lanes: a 1-shard cluster on a cache-resident
+# workload (16 shops per connection) at 1, 2 and 4 pipelined upstream
+# connections per shard (lanes relieve head-of-line blocking on the
 # dispatcher<->shard hop, not shard compute, so no ratio is asserted).
+BENCH_CLUSTER_RUN := dune exec bin/loadgen.exe -- --connections 4 --pipeline 8 \
+  --requests 8000 --cache 128 --seed 42 --out BENCH_cluster.json
 bench-cluster:
-	dune exec bin/loadgen.exe -- --cluster-sweep 1,2,4 --connections 4 \
-	  --pipeline 8 --requests 8000 --cluster-shops 96 --cache 128 --seed 42 \
-	  --upstream-sweep 1,2,4 \
-	  --out BENCH_cluster.json
-	dune exec bin/jsonl_check.exe -- --bench-cluster BENCH_cluster.json
+	rm -f BENCH_cluster.json
+	$(BENCH_CLUSTER_RUN) --spawn-shards 1,2,4 --resubmit-shops 96
+	$(BENCH_CLUSTER_RUN) --spawn-shards 1 --upstream-conns 1,2,4 --resubmit-shops 16
+	dune exec bin/jsonl_check.exe -- --bench BENCH_cluster.json
 
 # Replay the full-grammar request fixture through the stdio transport on
 # 1 and 4 domains: the reply logs must be byte-identical and contain
@@ -159,7 +165,7 @@ cluster-smoke:
 # durations, stage sums tiling end-to-end), and its e2e-trace analysis
 # must match the committed golden summary byte-for-byte.
 trace-smoke:
-	rm -f $(TRACE_A) $(TRACE_B) $(TRACE_SUM)
+	rm -f $(TRACE_A) $(TRACE_B) $(TRACE_SUM) $(TRACE_LG)
 	dune exec bin/loadgen.exe -- --requests 200 --seed 42 -j 1 \
 	  --det-clock --trace $(TRACE_A) --out $(TRACE_LG) > /dev/null
 	dune exec bin/loadgen.exe -- --requests 200 --seed 42 -j 4 \
@@ -168,6 +174,17 @@ trace-smoke:
 	dune exec bin/jsonl_check.exe -- --trace $(TRACE_A)
 	dune exec bin/trace.exe -- analyze $(TRACE_A) > $(TRACE_SUM)
 	cmp $(TRACE_SUM) test/golden/trace_summary.txt
+
+# The list-flag sweep path: a two-point drainer sweep over the embedded
+# server on the seed-then-resubmit workload and a two-point shard sweep
+# over the cluster, each point validated as a loadgen JSONL record.
+sweep-smoke:
+	rm -f $(SWEEP_D) $(SWEEP_S)
+	dune exec bin/loadgen.exe -- --self-serve --drainers 1,2 --resubmit-shops 8 \
+	  --connections 2 --requests 200 --seed 42 --out $(SWEEP_D) > /dev/null
+	dune exec bin/loadgen.exe -- --spawn-shards 1,2 --connections 2 --requests 200 \
+	  --seed 42 --out $(SWEEP_S) > /dev/null
+	dune exec bin/jsonl_check.exe -- --bench $(SWEEP_D) $(SWEEP_S)
 
 # Short differential-fuzzing campaign over every model class (including
 # eedf-fast, which pits the indexed single-machine engine against the
@@ -195,8 +212,9 @@ fuzz-inc:
 # (regenerate one paper artifact with --metrics and validate the file as
 # JSONL), the parallel engine (the same sweep on 1 and 4 domains must
 # be byte-identical, and metrics collected under -j 4 must still be
-# well-formed JSONL), the differential fuzzer and the admission service
-# (stdio transport, -j 1 vs -j 4 byte-compare).
+# well-formed JSONL), the differential fuzzer, the admission service
+# and cluster smokes, the loadgen sweep path, and both tracked loadgen
+# benchmark files (every point a valid `jsonl_check --bench` record).
 check:
 	dune build
 	dune runtest
@@ -214,9 +232,10 @@ check:
 	$(MAKE) serve-conc-smoke
 	$(MAKE) cluster-smoke
 	$(MAKE) trace-smoke
+	$(MAKE) sweep-smoke
 	dune exec bench/core_bench.exe -- --trials small --out $(CORE_SMOKE)
 	dune exec bin/jsonl_check.exe $(CORE_SMOKE)
-	dune exec bin/jsonl_check.exe -- --bench-cluster BENCH_cluster.json
+	dune exec bin/jsonl_check.exe -- --bench BENCH_serve.json BENCH_cluster.json
 
 clean:
 	dune clean
@@ -224,4 +243,4 @@ clean:
 	  $(SERVE_A) $(SERVE_B) $(CONC_A).conn* $(CONC_B).conn* $(CONC_D).conn* \
 	  $(CORE_SMOKE) $(CLUS_A).conn* $(CLUS_B).conn* $(CLUS_C).conn* \
 	  $(TRACE_A) $(TRACE_B) $(TRACE_SUM) \
-	  $(TRACE_LG) BENCH_parallel.json BENCH_core.json
+	  $(TRACE_LG) $(SWEEP_D) $(SWEEP_S) BENCH_parallel.json BENCH_core.json

@@ -9,20 +9,21 @@
    end-to-end latency; every opened request must reach its "done"
    record.
 
-   With --bench-cluster each record is validated as an e2e-loadgen
-   cluster benchmark record: a workload header, a (possibly empty)
-   shard-scaling "points" array and an "upstream_sweep" array, at least
-   one of them non-empty, every point carrying non-negative throughput
-   and latency figures (and a positive lane count in the upstream
-   sweep).
+   With --bench each record is validated as an e2e-loadgen point: a
+   [config] object naming a known topology, a workload and positive
+   requests/connections/pipeline (plus positive drainers for a server,
+   positive shards and upstream_conns for a cluster), a [host] object
+   with a positive nproc and an OCaml version, and non-negative
+   completed, duration_s, requests_per_sec, latency_ms.p50 and
+   latency_ms.p99.
 
-   Usage: jsonl_check [--trace|--bench-cluster] FILE...
+   Usage: jsonl_check [--trace|--bench] FILE...
    (exit 0 iff every file is well-formed) *)
 
 module Schema = E2e_serve.Rtrace.Schema
 module Json = E2e_obs.Json
 
-(* --bench-cluster: structural checks over one benchmark record. *)
+(* --bench: structural checks over one loadgen point. *)
 
 let num_field ?(min = 0.) obj name =
   match Json.member name obj with
@@ -31,58 +32,46 @@ let num_field ?(min = 0.) obj name =
   | Some _ -> Error (Printf.sprintf "%s is not a number" name)
   | None -> Error (Printf.sprintf "missing field %s" name)
 
-let check_point ~lanes complain obj =
-  let field ?min name = match num_field ?min obj name with
-    | Ok _ -> ()
-    | Error msg -> complain msg
+let check_bench complain json =
+  let fields ?min ?(prefix = "") obj names =
+    List.iter
+      (fun name ->
+        match num_field ?min obj name with
+        | Ok _ -> ()
+        | Error msg -> complain (prefix ^ msg))
+      names
   in
-  if lanes then field ~min:1. "upstream_conns";
-  field ~min:1. "shards";
-  field "completed";
-  field "duration_s";
-  field "requests_per_sec";
-  field "latency_p50_ms";
-  field "latency_p99_ms"
-
-let check_bench_cluster complain json =
-  (match Json.member "workload" json with
-  | Some (Json.Obj _ as w) ->
-      (match Json.member "type" w with
-      | Some (Json.Str _) -> ()
-      | _ -> complain "workload.type missing or not a string");
-      List.iter
-        (fun name ->
-          match num_field ~min:1. w name with
-          | Ok _ -> ()
-          | Error msg -> complain ("workload." ^ msg))
-        [ "requests"; "connections"; "pipeline" ]
-  | Some _ -> complain "workload is not an object"
-  | None -> complain "missing field workload");
-  let points kind lanes =
-    match Json.member kind json with
-    | Some (Json.List l) ->
-        List.iter
-          (function
-            | Json.Obj _ as p -> check_point ~lanes (fun m -> complain (kind ^ ": " ^ m)) p
-            | _ -> complain (kind ^ ": point is not an object"))
-          l;
-        List.length l
-    | Some _ -> complain (kind ^ " is not an array"); 0
-    | None -> complain ("missing field " ^ kind); 0
+  let str obj name =
+    match Json.member name obj with
+    | Some (Json.Str s) -> Some s
+    | _ -> None
   in
-  let n_points = points "points" false in
-  let n_upstream = points "upstream_sweep" true in
-  if n_points = 0 && n_upstream = 0 then
-    complain "both points and upstream_sweep are empty";
-  match Json.member "scaling" json with
-  | None | Some Json.Null -> ()
-  | Some (Json.Obj _ as s) -> (
-      match num_field s "rps_ratio" with
-      | Ok _ -> ()
-      | Error msg -> complain ("scaling." ^ msg))
-  | Some _ -> complain "scaling is neither null nor an object"
+  (match Json.member "config" json with
+  | Some (Json.Obj _ as c) ->
+      let topology_fields =
+        match str c "topology" with
+        | Some "inproc" -> []
+        | Some "server" -> [ "drainers" ]
+        | Some "cluster" -> [ "shards"; "upstream_conns" ]
+        | _ -> complain "config.topology missing or unknown"; []
+      in
+      if str c "workload" = None then complain "config.workload missing or not a string";
+      fields ~min:1. ~prefix:"config." c
+        ([ "requests"; "connections"; "pipeline" ] @ topology_fields)
+  | Some _ -> complain "config is not an object"
+  | None -> complain "missing field config");
+  (match Json.member "host" json with
+  | Some (Json.Obj _ as h) ->
+      fields ~min:1. ~prefix:"host." h [ "nproc" ];
+      if str h "ocaml" = None then complain "host.ocaml missing or not a string"
+  | Some _ -> complain "host is not an object"
+  | None -> complain "missing field host");
+  fields json [ "completed"; "duration_s"; "requests_per_sec" ];
+  match Json.member "latency_ms" json with
+  | Some (Json.Obj _ as l) -> fields ~prefix:"latency_ms." l [ "p50"; "p99" ]
+  | _ -> complain "latency_ms missing or not an object"
 
-let check_file ~trace ~bench_cluster path =
+let check_file ~trace ~bench path =
   let ic = open_in path in
   let records = ref 0 in
   let trace_records = ref 0 in
@@ -99,7 +88,7 @@ let check_file ~trace ~bench_cluster path =
          match E2e_obs.Json.of_string line with
          | Error msg -> complain ("invalid JSON: " ^ msg)
          | Ok json ->
-             if bench_cluster then check_bench_cluster complain json;
+             if bench then check_bench complain json;
              if trace then begin
                match Schema.of_json json with
                | Error msg -> complain msg
@@ -143,13 +132,13 @@ let check_file ~trace ~bench_cluster path =
 let () =
   let args = List.tl (Array.to_list Sys.argv) in
   let trace = List.mem "--trace" args in
-  let bench_cluster = List.mem "--bench-cluster" args in
-  let files = List.filter (fun a -> a <> "--trace" && a <> "--bench-cluster") args in
+  let bench = List.mem "--bench" args in
+  let files = List.filter (fun a -> a <> "--trace" && a <> "--bench") args in
   if files = [] then begin
-    prerr_endline "usage: jsonl_check [--trace|--bench-cluster] FILE...";
+    prerr_endline "usage: jsonl_check [--trace|--bench] FILE...";
     exit 2
   end;
   let ok =
-    List.fold_left (fun acc f -> check_file ~trace ~bench_cluster f && acc) true files
+    List.fold_left (fun acc f -> check_file ~trace ~bench f && acc) true files
   in
   exit (if ok then 0 else 1)

@@ -1,21 +1,29 @@
 (* Load generator for the admission service.
 
    e2e-loadgen --requests 2000 --seed 42 -j 4 --out BENCH_serve.json
-   e2e-loadgen --self-serve --connections 8 --pipeline 16 --requests 2000
+   e2e-loadgen --self-serve --connections 1,2,4,8 --batch 16,64 --requests 2000
+   e2e-loadgen --spawn-shards 1,2,4 --resubmit-shops 96 --cache 128
 
-   Replays a Prng-seeded request stream — submits of fresh task sets,
-   permuted resubmissions (canonical-cache exercisers), incremental
-   adds, queries and drops — against an in-process Batcher (default;
-   measures the engine itself), against an in-process concurrent TCP
-   server on an ephemeral port (--self-serve; measures the whole
-   transport) or against in-process shards behind an in-process
-   dispatcher (--spawn-shards).  TCP modes replay over --connections
-   parallel client domains, each closed-loop with up to --pipeline
-   requests in flight, on disjoint per-connection shop namespaces so
-   every connection's reply log is deterministic.  Reports throughput, latency percentiles and the
-   cache hit rate, optionally as a JSON file (`make bench-serve`
-   writes BENCH_serve.json, including a connections x batch
-   saturation sweep). *)
+   Replays a Prng-seeded request stream against one of three
+   topologies: an in-process Batcher (default; measures the engine
+   itself), an in-process concurrent TCP server on an ephemeral port
+   with --drainers stripes (--self-serve; measures the whole
+   transport), or --spawn-shards in-process shards behind an in-process
+   dispatcher with --upstream-conns lanes per shard.  TCP topologies
+   replay over --connections parallel client domains, each closed-loop
+   with up to --pipeline requests in flight, on disjoint per-connection
+   shop namespaces so every connection's reply log is deterministic.
+
+   The default stream mixes submits of fresh task sets, permuted and
+   exact resubmissions (canonical-cache exercisers), incremental adds,
+   queries and drops; --resubmit-shops K switches to K seeded shops per
+   connection resubmitted with permuted instances.
+
+   --cache, --batch, --connections, --drainers, --spawn-shards and
+   --upstream-conns take comma lists: the run measures their cross
+   product, one point each, printed to stdout and, with --out, appended
+   to a JSONL file as one self-describing record per point (config,
+   host, throughput, latency, verdicts, cache and cluster figures). *)
 
 open Cmdliner
 module Rat = E2e_rat.Rat
@@ -129,8 +137,60 @@ let gen_stream ?cid ~seed ~requests () =
         Admission.Drop { shop }
       end)
 
+(* The seed-then-resubmit workload (--resubmit-shops): [shops] seeding
+   submits establish this connection's shops, then the stream
+   resubmits random shops with freshly permuted instances (same
+   canonical form, disjoint per-connection namespaces).  A permuted
+   resubmission is answered from the shard's (or stripe's) canonical
+   solver cache when the shop's entry is resident and pays a full
+   solve when it was evicted — so the scaling lever is aggregate cache
+   capacity: routing is sticky, each shard's LRU holds exactly its own
+   shops, and a working set a few times one shard's [--cache] thrashes
+   a single shard while enough shards hold it entirely.  That is the
+   honest sharding win available on any core count; CPU fan-out is not
+   (the bench host may be a single core).  Instances are a little bigger than gen_stream's so the solve :
+   cache-hit cost ratio is what the bench exercises. *)
+let gen_cluster_instance g =
+  let n = 12 + Prng.int g 5 and m = 3 + Prng.int g 2 in
+  Recurrence_shop.of_traditional
+    (Feasible_gen.generate g
+       { Feasible_gen.n_tasks = n; n_processors = m; mean_tau = 1.0; stdev = 0.5;
+         slack_factor = 1.05 +. Prng.float g 0.3 })
+
+let gen_cluster_stream ~cid ~seed ~shops ~requests () =
+  let g = Prng.of_path [| seed; 0xc1; cid |] in
+  let shop k = Printf.sprintf "c%d-s%d" cid k in
+  let shops = max 1 (min shops requests) in
+  let instances = Array.init shops (fun _ -> gen_cluster_instance g) in
+  (* Resubmission is a drop + submit pair (a committed shop rejects a
+     second bare submit); the fresh submit is the cache probe. *)
+  let rec steady n =
+    if n <= 0 then []
+    else
+      let k = Prng.int g shops in
+      Admission.Drop { shop = shop k }
+      :: Admission.Submit { shop = shop k; instance = permute g instances.(k) }
+      :: steady (n - 2)
+  in
+  List.init shops (fun k -> Admission.Submit { shop = shop k; instance = instances.(k) })
+  @ steady (requests - shops)
+
+(* Per-connection streams: [requests] split as evenly as possible over
+   [connections], each on its own shop namespace.  On the mixed
+   workload a single connection replays the classic unprefixed
+   stream. *)
+let client_streams ~connections ~seed ~requests ~shops =
+  let split gen =
+    List.init connections (fun c ->
+        gen c ((requests / connections) + if c < requests mod connections then 1 else 0))
+  in
+  match shops with
+  | Some shops -> split (fun cid requests -> gen_cluster_stream ~cid ~seed ~shops ~requests ())
+  | None when connections <= 1 -> [ gen_stream ~seed ~requests () ]
+  | None -> split (fun cid requests -> gen_stream ~cid ~seed ~requests ())
+
 (* ------------------------------------------------------------------ *)
-(* Measurement                                                        *)
+(* Replay                                                             *)
 
 type tally = {
   mutable admitted : int;
@@ -142,6 +202,10 @@ type tally = {
   mutable overloaded : int;
 }
 
+let new_tally () =
+  { admitted = 0; rejected = 0; undecided = 0; info = 0; dropped = 0; errors = 0;
+    overloaded = 0 }
+
 let tally_reply t = function
   | Admission.Decided { decision = Admission.Admitted _; _ } -> t.admitted <- t.admitted + 1
   | Admission.Decided { decision = Admission.Rejected _; _ } -> t.rejected <- t.rejected + 1
@@ -151,6 +215,16 @@ let tally_reply t = function
   | Admission.Dropped _ -> t.dropped <- t.dropped + 1
   | Admission.Request_error _ -> t.errors <- t.errors + 1
 
+let tally_line t line =
+  match String.split_on_char ' ' line with
+  | "admitted" :: _ -> t.admitted <- t.admitted + 1
+  | "rejected" :: _ -> t.rejected <- t.rejected + 1
+  | "undecided" :: _ -> t.undecided <- t.undecided + 1
+  | "info" :: _ -> t.info <- t.info + 1
+  | "dropped" :: _ -> t.dropped <- t.dropped + 1
+  | "overloaded" :: _ -> t.overloaded <- t.overloaded + 1
+  | _ -> t.errors <- t.errors + 1
+
 (* In-process replay against the batcher; per-request latency = reply
    time - arrival time, both read from [Obs.Clock] so a deterministic
    source makes the whole measurement (and any trace) reproducible. *)
@@ -159,10 +233,7 @@ let run_inproc ~stream ~config =
   let n = List.length stream in
   let t_arrival = Array.make n 0. in
   let latency = Quantile.create () in
-  let tally =
-    { admitted = 0; rejected = 0; undecided = 0; info = 0; dropped = 0; errors = 0;
-      overloaded = 0 }
-  in
+  let tally = new_tally () in
   let pending_idx = Queue.create () in
   let record_replies replies =
     List.iter
@@ -190,25 +261,7 @@ let run_inproc ~stream ~config =
   in
   drain ();
   let duration = Obs.Clock.now () -. t0 in
-  ( duration,
-    latency,
-    tally,
-    Batcher.cache_stats batcher,
-    Some (Batcher.keyer_stats batcher) )
-
-let new_tally () =
-  { admitted = 0; rejected = 0; undecided = 0; info = 0; dropped = 0; errors = 0;
-    overloaded = 0 }
-
-let tally_line t line =
-  match String.split_on_char ' ' line with
-  | "admitted" :: _ -> t.admitted <- t.admitted + 1
-  | "rejected" :: _ -> t.rejected <- t.rejected + 1
-  | "undecided" :: _ -> t.undecided <- t.undecided + 1
-  | "info" :: _ -> t.info <- t.info + 1
-  | "dropped" :: _ -> t.dropped <- t.dropped + 1
-  | "overloaded" :: _ -> t.overloaded <- t.overloaded + 1
-  | _ -> t.errors <- t.errors + 1
+  (duration, latency, tally, batcher)
 
 (* One TCP client: closed-loop windowed pipelined replay of [stream],
    at most [pipeline] requests in flight.  Returns the latency sketch,
@@ -252,32 +305,29 @@ let run_client ~port ~stream ~pipeline =
   (try Unix.close fd with Unix.Unix_error _ -> ());
   (latency, tally, List.rev !log)
 
-(* Per-connection streams: [requests] split as evenly as possible over
-   [connections].  A single connection replays the classic unprefixed
-   stream; multiple connections get disjoint per-cid namespaces. *)
-let client_streams ~connections ~seed ~requests =
-  if connections <= 1 then [ gen_stream ~seed ~requests () ]
-  else
-    List.init connections (fun c ->
-        let per = (requests / connections) + (if c < requests mod connections then 1 else 0) in
-        gen_stream ~cid:c ~seed ~requests:per ())
-
-let write_reply_logs reply_log results =
-  match reply_log with
-  | None -> ()
-  | Some prefix ->
+(* Every stream on its own client domain against the loopback [port];
+   the per-connection reply logs go to [reply_log].conn<k>, the
+   latency sketches and tallies are merged. *)
+let run_clients ~port ~streams ~pipeline ~reply_log =
+  let t0 = Unix.gettimeofday () in
+  let domains =
+    List.map
+      (fun stream -> Domain.spawn (fun () -> run_client ~port ~stream ~pipeline))
+      streams
+  in
+  let results = List.map Domain.join domains in
+  let duration = Unix.gettimeofday () -. t0 in
+  Option.iter
+    (fun prefix ->
       List.iteri
         (fun i (_, _, log) ->
           Out_channel.with_open_text
             (Printf.sprintf "%s.conn%d" prefix i)
             (fun oc -> List.iter (fun line -> output_string oc (line ^ "\n")) log))
-        results
-
-let merge_client_results results =
+        results)
+    reply_log;
   let latency =
-    match results with
-    | [] -> Quantile.create ()
-    | (q, _, _) :: rest -> List.fold_left (fun acc (q, _, _) -> Quantile.merge acc q) q rest
+    List.fold_left (fun acc (q, _, _) -> Quantile.merge acc q) (Quantile.create ()) results
   in
   let tally = new_tally () in
   List.iter
@@ -290,109 +340,10 @@ let merge_client_results results =
       tally.errors <- tally.errors + t.errors;
       tally.overloaded <- tally.overloaded + t.overloaded)
     results;
-  (latency, tally)
-
-(* Every stream on its own client domain against the loopback [port]. *)
-let run_clients ~port ~streams ~pipeline =
-  let t0 = Unix.gettimeofday () in
-  let domains =
-    List.map
-      (fun stream -> Domain.spawn (fun () -> run_client ~port ~stream ~pipeline))
-      streams
-  in
-  let results = List.map Domain.join domains in
-  let duration = Unix.gettimeofday () -. t0 in
-  (duration, results)
-
-(* Full-transport replay: an in-process concurrent TCP server on an
-   ephemeral port, the clients over real sockets against it.  This is
-   the configuration the saturation sweep measures. *)
-let run_self ~streams ~config ~accept_pool ~window ~drainers ~pipeline ~reply_log =
-  let stripes = E2e_serve.Stripes.create ~config ~stripes:drainers () in
-  let nconn = List.length streams in
-  let mu = Mutex.create () in
-  let cv = Condition.create () in
-  let port = ref None in
-  let server =
-    Domain.spawn (fun () ->
-        Server.serve_tcp ~max_connections:nconn ~accept_pool ~window
-          ~ready:(fun p ->
-            Mutex.lock mu;
-            port := Some p;
-            Condition.signal cv;
-            Mutex.unlock mu)
-          ~port:0 stripes)
-  in
-  Mutex.lock mu;
-  while !port = None do
-    Condition.wait cv mu
-  done;
-  let port = Option.get !port in
-  Mutex.unlock mu;
-  let duration, results = run_clients ~port ~streams ~pipeline in
-  Domain.join server;
-  write_reply_logs reply_log results;
-  let latency, tally = merge_client_results results in
-  ( duration,
-    latency,
-    tally,
-    E2e_serve.Stripes.cache_stats stripes,
-    Some (E2e_serve.Stripes.keyer_stats stripes) )
-
-(* Saturation sweep: one self-serve measurement per (connections,
-   batch) point, recorded in BENCH_serve.json as the transport's
-   throughput surface.  The drainer sweep reuses the same point shape
-   with [sat_drainers] varying and a seed-then-resubmit workload. *)
-type sat_point = {
-  sat_connections : int;
-  sat_batch : int;
-  sat_drainers : int;
-  sat_workload : string;  (* "mixed" | "seed-then-resubmit" *)
-  sat_cache : int;  (* per-stripe solver-cache capacity *)
-  sat_shops : int;  (* shops per connection (0: the mixed workload) *)
-  sat_completed : int;
-  sat_duration : float;
-  sat_rps : float;
-  sat_p50_ms : float;
-  sat_p99_ms : float;
-}
-
-let sat_measure ~streams ~config ~window ~drainers ~pipeline ~workload ~shops =
-  let connections = List.length streams in
-  let accept_pool = min connections 8 in
-  let duration, latency, _, _, _ =
-    run_self ~streams ~config ~accept_pool ~window ~drainers ~pipeline ~reply_log:None
-  in
-  let completed = Quantile.count latency in
-  {
-    sat_connections = connections;
-    sat_batch = config.Batcher.batch;
-    sat_drainers = drainers;
-    sat_workload = workload;
-    sat_cache = config.Batcher.cache_capacity;
-    sat_shops = shops;
-    sat_completed = completed;
-    sat_duration = duration;
-    sat_rps = (if duration > 0. then float_of_int completed /. duration else 0.);
-    sat_p50_ms = Quantile.quantile latency 0.50 *. 1000.;
-    sat_p99_ms = Quantile.quantile latency 0.99 *. 1000.;
-  }
-
-let run_sat_sweep ~seed ~requests ~config ~pipeline ~window points =
-  List.map
-    (fun (connections, batch) ->
-      let streams = client_streams ~connections ~seed ~requests in
-      let config = { config with Batcher.batch } in
-      sat_measure ~streams ~config ~window ~drainers:1 ~pipeline ~workload:"mixed"
-        ~shops:0)
-    points
+  (duration, latency, tally)
 
 (* ------------------------------------------------------------------ *)
-(* Cluster modes: an in-process shard fleet behind an in-process
-   dispatcher (--spawn-shards), shard-count scaling sweeps
-   (--cluster-sweep, the source of BENCH_cluster.json), and the
-   kill-one-shard failover check `make cluster-smoke` runs
-   (--failover-check). *)
+(* Embedded servers and clusters                                      *)
 
 module Dispatcher = E2e_cluster.Dispatcher
 module Registry = E2e_cluster.Registry
@@ -429,14 +380,13 @@ type shard = {
    solver cache) behind a real TCP listener on an ephemeral port, with
    a control handle so a test can kill it like a process.  Schedules
    are off — cluster runs measure the service, not reply rendering. *)
-let spawn_shard ~config ~accept_pool ~window ?(port = 0) () =
+let spawn_shard ~config ~accept_pool ?(port = 0) () =
   let control = Wire.control () in
   let set, get = wait_slot () in
   let stripes = E2e_serve.Stripes.create ~config () in
   let domain =
     Domain.spawn (fun () ->
-        Server.serve_tcp ~schedules:false ~accept_pool ~window ~ready:set ~control ~port
-          stripes)
+        Server.serve_tcp ~schedules:false ~accept_pool ~ready:set ~control ~port stripes)
   in
   { sh_port = get (); sh_control = control; sh_domain = domain }
 
@@ -447,15 +397,14 @@ type cluster = {
   cl_port : int;
 }
 
-let spawn_cluster ~nshards ~config ~window ~probe_interval ~client_slots
-    ?(upstream_conns = 1) () =
+let spawn_cluster ~nshards ~config ~probe_interval ~client_slots ~upstream_conns =
   (* A shard accept domain owns its connection for the connection's
      lifetime, and every dispatcher lane is a persistent connection: the
      pool must fit all lanes plus a probe and a metrics RPC at once, or
      the overflow lane (and the status checker) starve in the backlog. *)
   let shards =
     List.init nshards (fun _ ->
-        spawn_shard ~config ~accept_pool:(max 3 (upstream_conns + 2)) ~window ())
+        spawn_shard ~config ~accept_pool:(max 3 (upstream_conns + 2)) ())
   in
   let dconfig = { Dispatcher.default_config with probe_interval; upstream_conns } in
   let t =
@@ -464,8 +413,7 @@ let spawn_cluster ~nshards ~config ~window ~probe_interval ~client_slots
   in
   let set, get = wait_slot () in
   let ddomain =
-    Domain.spawn (fun () ->
-        Dispatcher.serve ~accept_pool:client_slots ~window ~ready:set ~port:0 t)
+    Domain.spawn (fun () -> Dispatcher.serve ~accept_pool:client_slots ~ready:set ~port:0 t)
   in
   { cl_shards = shards; cl_t = t; cl_domain = ddomain; cl_port = get () }
 
@@ -475,305 +423,271 @@ let stop_cluster c =
   List.iter (fun s -> Wire.shutdown s.sh_control) c.cl_shards;
   List.iter (fun s -> Domain.join s.sh_domain) c.cl_shards
 
-(* What the cluster run reports beyond throughput: routing balance and
-   failover counters, from the in-process dispatcher handle. *)
-type cluster_info = {
-  ci_shards : int;
-  ci_live : int;
-  ci_routed : int;
-  ci_failovers : int;
-  ci_unavailable : int;
-  ci_balance : (string * int) list;  (* shard id -> requests routed *)
+(* ------------------------------------------------------------------ *)
+(* One measured point                                                 *)
+
+type topology =
+  | Inproc
+  | Server of { drainers : int }
+  | Cluster of { shards : int; lanes : int }
+
+(* The axes a list flag varies; one value of each is one point. *)
+type setting = { topology : topology; connections : int; batch : int; cache : int }
+
+(* What stays fixed across the points of one run. *)
+type run = {
+  requests : int;
+  seed : int;
+  jobs : int;
+  pipeline : int;
+  shops : int option;  (* [Some k]: the seed-then-resubmit workload *)
 }
 
-let cluster_info_of_stats (st : Dispatcher.stats) =
-  {
-    ci_shards = st.registry_stats.Registry.shards;
-    ci_live = st.registry_stats.Registry.live_shards;
-    ci_routed = st.routed;
-    ci_failovers = st.registry_stats.Registry.failovers;
-    ci_unavailable = st.unavailable;
-    ci_balance =
-      List.map (fun s -> (s.Dispatcher.shard_id, s.Dispatcher.shard_routed)) st.per_shard;
-  }
+type point = {
+  setting : setting;
+  duration : float;
+  latency : Quantile.t;
+  tally : tally;
+  cache_stats : Cache.stats option;
+  keyer_stats : Cache.Keyer.stats option;
+  cluster : Dispatcher.stats option;  (* routing balance and failover counters *)
+}
 
-let print_cluster_info ci =
-  Format.printf "cluster       shards=%d live=%d routed=%d failovers=%d unavailable=%d@."
-    ci.ci_shards ci.ci_live ci.ci_routed ci.ci_failovers ci.ci_unavailable;
-  List.iter
-    (fun (id, n) -> Format.printf "shard         %-22s routed=%d@." id n)
-    ci.ci_balance
+let engine_config run s =
+  { Batcher.default_config with batch = s.batch; jobs = run.jobs; cache_capacity = s.cache }
 
-let cluster_json ci =
+(* Replay the run's streams against one freshly built topology. *)
+let measure ?reply_log run s =
+  let config = engine_config run s in
+  let streams =
+    client_streams ~connections:s.connections ~seed:run.seed ~requests:run.requests
+      ~shops:run.shops
+  in
+  let clients port = run_clients ~port ~streams ~pipeline:run.pipeline ~reply_log in
+  let point duration latency tally =
+    { setting = s; duration; latency; tally; cache_stats = None; keyer_stats = None;
+      cluster = None }
+  in
+  match s.topology with
+  | Inproc ->
+      let duration, latency, tally, batcher =
+        run_inproc ~stream:(List.concat streams) ~config
+      in
+      { (point duration latency tally) with
+        cache_stats = Batcher.cache_stats batcher;
+        keyer_stats = Some (Batcher.keyer_stats batcher) }
+  | Server { drainers } ->
+      let stripes = E2e_serve.Stripes.create ~config ~stripes:drainers () in
+      let set, get = wait_slot () in
+      let server =
+        Domain.spawn (fun () ->
+            Server.serve_tcp ~max_connections:s.connections
+              ~accept_pool:(min s.connections 8) ~ready:set ~port:0 stripes)
+      in
+      let duration, latency, tally = clients (get ()) in
+      Domain.join server;
+      { (point duration latency tally) with
+        cache_stats = E2e_serve.Stripes.cache_stats stripes;
+        keyer_stats = Some (E2e_serve.Stripes.keyer_stats stripes) }
+  | Cluster { shards; lanes } ->
+      let cl =
+        spawn_cluster ~nshards:shards ~config ~probe_interval:0.5
+          ~client_slots:(s.connections + 2) ~upstream_conns:lanes
+      in
+      let duration, latency, tally = clients cl.cl_port in
+      let stats = Dispatcher.stats cl.cl_t in
+      stop_cluster cl;
+      { (point duration latency tally) with cluster = Some stats }
+
+(* ------------------------------------------------------------------ *)
+(* Reporting: one stdout block and one JSONL record per point.         *)
+
+let ms x = x *. 1000.
+
+let rps p =
+  if p.duration > 0. then float_of_int (Quantile.count p.latency) /. p.duration else 0.
+
+let hit_rate { Cache.hits; misses; _ } =
+  let total = hits + misses in
+  if total = 0 then 0. else float_of_int hits /. float_of_int total
+
+let topology_name = function
+  | Inproc -> "inproc"
+  | Server _ -> "server"
+  | Cluster _ -> "cluster"
+
+(* The value of every axis a list flag can vary that [s]'s topology
+   has, by name. *)
+let axis_values s =
+  [ ("cache_capacity", s.cache); ("batch", s.batch); ("connections", s.connections) ]
+  @
+  match s.topology with
+  | Inproc -> []
+  | Server { drainers } -> [ ("drainers", drainers) ]
+  | Cluster { shards; lanes } -> [ ("shards", shards); ("upstream_conns", lanes) ]
+
+let sketch_json ?(count = false) q =
   Json.Obj
-    [
-      ("shards", Json.int ci.ci_shards);
-      ("live", Json.int ci.ci_live);
-      ("routed", Json.int ci.ci_routed);
-      ("failovers", Json.int ci.ci_failovers);
-      ("unavailable", Json.int ci.ci_unavailable);
-      ("balance", Json.Obj (List.map (fun (id, n) -> (id, Json.int n)) ci.ci_balance));
-    ]
+    ([
+       ("p50", Json.Num (ms (Quantile.quantile q 0.50)));
+       ("p95", Json.Num (ms (Quantile.quantile q 0.95)));
+       ("p99", Json.Num (ms (Quantile.quantile q 0.99)));
+       ("max", Json.Num (ms (Quantile.max_value q)));
+     ]
+    @ if count then [ ("count", Json.int (Quantile.count q)) ] else [])
 
-(* The scaling-sweep workload: [shops] seeding submits establish this
-   connection's shops, then the stream resubmits random shops with
-   freshly permuted instances (same canonical form, disjoint
-   per-connection namespaces).  A permuted resubmission is answered
-   from the shard's canonical solver cache when the shop's entry is
-   resident and pays a full solve when it was evicted — so the scaling
-   lever is aggregate cache capacity: routing is sticky, each shard's
-   LRU holds exactly its own shops, and a working set a few times one
-   shard's [--cache] thrashes a single shard while enough shards hold
-   it entirely.  That is the honest sharding win available on any core
-   count; CPU fan-out is not (the bench host may be a single core).
-   Instances are a little bigger than gen_stream's so the solve :
-   cache-hit cost ratio is what the bench exercises. *)
-let gen_cluster_instance g =
-  let n = 12 + Prng.int g 5 and m = 3 + Prng.int g 2 in
-  Recurrence_shop.of_traditional
-    (Feasible_gen.generate g
-       { Feasible_gen.n_tasks = n; n_processors = m; mean_tau = 1.0; stdev = 0.5;
-         slack_factor = 1.05 +. Prng.float g 0.3 })
+let print_point ~stages p =
+  let s = p.setting in
+  Format.printf "point         topology=%s%s@." (topology_name s.topology)
+    (String.concat ""
+       (List.map (fun (name, v) -> Printf.sprintf " %s=%d" name v) (axis_values s)));
+  let pct q x = ms (Quantile.quantile q x) in
+  let t = p.tally in
+  Format.printf "requests      %d completed, %d overloaded@." (Quantile.count p.latency)
+    t.overloaded;
+  Format.printf "duration      %.3fs  (%.0f requests/s)@." p.duration (rps p);
+  List.iter
+    (fun (stage, q) ->
+      Format.printf "%-13s p50=%.3f p95=%.3f p99=%.3f max=%.3f@." stage (pct q 0.50)
+        (pct q 0.95) (pct q 0.99)
+        (ms (Quantile.max_value q)))
+    (("latency (ms)", p.latency) :: List.map (fun (st, q) -> ("stage " ^ st, q)) stages);
+  Format.printf "verdicts      admitted=%d rejected=%d undecided=%d info=%d dropped=%d \
+                 errors=%d@."
+    t.admitted t.rejected t.undecided t.info t.dropped t.errors;
+  Option.iter
+    (fun ({ Cache.hits; misses; evictions; size } as c) ->
+      Format.printf "cache         hits=%d misses=%d evictions=%d size=%d hit_rate=%.3f@."
+        hits misses evictions size (hit_rate c))
+    p.cache_stats;
+  Option.iter
+    (fun { Cache.Keyer.reused; rendered } ->
+      Format.printf "keyer         reused=%d rendered=%d@." reused rendered)
+    p.keyer_stats;
+  Option.iter
+    (fun { Dispatcher.routed; unavailable; per_shard; registry_stats = r; _ } ->
+      Format.printf "cluster       shards=%d live=%d routed=%d failovers=%d unavailable=%d@."
+        r.Registry.shards r.live_shards routed r.failovers unavailable;
+      List.iter
+        (fun sh ->
+          Format.printf "shard         %-22s routed=%d@." sh.Dispatcher.shard_id
+            sh.shard_routed)
+        per_shard)
+    p.cluster
 
-let gen_cluster_stream ~cid ~seed ~shops ~requests () =
-  let g = Prng.of_path [| seed; 0xc1; cid |] in
-  let shop k = Printf.sprintf "c%d-s%d" cid k in
-  let shops = max 1 (min shops requests) in
-  let instances = Array.init shops (fun _ -> gen_cluster_instance g) in
-  (* Resubmission is a drop + submit pair (a committed shop rejects a
-     second bare submit); the fresh submit is the cache probe. *)
-  let rec steady n =
-    if n <= 0 then []
-    else
-      let k = Prng.int g shops in
-      Admission.Drop { shop = shop k }
-      :: Admission.Submit { shop = shop k; instance = permute g instances.(k) }
-      :: steady (n - 2)
-  in
-  List.init shops (fun k -> Admission.Submit { shop = shop k; instance = instances.(k) })
-  @ steady (requests - shops)
-
-(* Drainer-stripe sweep: the single-process analogue of the shard
-   sweep.  Same seed-then-resubmit workload, one embedded server per
-   stripe count: queue and solver cache are per stripe, so [d] stripes
-   hold d x cache_capacity canonical entries in aggregate — a working
-   set a few times one stripe's cache thrashes at --drainers 1 and
-   goes cache-resident at 4.  (On a multi-core host the per-stripe
-   drainer domains also overlap solves; the aggregate-cache effect is
-   the one that survives a single-core box.) *)
-let run_drainer_sweep ~counts ~config ~connections ~pipeline ~shops ~requests ~seed
-    ~window =
-  let streams =
-    List.init connections (fun c ->
-        let per =
-          (requests / connections) + (if c < requests mod connections then 1 else 0)
-        in
-        gen_cluster_stream ~cid:c ~seed ~shops ~requests:per ())
-  in
-  let points =
-    List.map
-      (fun drainers ->
-        let p =
-          sat_measure ~streams ~config ~window ~drainers ~pipeline
-            ~workload:"seed-then-resubmit" ~shops
-        in
-        Format.printf
-          "drainers=%-2d %7.0f req/s  p50=%.3fms p99=%.3fms (%d in %.3fs)@." drainers
-          p.sat_rps p.sat_p50_ms p.sat_p99_ms p.sat_completed p.sat_duration;
-        p)
-      counts
-  in
-  let rps_of n =
-    List.find_map (fun p -> if p.sat_drainers = n then Some p.sat_rps else None) points
-  in
-  (match
-     (rps_of (List.fold_left min max_int counts), rps_of (List.fold_left max 0 counts))
-   with
-  | Some b, Some t when b > 0. ->
-      Format.printf "drainer scaling %d -> %d stripes: %.2fx@."
-        (List.fold_left min max_int counts)
-        (List.fold_left max 0 counts)
-        (t /. b)
-  | _ -> ());
-  points
-
-type cluster_point = {
-  cp_shards : int;
-  cp_completed : int;
-  cp_duration : float;
-  cp_rps : float;
-  cp_p50_ms : float;
-  cp_p99_ms : float;
-  cp_info : cluster_info;
-}
-
-let run_cluster_point ~nshards ~config ~connections ~pipeline ~shops ~requests ~seed
-    ~window ?(upstream_conns = 1) () =
-  let cluster =
-    spawn_cluster ~nshards ~config ~window ~probe_interval:0.5
-      ~client_slots:(connections + 2) ~upstream_conns ()
-  in
-  let streams =
-    List.init connections (fun c ->
-        let per =
-          (requests / connections) + (if c < requests mod connections then 1 else 0)
-        in
-        gen_cluster_stream ~cid:c ~seed ~shops ~requests:per ())
-  in
-  let duration, results = run_clients ~port:cluster.cl_port ~streams ~pipeline in
-  let latency, _tally = merge_client_results results in
-  let info = cluster_info_of_stats (Dispatcher.stats cluster.cl_t) in
-  stop_cluster cluster;
-  let completed = Quantile.count latency in
-  {
-    cp_shards = nshards;
-    cp_completed = completed;
-    cp_duration = duration;
-    cp_rps = (if duration > 0. then float_of_int completed /. duration else 0.);
-    cp_p50_ms = Quantile.quantile latency 0.50 *. 1000.;
-    cp_p99_ms = Quantile.quantile latency 0.99 *. 1000.;
-    cp_info = info;
-  }
-
-(* Upstream-lane sweep: one shard, a cache-resident (hit-heavy)
-   workload so the shard answers fast, and a fresh cluster per lane
-   count — what widening the dispatcher->shard pipe is worth when the
-   shard itself is not the bottleneck.  Recorded honestly: on a host
-   where one upstream connection already saturates the path, the curve
-   is flat. *)
-let run_upstream_sweep ~counts ~config ~connections ~pipeline ~requests ~seed ~window =
-  (* Shops per connection sized to keep the whole working set resident
-     in the single shard's cache: every resubmission is a cache hit. *)
-  let shops =
-    max 1 (config.Batcher.cache_capacity / (2 * max 1 connections))
-  in
-  let points =
-    List.map
-      (fun upstream_conns ->
-        let p =
-          run_cluster_point ~nshards:1 ~config ~connections ~pipeline ~shops ~requests
-            ~seed ~window ~upstream_conns ()
-        in
-        Format.printf
-          "upstream conns=%-2d %7.0f req/s  p50=%.3fms p99=%.3fms (%d in %.3fs)@."
-          upstream_conns p.cp_rps p.cp_p50_ms p.cp_p99_ms p.cp_completed p.cp_duration;
-        (upstream_conns, p))
-      counts
-  in
-  (points, shops)
-
-let run_cluster_sweep ~counts ~upstream ~config ~connections ~pipeline ~shops ~requests
-    ~seed ~window ~jobs ~out =
-  let points =
-    List.map
-      (fun nshards ->
-        let p =
-          run_cluster_point ~nshards ~config ~connections ~pipeline ~shops ~requests ~seed
-            ~window ()
-        in
-        Format.printf
-          "cluster shards=%-2d %7.0f req/s  p50=%.3fms p99=%.3fms (%d in %.3fs, \
-           failovers=%d unavailable=%d)@."
-          p.cp_shards p.cp_rps p.cp_p50_ms p.cp_p99_ms p.cp_completed p.cp_duration
-          p.cp_info.ci_failovers p.cp_info.ci_unavailable;
-        p)
-      counts
-  in
-  let upstream_points, upstream_shops =
-    match upstream with
-    | [] -> ([], 0)
-    | counts -> run_upstream_sweep ~counts ~config ~connections ~pipeline ~requests ~seed ~window
-  in
-  let rps_of n =
-    List.find_map (fun p -> if p.cp_shards = n then Some p.cp_rps else None) points
-  in
-  let base = rps_of (List.fold_left min max_int counts) in
-  let top = rps_of (List.fold_left max 0 counts) in
-  let ratio =
-    match (base, top) with
-    | Some b, Some t when b > 0. -> Some (t /. b)
-    | _ -> None
-  in
-  (match ratio with
-  | Some r ->
-      Format.printf "cluster scaling %d -> %d shards: %.2fx@."
-        (List.fold_left min max_int counts)
-        (List.fold_left max 0 counts)
-        r
-  | None -> ());
-  match out with
-  | None -> ()
-  | Some path ->
-      let record =
-        Json.Obj
+(* The point as one self-describing record: the full config and host
+   it ran on, then its figures. *)
+let point_json run ~stages p =
+  let s = p.setting in
+  let opt f = function None -> Json.Null | Some x -> f x in
+  let t = p.tally in
+  Json.Obj
+    ([
+       ( "config",
+         Json.Obj
+           ((("topology", Json.Str (topology_name s.topology))
+            :: List.map (fun (name, v) -> (name, Json.int v)) (axis_values s))
+           @ [
+               ("pipeline", Json.int run.pipeline);
+               ("jobs", Json.int run.jobs);
+               ( "workload",
+                 Json.Str (if run.shops = None then "mixed" else "seed-then-resubmit") );
+               ("shops_per_connection", opt Json.int run.shops);
+               ("requests", Json.int run.requests);
+               ("seed", Json.int run.seed);
+             ]) );
+       ( "host",
+         Json.Obj
+           [
+             ("nproc", Json.int (Domain.recommended_domain_count ()));
+             ("ocaml", Json.Str Sys.ocaml_version);
+           ] );
+       ("completed", Json.int (Quantile.count p.latency));
+       ("duration_s", Json.Num p.duration);
+       ("requests_per_sec", Json.Num (rps p));
+       ("latency_ms", sketch_json p.latency);
+       ( "verdicts",
+         Json.Obj
+           [
+             ("admitted", Json.int t.admitted);
+             ("rejected", Json.int t.rejected);
+             ("undecided", Json.int t.undecided);
+             ("info", Json.int t.info);
+             ("dropped", Json.int t.dropped);
+             ("errors", Json.int t.errors);
+             ("overloaded", Json.int t.overloaded);
+           ] );
+       ( "cache",
+         opt
+           (fun ({ Cache.hits; misses; evictions; size } as c) ->
+             Json.Obj
+               [
+                 ("hits", Json.int hits);
+                 ("misses", Json.int misses);
+                 ("evictions", Json.int evictions);
+                 ("size", Json.int size);
+                 ("hit_rate", Json.Num (hit_rate c));
+               ])
+           p.cache_stats );
+       ( "keyer",
+         opt
+           (fun { Cache.Keyer.reused; rendered } ->
+             Json.Obj [ ("reused", Json.int reused); ("rendered", Json.int rendered) ])
+           p.keyer_stats );
+     ]
+    @ (match p.cluster with
+      | None -> []
+      | Some { Dispatcher.routed; unavailable; per_shard; registry_stats = r; _ } ->
           [
-            ( "workload",
+            ( "cluster",
               Json.Obj
                 [
-                  ("type", Json.Str "seed-then-resubmit");
-                  ("requests", Json.int requests);
-                  ("connections", Json.int connections);
-                  ("pipeline", Json.int pipeline);
-                  ("shops_per_connection", Json.int shops);
-                  ("seed", Json.int seed);
-                  ("cache_capacity", Json.int config.Batcher.cache_capacity);
-                  ("batch", Json.int config.Batcher.batch);
-                  ("jobs", Json.int jobs);
+                  ("shards", Json.int r.Registry.shards);
+                  ("live", Json.int r.live_shards);
+                  ("routed", Json.int routed);
+                  ("failovers", Json.int r.failovers);
+                  ("unavailable", Json.int unavailable);
+                  ( "balance",
+                    Json.Obj
+                      (List.map
+                         (fun sh -> (sh.Dispatcher.shard_id, Json.int sh.shard_routed))
+                         per_shard) );
                 ] );
-            ( "points",
-              Json.List
-                (List.map
-                   (fun p ->
-                     Json.Obj
-                       [
-                         ("shards", Json.int p.cp_shards);
-                         ("completed", Json.int p.cp_completed);
-                         ("duration_s", Json.Num p.cp_duration);
-                         ("requests_per_sec", Json.Num p.cp_rps);
-                         ("latency_p50_ms", Json.Num p.cp_p50_ms);
-                         ("latency_p99_ms", Json.Num p.cp_p99_ms);
-                         ("failovers", Json.int p.cp_info.ci_failovers);
-                         ("unavailable", Json.int p.cp_info.ci_unavailable);
-                         ( "balance",
-                           Json.Obj
-                             (List.map
-                                (fun (id, n) -> (id, Json.int n))
-                                p.cp_info.ci_balance) );
-                       ])
-                   points) );
-            ( "scaling",
-              match ratio with
-              | None -> Json.Null
-              | Some r ->
-                  Json.Obj
-                    [
-                      ("shards_min", Json.int (List.fold_left min max_int counts));
-                      ("shards_max", Json.int (List.fold_left max 0 counts));
-                      ("rps_ratio", Json.Num r);
-                    ] );
-            ( "upstream_sweep",
-              Json.List
-                (List.map
-                   (fun (k, p) ->
-                     Json.Obj
-                       [
-                         ("upstream_conns", Json.int k);
-                         ("shards", Json.int p.cp_shards);
-                         ("connections", Json.int connections);
-                         ("shops_per_connection", Json.int upstream_shops);
-                         ("completed", Json.int p.cp_completed);
-                         ("duration_s", Json.Num p.cp_duration);
-                         ("requests_per_sec", Json.Num p.cp_rps);
-                         ("latency_p50_ms", Json.Num p.cp_p50_ms);
-                         ("latency_p99_ms", Json.Num p.cp_p99_ms);
-                       ])
-                   upstream_points) );
-          ]
-      in
-      Out_channel.with_open_text path (fun oc ->
-          output_string oc (Json.to_string record);
-          output_char oc '\n');
-      Format.printf "wrote %s@." path
+          ])
+    @
+    match stages with
+    | [] -> []
+    | stages ->
+        [
+          ( "stage_latency_ms",
+            Json.Obj
+              (List.map (fun (stage, q) -> (stage, sketch_json ~count:true q)) stages) );
+        ])
+
+(* When exactly one axis varies across [points], the throughput ratio
+   from its smallest to its largest value. *)
+let print_scaling = function
+  | [] -> ()
+  | first :: _ as points -> (
+      let value name p = List.assoc name (axis_values p.setting) in
+      match
+        List.filter
+          (fun name -> List.exists (fun p -> value name p <> value name first) points)
+          (List.map fst (axis_values first.setting))
+      with
+      | [ name ] ->
+          let pick better =
+            List.fold_left
+              (fun a p -> if better (value name p) (value name a) then p else a)
+              first points
+          in
+          let lo = pick ( < ) and hi = pick ( > ) in
+          if rps lo > 0. then
+            Format.printf "scaling %s %d -> %d: %.2fx requests/s@." name (value name lo)
+              (value name hi)
+              (rps hi /. rps lo)
+      | _ -> ())
+
 
 (* ------------------------------------------------------------------ *)
 (* Failover check: 2 shards + dispatcher, kill one mid-burst, assert
@@ -782,13 +696,11 @@ let run_cluster_sweep ~counts ~upstream ~config ~connections ~pipeline ~shops ~r
    surviving shard, and a shard returning on the same address is
    re-admitted and routed to again.                                   *)
 
-let failover_check ~config ~window ~seed ~upstream_conns =
+let failover_check ~config ~seed ~upstream_conns =
   let cluster =
-    spawn_cluster ~nshards:2 ~config ~window ~probe_interval:0.2 ~client_slots:3
-      ~upstream_conns ()
+    spawn_cluster ~nshards:2 ~config ~probe_interval:0.2 ~client_slots:3 ~upstream_conns
   in
   let fail_reasons = ref [] in
-  let extra_shard = ref None in
   let fail fmt = Printf.ksprintf (fun s -> fail_reasons := s :: !fail_reasons) fmt in
   let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
   Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_loopback, cluster.cl_port));
@@ -928,8 +840,7 @@ let failover_check ~config ~window ~seed ~upstream_conns =
   let dead_port = (List.hd cluster.cl_shards).sh_port in
   let dead_id = Registry.id_of ~host:"127.0.0.1" ~port:dead_port in
   Domain.join (List.hd cluster.cl_shards).sh_domain;
-  let reborn = spawn_shard ~config ~accept_pool:3 ~window ~port:dead_port () in
-  extra_shard := Some reborn;
+  let reborn = spawn_shard ~config ~accept_pool:3 ~port:dead_port () in
   let deadline = Unix.gettimeofday () +. 15.0 in
   let live () =
     List.exists
@@ -959,19 +870,9 @@ let failover_check ~config ~window ~seed ~upstream_conns =
   end;
   (try Wire.write_all fd "quit\n" with Unix.Unix_error _ -> ());
   (try Unix.close fd with Unix.Unix_error _ -> ());
-  (match !extra_shard with
-  | Some s ->
-      Wire.shutdown s.sh_control;
-      Domain.join s.sh_domain
-  | None -> ());
-  (* The killed shard's domain is already joined; stop_cluster joins
-     the rest and shuts the dispatcher down. *)
-  Dispatcher.shutdown cluster.cl_t;
-  Domain.join cluster.cl_domain;
-  List.iter
-    (fun s -> Wire.shutdown s.sh_control)
-    (List.tl cluster.cl_shards);
-  List.iter (fun s -> Domain.join s.sh_domain) (List.tl cluster.cl_shards);
+  (* The killed shard's domain is already joined; the reborn shard
+     takes its place in the teardown. *)
+  stop_cluster { cluster with cl_shards = reborn :: List.tl cluster.cl_shards };
   match List.rev !fail_reasons with
   | [] ->
       Format.printf
@@ -982,179 +883,14 @@ let failover_check ~config ~window ~seed ~upstream_conns =
       List.iter (fun r -> Format.printf "failover-check: FAIL %s@." r) reasons;
       false
 
-(* ------------------------------------------------------------------ *)
-(* Reporting                                                          *)
-
-let report ?(extra = []) ~out ~requests ~jobs ~config ~transport ~connections ~duration
-    ~latency ~tally ~cache_stats ~keyer_stats ~stages ~sweep ~sat () =
-  let ms x = x *. 1000. in
-  let p q = ms (Quantile.quantile latency q) in
-  let completed = Quantile.count latency in
-  let rps = if duration > 0. then float_of_int completed /. duration else 0. in
-  let hit_rate hits misses =
-    let total = hits + misses in
-    if total = 0 then 0. else float_of_int hits /. float_of_int total
-  in
-  Format.printf "requests      %d (%d completed, %d overloaded)@." requests completed
-    tally.overloaded;
-  Format.printf "duration      %.3fs  (%.0f requests/s)@." duration rps;
-  Format.printf "latency (ms)  p50=%.3f p95=%.3f p99=%.3f max=%.3f@." (p 0.50) (p 0.95)
-    (p 0.99)
-    (ms (Quantile.max_value latency));
-  List.iter
-    (fun (stage, q) ->
-      Format.printf "stage %-13s p50=%.3f p95=%.3f p99=%.3f max=%.3f@."
-        (stage ^ " (ms)")
-        (ms (Quantile.quantile q 0.50))
-        (ms (Quantile.quantile q 0.95))
-        (ms (Quantile.quantile q 0.99))
-        (ms (Quantile.max_value q)))
-    stages;
-  Format.printf "verdicts      admitted=%d rejected=%d undecided=%d info=%d dropped=%d \
-                 errors=%d@."
-    tally.admitted tally.rejected tally.undecided tally.info tally.dropped tally.errors;
-  (match cache_stats with
-  | None -> Format.printf "cache         off or remote@."
-  | Some { Cache.hits; misses; evictions; size } ->
-      Format.printf "cache         hits=%d misses=%d evictions=%d size=%d hit_rate=%.3f@."
-        hits misses evictions size (hit_rate hits misses));
-  (match keyer_stats with
-  | None -> ()
-  | Some { Cache.Keyer.reused; rendered } ->
-      Format.printf "keyer         reused=%d rendered=%d@." reused rendered);
-  List.iter
-    (fun (capacity, { Cache.hits; misses; evictions; _ }) ->
-      Format.printf "sweep cap=%-6d hits=%d misses=%d evictions=%d hit_rate=%.3f@." capacity
-        hits misses evictions (hit_rate hits misses))
-    sweep;
-  List.iter
-    (fun s ->
-      Format.printf
-        "sat   conns=%-3d batch=%-4d drainers=%-2d %6.0f req/s  p50=%.3fms p99=%.3fms \
-         (%d in %.3fs)@."
-        s.sat_connections s.sat_batch s.sat_drainers s.sat_rps s.sat_p50_ms s.sat_p99_ms
-        s.sat_completed s.sat_duration)
-    sat;
-  match out with
-  | None -> ()
-  | Some path ->
-      let cache_json =
-        match cache_stats with
-        | None -> Json.Null
-        | Some { Cache.hits; misses; evictions; size } ->
-            Json.Obj
-              [
-                ("hits", Json.Num (float_of_int hits));
-                ("misses", Json.Num (float_of_int misses));
-                ("evictions", Json.Num (float_of_int evictions));
-                ("size", Json.Num (float_of_int size));
-                ("hit_rate", Json.Num (hit_rate hits misses));
-              ]
-      in
-      let record =
-        Json.Obj
-          ([
-            ("requests", Json.Num (float_of_int requests));
-            ("completed", Json.Num (float_of_int completed));
-            ("overloaded", Json.Num (float_of_int tally.overloaded));
-            ("duration_s", Json.Num duration);
-            ("requests_per_sec", Json.Num rps);
-            ( "latency_ms",
-              Json.Obj
-                [
-                  ("p50", Json.Num (p 0.50));
-                  ("p95", Json.Num (p 0.95));
-                  ("p99", Json.Num (p 0.99));
-                  ("max", Json.Num (ms (Quantile.max_value latency)));
-                ] );
-            ( "stage_latency_ms",
-              Json.Obj
-                (List.map
-                   (fun (stage, q) ->
-                     ( stage,
-                       Json.Obj
-                         [
-                           ("p50", Json.Num (ms (Quantile.quantile q 0.50)));
-                           ("p95", Json.Num (ms (Quantile.quantile q 0.95)));
-                           ("p99", Json.Num (ms (Quantile.quantile q 0.99)));
-                           ("max", Json.Num (ms (Quantile.max_value q)));
-                           ("count", Json.int (Quantile.count q));
-                         ] ))
-                   stages) );
-            ( "verdicts",
-              Json.Obj
-                [
-                  ("admitted", Json.Num (float_of_int tally.admitted));
-                  ("rejected", Json.Num (float_of_int tally.rejected));
-                  ("undecided", Json.Num (float_of_int tally.undecided));
-                  ("info", Json.Num (float_of_int tally.info));
-                  ("dropped", Json.Num (float_of_int tally.dropped));
-                  ("errors", Json.Num (float_of_int tally.errors));
-                ] );
-            ("cache", cache_json);
-            ( "keyer",
-              match keyer_stats with
-              | None -> Json.Null
-              | Some { Cache.Keyer.reused; rendered } ->
-                  Json.Obj
-                    [
-                      ("reused", Json.Num (float_of_int reused));
-                      ("rendered", Json.Num (float_of_int rendered));
-                    ] );
-            ( "cache_sweep",
-              Json.List
-                (List.map
-                   (fun (capacity, { Cache.hits; misses; evictions; _ }) ->
-                     Json.Obj
-                       [
-                         ("capacity", Json.Num (float_of_int capacity));
-                         ("hits", Json.Num (float_of_int hits));
-                         ("misses", Json.Num (float_of_int misses));
-                         ("evictions", Json.Num (float_of_int evictions));
-                         ("hit_rate", Json.Num (hit_rate hits misses));
-                       ])
-                   sweep) );
-            ( "saturation_sweep",
-              Json.List
-                (List.map
-                   (fun s ->
-                     Json.Obj
-                       [
-                         ("connections", Json.Num (float_of_int s.sat_connections));
-                         ("batch", Json.Num (float_of_int s.sat_batch));
-                         ("drainers", Json.int s.sat_drainers);
-                         ("workload", Json.Str s.sat_workload);
-                         ("cache_capacity", Json.int s.sat_cache);
-                         ("shops_per_connection", Json.int s.sat_shops);
-                         ("completed", Json.Num (float_of_int s.sat_completed));
-                         ("duration_s", Json.Num s.sat_duration);
-                         ("requests_per_sec", Json.Num s.sat_rps);
-                         ("latency_p50_ms", Json.Num s.sat_p50_ms);
-                         ("latency_p99_ms", Json.Num s.sat_p99_ms);
-                       ])
-                   sat) );
-            ( "config",
-              Json.Obj
-                [
-                  ("transport", Json.Str transport);
-                  ("connections", Json.Num (float_of_int connections));
-                  ("jobs", Json.Num (float_of_int jobs));
-                  ("batch", Json.Num (float_of_int config.Batcher.batch));
-                  ("queue", Json.Num (float_of_int config.Batcher.queue_capacity));
-                  ("cache_capacity", Json.Num (float_of_int config.Batcher.cache_capacity));
-                ] );
-          ]
-          @ extra)
-      in
-      Out_channel.with_open_text path (fun oc ->
-          output_string oc (Json.to_string record);
-          output_char oc '\n');
-      Format.printf "wrote %s@." path
 
 (* ------------------------------------------------------------------ *)
+
+let ints_arg names ~default ~docv doc =
+  Arg.(value & opt (list int) [ default ] & info names ~docv ~doc)
 
 let requests_arg =
-  let doc = "Number of requests in the stream." in
+  let doc = "Number of requests in the stream (split over the connections)." in
   Arg.(value & opt int 1000 & info [ "requests" ] ~docv:"N" ~doc)
 
 let seed_arg =
@@ -1162,29 +898,18 @@ let seed_arg =
   Arg.(value & opt int 42 & info [ "seed" ] ~docv:"SEED" ~doc)
 
 let jobs_arg =
-  let doc = "Worker domains for the in-process engine's batch solves." in
+  let doc = "Worker domains for the engine's batch solves." in
   Arg.(value & opt (some int) None & info [ "j"; "jobs" ] ~docv:"N" ~doc)
 
 let batch_arg =
-  let doc = "Batch size of the in-process engine." in
-  Arg.(value & opt int Batcher.default_config.Batcher.batch & info [ "batch" ] ~docv:"N" ~doc)
-
-let queue_arg =
-  let doc = "Queue bound of the in-process engine." in
-  Arg.(value & opt int Batcher.default_config.Batcher.queue_capacity
-       & info [ "queue" ] ~docv:"N" ~doc)
+  ints_arg [ "batch" ] ~default:Batcher.default_config.Batcher.batch ~docv:"N,..."
+    "Batch size of the engine (a comma list measures each)."
 
 let cache_arg =
-  let doc = "Solver-cache capacity of the in-process engine (0 = off)." in
-  Arg.(value & opt int Batcher.default_config.Batcher.cache_capacity
-       & info [ "cache"; "cache-capacity" ] ~docv:"N" ~doc)
-
-let sweep_arg =
-  let doc =
-    "Replay the same stream once per capacity in the comma-separated list and record each \
-     run's cache statistics alongside the main run (in-process only)."
-  in
-  Arg.(value & opt (some (list int)) None & info [ "cache-sweep" ] ~docv:"N,N,..." ~doc)
+  ints_arg [ "cache"; "cache-capacity" ]
+    ~default:Batcher.default_config.Batcher.cache_capacity ~docv:"N,..."
+    "Solver-cache capacity of the engine, per stripe or shard (0 = off; a comma list \
+     measures each)."
 
 let self_serve_arg =
   let doc =
@@ -1195,80 +920,58 @@ let self_serve_arg =
   Arg.(value & flag & info [ "self-serve" ] ~doc)
 
 let connections_arg =
-  let doc =
-    "Parallel client connections for the TCP modes; each replays an independent stream on a \
-     disjoint shop namespace (a single connection replays the classic stream)."
-  in
-  Arg.(value & opt int 1 & info [ "connections" ] ~docv:"C" ~doc)
+  ints_arg [ "connections" ] ~default:1 ~docv:"C,..."
+    "Parallel client connections for the TCP topologies; each replays an independent \
+     stream on a disjoint shop namespace (a single connection replays the classic \
+     stream).  A comma list measures each."
 
 let pipeline_arg =
   let doc = "Requests each client keeps in flight (the closed-loop pipelining window)." in
   Arg.(value & opt int 8 & info [ "pipeline" ] ~docv:"W" ~doc)
 
-let accept_pool_arg =
-  let doc = "Reader domains of the embedded --self-serve server." in
-  Arg.(value & opt int 4 & info [ "accept-pool" ] ~docv:"N" ~doc)
-
-let window_arg =
-  let doc = "Per-connection reply window of the embedded --self-serve server." in
-  Arg.(value & opt int 64 & info [ "window" ] ~docv:"N" ~doc)
-
 let drainers_arg =
-  let doc =
+  ints_arg [ "drainers" ] ~default:1 ~docv:"D,..."
     "Drainer stripes of the embedded --self-serve server (the queue is sharded by shop; \
      one drainer domain per stripe).  Per-connection reply logs are byte-identical at \
-     every value."
-  in
-  Arg.(value & opt int 1 & info [ "drainers" ] ~docv:"N" ~doc)
-
-let drainer_sweep_arg =
-  let doc =
-    "Drainer-stripe scaling sweep: one embedded-server run of the seed-then-resubmit \
-     workload (--cluster-shops shops per connection, --cache per-stripe capacity) per \
-     stripe count in the comma-separated list, recorded alongside saturation_sweep in the \
-     JSON report."
-  in
-  Arg.(value & opt (some (list int)) None & info [ "drainer-sweep" ] ~docv:"D,D,..." ~doc)
-
-let upstream_sweep_arg =
-  let doc =
-    "Upstream-lane scaling sweep (cluster bench): a fresh 1-shard cluster per lane count \
-     in the comma-separated list on a cache-resident workload, recorded as upstream_sweep \
-     in the cluster JSON report.  Combine with --cluster-sweep to write both curves."
-  in
-  Arg.(value & opt (some (list int)) None & info [ "upstream-sweep" ] ~docv:"K,K,..." ~doc)
+     every value.  A comma list measures each."
 
 let upstream_conns_arg =
-  let doc = "Pipelined upstream connections per shard of the in-process dispatcher modes." in
-  Arg.(value & opt int 1 & info [ "upstream-conns" ] ~docv:"K" ~doc)
+  ints_arg [ "upstream-conns" ] ~default:1 ~docv:"K,..."
+    "Pipelined upstream connections per shard of the --spawn-shards dispatcher (a comma \
+     list measures each)."
+
+let spawn_shards_arg =
+  let doc =
+    "Start $(docv) in-process shards (each a full TCP e2e-serve) behind an in-process \
+     dispatcher on ephemeral ports and replay against the dispatcher: the whole-cluster \
+     measurement (engine config flags apply to every shard).  A comma list measures a \
+     fresh cluster per count."
+  in
+  Arg.(value & opt (some (list int)) None & info [ "spawn-shards" ] ~docv:"N,..." ~doc)
+
+let resubmit_shops_arg =
+  let doc =
+    "Replay the seed-then-resubmit workload instead of the mixed stream: each connection \
+     seeds $(docv) shops, then drops and resubmits random ones with permuted instances \
+     (a working set of connections x $(docv) canonical entries against --cache)."
+  in
+  Arg.(value & opt (some int) None & info [ "resubmit-shops" ] ~docv:"K" ~doc)
 
 let reply_log_arg =
   let doc =
-    "Write each connection's received lines to $(docv).conn<k> (TCP modes) — the \
-     per-connection determinism artifacts `make check` byte-compares across -j values."
+    "Write each connection's received lines to $(docv).conn<k> (TCP topologies, one point \
+     only) — the per-connection determinism artifacts `make check` byte-compares."
   in
   Arg.(value & opt (some string) None & info [ "reply-log" ] ~docv:"PREFIX" ~doc)
 
-let sat_conns_arg =
-  let doc =
-    "Saturation sweep: measure --self-serve throughput at each connection count in the \
-     comma-separated list (crossed with --sat-batch), recorded as saturation_sweep in the \
-     JSON report."
-  in
-  Arg.(value & opt (some (list int)) None & info [ "sat-connections" ] ~docv:"C,C,..." ~doc)
-
-let sat_batch_arg =
-  let doc = "Batch sizes the saturation sweep crosses with --sat-connections." in
-  Arg.(value & opt (some (list int)) None & info [ "sat-batch" ] ~docv:"B,B,..." ~doc)
-
 let out_arg =
-  let doc = "Write the run summary as one JSON object to $(docv)." in
+  let doc = "Append one JSONL record per measured point to $(docv)." in
   Arg.(value & opt (some string) None & info [ "out" ] ~docv:"FILE" ~doc)
 
 let trace_arg =
   let doc =
     "Write one JSONL request-trace record per pipeline stage per request to $(docv) \
-     (analyse with e2e-trace; in-process replay only)."
+     (analyse with e2e-trace; in-process replay of one point only)."
   in
   Arg.(value & opt (some string) None & info [ "trace" ] ~docv:"FILE" ~doc)
 
@@ -1281,27 +984,6 @@ let det_clock_arg =
   in
   Arg.(value & flag & info [ "det-clock" ] ~doc)
 
-let spawn_shards_arg =
-  let doc =
-    "Start $(docv) in-process shards (each a full TCP e2e-serve) behind an in-process \
-     dispatcher on ephemeral ports and replay against the dispatcher: the whole-cluster \
-     measurement (engine config flags apply to every shard)."
-  in
-  Arg.(value & opt (some int) None & info [ "spawn-shards" ] ~docv:"N" ~doc)
-
-let cluster_sweep_arg =
-  let doc =
-    "Shard-count scaling sweep: spin up a fresh cluster per count in the comma-separated \
-     list, replay the seed-then-query workload, and record throughput, balance and \
-     failover counters per point (`make bench-cluster` writes BENCH_cluster.json this \
-     way)."
-  in
-  Arg.(value & opt (some (list int)) None & info [ "cluster-sweep" ] ~docv:"N,N,..." ~doc)
-
-let cluster_shops_arg =
-  let doc = "Shops each connection submits before the query phase of the cluster sweep." in
-  Arg.(value & opt int 8 & info [ "cluster-shops" ] ~docv:"K" ~doc)
-
 let failover_arg =
   let doc =
     "Run the cluster failover check: 2 in-process shards behind a dispatcher, kill one \
@@ -1311,9 +993,8 @@ let failover_arg =
   in
   Arg.(value & flag & info [ "failover-check" ] ~doc)
 
-(* Stage sketches accumulated by Rtrace.finish during the main run, in
-   pipeline order, with the end-to-end sketch last.  Captured before the
-   sweep replays so their observations don't pollute the report. *)
+(* Stage sketches accumulated by Rtrace.finish during an instrumented
+   in-process run, in pipeline order, with the end-to-end sketch last. *)
 let capture_stages () =
   let sk = Obs.sketches () in
   let find name = List.assoc_opt name sk in
@@ -1322,51 +1003,63 @@ let capture_stages () =
     (Array.to_list Rtrace.stages)
   @ (match find "serve.e2e" with Some q -> [ ("e2e", q) ] | None -> [])
 
-let run requests seed jobs batch queue cache sweep self_serve connections pipeline
-    accept_pool window drainers drainer_sweep upstream_sweep upstream_conns reply_log
-    sat_conns sat_batch out trace det_clock spawn_shards cluster_sweep cluster_shops failover =
-  let jobs = Pool.resolve_jobs jobs in
-  let config =
-    { Batcher.queue_capacity = queue; batch; budget = Admission.Unbounded; jobs;
-      cache_capacity = cache }
+let usage msg =
+  prerr_endline ("e2e-loadgen: " ^ msg);
+  exit 2
+
+let main requests seed jobs batches caches self_serve connections pipeline drainers lanes
+    spawn_shards shops reply_log out trace det_clock failover =
+  let run = { requests; seed; jobs = Pool.resolve_jobs jobs; pipeline; shops } in
+  if self_serve && spawn_shards <> None then
+    usage "--self-serve and --spawn-shards are mutually exclusive";
+  let lists =
+    [ ("--cache", 0, caches); ("--batch", 1, batches); ("--connections", 1, connections);
+      ("--drainers", 1, drainers); ("--upstream-conns", 1, lanes);
+      ("--spawn-shards", 1, Option.value ~default:[] spawn_shards) ]
   in
-  let tcp_mode = self_serve || spawn_shards <> None in
-  if self_serve && spawn_shards <> None then begin
-    prerr_endline "e2e-loadgen: --self-serve and --spawn-shards are mutually exclusive";
-    exit 2
-  end;
-  if drainers < 1 then begin
-    prerr_endline "e2e-loadgen: --drainers must be >= 1";
-    exit 2
-  end;
-  if upstream_conns < 1 then begin
-    prerr_endline "e2e-loadgen: --upstream-conns must be >= 1";
-    exit 2
-  end;
-  if (failover || cluster_sweep <> None || upstream_sweep <> None) && tcp_mode then begin
-    prerr_endline
-      "e2e-loadgen: --failover-check, --cluster-sweep and --upstream-sweep spawn their \
-       own clusters";
-    exit 2
-  end;
-  if failover then
-    exit (if failover_check ~config ~window ~seed ~upstream_conns then 0 else 1);
-  (match (cluster_sweep, upstream_sweep) with
-  | None, None -> ()
-  | counts, upstream ->
-      run_cluster_sweep
-        ~counts:(Option.value ~default:[] counts)
-        ~upstream:(Option.value ~default:[] upstream)
-        ~config ~connections ~pipeline ~shops:cluster_shops ~requests ~seed ~window ~jobs
-        ~out;
-      exit 0);
-  if reply_log <> None && not tcp_mode then begin
-    prerr_endline "e2e-loadgen: --reply-log requires a TCP mode";
-    exit 2
-  end;
-  let transport =
-    if self_serve then "self-tcp" else if spawn_shards <> None then "cluster-self" else "inproc"
+  List.iter
+    (fun (flag, lo, values) ->
+      if List.exists (fun v -> v < lo) values then
+        usage (Printf.sprintf "%s must be >= %d" flag lo))
+    lists;
+  let single = List.for_all (fun (_, _, values) -> List.length values <= 1) lists in
+  let kind =
+    match spawn_shards with
+    | Some counts -> `Cluster counts
+    | None -> if self_serve then `Server else `Inproc
   in
+  let settings =
+    let ( let* ) l f = List.concat_map f l in
+    let* cache = caches in
+    let* connections = if kind = `Inproc then [ 1 ] else connections in
+    let* batch = batches in
+    let* topology =
+      match kind with
+      | `Inproc -> [ Inproc ]
+      | `Server -> List.map (fun drainers -> Server { drainers }) drainers
+      | `Cluster counts ->
+          let* shards = counts in
+          List.map (fun lanes -> Cluster { shards; lanes }) lanes
+    in
+    [ { topology; connections; batch; cache } ]
+  in
+  List.iter
+    (fun (set, flag) ->
+      if set && not single then
+        usage (flag ^ " measures one point: give each list flag one value"))
+    [ (reply_log <> None, "--reply-log"); (trace <> None, "--trace");
+      (failover, "--failover-check") ];
+  if failover then begin
+    if kind <> `Inproc then usage "--failover-check spawns its own cluster";
+    let s = List.hd settings in
+    exit
+      (if failover_check ~config:(engine_config run s) ~seed ~upstream_conns:(List.hd lanes)
+       then 0
+       else 1)
+  end;
+  if reply_log <> None && kind = `Inproc then usage "--reply-log requires a TCP topology";
+  if trace <> None && kind <> `Inproc then
+    usage "--trace requires the in-process engine (no --self-serve or --spawn-shards)";
   if det_clock then begin
     (* Dyadic step: every reading is an exact float, so durations and
        their sums are exact and the trace is byte-reproducible. *)
@@ -1377,130 +1070,70 @@ let run requests seed jobs batch queue cache sweep self_serve connections pipeli
   end;
   (* Telemetry passes: a traced or deterministic-clock run is
      instrumented throughout (the stage histograms are its point); a
-     plain benchmark run measures with the registry off — the
-     transport's real configuration — and, when a JSON report is
-     requested, replays once more instrumented to attribute stage
-     costs. *)
-  let instrumented = (trace <> None || det_clock) && not tcp_mode in
-  if instrumented then begin
-    Obs.set_stats true;
-    Obs.reset_metrics ()
-  end;
+     plain run measures with the registry off — the transport's real
+     configuration — and, when a JSON record is requested of an
+     in-process point, replays once more instrumented to attribute
+     stage costs. *)
+  let instrumented = (trace <> None || det_clock) && kind = `Inproc in
   let trace_oc =
-    match (trace, tcp_mode) with
-    | Some path, false ->
+    Option.map
+      (fun path ->
         let oc = Out_channel.open_text path in
         Rtrace.set_writer
           (Some
              (fun line ->
                Out_channel.output_string oc line;
                Out_channel.output_char oc '\n'));
-        Some (path, oc)
-    | Some _, true ->
-        prerr_endline
-          "e2e-loadgen: --trace requires the in-process engine (no --self-serve or \
-           --spawn-shards)";
-        exit 2
-    | None, _ -> None
+        (path, oc))
+      trace
   in
-  let (duration, latency, tally, cache_stats, keyer_stats), info =
-    if self_serve then
-      ( run_self
-          ~streams:(client_streams ~connections ~seed ~requests)
-          ~config ~accept_pool ~window ~drainers ~pipeline ~reply_log,
-        None )
-    else
-      match spawn_shards with
-      | Some n ->
-          let cl =
-            spawn_cluster ~nshards:(max 1 n) ~config ~window ~probe_interval:0.5
-              ~client_slots:(connections + 2) ~upstream_conns ()
-          in
-          let streams = client_streams ~connections ~seed ~requests in
-          let duration, results = run_clients ~port:cl.cl_port ~streams ~pipeline in
-          write_reply_logs reply_log results;
-          let info = cluster_info_of_stats (Dispatcher.stats cl.cl_t) in
-          stop_cluster cl;
-          let latency, tally = merge_client_results results in
-          ((duration, latency, tally, None, None), Some info)
-      | None -> (run_inproc ~stream:(gen_stream ~seed ~requests ()) ~config, None)
+  let points =
+    List.map
+      (fun s ->
+        Obs.set_stats instrumented;
+        Obs.reset_metrics ();
+        let p = measure ?reply_log run s in
+        let stages =
+          if instrumented then capture_stages ()
+          else if out <> None && s.topology = Inproc then begin
+            (* The headline duration stays the uninstrumented pass's. *)
+            Obs.set_stats true;
+            Obs.reset_metrics ();
+            ignore (measure run s);
+            capture_stages ()
+          end
+          else []
+        in
+        print_point ~stages p;
+        Option.iter
+          (fun path ->
+            Out_channel.with_open_gen [ Open_append; Open_creat; Open_text ] 0o644 path
+              (fun oc ->
+                output_string oc (Json.to_string (point_json run ~stages p));
+                output_char oc '\n'))
+          out;
+        p)
+      settings
   in
-  (match trace_oc with
-  | None -> ()
-  | Some (path, oc) ->
+  Option.iter
+    (fun (path, oc) ->
       Rtrace.set_writer None;
       Out_channel.close oc;
-      Format.printf "wrote %s@." path);
-  let stages =
-    if instrumented then capture_stages ()
-    else if out <> None && not tcp_mode then begin
-      (* Second, instrumented pass purely for the stage attribution in
-         the JSON report; the headline duration stays the
-         uninstrumented run's. *)
-      Obs.set_stats true;
-      Obs.reset_metrics ();
-      ignore (run_inproc ~stream:(gen_stream ~seed ~requests ()) ~config);
-      capture_stages ()
-    end
-    else []
-  in
-  let sweep =
-    match (sweep, tcp_mode) with
-    | None, _ | _, true -> []
-    | Some capacities, false ->
-        let stream = gen_stream ~seed ~requests () in
-        List.filter_map
-          (fun capacity ->
-            let config = { config with Batcher.cache_capacity = capacity } in
-            let _, _, _, stats, _ = run_inproc ~stream ~config in
-            Option.map (fun s -> (capacity, s)) stats)
-          capacities
-  in
-  let sat =
-    match sat_conns with
-    | None -> []
-    | Some conns ->
-        if tcp_mode then begin
-          prerr_endline "e2e-loadgen: the saturation sweep runs its own embedded servers";
-          exit 2
-        end;
-        (* The sweep measures the transport at its native configuration:
-           registry off, like the headline pass. *)
-        Obs.set_stats false;
-        let batches = match sat_batch with None -> [ config.Batcher.batch ] | Some l -> l in
-        let points = List.concat_map (fun c -> List.map (fun b -> (c, b)) batches) conns in
-        run_sat_sweep ~seed ~requests ~config ~pipeline ~window points
-  in
-  let sat =
-    sat
-    @
-    match drainer_sweep with
-    | None -> []
-    | Some counts ->
-        if tcp_mode then begin
-          prerr_endline "e2e-loadgen: the drainer sweep runs its own embedded servers";
-          exit 2
-        end;
-        Obs.set_stats false;
-        run_drainer_sweep ~counts ~config ~connections ~pipeline ~shops:cluster_shops
-          ~requests ~seed ~window
-  in
-  let connections = if tcp_mode then connections else 1 in
-  Option.iter print_cluster_info info;
-  let extra = match info with None -> [] | Some ci -> [ ("cluster", cluster_json ci) ] in
-  report ~extra ~out ~requests ~jobs ~config ~transport ~connections ~duration ~latency
-    ~tally ~cache_stats ~keyer_stats ~stages ~sweep ~sat ()
+      Format.printf "wrote %s@." path)
+    trace_oc;
+  print_scaling points;
+  Option.iter
+    (fun path -> Format.printf "appended %d point(s) to %s@." (List.length points) path)
+    out
 
 let () =
   let doc = "Load generator for the e2e-serve admission service" in
   let info = Cmd.info "e2e-loadgen" ~version:"1.0.0" ~doc in
   let term =
     Term.(
-      const run $ requests_arg $ seed_arg $ jobs_arg $ batch_arg $ queue_arg $ cache_arg
-      $ sweep_arg $ self_serve_arg $ connections_arg $ pipeline_arg $ accept_pool_arg
-      $ window_arg $ drainers_arg $ drainer_sweep_arg $ upstream_sweep_arg
-      $ upstream_conns_arg $ reply_log_arg $ sat_conns_arg $ sat_batch_arg $ out_arg
-      $ trace_arg $ det_clock_arg $ spawn_shards_arg $ cluster_sweep_arg
-      $ cluster_shops_arg $ failover_arg)
+      const main $ requests_arg $ seed_arg $ jobs_arg $ batch_arg $ cache_arg
+      $ self_serve_arg $ connections_arg $ pipeline_arg $ drainers_arg $ upstream_conns_arg
+      $ spawn_shards_arg $ resubmit_shops_arg $ reply_log_arg $ out_arg $ trace_arg
+      $ det_clock_arg $ failover_arg)
   in
   exit (Cmd.eval (Cmd.v info term))

@@ -58,8 +58,8 @@ val default_config : config
 (** [{ queue_capacity = 1024; batch = 16; budget = Unbounded; jobs = 1;
       cache_capacity = 4096 }] — the cache is sized to cover the
     working set of a loadgen-scale request stream (a few thousand
-    distinct canonical keys); see the capacity sweep in
-    [BENCH_serve.json]. *)
+    distinct canonical keys); see the in-process points at capacities
+    128, 512 and 4096 in [BENCH_serve.json]. *)
 
 val create : ?config:config -> ?id_offset:int -> ?id_stride:int -> unit -> t
 (** A fresh batcher over an empty {!Admission.empty} engine.

@@ -71,7 +71,14 @@ let simulate_ranked ~horizon ~rank tasks =
         ignore top (* overload: leave the rest as unfinished *)
     | Some top, arrivals ->
         let next_arr = match arrivals with [] -> infinity | a :: _ -> a.ready_at in
-        let finish_at = t +. top.remaining in
+        (* [remaining] is an accumulated float: a completion that
+           coincides with an arrival up to that drift completes first,
+           as it would in exact arithmetic. *)
+        let finish_at =
+          let f = t +. top.remaining in
+          if f > next_arr && f -. next_arr <= 1e-9 *. Float.max 1.0 next_arr then next_arr
+          else f
+        in
         if finish_at <= next_arr then begin
           ignore (Heap.pop pending);
           let c = { task = top.spec.id; index = top.k; ready = top.ready_at; finish = finish_at } in

@@ -183,6 +183,23 @@ let test_busy_period_carry_in () =
   let result = Rm_sim.simulate ~horizon:40.0 tasks in
   Alcotest.(check (float 1e-9)) "simulation attains 5.3" 5.3 result.Rm_sim.max_response.(1)
 
+let test_completion_ties_arrival () =
+  (* C = (67/50, 1682/25), T = (39/4, 643/4): J2's exact RTA bound is 78,
+     the instant of J1's ninth release.  The simulator accumulates J2's
+     remaining demand as a float, so its completion lands a drift above
+     that arrival; it must still complete first, not be preempted to
+     79.34. *)
+  let c1 = Rat.make 67 50 and c2 = Rat.make 1682 25 in
+  let t1 = Rat.make 39 4 and t2 = Rat.make 643 4 in
+  let sys = Periodic_shop.of_params [| (t1, [| c1 |]); (t2, [| c2 |]) |] in
+  (match Response_time.per_processor sys ~processor:0 with
+  | Error _ -> Alcotest.fail "bounded (u < 1)"
+  | Ok bounds -> check_rat "R2 = 78" (Rat.of_int 78) bounds.(1));
+  let spec t c = (0.0, Rat.to_float t, Rat.to_float c) in
+  let tasks = Rm_sim.rm_priorities [| spec t1 c1; spec t2 c2 |] in
+  let result = Rm_sim.simulate ~horizon:(4.0 *. Rat.to_float t2) tasks in
+  Alcotest.(check (float 1e-6)) "simulation attains 78" 78.0 result.Rm_sim.max_response.(1)
+
 let test_busy_period_full_and_over_utilization () =
   (* At u = 1 exactly the level-2 busy period closes at the hyperperiod:
      the bound is finite (5.5, matching the simulated miss depth of the
@@ -244,4 +261,5 @@ let suite =
       test_busy_period_full_and_over_utilization;
     Alcotest.test_case "RTA: table 5 fits the period" `Quick test_rta_table5_within_period;
     Alcotest.test_case "non-permutation witness" `Quick test_non_permutation_witness;
+    Alcotest.test_case "completion tied with an arrival" `Quick test_completion_ties_arrival;
   ]
