@@ -26,7 +26,7 @@ JOBS ?= 4
 # configuration (sizes 10 and 100 only).
 BENCH_TRIALS ?= full
 
-.PHONY: all build test bench bench-par bench-serve bench-core bench-cluster \
+.PHONY: all build test bench-serve bench-core bench-cluster \
   fuzz-smoke fuzz-inc serve-smoke serve-conc-smoke cluster-smoke trace-smoke sweep-smoke \
   check clean
 
@@ -37,14 +37,6 @@ build:
 
 test:
 	dune runtest
-
-bench:
-	dune exec bench/main.exe
-
-# Sequential-vs-parallel wall-clock on the fig9/fig10 Monte Carlo
-# sweeps, written to BENCH_parallel.json (speedup > 1 needs real cores).
-bench-par:
-	dune exec bench/main.exe -- --parallel BENCH_parallel.json --jobs $(JOBS)
 
 # Fixed-seed load-generator points over the admission service, rebuilt
 # from scratch as JSONL in BENCH_serve.json (one self-describing record
@@ -66,10 +58,13 @@ bench-serve:
 	  --resubmit-shops 96
 	dune exec bin/jsonl_check.exe -- --bench BENCH_serve.json
 
-# Tracked hot-path micro-benchmarks: the indexed single-machine engine
+# The one core benchmark suite, written to tracked BENCH_core.json with
+# the host and commit it ran on: the indexed single-machine engine
 # against the retained scan-based reference (the speedup ratio is part
-# of the output), Algorithms A and H, and the admission request path,
-# written to BENCH_core.json.
+# of the output), Algorithms A and H, the admission request path,
+# incremental churn, one fixed-size row per paper artifact, ablation,
+# baseline and extension, and (full mode only) the fig9/fig10 Monte
+# Carlo sweeps on 1 domain and on every recommended domain.
 bench-core:
 	dune exec bench/core_bench.exe -- --trials $(BENCH_TRIALS) \
 	  --out BENCH_core.json
@@ -214,7 +209,9 @@ fuzz-inc:
 # be byte-identical, and metrics collected under -j 4 must still be
 # well-formed JSONL), the differential fuzzer, the admission service
 # and cluster smokes, the loadgen sweep path, and both tracked loadgen
-# benchmark files (every point a valid `jsonl_check --bench` record).
+# benchmark files (every point a valid `jsonl_check --bench` record),
+# then check that `jsonl_check --bench` rejects a point whose host has
+# no commit (test/bench_point_no_commit.jsonl).
 check:
 	dune build
 	dune runtest
@@ -236,6 +233,7 @@ check:
 	dune exec bench/core_bench.exe -- --trials small --out $(CORE_SMOKE)
 	dune exec bin/jsonl_check.exe $(CORE_SMOKE)
 	dune exec bin/jsonl_check.exe -- --bench BENCH_serve.json BENCH_cluster.json
+	! dune exec bin/jsonl_check.exe -- --bench test/bench_point_no_commit.jsonl
 
 clean:
 	dune clean
@@ -243,4 +241,4 @@ clean:
 	  $(SERVE_A) $(SERVE_B) $(CONC_A).conn* $(CONC_B).conn* $(CONC_D).conn* \
 	  $(CORE_SMOKE) $(CLUS_A).conn* $(CLUS_B).conn* $(CLUS_C).conn* \
 	  $(TRACE_A) $(TRACE_B) $(TRACE_SUM) \
-	  $(TRACE_LG) $(SWEEP_D) $(SWEEP_S) BENCH_parallel.json BENCH_core.json
+	  $(TRACE_LG) $(SWEEP_D) $(SWEEP_S)

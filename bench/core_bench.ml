@@ -1,33 +1,44 @@
-(* Hot-path micro-benchmarks with a tracked baseline: the indexed
+(* The core benchmark suite, tracked in BENCH_core.json: the indexed
    single-machine engine (heap EDF + interval-set regions) against the
-   retained scan-based reference, plus the solvers that ride on it and
-   the admission service's request path.
+   retained scan-based reference, the solvers that ride on it, the
+   admission service's request path, one fixed-size row per paper
+   artifact, ablation, baseline and extension, and the fig9/fig10 Monte
+   Carlo sweeps on one and on every recommended domain.
 
    Run with: dune exec bench/core_bench.exe -- --out BENCH_core.json
    Pass `--trials small` for the CI smoke configuration (sizes 10 and
-   100, fewer repetitions).
+   100, fewer repetitions, no sweeps).
 
    Protocol: fixed Prng seeds, pre-generated instance pools, [warmup]
    untimed runs, then [trials] timed runs whose extremes are dropped
    (trimmed mean).  The reference engine is O(n^3) in its region pass,
    so it is only timed up to n = 1000 — the cap is recorded in the
-   output, not silently applied. *)
+   output, not silently applied.  The record carries the host it ran on
+   ({!E2e_obs.Obs.host}). *)
 
 module Rat = E2e_rat.Rat
 module Prng = E2e_prng.Prng
 module Task = E2e_model.Task
 module Flow_shop = E2e_model.Flow_shop
 module Recurrence_shop = E2e_model.Recurrence_shop
+module Periodic_shop = E2e_model.Periodic_shop
 module Eedf = E2e_core.Eedf
 module Algo_a = E2e_core.Algo_a
 module Algo_h = E2e_core.Algo_h
+module Algo_r = E2e_core.Algo_r
 module Gen = E2e_workload.Feasible_gen
+module Paper = E2e_workload.Paper_instances
+module Analysis = E2e_periodic.Analysis
+module Sim = E2e_sim
+module Baselines = E2e_baselines
+module Experiments = E2e_experiments.Experiments
 module Admission = E2e_serve.Admission
 module Batcher = E2e_serve.Batcher
 module Cache = E2e_serve.Cache
 module SM = E2e_core.Single_machine
 module Ref = E2e_fuzz.Single_machine_ref
 module Obs = E2e_obs.Obs
+module Json = E2e_obs.Json
 module Quantile = E2e_obs.Quantile
 
 let pool ~seed ~count f =
@@ -39,19 +50,21 @@ let pool ~seed ~count f =
     incr i;
     x
 
-(* One timed trial = [reps] calls; reported time is per call. *)
-let time_trial f reps =
-  let t0 = Unix.gettimeofday () in
-  for _ = 1 to reps do
-    ignore (Sys.opaque_identity (f ()))
-  done;
-  (Unix.gettimeofday () -. t0) /. float_of_int reps
-
+(* [warmup] untimed calls, then [trials] timed trials of [reps] calls
+   each; the mean per-call time over the trials left after dropping the
+   fastest and the slowest (when there are at least four). *)
 let trimmed_mean ~warmup ~trials ~reps f =
   for _ = 1 to warmup do
     ignore (Sys.opaque_identity (f ()))
   done;
-  let ts = Array.init trials (fun _ -> time_trial f reps) in
+  let ts =
+    Array.init trials (fun _ ->
+        let t0 = Unix.gettimeofday () in
+        for _ = 1 to reps do
+          ignore (Sys.opaque_identity (f ()))
+        done;
+        (Unix.gettimeofday () -. t0) /. float_of_int reps)
+  in
   Array.sort Float.compare ts;
   let lo, hi = if trials >= 4 then (1, trials - 2) else (0, trials - 1) in
   let sum = ref 0. in
@@ -61,13 +74,15 @@ let trimmed_mean ~warmup ~trials ~reps f =
   !sum /. float_of_int (hi - lo + 1)
 
 (* [stages] is empty for most rows; serve_admission rows carry a
-   per-stage latency decomposition (name, p50/p95/p99 in seconds). *)
+   per-stage latency decomposition (name, p50/p95/p99 in seconds).
+   [jobs] is set on the sweep rows only. *)
 type row = {
   family : string;
   n : int;
   mean_s : float;
   trials : int;
   reps : int;
+  jobs : int option;
   stages : (string * float * float * float) list;
 }
 
@@ -279,6 +294,100 @@ let serve_stage_latencies n =
   Obs.reset_metrics ();
   stages
 
+(* {1 Fixed-size families}
+
+   One row per paper artifact (Tables 1-5, the Table 4 pipeline
+   simulation, one point of each of Figures 9a, 9b and 10), ablation,
+   baseline and extension, at the size the paper or the experiment
+   driver uses; [n] is its task (or job) count. *)
+
+let fig_pool ~seed ~n ~m ~stdev ~slack =
+  pool ~seed ~count:64 (fun g ->
+      Gen.generate g
+        { Gen.n_tasks = n; n_processors = m; mean_tau = 1.0; stdev; slack_factor = slack })
+
+let thunk f () = ignore (Sys.opaque_identity (f ()))
+
+let fixed_families () =
+  (* [at] times one fixed instance, [on] cycles through a pool. *)
+  let at x f = thunk (fun () -> f x) in
+  let on next f = thunk (fun () -> f (next ())) in
+  let h_pool seed = fig_pool ~seed ~n:6 ~m:4 ~stdev:0.5 ~slack:0.8 in
+  let table4 = Paper.table4 () in
+  let table4_deltas =
+    match Analysis.analyse table4 with
+    | Analysis.Schedulable { deltas; _ } | Analysis.Schedulable_postponed { deltas; _ } -> deltas
+    | Analysis.Not_schedulable _ -> failwith "fixed_families: table 4 not schedulable"
+  in
+  let johnson_pool =
+    pool ~seed:502 ~count:64 (fun g ->
+        let far = Rat.of_int 1_000_000 in
+        let shop = Gen.arbitrary g ~n:20 ~m:2 ~max_tau:3 ~window:0 in
+        Flow_shop.of_params
+          (Array.map (fun (t : Task.t) -> (Rat.zero, far, t.proc_times)) shop.Flow_shop.tasks))
+  in
+  let periodic_pool =
+    pool ~seed:506 ~count:32 (fun g -> Gen.periodic g ~n:5 ~m:3 ~utilization:0.4)
+  in
+  let replay =
+    match Algo_a.schedule (Paper.table2 ()) with
+    | Ok s -> s
+    | Error _ -> failwith "fixed_families: table 2 not schedulable"
+  in
+  let replay_actual = Sim.Dispatcher.scale_durations replay ~factor:(Rat.make 4 5) in
+  let traditional f shop = f (Recurrence_shop.of_traditional shop) in
+  [
+    ("table1", 4, at (Paper.table1 ()) Algo_r.schedule);
+    ("table2", 4, at (Paper.table2 ()) Algo_a.schedule);
+    ("table3", 5, at (Paper.table3 ()) Algo_h.schedule);
+    ("table4", 3, at table4 Analysis.analyse);
+    ( "table4_sim",
+      3,
+      at table4
+        (Sim.Pipeline_sim.simulate
+           ~horizon:(Rat.to_float (Periodic_shop.hyperperiod table4))
+           ~policy:(`Postponed_phases table4_deltas)) );
+    ("table5", 2, at (Paper.table5 ()) Analysis.analyse);
+    ("fig9a", 4, on (fig_pool ~seed:101 ~n:4 ~m:4 ~stdev:0.5 ~slack:0.8) Algo_h.schedule);
+    ("fig9b", 6, on (fig_pool ~seed:102 ~n:6 ~m:4 ~stdev:0.5 ~slack:0.8) Algo_h.schedule);
+    ("fig10", 10, on (fig_pool ~seed:103 ~n:10 ~m:4 ~stdev:0.5 ~slack:4.0) Algo_h.schedule);
+    ("h_no_compaction", 6, on (h_pool 500) (fun s -> (Algo_h.run ~compact:false s).result));
+    ("list_edf", 6, on (h_pool 501) (traditional Baselines.List_edf.schedule));
+    ("johnson", 20, on johnson_pool Baselines.Johnson.makespan);
+    ("portfolio", 6, on (h_pool 503) E2e_core.H_portfolio.schedule);
+    ( "infeasibility",
+      10,
+      on (fig_pool ~seed:504 ~n:10 ~m:4 ~stdev:0.5 ~slack:0.5) E2e_core.Infeasibility.check );
+    ( "branch_bound",
+      4,
+      on (fig_pool ~seed:505 ~n:4 ~m:3 ~stdev:0.4 ~slack:0.6)
+        (Baselines.Branch_bound.solve ~budget:50_000) );
+    ("rta", 5, on periodic_pool E2e_periodic.Response_time.analyse);
+    ("preemptive_edf", 6, on (h_pool 507) (traditional Sim.Preemptive_flow_sim.run));
+    ("local_search", 6, on (h_pool 508) Baselines.Local_search.schedule);
+    ( "dispatch_replay",
+      4,
+      at replay (Sim.Dispatcher.run Sim.Dispatcher.Work_conserving ~actual:replay_actual) );
+  ]
+
+(* The full fig9a/fig9b/fig10 Monte Carlo sweeps at reduced trial
+   counts ([n] = trials per point), rendered to a null formatter so the
+   timing covers generation, scheduling and aggregation.  The output is
+   byte-identical at every [jobs] (per-trial PRNG streams), so the
+   one-domain and many-domain rows time the same work. *)
+let sweep_families =
+  let null_ppf = Format.make_formatter (fun _ _ _ -> ()) (fun () -> ()) in
+  let module E = Experiments in
+  let sweep family (run : ?sweep:E.sweep -> ?jobs:int -> Format.formatter -> unit) default
+      trials =
+    (family, trials, fun ~jobs -> run ~sweep:{ default with E.trials } ~jobs null_ppf)
+  in
+  [
+    sweep "fig9a_sweep" E.fig9a E.default_fig9a 150;
+    sweep "fig9b_sweep" E.fig9b E.default_fig9b 150;
+    sweep "fig10_sweep" E.fig10 E.default_fig10 100;
+  ]
+
 (* {1 Harness} *)
 
 let reps_for ~n ~base = Stdlib.max 1 (base / n)
@@ -289,11 +398,12 @@ let run_all ~small =
   let def_warmup = if small then 1 else 2 in
   let def_trials = if small then 3 else 7 in
   let rep_base = if small then 200 else 1000 in
-  let case ?(warmup = def_warmup) ?(trials = def_trials) ?(stages = []) family n f =
-    let reps = reps_for ~n ~base:rep_base in
+  let case ?(warmup = def_warmup) ?(trials = def_trials) ?reps ?jobs ?(stages = []) family n f =
+    let reps = match reps with Some r -> r | None -> reps_for ~n ~base:rep_base in
     let mean_s = trimmed_mean ~warmup ~trials ~reps f in
-    Printf.eprintf "%-12s n=%-5d %12.1f us/call\n%!" family n (mean_s *. 1e6);
-    { family; n; mean_s; trials; reps; stages }
+    let on_jobs = match jobs with Some j -> Printf.sprintf " jobs=%d" j | None -> "" in
+    Printf.eprintf "%-27s n=%-5d%s %12.1f us/call\n%!" family n on_jobs (mean_s *. 1e6);
+    { family; n; mean_s; trials; reps; jobs; stages }
   in
   let rows = ref [] in
   let push r = rows := r :: !rows in
@@ -324,80 +434,100 @@ let run_all ~small =
       push (case ~warmup ~trials "serve_admission_incremental" n (serve_inc_case warm adds));
       push (case ~warmup ~trials "serve_admission_scratch" n (serve_inc_case cold adds)))
     sizes;
+  List.iter (fun (family, n, f) -> push (case family n f)) (fixed_families ());
+  if not small then begin
+    let jobs_levels = List.sort_uniq compare [ 1; Domain.recommended_domain_count () ] in
+    List.iter
+      (fun (family, n, run) ->
+        List.iter
+          (fun jobs -> push (case ~reps:1 ~jobs family n (fun () -> run ~jobs)))
+          jobs_levels)
+      sweep_families
+  end;
   (List.rev !rows, sizes, ref_cap)
+
+let mean_of ?jobs rows family n =
+  List.find_map
+    (fun r ->
+      if r.family = family && r.n = n && r.jobs = jobs && r.mean_s > 0. then Some r.mean_s
+      else None)
+    rows
 
 let speedups rows =
   List.filter_map
     (fun { family; n; mean_s; _ } ->
       if family <> "eedf_ref" then None
-      else
-        List.find_map
-          (fun r ->
-            if r.family = "eedf" && r.n = n && r.mean_s > 0. then
-              Some (n, mean_s /. r.mean_s)
-            else None)
-          rows)
+      else Option.map (fun fast -> (n, mean_s /. fast)) (mean_of rows "eedf" n))
     rows
 
 (* Warm single-task edits against the from-scratch solve of the same
    edited set; the reported ratio is the weaker of the add and drop
    speedups. *)
 let inc_speedups rows =
-  let mean family n =
-    List.find_map
-      (fun r -> if r.family = family && r.n = n then Some r.mean_s else None)
-      rows
-  in
   List.filter_map
     (fun { family; n; mean_s; _ } ->
       if family <> "inc_scratch" || mean_s <= 0. then None
       else
-        match (mean "inc_add" n, mean "inc_drop" n) with
-        | Some a, Some d when a > 0. && d > 0. ->
-            Some (n, mean_s /. Float.max a d)
+        match (mean_of rows "inc_add" n, mean_of rows "inc_drop" n) with
+        | Some a, Some d -> Some (n, mean_s /. Float.max a d)
         | _ -> None)
     rows
 
-let json_of rows sizes ref_cap ~small =
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf
-    (Printf.sprintf "{\"mode\":\"%s\",\"sizes\":[%s],\"eedf_ref_max_n\":%d,\"rows\":["
-       (if small then "small" else "full")
-       (String.concat "," (List.map string_of_int sizes))
-       ref_cap);
-  List.iteri
-    (fun i { family; n; mean_s; trials; reps; stages } ->
-      if i > 0 then Buffer.add_char buf ',';
-      Buffer.add_string buf
-        (Printf.sprintf "{\"family\":\"%s\",\"n\":%d,\"mean_us\":%.3f,\"trials\":%d,\"reps\":%d"
-           family n (mean_s *. 1e6) trials reps);
-      if stages <> [] then begin
-        Buffer.add_string buf ",\"stage_us\":{";
-        List.iteri
-          (fun j (stage, p50, p95, p99) ->
-            if j > 0 then Buffer.add_char buf ',';
-            Buffer.add_string buf
-              (Printf.sprintf "\"%s\":{\"p50\":%.3f,\"p95\":%.3f,\"p99\":%.3f}" stage
-                 (p50 *. 1e6) (p95 *. 1e6) (p99 *. 1e6)))
-          stages;
-        Buffer.add_char buf '}'
-      end;
-      Buffer.add_char buf '}')
-    rows;
-  Buffer.add_string buf "],\"speedup_eedf_vs_ref\":[";
-  List.iteri
-    (fun i (n, ratio) ->
-      if i > 0 then Buffer.add_char buf ',';
-      Buffer.add_string buf (Printf.sprintf "{\"n\":%d,\"ratio\":%.2f}" n ratio))
-    (speedups rows);
-  Buffer.add_string buf "],\"speedup_inc_vs_scratch\":[";
-  List.iteri
-    (fun i (n, ratio) ->
-      if i > 0 then Buffer.add_char buf ',';
-      Buffer.add_string buf (Printf.sprintf "{\"n\":%d,\"ratio\":%.2f}" n ratio))
-    (inc_speedups rows);
-  Buffer.add_string buf "]}";
-  Buffer.contents buf
+(* The one-domain over the many-domain sweep time, per sweep. *)
+let sweep_speedups rows =
+  List.filter_map
+    (fun { family; n; mean_s; jobs; _ } ->
+      match jobs with
+      | Some j when j > 1 ->
+          Option.map (fun seq -> (family, j, seq /. mean_s)) (mean_of ~jobs:1 rows family n)
+      | _ -> None)
+    rows
+
+let round digits x =
+  let k = 10. ** float_of_int digits in
+  Float.round (x *. k) /. k
+
+let us x = Json.Num (round 3 (x *. 1e6))
+
+let row_json { family; n; mean_s; trials; reps; jobs; stages } =
+  Json.Obj
+    ([
+       ("family", Json.Str family);
+       ("n", Json.int n);
+       ("mean_us", us mean_s);
+       ("trials", Json.int trials);
+       ("reps", Json.int reps);
+     ]
+    @ (match jobs with None -> [] | Some j -> [ ("jobs", Json.int j) ])
+    @
+    if stages = [] then []
+    else
+      [
+        ( "stage_us",
+          Json.Obj
+            (List.map
+               (fun (stage, p50, p95, p99) ->
+                 (stage, Json.Obj [ ("p50", us p50); ("p95", us p95); ("p99", us p99) ]))
+               stages) );
+      ])
+
+let ratios_json l =
+  Json.List
+    (List.map
+       (fun (n, ratio) -> Json.Obj [ ("n", Json.int n); ("ratio", Json.Num (round 2 ratio)) ])
+       l)
+
+let record rows sizes ref_cap ~small =
+  Json.Obj
+    [
+      ("mode", Json.Str (if small then "small" else "full"));
+      ("host", Obs.host ());
+      ("sizes", Json.List (List.map Json.int sizes));
+      ("eedf_ref_max_n", Json.int ref_cap);
+      ("rows", Json.List (List.map row_json rows));
+      ("speedup_eedf_vs_ref", ratios_json (speedups rows));
+      ("speedup_inc_vs_scratch", ratios_json (inc_speedups rows));
+    ]
 
 let () =
   let out = ref "BENCH_core.json" in
@@ -419,9 +549,8 @@ let () =
   in
   parse (List.tl (Array.to_list Sys.argv));
   let rows, sizes, ref_cap = run_all ~small:!small in
-  let json = json_of rows sizes ref_cap ~small:!small in
   Out_channel.with_open_text !out (fun oc ->
-      Out_channel.output_string oc json;
+      Out_channel.output_string oc (Json.to_string (record rows sizes ref_cap ~small:!small));
       Out_channel.output_char oc '\n');
   List.iter
     (fun (n, ratio) -> Printf.printf "EEDF speedup vs reference at n=%d: %.1fx\n" n ratio)
@@ -430,4 +559,8 @@ let () =
     (fun (n, ratio) ->
       Printf.printf "incremental speedup vs scratch at n=%d: %.1fx\n" n ratio)
     (inc_speedups rows);
+  List.iter
+    (fun (family, jobs, ratio) ->
+      Printf.printf "%s speedup on %d domains vs 1: %.2fx\n" family jobs ratio)
+    (sweep_speedups rows);
   Printf.printf "wrote %s\n" !out

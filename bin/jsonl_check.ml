@@ -13,7 +13,7 @@
    [config] object naming a known topology, a workload and positive
    requests/connections/pipeline (plus positive drainers for a server,
    positive shards and upstream_conns for a cluster), a [host] object
-   with a positive nproc and an OCaml version, and non-negative
+   with a positive nproc, an OCaml version and a commit, and non-negative
    completed, duration_s, requests_per_sec, latency_ms.p50 and
    latency_ms.p99.
 
@@ -63,7 +63,8 @@ let check_bench complain json =
   (match Json.member "host" json with
   | Some (Json.Obj _ as h) ->
       fields ~min:1. ~prefix:"host." h [ "nproc" ];
-      if str h "ocaml" = None then complain "host.ocaml missing or not a string"
+      if str h "ocaml" = None then complain "host.ocaml missing or not a string";
+      if str h "commit" = None then complain "host.commit missing or not a string"
   | Some _ -> complain "host is not an object"
   | None -> complain "missing field host");
   fields json [ "completed"; "duration_s"; "requests_per_sec" ];

@@ -596,12 +596,7 @@ let point_json run ~stages p =
                ("requests", Json.int run.requests);
                ("seed", Json.int run.seed);
              ]) );
-       ( "host",
-         Json.Obj
-           [
-             ("nproc", Json.int (Domain.recommended_domain_count ()));
-             ("ocaml", Json.Str Sys.ocaml_version);
-           ] );
+       ("host", Obs.host ());
        ("completed", Json.int (Quantile.count p.latency));
        ("duration_s", Json.Num p.duration);
        ("requests_per_sec", Json.Num (rps p));

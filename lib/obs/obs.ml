@@ -528,3 +528,20 @@ let pp_metrics ppf () =
           h.max)
       hs
   end
+
+let git_commit () =
+  match Unix.open_process_in "git describe --always --dirty 2>/dev/null" with
+  | exception Unix.Unix_error _ -> "unknown"
+  | ic -> (
+      let line = In_channel.input_line ic in
+      match (Unix.close_process_in ic, line) with
+      | Unix.WEXITED 0, Some c when String.trim c <> "" -> String.trim c
+      | _ -> "unknown")
+
+let host () =
+  Json.Obj
+    [
+      ("nproc", Json.int (Domain.recommended_domain_count ()));
+      ("ocaml", Json.Str Sys.ocaml_version);
+      ("commit", Json.Str (git_commit ()));
+    ]

@@ -214,3 +214,12 @@ module Clock : sig
   val use_wall_clock : unit -> unit
   (** Restore the default source ([Unix.gettimeofday]). *)
 end
+
+(** {1 Host} *)
+
+val host : unit -> Json.t
+(** The machine and build a benchmark record was measured on:
+    [{"nproc": n, "ocaml": version, "commit": c}], where [nproc] is
+    [Domain.recommended_domain_count ()] and [c] is the output of
+    [git describe --always --dirty] in the working directory, or
+    ["unknown"] when git fails.  Every [BENCH_*] record embeds it. *)

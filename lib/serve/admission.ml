@@ -50,7 +50,6 @@ type reply =
 
 let empty = Smap.empty
 let shops t = List.map (fun (name, e) -> (name, e.shop)) (Smap.bindings t)
-let find t shop = Option.map (fun e -> e.shop) (Smap.find_opt shop t)
 let n_committed t = Smap.fold (fun _ e acc -> acc + Recurrence_shop.n_tasks e.shop) t 0
 
 let record_decision = function
@@ -132,8 +131,6 @@ let solve_full budget ?hint (shop : Recurrence_shop.t) : decision * inc_state op
     | Solver.Recurrent_proved_infeasible -> (Rejected { certificate = None }, None)
     | Solver.Recurrent_undecided -> (Undecided { reason = "heuristic-failed" }, None)
 
-let decide_uncached budget shop = fst (solve_full budget shop)
-
 (* Relabel a decision computed on the canonical shop back to the
    candidate's task ids.  Feasibility is invariant under the relabelling
    (all constraints are per-task or set-based), so the restored schedule
@@ -143,8 +140,6 @@ let relabel canon (shop : Recurrence_shop.t) = function
       let starts = Cache.restore_starts canon schedule.Schedule.starts in
       Admitted { schedule = Schedule.make shop starts; algo }
   | (Rejected _ | Undecided _) as d -> d
-
-let solve ~budget shop = decide_uncached budget shop
 
 (* Independent re-verification of an admitted schedule against the
    checker, after relabelling and before commit — the "verify" stage of
@@ -184,36 +179,6 @@ let hint_tag = function
 
 let cache_key ~budget ?hint canon =
   canon.Cache.key ^ ":" ^ budget_tag budget ^ hint_tag hint
-
-(* Every solve runs on the canonical form, cached or not: heuristics may
-   be sensitive to task order, so solving the original labelling only
-   when the cache is off would let cache-on and cache-off runs reach
-   different verdicts.  Canonicalize-always makes the transparency
-   contract (identical verdicts) hold by construction; the cache only
-   controls reuse. *)
-let decide_canonical ?(budget = Unbounded) ?cache canon (shop : Recurrence_shop.t) =
-  let decision =
-    match cache with
-    | None -> relabel canon shop (decide_uncached budget canon.Cache.shop)
-    | Some c -> (
-        let key = cache_key ~budget canon in
-        match Cache.find c key with
-        | Some s -> relabel canon shop s.decision
-        | None ->
-            let d, state = solve_full budget canon.Cache.shop in
-            Cache.add c key
-              { decision = d; hint = (match state with Some (Hint h) -> Some h | _ -> None) };
-            relabel canon shop d)
-  in
-  (* The cache stores pre-verify canonical decisions; every consumer
-     (hit or miss, batched or sequential) re-verifies after relabelling,
-     so verification is uniform across cache settings. *)
-  let decision = verify_decision decision in
-  record_decision decision;
-  decision
-
-let decide ?budget ?cache (shop : Recurrence_shop.t) =
-  decide_canonical ?budget ?cache (Cache.canonicalize shop) shop
 
 let request_error shop message =
   Obs.incr "serve.request_errors";
@@ -272,8 +237,6 @@ let prepare ?keyer t = function
            { shop; n_tasks = Option.map (fun e -> Recurrence_shop.n_tasks e.shop) (Smap.find_opt shop t) })
   | Drop { shop } -> Error (Dropped { shop; existed = Smap.mem shop t })
 
-let candidate_of_request t request = Result.map (fun p -> p.candidate) (prepare t request)
-
 let hint_of p = match p.base_inc with Some (Hint h) -> Some h | _ -> None
 let state_of_cached (s : solved) = Option.map (fun h -> Hint h) s.hint
 
@@ -320,7 +283,10 @@ let try_incremental p =
    fixed precedence: delta path first (never touches the cache), then
    the cache under the hint-tagged key, then a hinted full solve.  Both
    the sequential reference interpreter ({!apply}) and the batcher run
-   exactly this ordering, so they agree reply-for-reply. *)
+   exactly this ordering, so they agree reply-for-reply.  Every solve
+   runs on the canonical form, cached or not: heuristics may be
+   sensitive to task order, so canonicalize-always makes cache-on and
+   cache-off runs reach identical verdicts by construction. *)
 let decide_prepared ?(budget = Unbounded) ?cache ({ candidate; canon; _ } as p) =
   let canonical, state =
     match try_incremental p with

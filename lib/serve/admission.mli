@@ -88,14 +88,8 @@ val empty : t
 val shops : t -> (string * E2e_model.Recurrence_shop.t) list
 (** Committed shops, sorted by name. *)
 
-val find : t -> string -> E2e_model.Recurrence_shop.t option
 val n_committed : t -> int
 (** Total committed tasks across all shops. *)
-
-val solve : budget:budget -> E2e_model.Recurrence_shop.t -> decision
-(** The raw, cache-free solve {!decide} builds on — a pure function of
-    the candidate, safe to run from worker domains.  Does not bump the
-    verdict counters ({!decide} and the batcher do, once per reply). *)
 
 val relabel :
   Cache.canonical -> E2e_model.Recurrence_shop.t -> decision -> decision
@@ -131,31 +125,7 @@ val cache_key :
 val record_decision : decision -> unit
 (** Bump the [serve.admitted]/[serve.rejected]/[serve.undecided]
     counter for one reply (exposed for the batcher, which replays
-    {!decide}'s cache dance in deterministic phases). *)
-
-val decide :
-  ?budget:budget ->
-  ?cache:solved Cache.t ->
-  E2e_model.Recurrence_shop.t ->
-  decision
-(** Decide one candidate set in isolation (the committed set merged with
-    the proposal — {!apply} constructs it).  The candidate is always
-    canonicalized and the solve runs on the canonical form (so verdicts
-    are independent of task labelling, whether or not a cache is in
-    play); with [cache], a hit replays the cached decision with its
-    schedule relabelled to the candidate's task ids and a miss stores
-    the canonical decision.  Default budget: [Unbounded]. *)
-
-val decide_canonical :
-  ?budget:budget ->
-  ?cache:solved Cache.t ->
-  Cache.canonical ->
-  E2e_model.Recurrence_shop.t ->
-  decision
-(** {!decide} with the canonicalization already done.  This entry point
-    has no committed-state context, so it never takes the delta path and
-    never hints — use {!decide_prepared} for requests that went through
-    {!prepare}. *)
+    {!decide_prepared}'s cache dance in deterministic phases). *)
 
 type prepared = {
   candidate : E2e_model.Recurrence_shop.t;
@@ -179,11 +149,6 @@ val prepare : ?keyer:Cache.Keyer.t -> t -> request -> (prepared, reply) result
     for repeated instances.  Exposed so the batcher can validate and
     canonicalize sequentially while fanning only the solves out in
     parallel. *)
-
-val candidate_of_request :
-  t -> request -> (E2e_model.Recurrence_shop.t, reply) result
-(** [prepare] without the canonical — the merged candidate set a
-    [Submit]/[Add] asks the engine to guarantee. *)
 
 val try_incremental : prepared -> (decision * inc_state option) option
 (** The O(delta) path: an [Add] to a shop whose committed solve left a
