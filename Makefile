@@ -59,10 +59,10 @@ bench-serve:
 	dune exec bin/jsonl_check.exe -- --bench BENCH_serve.json
 
 # The one core benchmark suite, written to tracked BENCH_core.json with
-# the host and commit it ran on: the indexed single-machine engine
-# against the retained scan-based reference (the speedup ratio is part
-# of the output), Algorithms A and H, the admission request path,
-# incremental churn, one fixed-size row per paper artifact, ablation,
+# the host and commit it ran on: the single-machine engine against the
+# retained scan-based reference (the speedup ratio is part of the
+# output), Algorithms A and H, the admission request path, warm edits
+# against Inc.make, one fixed-size row per paper artifact, ablation,
 # baseline and extension, and (full mode only) the fig9/fig10 Monte
 # Carlo sweeps on 1 domain and on every recommended domain.
 bench-core:
@@ -182,11 +182,12 @@ sweep-smoke:
 	dune exec bin/jsonl_check.exe -- --bench $(SWEEP_D) $(SWEEP_S)
 
 # Short differential-fuzzing campaign over every model class (including
-# eedf-fast, which pits the indexed single-machine engine against the
-# retained scan-based reference on larger instances, and eedf-inc,
-# which replays add/drop churn logs through the warm incremental state
-# and re-solves from scratch after every edit): each solver
-# against its oracle and the independent checker, on a fixed seed, run
+# eedf-fast, which pits the single-machine engine's one-shot entry
+# points against the retained scan-based reference on larger instances,
+# and eedf-inc, which replays add/drop churn logs through the warm
+# incremental state and compares it with the reference after every
+# edit): each solver against its oracle and the independent checker, on
+# a fixed seed, run
 # on 1 and 4 domains — any disagreement or any scheduling
 # nondeterminism (output not byte-identical) fails the target.  Full
 # campaigns: dune exec bin/fuzz.exe -- --trials 2000.
@@ -196,10 +197,11 @@ fuzz-smoke:
 	dune exec bin/fuzz.exe -- --class all --trials 300 --seed 42 -j 4 > $(FUZZ_B)
 	cmp $(FUZZ_A) $(FUZZ_B)
 
-# Deep campaign on the incremental-vs-scratch differential alone: every
-# trial replays a deterministic add/drop churn log over one instance,
+# Deep campaign on the warm-state differential alone: every trial
+# replays a deterministic add/drop churn log over one instance,
 # comparing regions, schedules and feasibility verdicts after every
-# edit (the warm state must agree with from-scratch exactly).
+# edit (the warm state must agree with the scan-based reference
+# exactly).
 fuzz-inc:
 	dune exec bin/fuzz.exe -- --class eedf-inc --trials 2000 --seed 7 -j 4
 

@@ -1,9 +1,9 @@
-(* The core benchmark suite, tracked in BENCH_core.json: the indexed
-   single-machine engine (heap EDF + interval-set regions) against the
-   retained scan-based reference, the solvers that ride on it, the
-   admission service's request path, one fixed-size row per paper
-   artifact, ablation, baseline and extension, and the fig9/fig10 Monte
-   Carlo sweeps on one and on every recommended domain.
+(* The core benchmark suite, tracked in BENCH_core.json: the
+   single-machine engine ([Single_machine.Inc]) against the retained
+   scan-based reference, the solvers that ride on it, the admission
+   service's request path, one fixed-size row per paper artifact,
+   ablation, baseline and extension, and the fig9/fig10 Monte Carlo
+   sweeps on one and on every recommended domain.
 
    Run with: dune exec bench/core_bench.exe -- --out BENCH_core.json
    Pass `--trials small` for the CI smoke configuration (sizes 10 and
@@ -33,13 +33,11 @@ module Sim = E2e_sim
 module Baselines = E2e_baselines
 module Experiments = E2e_experiments.Experiments
 module Admission = E2e_serve.Admission
-module Batcher = E2e_serve.Batcher
 module Cache = E2e_serve.Cache
 module SM = E2e_core.Single_machine
 module Ref = E2e_fuzz.Single_machine_ref
 module Obs = E2e_obs.Obs
 module Json = E2e_obs.Json
-module Quantile = E2e_obs.Quantile
 
 let pool ~seed ~count f =
   let g = Prng.create seed in
@@ -73,18 +71,8 @@ let trimmed_mean ~warmup ~trials ~reps f =
   done;
   !sum /. float_of_int (hi - lo + 1)
 
-(* [stages] is empty for most rows; serve_admission rows carry a
-   per-stage latency decomposition (name, p50/p95/p99 in seconds).
-   [jobs] is set on the sweep rows only. *)
-type row = {
-  family : string;
-  n : int;
-  mean_s : float;
-  trials : int;
-  reps : int;
-  jobs : int option;
-  stages : (string * float * float * float) list;
-}
+(* [jobs] is set on the sweep rows only. *)
+type row = { family : string; n : int; mean_s : float; trials : int; reps : int; jobs : int option }
 
 (* {1 Workloads} *)
 
@@ -205,8 +193,9 @@ let inc_drop_case (st, _, _, drops) =
     incr i;
     SM.Inc.solve (SM.Inc.remove_task st ~at)
 
-(* The cost the warm path avoids: a from-scratch solve of the same
-   one-task-edited job set through the indexed engine. *)
+(* The cost the warm path avoids: [Inc.make], the from-scratch solve the
+   service runs when it has no warm handle, on the same one-task-edited
+   job set. *)
 let inc_scratch_case (_, jobs, deltas, _) =
   let n = Array.length jobs in
   let i = ref 0 in
@@ -219,7 +208,7 @@ let inc_scratch_case (_, jobs, deltas, _) =
           else if k = at then { SM.id = k; release = r; deadline = d }
           else { jobs.(k - 1) with SM.id = k })
     in
-    SM.schedule ~tau:Rat.one edited
+    SM.Inc.solve (SM.Inc.make ~tau:Rat.one edited)
 
 (* End-to-end admission cost of one [Add] on a resident shop: the warm
    engine holds the committed solve's [Machine] handle (the O(delta)
@@ -259,40 +248,6 @@ let serve_inc_case engine adds =
     let req = adds.(!i mod 16) in
     incr i;
     Admission.apply engine req
-
-(* Per-stage latency decomposition for the serve rows: replay the same
-   request log through the batched pipeline with telemetry on and read
-   the stage sketches.  Wall-clock and untimed-loop, so the numbers are
-   indicative; the tracked regression signal stays [mean_us]. *)
-let serve_stage_latencies n =
-  let log = serve_log n in
-  Obs.set_stats true;
-  Obs.reset_metrics ();
-  let config = { Batcher.default_config with Batcher.cache_capacity = 4096 } in
-  ignore (Batcher.process_log (Batcher.create ~config ()) log);
-  let stages =
-    List.filter_map
-      (fun (name, q) ->
-        let prefix = "serve.stage." in
-        let stage =
-          if String.starts_with ~prefix name then
-            Some (String.sub name (String.length prefix)
-                    (String.length name - String.length prefix))
-          else if name = "serve.e2e" then Some "e2e"
-          else None
-        in
-        Option.map
-          (fun s ->
-            ( s,
-              Quantile.quantile q 0.50,
-              Quantile.quantile q 0.95,
-              Quantile.quantile q 0.99 ))
-          stage)
-      (Obs.sketches ())
-  in
-  Obs.set_stats false;
-  Obs.reset_metrics ();
-  stages
 
 (* {1 Fixed-size families}
 
@@ -398,12 +353,12 @@ let run_all ~small =
   let def_warmup = if small then 1 else 2 in
   let def_trials = if small then 3 else 7 in
   let rep_base = if small then 200 else 1000 in
-  let case ?(warmup = def_warmup) ?(trials = def_trials) ?reps ?jobs ?(stages = []) family n f =
+  let case ?(warmup = def_warmup) ?(trials = def_trials) ?reps ?jobs family n f =
     let reps = match reps with Some r -> r | None -> reps_for ~n ~base:rep_base in
     let mean_s = trimmed_mean ~warmup ~trials ~reps f in
     let on_jobs = match jobs with Some j -> Printf.sprintf " jobs=%d" j | None -> "" in
     Printf.eprintf "%-27s n=%-5d%s %12.1f us/call\n%!" family n on_jobs (mean_s *. 1e6);
-    { family; n; mean_s; trials; reps; jobs; stages }
+    { family; n; mean_s; trials; reps; jobs }
   in
   let rows = ref [] in
   let push r = rows := r :: !rows in
@@ -422,7 +377,7 @@ let run_all ~small =
       end;
       push (case "algo_a" n (algo_a_case n));
       push (case "algo_h" n (algo_h_case n));
-      push (case ~stages:(serve_stage_latencies n) "serve_admission" n (serve_case n));
+      push (case "serve_admission" n (serve_case n));
       (* Incremental churn: the scratch row repeats a full solve per
          call, so the largest size runs with trimmed repetitions. *)
       let inc = inc_setup n in
@@ -460,9 +415,9 @@ let speedups rows =
       else Option.map (fun fast -> (n, mean_s /. fast)) (mean_of rows "eedf" n))
     rows
 
-(* Warm single-task edits against the from-scratch solve of the same
-   edited set; the reported ratio is the weaker of the add and drop
-   speedups. *)
+(* Warm single-task edits against [Inc.make] on the same edited set
+   (the service's cold path); the reported ratio is the weaker of the
+   add and drop speedups. *)
 let inc_speedups rows =
   List.filter_map
     (fun { family; n; mean_s; _ } ->
@@ -489,7 +444,7 @@ let round digits x =
 
 let us x = Json.Num (round 3 (x *. 1e6))
 
-let row_json { family; n; mean_s; trials; reps; jobs; stages } =
+let row_json { family; n; mean_s; trials; reps; jobs } =
   Json.Obj
     ([
        ("family", Json.Str family);
@@ -498,18 +453,7 @@ let row_json { family; n; mean_s; trials; reps; jobs; stages } =
        ("trials", Json.int trials);
        ("reps", Json.int reps);
      ]
-    @ (match jobs with None -> [] | Some j -> [ ("jobs", Json.int j) ])
-    @
-    if stages = [] then []
-    else
-      [
-        ( "stage_us",
-          Json.Obj
-            (List.map
-               (fun (stage, p50, p95, p99) ->
-                 (stage, Json.Obj [ ("p50", us p50); ("p95", us p95); ("p99", us p99) ]))
-               stages) );
-      ])
+    @ match jobs with None -> [] | Some j -> [ ("jobs", Json.int j) ])
 
 let ratios_json l =
   Json.List

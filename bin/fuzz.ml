@@ -33,8 +33,8 @@ let classes_arg =
   let doc =
     "Model class to fuzz: $(b,eedf) (identical-length flow shops), $(b,r) (single-loop \
      recurrence shops), $(b,a) (homogeneous sets), $(b,h) (arbitrary sets), $(b,eedf-fast) \
-     (indexed single-machine engine vs the retained scan-based reference, large instances), \
-     $(b,eedf-inc) (incremental add/drop re-solves vs from-scratch after every edit), \
+     (single-machine engine vs the retained scan-based reference, large instances), \
+     $(b,eedf-inc) (warm add/drop edits vs the same reference after every edit), \
      $(b,serve) (admission-service request logs, batched-and-cached vs sequential \
      reference), or $(b,all)."
   in

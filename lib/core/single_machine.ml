@@ -1,222 +1,13 @@
 module Rat = E2e_rat.Rat
 module Obs = E2e_obs.Obs
 module Heap = E2e_ds.Heap
-module Interval_set = E2e_ds.Interval_set
+module Iset = E2e_ds.Interval_set
 
 type rat = Rat.t
 type job = { id : int; release : rat; deadline : rat }
 type region = { left : rat; right : rat }
 
 let pp_region ppf r = Format.fprintf ppf "(%a, %a)" Rat.pp r.left Rat.pp r.right
-
-(* Forbidden regions, indexed.
-
-   The classical derivation packs, for every release r and every
-   deadline d, the jobs with release >= r and deadline <= d as late as
-   possible before d (avoiding regions already found); if that packing
-   starts at c, then (c - tau, r) is forbidden (and c < r proves
-   infeasibility).  Enumerating the (r, d) pairs costs O(n^2) packings
-   of O(n) steps each.
-
-   One backward pass per release subsumes the whole deadline loop: walk
-   the jobs with release >= r in decreasing-deadline order, keeping the
-   running packing start
-
-     s := adjust_down (min (deadline_j, s) - tau)
-
-   (each job must end both by its own deadline and by the start of the
-   job packed after it).  Take the last job whose own deadline was the
-   binding constraint, say with deadline d*: the suffix from that job on
-   is exactly the latest packing of the jobs with deadline <= d* — the
-   per-deadline packing for d* — and every per-deadline packing
-   restricted this way starts no earlier than the full pass does.  So
-   the final s equals the minimum over all deadlines of the classical
-   per-(r, d) packing starts, and the single region (s - tau, r) is
-   precisely the union of the per-deadline regions for r (they share
-   the right endpoint r).  Infeasibility (some packing starting before
-   r) also coincides: packing starts only decrease along the pass.
-
-   Cost: one O(n log n) sort, then per release one pass over the jobs
-   released at or after it with an O(log n) region lookup per step —
-   O(n^2 log n) worst case, O(n log n) when release times are few, and
-   free of the per-(r, d) re-packing that made the scan version
-   O(n^3). *)
-let forbidden_regions_iset ~tau jobs =
-  let n = Array.length jobs in
-  let by_deadline = Array.copy jobs in
-  Array.sort (fun a b -> Rat.compare b.deadline a.deadline) by_deadline;
-  let releases_desc =
-    List.rev
-      (List.sort_uniq Rat.compare (Array.to_list (Array.map (fun j -> j.release) jobs)))
-  in
-  let exception Infeasible in
-  try
-    let regions = ref Interval_set.empty in
-    List.iter
-      (fun r ->
-        let s = ref None in
-        for i = 0 to n - 1 do
-          let j = by_deadline.(i) in
-          if Rat.(j.release >= r) then begin
-            let cap = match !s with None -> j.deadline | Some s -> Rat.min j.deadline s in
-            s := Some (Interval_set.adjust_down !regions (Rat.sub cap tau))
-          end
-        done;
-        match !s with
-        | None -> ()
-        | Some e ->
-            if Rat.(e < r) then begin
-              if Obs.enabled () then
-                Obs.event "single_machine.infeasible_window"
-                  ~fields:
-                    [
-                      ("release", Obs.Str (Rat.to_string r));
-                      ("packing_start", Obs.Str (Rat.to_string e));
-                    ];
-              raise Infeasible
-            end;
-            let left = Rat.sub e tau in
-            if Rat.(left < r) then begin
-              if Obs.enabled () then
-                Obs.event "single_machine.forbidden_region"
-                  ~fields:
-                    [
-                      ("left", Obs.Str (Rat.to_string left));
-                      ("right", Obs.Str (Rat.to_string r));
-                    ];
-              regions := Interval_set.add !regions ~left ~right:r
-            end)
-      releases_desc;
-    Ok !regions
-  with Infeasible -> Error `Infeasible
-
-let forbidden_regions ~tau jobs =
-  match forbidden_regions_iset ~tau jobs with
-  | Error `Infeasible -> Error `Infeasible
-  | Ok iset ->
-      Ok (List.map (fun (left, right) -> { left; right }) (Interval_set.to_list iset))
-
-(* Priority-driven EDF dispatch on two heaps: [pending] orders the
-   not-yet-released jobs by release time, [ready] orders the released
-   ones by (deadline, release, id) — the heap pop is exactly the EDF
-   choice with the deterministic tie-break.  [advance] postpones
-   candidate dispatch instants (identity for the plain-EDF ablation,
-   forbidden-region hopping for the optimal variant). *)
-let pending_cmp a b =
-  let c = Rat.compare a.release b.release in
-  if c <> 0 then c else compare a.id b.id
-
-let ready_cmp a b =
-  let c = Rat.compare a.deadline b.deadline in
-  let c = if c <> 0 then c else Rat.compare a.release b.release in
-  if c <> 0 then c else compare a.id b.id
-
-let edf_dispatch ~tau ~advance jobs =
-  let n = Array.length jobs in
-  let starts = Array.make n Rat.zero in
-  let missed = ref None in
-  let pending = Heap.of_list ~cmp:pending_cmp (Array.to_list jobs) in
-  let ready = Heap.create ~cmp:ready_cmp in
-  (* Initialise the machine to the earliest release so time starts sane. *)
-  let free = ref (match Heap.peek pending with Some j -> j.release | None -> Rat.zero) in
-  for _ = 1 to n do
-    (* Candidate dispatch time: machine free, and at least one release.
-       Every ready job was released before the machine last went busy,
-       so a non-empty ready queue pins the candidate to [free]. *)
-    let t =
-      ref
-        (if Heap.is_empty ready then
-           match Heap.peek pending with
-           | Some j -> Rat.max !free j.release
-           | None -> assert false
-         else !free)
-    in
-    let rec settle () =
-      let t' = advance !t in
-      if Rat.(t' > !t) then begin
-        t := t';
-        settle ()
-      end
-    in
-    settle ();
-    (* Everything released by the dispatch instant competes. *)
-    let rec migrate () =
-      match Heap.peek pending with
-      | Some j when Rat.(j.release <= !t) ->
-          ignore (Heap.pop pending);
-          Heap.push ready j;
-          migrate ()
-      | _ -> ()
-    in
-    migrate ();
-    match Heap.pop ready with
-    | None -> assert false
-    | Some j ->
-        starts.(j.id) <- !t;
-        let finish = Rat.add !t tau in
-        free := finish;
-        if Obs.enabled () then begin
-          Obs.incr "single_machine.dispatches";
-          Obs.event "single_machine.dispatch"
-            ~fields:
-              [
-                ("job", Obs.Int j.id);
-                ("t", Obs.Float (Rat.to_float !t));
-                ("deadline", Obs.Float (Rat.to_float j.deadline));
-              ]
-        end;
-        if Rat.(finish > j.deadline) && !missed = None then begin
-          if Obs.enabled () then begin
-            Obs.incr "single_machine.deadline_misses";
-            Obs.event "single_machine.deadline_miss"
-              ~fields:
-                [
-                  ("job", Obs.Int j.id);
-                  ("finish", Obs.Float (Rat.to_float finish));
-                  ("deadline", Obs.Float (Rat.to_float j.deadline));
-                ]
-          end;
-          missed := Some j.id
-        end
-  done;
-  (starts, !missed)
-
-(* Re-index jobs so [job.id] can be used as an array slot even when the
-   caller's ids are arbitrary; results are returned in input order. *)
-let with_dense_ids jobs f =
-  let dense = Array.mapi (fun i j -> { j with id = i }) jobs in
-  f dense
-
-let schedule ~tau jobs =
-  if Array.length jobs = 0 then Ok [||]
-  else
-    Obs.span "single_machine.schedule"
-      ~fields:[ ("jobs", Obs.Int (Array.length jobs)) ]
-      (fun () ->
-        match
-          Obs.span "single_machine.forbidden_regions" (fun () ->
-              forbidden_regions_iset ~tau jobs)
-        with
-        | Error `Infeasible -> Error `Infeasible
-        | Ok iset ->
-            if Obs.enabled () then
-              Obs.event "single_machine.regions"
-                ~fields:[ ("count", Obs.Int (Interval_set.cardinal iset)) ];
-            with_dense_ids jobs (fun dense ->
-                let starts, missed =
-                  Obs.span "single_machine.edf_dispatch" (fun () ->
-                      edf_dispatch ~tau ~advance:(Interval_set.adjust_up iset) dense)
-                in
-                match missed with Some _ -> Error `Infeasible | None -> Ok starts))
-
-let edf_schedule_no_regions ~tau jobs =
-  if Array.length jobs = 0 then Ok [||]
-  else
-    with_dense_ids jobs (fun dense ->
-        let starts, missed = edf_dispatch ~tau ~advance:Fun.id dense in
-        match missed with
-        | Some i -> Error (`Deadline_missed jobs.(i).id)
-        | None -> Ok starts)
 
 let feasible_starts ~tau jobs starts =
   let n = Array.length jobs in
@@ -268,16 +59,28 @@ let brute_force_feasible ~tau jobs =
   in
   go 0 earliest
 
-(* {1 Incremental solver state}
+(* {1 The engine}
 
-   [schedule] above is the from-scratch reference: one backward packing
-   pass per distinct release, then one EDF dispatch sweep.  [Inc] keeps
-   enough persistent state to redo only the part of that work an
-   [add_task]/[remove_task] invalidates, while producing byte-identical
-   results (the [eedf-inc] differential fuzz class enforces exact
-   agreement on regions, schedules and verdicts).
+   Forbidden regions come from one backward packing pass per distinct
+   release [r]: walk the jobs with release [>= r] in decreasing-deadline
+   order, keeping the running packing start
 
-   Two observations make the delta cheap:
+     s := adjust_down (min (deadline_j, s) - tau)
+
+   (each job must end both by its own deadline and by the start of the
+   job packed after it; [adjust_down] leaves the regions found so far).
+   The final [s] is the minimum over deadlines [d] of the classical
+   latest packing of the jobs with release [>= r] and deadline [<= d],
+   so [(s - tau, r)] is the union of the per-deadline regions for [r],
+   and [s < r] proves infeasibility.  EDF dispatch that hops over the
+   final regions is then optimal.
+
+   [Inc] keeps enough persistent state to redo only the part of that
+   work an [add_task]/[remove_task] invalidates; [make] is the
+   from-scratch run.  Results are exact (the [eedf-fast] and [eedf-inc]
+   differential fuzz classes check regions, schedules and verdicts
+   against {!E2e_fuzz.Single_machine_ref}).  Two observations make both
+   cheap:
 
    - Region passes run over releases in DESCENDING order and the pass
      for release [r] reads only jobs with release [>= r].  An edit at
@@ -286,8 +89,8 @@ let brute_force_feasible ~tau jobs =
      snapshot per distinct release (O(1) shares — the set is
      persistent) and resumes the sweep at the first release [<= r0].
 
-   - The resumed passes cannot afford the reference's O(n) fold each.
-     The fold result for release [r] equals
+   - No pass can afford the O(n) walk above.  Its result for release
+     [r] equals
 
        min over active deadlines d of  g^{N(d)}(d)
 
@@ -317,8 +120,6 @@ let brute_force_feasible ~tau jobs =
    and the heap loop resumes from its frontier. *)
 
 module Inc = struct
-  module Iset = Interval_set
-
   (* Fenwick tree of active-job counts per deadline position (1-based
      internally). *)
   module Fenwick = struct
@@ -607,11 +408,27 @@ module Inc = struct
     in
     (core, Array.append kept (Array.of_list (List.rev !cps)))
 
-  (* EDF dispatch resumed from a committed prefix (positions, starts):
-     prefix starts are replayed, the heap frontier is rebuilt exactly as
-     the monolithic loop would have left it (ready = undispatched jobs
-     released by the last prefix start, machine free at its finish), and
-     the loop continues.  An empty prefix is the from-scratch run. *)
+  (* Priority-driven EDF dispatch on two heaps: [pending] orders the
+     not-yet-released jobs by release time, [ready] orders the released
+     ones by (deadline, release, id) — the heap pop is exactly the EDF
+     choice with the deterministic tie-break.  [advance] postpones
+     candidate dispatch instants (identity for the plain-EDF ablation,
+     forbidden-region hopping for the optimal schedule). *)
+  let pending_cmp (a : job) (b : job) =
+    let c = Rat.compare a.release b.release in
+    if c <> 0 then c else compare a.id b.id
+
+  let ready_cmp (a : job) (b : job) =
+    let c = Rat.compare a.deadline b.deadline in
+    let c = if c <> 0 then c else Rat.compare a.release b.release in
+    if c <> 0 then c else compare a.id b.id
+
+  (* The dispatch loop, resumed from a committed prefix (positions,
+     starts): prefix starts are replayed, the heap frontier is rebuilt
+     exactly as the monolithic loop would have left it (ready =
+     undispatched jobs released by the last prefix start, machine free at
+     its finish), and the loop continues.  An empty prefix is the
+     from-scratch run. *)
   let dispatch_from ~tau ~advance (jobs : job array) (prefix : (int * rat) array) =
     let n = Array.length jobs in
     let np = Array.length prefix in
@@ -643,6 +460,9 @@ module Inc = struct
         | None -> ( match Heap.peek pending with Some j -> j.release | None -> Rat.zero))
     in
     for step = np to n - 1 do
+      (* Candidate dispatch time: machine free, and at least one release.
+         Every ready job was released before the machine last went busy,
+         so a non-empty ready queue pins the candidate to [free]. *)
       let t =
         ref
           (if Heap.is_empty ready then
@@ -785,3 +605,39 @@ module Inc = struct
     | Feasible_regions iset ->
         Ok (List.map (fun (left, right) -> { left; right }) (Iset.to_list iset))
 end
+
+(* The one-shot entry points: each is a from-scratch [Inc] run. *)
+
+let schedule ~tau jobs =
+  if Array.length jobs = 0 then Ok [||]
+  else
+    Obs.span "single_machine.schedule"
+      ~fields:[ ("jobs", Obs.Int (Array.length jobs)) ]
+      (fun () ->
+        let st = Inc.make ~tau jobs in
+        if Obs.enabled () then begin
+          match st.core with
+          | Inc.Infeasible_at r ->
+              Obs.event "single_machine.infeasible_window"
+                ~fields:[ ("release", Obs.Str (Rat.to_string r)) ]
+          | Inc.Feasible_regions iset ->
+              Obs.event "single_machine.regions"
+                ~fields:[ ("count", Obs.Int (Iset.cardinal iset)) ];
+              List.iter
+                (fun (left, right) ->
+                  Obs.event "single_machine.forbidden_region"
+                    ~fields:
+                      [
+                        ("left", Obs.Str (Rat.to_string left));
+                        ("right", Obs.Str (Rat.to_string right));
+                      ])
+                (Iset.to_list iset)
+        end;
+        Inc.solve st)
+
+let forbidden_regions ~tau jobs = Inc.regions (Inc.make ~tau jobs)
+
+let edf_schedule_no_regions ~tau jobs =
+  let dense = Array.mapi (fun i j -> { j with id = i }) jobs in
+  let d = Inc.dispatch_from ~tau ~advance:Fun.id dense [||] in
+  match d.missed with Some p -> Error (`Deadline_missed jobs.(p).id) | None -> Ok d.starts

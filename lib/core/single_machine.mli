@@ -12,16 +12,16 @@
     make those [m] jobs late.  EDF that only dispatches outside the
     forbidden regions ("modified release times") is optimal.
 
-    Both phases run on the indexed structures of {!E2e_ds}: forbidden
-    regions live in a sorted disjoint-interval set (O(log n) lookup) and
-    are built by one backward packing pass per distinct release time —
-    O(n^2 log n) worst case instead of the O(n^3) release x deadline x
-    job scan — and the EDF dispatch loop runs on two binary heaps
-    (pending jobs by release, ready jobs by deadline), O(n log n)
-    instead of the O(n^2) per-dispatch scan.  The historical scan-based
-    implementation is kept verbatim as [E2e_fuzz.Single_machine_ref];
-    the [eedf-fast] differential-fuzz class checks the two engines
-    byte-identical on every output. *)
+    One engine, {!Inc}, computes everything here: one backward packing
+    pass per distinct release, each read off a lazy min segment tree
+    over deadline positions, builds the regions in a persistent
+    {!E2e_ds.Interval_set}; a two-heap EDF loop (pending jobs by
+    release, ready jobs by deadline) dispatches around them.
+    {!schedule}, {!forbidden_regions} and {!edf_schedule_no_regions} are
+    from-scratch runs of it.  The historical scan-based implementation
+    is kept verbatim as [E2e_fuzz.Single_machine_ref], and the
+    [eedf-fast] and [eedf-inc] differential-fuzz classes check the
+    engine against it on every output. *)
 
 type rat = E2e_rat.Rat.t
 
@@ -38,13 +38,15 @@ val forbidden_regions :
   tau:rat -> job array -> (region list, [ `Infeasible ]) result
 (** All forbidden regions, sorted by left endpoint, pairwise disjoint.
     [`Infeasible] when some backward packing already proves that no
-    schedule can meet all deadlines. *)
+    schedule can meet all deadlines.
+    @raise Invalid_argument when [tau <= 0]. *)
 
 val schedule :
   tau:rat -> job array -> (rat array, [ `Infeasible ]) result
 (** Optimal start times (input order): EDF over the forbidden regions.
     [Error `Infeasible] means no feasible schedule exists at all — the
-    algorithm is optimal. *)
+    algorithm is optimal.
+    @raise Invalid_argument when [tau <= 0] and [jobs] is non-empty. *)
 
 val edf_schedule_no_regions : tau:rat -> job array -> (rat array, [ `Deadline_missed of int ]) result
 (** Plain priority-driven EDF without forbidden regions — the ablation
@@ -73,10 +75,11 @@ val brute_force_feasible : tau:rat -> job array -> bool
     replay the committed dispatch order up to the first instant where
     the old and new region sets (or the edit itself) can matter.
 
-    The contract is {e exact} agreement with {!schedule} on the same job
-    array: same regions, same start times, same feasibility verdicts,
-    byte for byte.  The [eedf-inc] differential fuzz class enforces this
-    on random add/drop logs. *)
+    The contract is {e exact} agreement with [E2e_fuzz.Single_machine_ref]
+    on the same (position-id'd) job array: same regions, same start
+    times, same feasibility verdicts, byte for byte.  The [eedf-inc]
+    differential fuzz class enforces this after every edit of random
+    add/drop logs. *)
 module Inc : sig
   type state
 

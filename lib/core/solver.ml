@@ -65,9 +65,11 @@ let solve shop =
    {!Single_machine.Inc.state}, and a superset shop obtained by admitting
    more tasks is re-solved by [add_task] deltas instead of from scratch.
    The verdicts are byte-identical to {!solve} on the same shop — EEDF
-   is deterministic and [Single_machine.Inc] agrees exactly with
-   [Single_machine.schedule] (the [eedf-inc] fuzz contract) — so callers
-   may freely mix this path with cold solves. *)
+   is deterministic, the cold [Single_machine.schedule] is a
+   from-scratch [Single_machine.Inc] run, and warm edits agree exactly
+   with from-scratch runs (the [eedf-fast] and [eedf-inc] fuzz classes
+   check both against the scan-based reference) — so callers may
+   freely mix this path with cold solves. *)
 module Incremental = struct
   type t = { tau : E2e_rat.Rat.t; m : int; inc : Single_machine.Inc.state }
 

@@ -21,8 +21,10 @@ val solve : E2e_model.Flow_shop.t -> verdict
     {!Single_machine.Inc.state}; admitting more tasks re-solves by
     [add_task] deltas (O(delta) passes) instead of from scratch.  All
     verdicts are byte-identical to {!solve} on the same shop, so cold
-    and warm paths can be mixed freely — the [eedf-inc] differential
-    fuzz class enforces the underlying engine agreement. *)
+    and warm paths can be mixed freely — both run
+    {!Single_machine.Inc}, and the [eedf-fast] and [eedf-inc]
+    differential fuzz classes check its one-shot and warm results
+    against the scan-based reference. *)
 module Incremental : sig
   type t
 

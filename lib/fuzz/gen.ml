@@ -95,8 +95,8 @@ let recurrent g =
 
 (* The differential class has no exhaustive oracle to stay inside, so it
    can afford real contention: up to 40 tasks fighting over windows a few
-   jobs wide, which is where the indexed engine's heap order and interval
-   merges see interesting traffic. *)
+   jobs wide, which is where the engine's heap order and interval merges
+   see interesting traffic. *)
 let identical_large g =
   let n = 1 + Prng.int g 40 in
   let m = 1 + Prng.int g 4 in
@@ -104,8 +104,8 @@ let identical_large g =
   let tau = Prng.rat_uniform g ~den:2 (Rat.make 1 2) (Rat.of_int 2) in
   tighten g (Feasible_gen.identical_length g ~n ~m ~tau ~window)
 
-(* Incremental-vs-scratch churn: the oracle runs a deterministic add/
-   drop log over each instance, re-solving after every edit, so the
+(* Warm-state churn: the oracle runs a deterministic add/drop log over
+   each instance, checking against the reference after every edit, so the
    instance stays a bit smaller than [identical_large] while keeping the
    windows tight enough that edits flip feasibility and reshape the
    forbidden regions mid-log. *)

@@ -13,13 +13,13 @@
     domains.
 
     [Eedf_fast] is different in kind: it feeds the engine-vs-engine
-    differential ({!Single_machine_ref} against the indexed
+    differential ({!Single_machine_ref} against
     {!E2e_core.Single_machine}), needs no exhaustive oracle, and so
     generates much larger identical-length instances (up to 40 tasks)
     than the optimality classes can afford.  [Eedf_inc] is its sibling
-    for the incremental engine: each instance seeds a deterministic
-    add/drop churn log whose every step is checked against the
-    from-scratch solver (regions, schedules and verdicts must agree
+    for the engine's warm state: each instance seeds a deterministic
+    add/drop churn log whose every step is checked against the same
+    reference (regions, schedules and verdicts must agree
     exactly). *)
 
 type model_class = Eedf | R | A | H | Eedf_fast | Eedf_inc

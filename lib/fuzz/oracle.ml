@@ -193,102 +193,114 @@ let run_h fs =
       | Bug _ as b -> b
       | _ -> ( match solver_verdict () with Bug _ as b -> b | _ -> first))
 
-(* Engine-vs-engine differential: the indexed Single_machine against the
-   retained scan-based reference, on the EEDF reduction of the instance.
-   Every output — region list, optimal starts, plain-EDF ablation — must
-   match for exact rational equality; there is no tolerance and no
-   oracle budget, so any mismatch is a bug. *)
+(* {1 Single-machine differentials}
+
+   Both classes pit {!E2e_core.Single_machine} (one engine, [Inc])
+   against the retained scan-based {!Single_machine_ref} on the EEDF
+   reduction of the instance.  Every output must match under exact
+   rational equality; there is no tolerance and no oracle budget, so
+   any mismatch is a bug. *)
+module SM = E2e_core.Single_machine
+
+let to_ref (jobs : SM.job array) =
+  Array.map
+    (fun (j : SM.job) ->
+      { Single_machine_ref.id = j.id; release = j.release; deadline = j.deadline })
+    jobs
+
+let pp_rats ppf rs =
+  Format.pp_print_list ~pp_sep:(fun ppf () -> Format.fprintf ppf " ")
+    (fun ppf r -> Format.pp_print_string ppf (Rat.to_string r))
+    ppf (Array.to_list rs)
+
+let pp_regions pp ppf rs =
+  Format.pp_print_list ~pp_sep:(fun ppf () -> Format.fprintf ppf "; ") pp ppf rs
+
+let pp_ref_region ppf (r : Single_machine_ref.region) =
+  Format.fprintf ppf "(%s, %s)" (Rat.to_string r.left) (Rat.to_string r.right)
+
+let starts_equal a b = Array.length a = Array.length b && Array.for_all2 Rat.equal a b
+
+(* [what] prefixes every message: the output compared and, for churn
+   logs, the edit it was compared after. *)
+let regions_verdict ~what engine reference =
+  match (engine, reference) with
+  | Error `Infeasible, Error `Infeasible -> Agree
+  | Ok e, Ok r ->
+      let same =
+        List.length e = List.length r
+        && List.for_all2
+             (fun (a : SM.region) (b : Single_machine_ref.region) ->
+               Rat.equal a.left b.left && Rat.equal a.right b.right)
+             e r
+      in
+      if same then Agree
+      else
+        bug Divergence "%s: forbidden regions differ: engine [%a] vs ref [%a]" what
+          (pp_regions SM.pp_region) e (pp_regions pp_ref_region) r
+  | Ok _, Error `Infeasible ->
+      bug Divergence "%s: engine built regions where the reference proves infeasible" what
+  | Error `Infeasible, Ok _ ->
+      bug Divergence "%s: engine claims infeasible during regions; reference succeeds" what
+
+let schedule_verdict ~what engine reference =
+  match (engine, reference) with
+  | Error `Infeasible, Error `Infeasible -> Agree
+  | Ok e, Ok r ->
+      if starts_equal e r then Agree
+      else bug Divergence "%s: schedules differ: engine [%a] vs ref [%a]" what pp_rats e pp_rats r
+  | Ok _, Error `Infeasible ->
+      bug Divergence "%s: engine schedules an instance the reference rejects" what
+  | Error `Infeasible, Ok _ ->
+      bug Divergence "%s: engine rejects an instance the reference schedules" what
+
+let first_bug verdicts =
+  List.fold_left (fun acc v -> match acc with Bug _ -> acc | _ -> v ()) Agree verdicts
+
+(* One-shot entry points: regions, optimal starts and the plain-EDF
+   ablation on the caller's ids. *)
 let run_eedf_fast fs =
   match Flow_shop.is_identical_length fs with
   | None -> bug Precondition "eedf-fast generator produced a non-identical-length shop"
   | Some tau ->
       let jobs = Eedf.single_machine_jobs fs ~tau in
-      let ref_jobs =
-        Array.map
-          (fun (j : E2e_core.Single_machine.job) ->
-            { Single_machine_ref.id = j.id; release = j.release; deadline = j.deadline })
-          jobs
-      in
-      let pp_rats ppf rs =
-        Format.pp_print_list ~pp_sep:(fun ppf () -> Format.fprintf ppf " ")
-          (fun ppf r -> Format.pp_print_string ppf (Rat.to_string r))
-          ppf (Array.to_list rs)
-      in
-      let starts_equal a b =
-        Array.length a = Array.length b && Array.for_all2 Rat.equal a b
-      in
-      let regions_verdict =
-        match
-          (E2e_core.Single_machine.forbidden_regions ~tau jobs,
-           Single_machine_ref.forbidden_regions ~tau:tau ref_jobs)
-        with
-        | Error `Infeasible, Error `Infeasible -> Agree
-        | Ok fast, Ok slow ->
-            let same =
-              List.length fast = List.length slow
-              && List.for_all2
-                   (fun (f : E2e_core.Single_machine.region) (s : Single_machine_ref.region) ->
-                     Rat.equal f.left s.left && Rat.equal f.right s.right)
-                   fast slow
-            in
-            if same then Agree
-            else
-              bug Divergence "forbidden regions differ: fast [%a] vs ref [%a]"
-                (Format.pp_print_list ~pp_sep:(fun ppf () -> Format.fprintf ppf "; ")
-                   E2e_core.Single_machine.pp_region)
-                fast
-                (Format.pp_print_list ~pp_sep:(fun ppf () -> Format.fprintf ppf "; ")
-                   (fun ppf (r : Single_machine_ref.region) ->
-                     Format.fprintf ppf "(%s, %s)" (Rat.to_string r.left)
-                       (Rat.to_string r.right)))
-                slow
-        | Ok _, Error `Infeasible ->
-            bug Divergence "fast engine built regions where the reference proves infeasible"
-        | Error `Infeasible, Ok _ ->
-            bug Divergence "fast engine claims infeasible during regions; reference succeeds"
-      in
-      let schedule_verdict () =
-        match
-          (E2e_core.Single_machine.schedule ~tau jobs,
-           Single_machine_ref.schedule ~tau:tau ref_jobs)
-        with
-        | Error `Infeasible, Error `Infeasible -> Agree
-        | Ok fast, Ok slow ->
-            if starts_equal fast slow then Agree
-            else bug Divergence "schedules differ: fast [%a] vs ref [%a]" pp_rats fast pp_rats slow
-        | Ok _, Error `Infeasible -> bug Divergence "fast schedules an instance the reference rejects"
-        | Error `Infeasible, Ok _ -> bug Divergence "fast rejects an instance the reference schedules"
-      in
+      let ref_jobs = to_ref jobs in
       let ablation_verdict () =
         match
-          (E2e_core.Single_machine.edf_schedule_no_regions ~tau jobs,
-           Single_machine_ref.edf_schedule_no_regions ~tau:tau ref_jobs)
+          ( SM.edf_schedule_no_regions ~tau jobs,
+            Single_machine_ref.edf_schedule_no_regions ~tau ref_jobs )
         with
         | Error (`Deadline_missed i), Error (`Deadline_missed i') ->
             if i = i' then Agree
-            else bug Divergence "plain EDF misses different first deadlines: fast %d vs ref %d" i i'
-        | Ok fast, Ok slow ->
-            if starts_equal fast slow then Agree
             else
-              bug Divergence "plain-EDF schedules differ: fast [%a] vs ref [%a]" pp_rats fast
-                pp_rats slow
+              bug Divergence "plain EDF misses different first deadlines: engine %d vs ref %d" i
+                i'
+        | Ok e, Ok r ->
+            if starts_equal e r then Agree
+            else
+              bug Divergence "plain-EDF schedules differ: engine [%a] vs ref [%a]" pp_rats e
+                pp_rats r
         | Ok _, Error (`Deadline_missed i) ->
-            bug Divergence "plain EDF: fast meets all deadlines, reference misses job %d" i
+            bug Divergence "plain EDF: engine meets all deadlines, reference misses job %d" i
         | Error (`Deadline_missed i), Ok _ ->
-            bug Divergence "plain EDF: fast misses job %d, reference meets all deadlines" i
+            bug Divergence "plain EDF: engine misses job %d, reference meets all deadlines" i
       in
-      (match regions_verdict with
-      | Bug _ as b -> b
-      | _ -> (
-          match schedule_verdict () with Bug _ as b -> b | _ -> ablation_verdict ()))
+      first_bug
+        [
+          (fun () ->
+            regions_verdict ~what:"regions" (SM.forbidden_regions ~tau jobs)
+              (Single_machine_ref.forbidden_regions ~tau ref_jobs));
+          (fun () ->
+            schedule_verdict ~what:"schedule" (SM.schedule ~tau jobs)
+              (Single_machine_ref.schedule ~tau ref_jobs));
+          ablation_verdict;
+        ]
 
-(* Incremental-vs-scratch differential: replay a deterministic add/drop
-   churn log over the instance's EEDF reduction and require the warm
-   {!E2e_core.Single_machine.Inc} state to agree with a from-scratch
-   solve after {e every} edit — regions, start times and feasibility
-   verdicts, all under exact rational equality.  The edit positions are
-   a fixed function of the log length, so a failing trial replays from
-   its seed alone. *)
+(* Warm-state churn: replay a deterministic add/drop log over the
+   instance's EEDF reduction and require the warm {!SM.Inc} state to
+   agree with the reference after {e every} edit — regions, start times
+   and feasibility verdicts.  The edit positions are a fixed function
+   of the log length, so a failing trial replays from its seed alone. *)
 let rec insert_at i x l =
   match l with
   | l when i = 0 -> x :: l
@@ -301,63 +313,26 @@ let rec remove_at i = function
   | y :: tl -> y :: remove_at (i - 1) tl
 
 let run_eedf_inc fs =
-  let module SM = E2e_core.Single_machine in
   match Flow_shop.is_identical_length fs with
   | None -> bug Precondition "eedf-inc generator produced a non-identical-length shop"
   | Some tau ->
       let all = Eedf.single_machine_jobs fs ~tau in
       let n = Array.length all in
-      let pp_rats ppf rs =
-        Format.pp_print_list ~pp_sep:(fun ppf () -> Format.fprintf ppf " ")
-          (fun ppf r -> Format.pp_print_string ppf (Rat.to_string r))
-          ppf (Array.to_list rs)
-      in
-      let pp_regions ppf rs =
-        Format.pp_print_list ~pp_sep:(fun ppf () -> Format.fprintf ppf "; ")
-          SM.pp_region ppf rs
-      in
-      (* The incremental state re-ids jobs to positions, so the scratch
+      (* The incremental state re-ids jobs to positions, so the reference
          mirror must too: EDF tie-breaks read the id. *)
-      let reid mirror =
-        Array.of_list (List.mapi (fun i (j : SM.job) -> { j with SM.id = i }) mirror)
-      in
       let check ~step st mirror =
-        let jobs = reid mirror in
-        let regions_verdict =
-          match (SM.Inc.regions st, SM.forbidden_regions ~tau jobs) with
-          | Error `Infeasible, Error `Infeasible -> Agree
-          | Ok inc, Ok scr ->
-              let same =
-                List.length inc = List.length scr
-                && List.for_all2
-                     (fun (a : SM.region) (b : SM.region) ->
-                       Rat.equal a.left b.left && Rat.equal a.right b.right)
-                     inc scr
-              in
-              if same then Agree
-              else
-                bug Divergence "%s: forbidden regions differ: inc [%a] vs scratch [%a]" step
-                  pp_regions inc pp_regions scr
-          | Ok _, Error `Infeasible ->
-              bug Divergence "%s: incremental built regions where scratch proves infeasible" step
-          | Error `Infeasible, Ok _ ->
-              bug Divergence "%s: incremental claims infeasible; scratch builds regions" step
+        let jobs =
+          to_ref (Array.of_list (List.mapi (fun i (j : SM.job) -> { j with SM.id = i }) mirror))
         in
-        match regions_verdict with
-        | Bug _ as b -> b
-        | _ -> (
-            match (SM.Inc.solve st, SM.schedule ~tau jobs) with
-            | Error `Infeasible, Error `Infeasible -> Agree
-            | Ok inc, Ok scr ->
-                if Array.length inc = Array.length scr && Array.for_all2 Rat.equal inc scr then
-                  Agree
-                else
-                  bug Divergence "%s: schedules differ: inc [%a] vs scratch [%a]" step pp_rats
-                    inc pp_rats scr
-            | Ok _, Error `Infeasible ->
-                bug Divergence "%s: incremental schedules an instance scratch rejects" step
-            | Error `Infeasible, Ok _ ->
-                bug Divergence "%s: incremental rejects an instance scratch schedules" step)
+        first_bug
+          [
+            (fun () ->
+              regions_verdict ~what:step (SM.Inc.regions st)
+                (Single_machine_ref.forbidden_regions ~tau jobs));
+            (fun () ->
+              schedule_verdict ~what:step (SM.Inc.solve st)
+                (Single_machine_ref.schedule ~tau jobs));
+          ]
       in
       let exception Found of outcome in
       let guard step st mirror =

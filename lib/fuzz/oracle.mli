@@ -16,10 +16,14 @@
       it returns must pass {!E2e_schedule.Schedule.check}, a feasible H
       schedule implies a feasible permutation order the oracle must also
       find, and the front end's infeasibility proofs must hold up;
-    - [Eedf_fast] — the indexed {!E2e_core.Single_machine} engine vs.
-      the retained scan-based {!Single_machine_ref}, compared for exact
-      rational equality on region lists, optimal schedules and the
-      plain-EDF ablation.  No oracle budget: every trial is decidable.
+    - [Eedf_fast] — the one-shot {!E2e_core.Single_machine} entry
+      points vs. the retained scan-based {!Single_machine_ref}, compared
+      for exact rational equality on region lists, optimal schedules and
+      the plain-EDF ablation.  No oracle budget: every trial is
+      decidable;
+    - [Eedf_inc] — the warm {!E2e_core.Single_machine.Inc} state vs. the
+      same reference after every edit of a deterministic add/drop churn
+      log (regions, schedules and verdicts).
 
     Every returned schedule, from solver and oracle alike, is validated
     by the independent checker. *)
@@ -37,10 +41,10 @@ type kind =
       (** The solver rejected optimality preconditions the generator
           guarantees (identical lengths, homogeneity, single loop, ...). *)
   | Divergence
-      (** The indexed {!E2e_core.Single_machine} engine and the retained
+      (** The {!E2e_core.Single_machine} engine and the retained
           scan-based {!Single_machine_ref} disagree on some output
           (regions, optimal starts, or the plain-EDF ablation) — the
-          [eedf-fast] class. *)
+          [eedf-fast] and [eedf-inc] classes. *)
   | Crash of string  (** The solver raised. *)
 
 type outcome =

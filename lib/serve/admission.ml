@@ -252,10 +252,10 @@ let solve_prepared ~budget p =
    Machine handle extends that handle with the fresh canonical jobs and
    reads the verdict — no cache, no full solve.  [None] falls back to
    the cache/solve path (not an Add, no handle, or the merged set left
-   the identical-length class).  Decision-transparent: the incremental
-   engine agrees byte-for-byte with the scratch solver ([eedf-inc]
-   fuzz), and the Rejected arm rebuilds the same certificate the cold
-   path would.  Counters [serve.inc_hits]/[serve.inc_misses] measure
+   the identical-length class).  Decision-transparent: warm edits agree
+   byte-for-byte with the cold solve's from-scratch [Inc] run
+   ([eedf-inc] fuzz), and the Rejected arm rebuilds the same
+   certificate the cold path would.  Counters [serve.inc_hits]/[serve.inc_misses] measure
    the delta-path hit rate over Add requests. *)
 let try_incremental p =
   let result =

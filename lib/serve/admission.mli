@@ -156,8 +156,10 @@ val try_incremental : prepared -> (decision * inc_state option) option
     and reads the verdict — no cache, no full solve.  [None] falls back
     to the cache/solve path (not an [Add], no handle, or the merged set
     left the identical-length class).  The returned canonical decision
-    is byte-identical to what a cold solve would produce (the [eedf-inc]
-    fuzz contract); the state is the extended handle to {!commit}.
+    is byte-identical to what a cold solve would produce (both run
+    [Single_machine.Inc]; the [eedf-inc] fuzz class checks warm edits
+    against the scan-based reference); the state is the extended handle
+    to {!commit}.
     Bumps [serve.inc_hits]/[serve.inc_misses] for [Add] requests. *)
 
 val hint_of : prepared -> E2e_core.H_portfolio.strategy option

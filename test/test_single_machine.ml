@@ -1,6 +1,8 @@
 module Rat = E2e_rat.Rat
 module Sm = E2e_core.Single_machine
 module Prng = E2e_prng.Prng
+module Obs = E2e_obs.Obs
+module Ref = E2e_fuzz.Single_machine_ref
 open Helpers
 
 let job id release deadline = { Sm.id; release; deadline }
@@ -11,11 +13,16 @@ let job id release deadline = { Sm.id; release; deadline }
    to wait.  tau = 2; J0: r=0, d=10; J1: r=1, d=3. *)
 let trap_instance () = [| job 0 (r 0) (r 10); job 1 (r 1) (r 3) |]
 
+(* The miss is reported with the caller's id, not the job's position:
+   the relabelled trap (ids 7 and 3) must report 3. *)
 let test_plain_edf_fails_trap () =
-  match Sm.edf_schedule_no_regions ~tau:(r 2) (trap_instance ()) with
-  | Error (`Deadline_missed 1) -> ()
-  | Error (`Deadline_missed i) -> Alcotest.failf "wrong job missed: %d" i
-  | Ok _ -> Alcotest.fail "plain EDF should fail on the trap instance"
+  let expect_miss what expected jobs =
+    match Sm.edf_schedule_no_regions ~tau:(r 2) jobs with
+    | Error (`Deadline_missed i) -> Alcotest.(check int) (what ^ ": missed job") expected i
+    | Ok _ -> Alcotest.failf "%s: plain EDF should fail on the trap instance" what
+  in
+  expect_miss "trap" 1 (trap_instance ());
+  expect_miss "relabelled trap" 3 [| job 7 (r 0) (r 10); job 3 (r 1) (r 3) |]
 
 let test_regions_solve_trap () =
   let jobs = trap_instance () in
@@ -34,6 +41,25 @@ let test_trap_regions () =
         (List.exists
            (fun { Sm.left; right } -> Rat.(left < r 1) && Rat.(right = r 1))
            regions)
+
+(* The kept telemetry: the finished state's regions, one event each,
+   and their count. *)
+let test_schedule_telemetry () =
+  let sink, events = Obs.Sink.memory () in
+  Obs.install sink;
+  Fun.protect ~finally:Obs.uninstall (fun () ->
+      ignore (Sm.schedule ~tau:(r 2) (trap_instance ())));
+  let named name = List.filter (fun (e : Obs.event) -> e.name = name) (events ()) in
+  (match named "single_machine.forbidden_region" with
+  | [ e ] ->
+      let expected =
+        [ ("left", Obs.Str (Rat.to_string (r (-1)))); ("right", Obs.Str (Rat.to_string (r 1))) ]
+      in
+      Alcotest.(check bool) "region (-1, 1)" true (e.fields = expected)
+  | es -> Alcotest.failf "expected one forbidden_region event, got %d" (List.length es));
+  match named "single_machine.regions" with
+  | [ e ] -> Alcotest.(check bool) "count 1" true (e.fields = [ ("count", Obs.Int 1) ])
+  | es -> Alcotest.failf "expected one regions event, got %d" (List.length es)
 
 let test_infeasible_detected () =
   (* Two unit jobs in one unit window. *)
@@ -128,13 +154,14 @@ let prop_regions_disjoint_sorted =
 (* {1 Incremental state} *)
 
 (* The exactness contract: after any edit, the warm state's regions,
-   schedule and verdict must be byte-identical to a from-scratch solve
-   of the same (position-id'd) job set. *)
-let reid jobs = Array.mapi (fun i (j : Sm.job) -> { j with Sm.id = i }) jobs
+   schedule and verdict must be byte-identical to the independent
+   reference's on the same (position-id'd) job set. *)
+let ref_jobs jobs =
+  Array.mapi (fun i (j : Sm.job) -> { Ref.id = i; release = j.release; deadline = j.deadline }) jobs
 
 let agree ~what ~tau st jobs =
-  let jobs = reid jobs in
-  (match (Sm.Inc.regions st, Sm.forbidden_regions ~tau jobs) with
+  let jobs = ref_jobs jobs in
+  (match (Sm.Inc.regions st, Ref.forbidden_regions ~tau jobs) with
   | Error `Infeasible, Error `Infeasible -> ()
   | Ok inc, Ok scr ->
       Alcotest.(check bool)
@@ -142,11 +169,11 @@ let agree ~what ~tau st jobs =
         true
         (List.length inc = List.length scr
         && List.for_all2
-             (fun (a : Sm.region) (b : Sm.region) ->
+             (fun (a : Sm.region) (b : Ref.region) ->
                Rat.equal a.left b.left && Rat.equal a.right b.right)
              inc scr)
   | _ -> Alcotest.failf "%s: regions verdicts disagree" what);
-  match (Sm.Inc.solve st, Sm.schedule ~tau jobs) with
+  match (Sm.Inc.solve st, Ref.schedule ~tau jobs) with
   | Error `Infeasible, Error `Infeasible -> ()
   | Ok inc, Ok scr ->
       Alcotest.(check bool)
@@ -187,7 +214,7 @@ let test_inc_infeasibility_flips () =
   | Error `Infeasible -> Alcotest.fail "one unit job fits"
 
 (* Random churn property: a chain of adds then drops, checked against
-   from-scratch at every step (the unit-test-sized sibling of the
+   the reference at every step (the unit-test-sized sibling of the
    eedf-inc fuzz class). *)
 let prop_inc_matches_scratch =
   QCheck.Test.make ~name:"single machine: incremental matches from-scratch under churn"
@@ -200,8 +227,7 @@ let prop_inc_matches_scratch =
       let jobs = random_jobs g n in
       let st = ref (Sm.Inc.make ~tau [| jobs.(0) |]) in
       let check what =
-        let jobs = Sm.Inc.jobs !st in
-        let scratch = Sm.schedule ~tau (reid jobs) in
+        let scratch = Ref.schedule ~tau (ref_jobs (Sm.Inc.jobs !st)) in
         match (Sm.Inc.solve !st, scratch) with
         | Error `Infeasible, Error `Infeasible -> ()
         | Ok a, Ok b when Array.length a = Array.length b && Array.for_all2 Rat.equal a b ->
@@ -234,4 +260,5 @@ let suite =
     to_alcotest prop_plain_edf_never_beats_exact;
     to_alcotest prop_regions_disjoint_sorted;
     to_alcotest prop_inc_matches_scratch;
+    Alcotest.test_case "schedule telemetry" `Quick test_schedule_telemetry;
   ]
