@@ -27,7 +27,7 @@ JOBS ?= 4
 BENCH_TRIALS ?= full
 
 .PHONY: all build test bench-serve bench-core bench-cluster \
-  fuzz-smoke fuzz-inc serve-smoke serve-conc-smoke cluster-smoke trace-smoke sweep-smoke \
+  fuzz-smoke serve-smoke serve-conc-smoke cluster-smoke trace-smoke sweep-smoke \
   check clean
 
 all: build
@@ -61,10 +61,10 @@ bench-serve:
 # The one core benchmark suite, written to tracked BENCH_core.json with
 # the host and commit it ran on: the single-machine engine against the
 # retained scan-based reference (the speedup ratio is part of the
-# output), Algorithms A and H, the admission request path, warm edits
-# against Inc.make, one fixed-size row per paper artifact, ablation,
-# baseline and extension, and (full mode only) the fig9/fig10 Monte
-# Carlo sweeps on 1 domain and on every recommended domain.
+# output), Algorithms A and H, the admission request path, one
+# fixed-size row per paper artifact, ablation, baseline and extension,
+# and (full mode only) the fig9/fig10 Monte Carlo sweeps on 1 domain
+# and on every recommended domain.
 bench-core:
 	dune exec bench/core_bench.exe -- --trials $(BENCH_TRIALS) \
 	  --out BENCH_core.json
@@ -182,12 +182,9 @@ sweep-smoke:
 	dune exec bin/jsonl_check.exe -- --bench $(SWEEP_D) $(SWEEP_S)
 
 # Short differential-fuzzing campaign over every model class (including
-# eedf-fast, which pits the single-machine engine's one-shot entry
-# points against the retained scan-based reference on larger instances,
-# and eedf-inc, which replays add/drop churn logs through the warm
-# incremental state and compares it with the reference after every
-# edit): each solver against its oracle and the independent checker, on
-# a fixed seed, run
+# eedf-fast, which pits the single-machine engine's entry points against
+# the retained scan-based reference on larger instances): each solver
+# against its oracle and the independent checker, on a fixed seed, run
 # on 1 and 4 domains — any disagreement or any scheduling
 # nondeterminism (output not byte-identical) fails the target.  Full
 # campaigns: dune exec bin/fuzz.exe -- --trials 2000.
@@ -196,14 +193,6 @@ fuzz-smoke:
 	dune exec bin/fuzz.exe -- --class all --trials 300 --seed 42 -j 1 > $(FUZZ_A)
 	dune exec bin/fuzz.exe -- --class all --trials 300 --seed 42 -j 4 > $(FUZZ_B)
 	cmp $(FUZZ_A) $(FUZZ_B)
-
-# Deep campaign on the warm-state differential alone: every trial
-# replays a deterministic add/drop churn log over one instance,
-# comparing regions, schedules and feasibility verdicts after every
-# edit (the warm state must agree with the scan-based reference
-# exactly).
-fuzz-inc:
-	dune exec bin/fuzz.exe -- --class eedf-inc --trials 2000 --seed 7 -j 4
 
 # Build, run the test suite, then smoke-test the telemetry pipeline
 # (regenerate one paper artifact with --metrics and validate the file as
@@ -226,7 +215,6 @@ check:
 	dune exec bin/experiments.exe -- fig9a --trials 120 -j 4 --metrics $(PAR_METRICS) > /dev/null
 	dune exec bin/jsonl_check.exe $(PAR_METRICS)
 	$(MAKE) fuzz-smoke
-	$(MAKE) fuzz-inc
 	$(MAKE) serve-smoke
 	$(MAKE) serve-conc-smoke
 	$(MAKE) cluster-smoke

@@ -1,5 +1,5 @@
 (* The core benchmark suite, tracked in BENCH_core.json: the
-   single-machine engine ([Single_machine.Inc]) against the retained
+   single-machine engine ([Single_machine]) against the retained
    scan-based reference, the solvers that ride on it, the admission
    service's request path, one fixed-size row per paper artifact,
    ablation, baseline and extension, and the fig9/fig10 Monte Carlo
@@ -34,7 +34,6 @@ module Baselines = E2e_baselines
 module Experiments = E2e_experiments.Experiments
 module Admission = E2e_serve.Admission
 module Cache = E2e_serve.Cache
-module SM = E2e_core.Single_machine
 module Ref = E2e_fuzz.Single_machine_ref
 module Obs = E2e_obs.Obs
 module Json = E2e_obs.Json
@@ -148,106 +147,6 @@ let serve_case n =
     List.fold_left
       (fun t req -> fst (Admission.apply ~cache ~keyer t req))
       Admission.empty log
-
-(* {1 Incremental churn workloads}
-
-   A resident identical-length shop solved once into a warm
-   {!SM.Inc} state; the timed body is a single-task edit plus re-solve.
-   States are persistent, so every call starts from the same resident
-   handle — no drift across trials.  The churn model is the serve
-   pattern the delta path targets: fresh tasks arrive with releases near
-   the committed horizon and cancellations hit recent arrivals, so the
-   checkpoint prefix below the edit's release is mostly reusable. *)
-let inc_setup n =
-  let g = Prng.create (5000 + n) in
-  let fs = Gen.identical_length g ~n ~m:4 ~tau:Rat.one ~window:(2 * n) in
-  let st = SM.Inc.make ~tau:Rat.one (Eedf.single_machine_jobs fs ~tau:Rat.one) in
-  let jobs = SM.Inc.jobs st in
-  let lo = Rat.of_int (2 * n * 3 / 4) and hi = Rat.of_int (2 * n) in
-  let deltas =
-    Array.init 16 (fun _ ->
-        let r = Prng.rat_uniform g ~den:4 lo hi in
-        (Prng.int g (n + 1), r, Rat.add r (Rat.of_int (4 + Prng.int g 8))))
-  in
-  (* Drop positions among the latest-release quarter of the resident
-     jobs (recent arrivals). *)
-  let by_release = Array.mapi (fun i (j : SM.job) -> (j.release, i)) jobs in
-  Array.sort compare by_release;
-  let tail = Stdlib.max 1 (n / 4) in
-  let drops =
-    Array.init 16 (fun _ -> snd by_release.(n - 1 - Prng.int g tail))
-  in
-  (st, jobs, deltas, drops)
-
-let inc_add_case (st, _, deltas, _) =
-  let i = ref 0 in
-  fun () ->
-    let at, r, d = deltas.(!i mod 16) in
-    incr i;
-    SM.Inc.solve (SM.Inc.add_task st ~at ~release:r ~deadline:d)
-
-let inc_drop_case (st, _, _, drops) =
-  let i = ref 0 in
-  fun () ->
-    let at = drops.(!i mod 16) in
-    incr i;
-    SM.Inc.solve (SM.Inc.remove_task st ~at)
-
-(* The cost the warm path avoids: [Inc.make], the from-scratch solve the
-   service runs when it has no warm handle, on the same one-task-edited
-   job set. *)
-let inc_scratch_case (_, jobs, deltas, _) =
-  let n = Array.length jobs in
-  let i = ref 0 in
-  fun () ->
-    let at, r, d = deltas.(!i mod 16) in
-    incr i;
-    let edited =
-      Array.init (n + 1) (fun k ->
-          if k < at then { jobs.(k) with SM.id = k }
-          else if k = at then { SM.id = k; release = r; deadline = d }
-          else { jobs.(k - 1) with SM.id = k })
-    in
-    SM.Inc.solve (SM.Inc.make ~tau:Rat.one edited)
-
-(* End-to-end admission cost of one [Add] on a resident shop: the warm
-   engine holds the committed solve's [Machine] handle (the O(delta)
-   path), the cold engine holds the same committed shop with the handle
-   stripped, so the identical request takes the full-solve path. *)
-let serve_inc_setup n =
-  let g = Prng.create (6000 + n) in
-  let fs = Gen.identical_length g ~n ~m:2 ~tau:Rat.one ~window:(2 * n) in
-  let submit =
-    Admission.Submit { shop = "resident"; instance = Recurrence_shop.of_traditional fs }
-  in
-  let warm = fst (Admission.apply Admission.empty submit) in
-  if Admission.warm_resident warm = 0 then
-    failwith "serve_inc_setup: resident submit left no warm handle";
-  let cold =
-    match Admission.prepare Admission.empty submit with
-    | Error _ -> failwith "serve_inc_setup: resident submit rejected"
-    | Ok p ->
-        let decision, _ = Admission.decide_prepared p in
-        Admission.commit ~prepared:p ~state:None Admission.empty submit (Some decision)
-  in
-  let lo = Rat.of_int (2 * n * 3 / 4) and hi = Rat.of_int (2 * n) in
-  let adds =
-    Array.init 16 (fun _ ->
-        let r = Prng.rat_uniform g ~den:4 lo hi in
-        Admission.Add
-          {
-            shop = "resident";
-            tasks = [ (r, Rat.add r (Rat.of_int (4 + Prng.int g 8)), Array.make 2 Rat.one) ];
-          })
-  in
-  (warm, cold, adds)
-
-let serve_inc_case engine adds =
-  let i = ref 0 in
-  fun () ->
-    let req = adds.(!i mod 16) in
-    incr i;
-    Admission.apply engine req
 
 (* {1 Fixed-size families}
 
@@ -377,17 +276,7 @@ let run_all ~small =
       end;
       push (case "algo_a" n (algo_a_case n));
       push (case "algo_h" n (algo_h_case n));
-      push (case "serve_admission" n (serve_case n));
-      (* Incremental churn: the scratch row repeats a full solve per
-         call, so the largest size runs with trimmed repetitions. *)
-      let inc = inc_setup n in
-      let warmup, trials = if n > 1000 then (1, 3) else (def_warmup, def_trials) in
-      push (case ~warmup ~trials "inc_add" n (inc_add_case inc));
-      push (case ~warmup ~trials "inc_drop" n (inc_drop_case inc));
-      push (case ~warmup ~trials "inc_scratch" n (inc_scratch_case inc));
-      let warm, cold, adds = serve_inc_setup n in
-      push (case ~warmup ~trials "serve_admission_incremental" n (serve_inc_case warm adds));
-      push (case ~warmup ~trials "serve_admission_scratch" n (serve_inc_case cold adds)))
+      push (case "serve_admission" n (serve_case n)))
     sizes;
   List.iter (fun (family, n, f) -> push (case family n f)) (fixed_families ());
   if not small then begin
@@ -413,19 +302,6 @@ let speedups rows =
     (fun { family; n; mean_s; _ } ->
       if family <> "eedf_ref" then None
       else Option.map (fun fast -> (n, mean_s /. fast)) (mean_of rows "eedf" n))
-    rows
-
-(* Warm single-task edits against [Inc.make] on the same edited set
-   (the service's cold path); the reported ratio is the weaker of the
-   add and drop speedups. *)
-let inc_speedups rows =
-  List.filter_map
-    (fun { family; n; mean_s; _ } ->
-      if family <> "inc_scratch" || mean_s <= 0. then None
-      else
-        match (mean_of rows "inc_add" n, mean_of rows "inc_drop" n) with
-        | Some a, Some d -> Some (n, mean_s /. Float.max a d)
-        | _ -> None)
     rows
 
 (* The one-domain over the many-domain sweep time, per sweep. *)
@@ -470,7 +346,6 @@ let record rows sizes ref_cap ~small =
       ("eedf_ref_max_n", Json.int ref_cap);
       ("rows", Json.List (List.map row_json rows));
       ("speedup_eedf_vs_ref", ratios_json (speedups rows));
-      ("speedup_inc_vs_scratch", ratios_json (inc_speedups rows));
     ]
 
 let () =
@@ -499,10 +374,6 @@ let () =
   List.iter
     (fun (n, ratio) -> Printf.printf "EEDF speedup vs reference at n=%d: %.1fx\n" n ratio)
     (speedups rows);
-  List.iter
-    (fun (n, ratio) ->
-      Printf.printf "incremental speedup vs scratch at n=%d: %.1fx\n" n ratio)
-    (inc_speedups rows);
   List.iter
     (fun (family, jobs, ratio) ->
       Printf.printf "%s speedup on %d domains vs 1: %.2fx\n" family jobs ratio)

@@ -34,7 +34,6 @@ let classes_arg =
     "Model class to fuzz: $(b,eedf) (identical-length flow shops), $(b,r) (single-loop \
      recurrence shops), $(b,a) (homogeneous sets), $(b,h) (arbitrary sets), $(b,eedf-fast) \
      (single-machine engine vs the retained scan-based reference, large instances), \
-     $(b,eedf-inc) (warm add/drop edits vs the same reference after every edit), \
      $(b,serve) (admission-service request logs, batched-and-cached vs sequential \
      reference), or $(b,all)."
   in

@@ -27,10 +27,3 @@ val schedule_no_regions :
 
 val single_machine_jobs : E2e_model.Flow_shop.t -> tau:rat -> Single_machine.job array
 (** The reduced instance on [P_1] (exposed for tests and benches). *)
-
-val propagate :
-  E2e_model.Flow_shop.t -> tau:rat -> rat array -> E2e_schedule.Schedule.t
-(** Lift optimal [P_1] start times back to the full flow shop: subtask
-    [j] of task [i] starts at [starts_p1.(i) + j tau].  Exposed so the
-    incremental solver path ({!Solver.Incremental}) can rebuild the
-    full schedule from a warm-started single-machine solve. *)

@@ -73,540 +73,329 @@ let brute_force_feasible ~tau jobs =
    latest packing of the jobs with release [>= r] and deadline [<= d],
    so [(s - tau, r)] is the union of the per-deadline regions for [r],
    and [s < r] proves infeasibility.  EDF dispatch that hops over the
-   final regions is then optimal.
+   final regions is then optimal.  Results are exact (the [eedf-fast]
+   differential fuzz class checks regions, schedules and verdicts
+   against {!E2e_fuzz.Single_machine_ref}).
 
-   [Inc] keeps enough persistent state to redo only the part of that
-   work an [add_task]/[remove_task] invalidates; [make] is the
-   from-scratch run.  Results are exact (the [eedf-fast] and [eedf-inc]
-   differential fuzz classes check regions, schedules and verdicts
-   against {!E2e_fuzz.Single_machine_ref}).  Two observations make both
-   cheap:
-
-   - Region passes run over releases in DESCENDING order and the pass
-     for release [r] reads only jobs with release [>= r].  An edit at
-     release [r0] therefore leaves every pass for a release [> r0]
-     bit-identical, so the state keeps one {!E2e_ds.Interval_set}
-     snapshot per distinct release (O(1) shares — the set is
-     persistent) and resumes the sweep at the first release [<= r0].
-
-   - No pass can afford the O(n) walk above.  Its result for release
-     [r] equals
+   Passes run over releases in DESCENDING order, so each pass only
+   activates the jobs of its own release on top of the previous pass's
+   state.  No pass can afford the O(n) walk above.  Its result for
+   release [r] equals
 
        min over active deadlines d of  g^{N(d)}(d)
 
-     where [g x = adjust_down (x - tau)], [N(d)] counts active jobs
-     (release [>= r]) with deadline [<= d], and "active deadline" means
-     one owned by at least one active job: [g] is monotone and commutes
-     with [min], so unrolling the fold splits it per deadline, and
-     within an equal-deadline run more applications of the strictly
-     decreasing [g] only lower the value, leaving the run's last job —
-     the full count [N(d)] — as the minimum.  Without regions
-     [g^k(d) = d - k tau]; each region hop can lower a walk by at most
-     the region's length, and a walk crosses each region at most once
-     (values strictly decrease), so the true value lies within
-     [Lambda = measure regions] of the no-region value.  The state
-     keeps the no-region values [d - N(d) tau] in a lazy min segment
-     tree (plus a Fenwick tree for the counts), reads the tree minimum,
-     evaluates [g^{N(d)}(d)] exactly — batching the subtraction steps
-     between regions with one floor division — only for the candidates
-     within [Lambda] of it, and takes the exact minimum.
+   where [g x = adjust_down (x - tau)], [N(d)] counts active jobs
+   (release [>= r]) with deadline [<= d], and "active deadline" means
+   one owned by at least one active job: [g] is monotone and commutes
+   with [min], so unrolling the fold splits it per deadline, and
+   within an equal-deadline run more applications of the strictly
+   decreasing [g] only lower the value, leaving the run's last job —
+   the full count [N(d)] — as the minimum.  Without regions
+   [g^k(d) = d - k tau]; each region hop can lower a walk by at most
+   the region's length, and a walk crosses each region at most once
+   (values strictly decrease), so the true value lies within
+   [Lambda = measure regions] of the no-region value.  The sweep
+   keeps the no-region values [d - N(d) tau] in a lazy min segment
+   tree (plus a Fenwick tree for the counts), reads the tree minimum,
+   evaluates [g^{N(d)}(d)] exactly — batching the subtraction steps
+   between regions with one floor division — only for the candidates
+   within [Lambda] of it, and takes the exact minimum. *)
 
-   Dispatch reuse: starts are strictly increasing, so the committed
-   dispatch order is replayed up to [cut = min r0 L], where [L] is
-   {!E2e_ds.Interval_set.first_difference} of the old and new region
-   sets.  Below [cut] the two runs are in lockstep (the edited job,
-   release [>= r0], is invisible there, and [adjust_up] agrees on every
-   instant below the first region difference), so the prefix is copied
-   and the heap loop resumes from its frontier. *)
+(* Fenwick tree of active-job counts per deadline position (1-based
+   internally). *)
+module Fenwick = struct
+  type t = int array (* length m + 1 *)
 
-module Inc = struct
-  (* Fenwick tree of active-job counts per deadline position (1-based
-     internally). *)
-  module Fenwick = struct
-    type t = int array (* length m + 1 *)
+  let create m : t = Array.make (m + 1) 0
 
-    let create m : t = Array.make (m + 1) 0
+  let add (t : t) i v =
+    let n = Array.length t - 1 in
+    let i = ref (i + 1) in
+    while !i <= n do
+      t.(!i) <- t.(!i) + v;
+      i := !i + (!i land - !i)
+    done
 
-    let add (t : t) i v =
-      let n = Array.length t - 1 in
-      let i = ref (i + 1) in
-      while !i <= n do
-        t.(!i) <- t.(!i) + v;
-        i := !i + (!i land - !i)
-      done
+  (* Number of active jobs with deadline <= position [i]. *)
+  let prefix (t : t) i =
+    let s = ref 0 and i = ref (i + 1) in
+    while !i > 0 do
+      s := !s + t.(!i);
+      i := !i - (!i land - !i)
+    done;
+    !s
+end
 
-    (* Number of active jobs with deadline <= position [i]. *)
-    let prefix (t : t) i =
-      let s = ref 0 and i = ref (i + 1) in
-      while !i > 0 do
-        s := !s + t.(!i);
-        i := !i - (!i land - !i)
-      done;
-      !s
-  end
+(* Lazy min segment tree over deadline positions.  A leaf is [Some v]
+   for an active deadline (value [d - N(d) tau]) and [None] for an
+   inactive one; [range_add k] records "N grew by k" on a leaf range,
+   i.e. subtracts [k tau] from the active leaves, lazily. *)
+module Vtree = struct
+  type t = {
+    size : int; (* power of two >= leaf count, >= 1 *)
+    min_ : Rat.t option array; (* 1-based, 2*size nodes *)
+    pend : int array; (* pending count per internal node *)
+    tau : rat;
+  }
 
-  (* Lazy min segment tree over deadline positions.  A leaf is [Some v]
-     for an active deadline (value [d - N(d) tau]) and [None] for an
-     inactive one; [range_add k] records "N grew by k" on a leaf range,
-     i.e. subtracts [k tau] from the active leaves, lazily. *)
-  module Vtree = struct
-    type t = {
-      size : int; (* power of two >= leaf count, >= 1 *)
-      min_ : Rat.t option array; (* 1-based, 2*size nodes *)
-      pend : int array; (* pending count per internal node *)
-      tau : rat;
-    }
+  let create ~tau m =
+    let size = ref 1 in
+    while !size < m do
+      size := 2 * !size
+    done;
+    { size = !size; min_ = Array.make (2 * !size) None; pend = Array.make (2 * !size) 0; tau }
 
-    let create ~tau m =
-      let size = ref 1 in
-      while !size < m do
-        size := 2 * !size
-      done;
-      { size = !size; min_ = Array.make (2 * !size) None; pend = Array.make (2 * !size) 0; tau }
+  let apply t i k =
+    if k <> 0 then begin
+      (match t.min_.(i) with
+      | Some v -> t.min_.(i) <- Some (Rat.sub v (Rat.mul_int t.tau k))
+      | None -> ());
+      if i < t.size then t.pend.(i) <- t.pend.(i) + k
+    end
 
-    let apply t i k =
-      if k <> 0 then begin
-        (match t.min_.(i) with
-        | Some v -> t.min_.(i) <- Some (Rat.sub v (Rat.mul_int t.tau k))
-        | None -> ());
-        if i < t.size then t.pend.(i) <- t.pend.(i) + k
-      end
+  let push t i =
+    let k = t.pend.(i) in
+    if k <> 0 then begin
+      apply t (2 * i) k;
+      apply t ((2 * i) + 1) k;
+      t.pend.(i) <- 0
+    end
 
-    let push t i =
-      let k = t.pend.(i) in
-      if k <> 0 then begin
-        apply t (2 * i) k;
-        apply t ((2 * i) + 1) k;
-        t.pend.(i) <- 0
-      end
+  let pull t i =
+    t.min_.(i) <-
+      (match (t.min_.(2 * i), t.min_.((2 * i) + 1)) with
+      | None, x | x, None -> x
+      | Some a, Some b -> Some (Rat.min a b))
 
-    let pull t i =
-      t.min_.(i) <-
-        (match (t.min_.(2 * i), t.min_.((2 * i) + 1)) with
-        | None, x | x, None -> x
-        | Some a, Some b -> Some (Rat.min a b))
-
-    (* Leaves set in one pass (activation values already absolute),
-       internals pulled bottom-up: O(size). *)
-    let build t values =
-      Array.iteri (fun i v -> t.min_.(t.size + i) <- v) values;
-      for i = t.size - 1 downto 1 do
-        pull t i
-      done
-
-    let range_add t l r k =
-      if l <= r && k <> 0 then begin
-        let rec go i lo hi =
-          if r < lo || hi < l then ()
-          else if l <= lo && hi <= r then apply t i k
-          else begin
-            push t i;
-            let mid = (lo + hi) / 2 in
-            go (2 * i) lo mid;
-            go ((2 * i) + 1) (mid + 1) hi;
-            pull t i
-          end
-        in
-        go 1 0 (t.size - 1)
-      end
-
-    (* Activate a leaf with its absolute value: pending counts on the
-       path are pushed down first, so the assignment is not retroactively
-       shifted by adds that predate the activation (the absolute value
-       already accounts for them via the Fenwick count). *)
-    let assign t pos v =
+  let range_add t l r k =
+    if l <= r && k <> 0 then begin
       let rec go i lo hi =
-        if lo = hi then t.min_.(i) <- Some v
+        if r < lo || hi < l then ()
+        else if l <= lo && hi <= r then apply t i k
         else begin
           push t i;
           let mid = (lo + hi) / 2 in
-          if pos <= mid then go (2 * i) lo mid else go ((2 * i) + 1) (mid + 1) hi;
+          go (2 * i) lo mid;
+          go ((2 * i) + 1) (mid + 1) hi;
           pull t i
         end
       in
       go 1 0 (t.size - 1)
+    end
 
-    let root_min t = t.min_.(1)
-
-    (* Visit every active leaf whose value is <= threshold. *)
-    let iter_le t threshold f =
-      let rec go i lo hi =
-        match t.min_.(i) with
-        | None -> ()
-        | Some v when Rat.compare v threshold > 0 -> ()
-        | Some v ->
-            if lo = hi then f lo v
-            else begin
-              push t i;
-              let mid = (lo + hi) / 2 in
-              go (2 * i) lo mid;
-              go ((2 * i) + 1) (mid + 1) hi
-            end
-      in
-      go 1 0 (t.size - 1)
-  end
-
-  (* g^k(x) for g(x) = adjust_down regions (x - tau), batching the plain
-     subtraction steps between regions: from [x], the first region the
-     walk can enter is the rightmost one with left < x (higher regions
-     start at or above x and the walk only descends), so one floor
-     division finds how many steps reach it.  O(regions crossed) region
-     lookups. *)
-  let eval_gk regions ~tau x k =
-    let rec go x k =
-      if k = 0 then x
-      else
-        let j = Iset.rightmost_left_below regions x in
-        if j < 0 then Rat.sub x (Rat.mul_int tau k)
-        else
-          let _, rt = Iset.get regions j in
-          (* Smallest i >= 1 with x - i tau < rt (strict: the interval is
-             open, landing exactly on rt stays outside). *)
-          let i0 =
-            let q = Rat.floor (Rat.div (Rat.sub x rt) tau) + 1 in
-            if q < 1 then 1 else q
-          in
-          if i0 > k then Rat.sub x (Rat.mul_int tau k)
-          else
-            (* The landing value y < rt may sit strictly inside region j
-               — or inside a lower region entirely cleared by the last
-               tau-step — so settle it with a general lookup.  Either
-               way the settled value is <= l, so each recursion consumes
-               at least one region: O(regions crossed) total. *)
-            let y = Rat.sub x (Rat.mul_int tau i0) in
-            go (Iset.adjust_down regions y) (k - i0)
-    in
-    go x k
-
-  type checkpoint = { release : rat; before : Iset.t }
-  (* Region set before the pass for [release] ran (equivalently: after
-     every pass for a strictly greater release).  Checkpoints are kept
-     in descending release order; on infeasibility the failing release's
-     checkpoint is the last one. *)
-
-  type core = Feasible_regions of Iset.t | Infeasible_at of rat
-
-  type dispatch = {
-    order : (int * rat) array; (* (position, start) in dispatch order *)
-    starts : rat array; (* by position *)
-    missed : int option; (* first position whose deadline is missed *)
-  }
-
-  type state = {
-    tau : rat;
-    jobs : job array; (* ids = positions, caller order *)
-    checkpoints : checkpoint array;
-    core : core;
-    disp : dispatch option; (* None iff core = Infeasible_at *)
-  }
-
-  let tau st = st.tau
-  let n_jobs st = Array.length st.jobs
-  let jobs st = Array.copy st.jobs
-
-  (* Redo the packing passes for distinct releases <= r0 (all of them
-     when [r0_opt] is [None]), on top of [kept] checkpoints whose passes
-     (releases > r0) are unchanged and produced [start_regions]. *)
-  let compute_core ~tau (jobs : job array) ~kept ~start_regions ~r0_opt =
-    let n = Array.length jobs in
-    let included p =
-      match r0_opt with None -> false | Some r0 -> Rat.(jobs.(p).release > r0)
-    in
-    (* Distinct deadlines, ascending. *)
-    let sorted = Array.map (fun j -> j.deadline) jobs in
-    Array.sort Rat.compare sorted;
-    let m = ref 0 in
-    Array.iteri
-      (fun i d ->
-        if i = 0 || not (Rat.equal d sorted.(i - 1)) then begin
-          sorted.(!m) <- d;
-          incr m
-        end)
-      sorted;
-    let m = !m in
-    let distinct = Array.sub sorted 0 m in
-    let dpos d =
-      let lo = ref 0 and hi = ref (m - 1) in
-      while !lo < !hi do
-        let mid = (!lo + !hi) / 2 in
-        if Rat.compare distinct.(mid) d < 0 then lo := mid + 1 else hi := mid
-      done;
-      !lo
-    in
-    (* Job positions by release, descending. *)
-    let by_release = Array.init n Fun.id in
-    Array.sort (fun a b -> Rat.compare jobs.(b).release jobs.(a).release) by_release;
-    let fen = Fenwick.create m in
-    let tree = Vtree.create ~tau m in
-    let active = Array.make (max m 1) false in
-    (* Bulk-activate the jobs whose passes are kept. *)
-    let cnt = Array.make (max m 1) 0 in
-    Array.iteri
-      (fun p j -> if included p then cnt.(dpos j.deadline) <- cnt.(dpos j.deadline) + 1)
-      jobs;
-    let leaves = Array.make m None in
-    let running = ref 0 in
-    for pos = 0 to m - 1 do
-      running := !running + cnt.(pos);
-      if cnt.(pos) > 0 then begin
-        Fenwick.add fen pos cnt.(pos);
-        active.(pos) <- true;
-        leaves.(pos) <- Some (Rat.sub distinct.(pos) (Rat.mul_int tau !running))
-      end
-    done;
-    Vtree.build tree leaves;
-    let regions = ref start_regions in
-    let lambda = ref (Iset.measure start_regions) in
-    let cps = ref [] in
-    let idx = ref 0 in
-    while !idx < n && included by_release.(!idx) do
-      incr idx
-    done;
-    let verdict = ref None in
-    while !verdict = None && !idx < n do
-      let r = jobs.(by_release.(!idx)).release in
-      cps := { release = r; before = Iset.snapshot !regions } :: !cps;
-      while
-        !idx < n && Rat.equal jobs.(by_release.(!idx)).release r
-      do
-        let p = by_release.(!idx) in
-        let pos = dpos jobs.(p).deadline in
-        Fenwick.add fen pos 1;
-        if active.(pos) then Vtree.range_add tree pos (m - 1) 1
-        else begin
-          Vtree.range_add tree (pos + 1) (m - 1) 1;
-          Vtree.assign tree pos
-            (Rat.sub jobs.(p).deadline (Rat.mul_int tau (Fenwick.prefix fen pos)));
-          active.(pos) <- true
-        end;
-        incr idx
-      done;
-      let s =
-        match Vtree.root_min tree with
-        | None -> assert false (* at least one job just activated *)
-        | Some vmin ->
-            let threshold = Rat.add vmin !lambda in
-            let best = ref None in
-            Vtree.iter_le tree threshold (fun pos _ ->
-                let tv = eval_gk !regions ~tau distinct.(pos) (Fenwick.prefix fen pos) in
-                match !best with
-                | Some b when Rat.(b <= tv) -> ()
-                | _ -> best := Some tv);
-            Option.get !best
-      in
-      if Rat.(s < r) then verdict := Some (Infeasible_at r)
+  (* Activate a leaf with its absolute value: pending counts on the
+     path are pushed down first, so the assignment is not retroactively
+     shifted by adds that predate the activation (the absolute value
+     already accounts for them via the Fenwick count). *)
+  let assign t pos v =
+    let rec go i lo hi =
+      if lo = hi then t.min_.(i) <- Some v
       else begin
-        let left = Rat.sub s tau in
-        if Rat.(left < r) then begin
-          regions := Iset.add !regions ~left ~right:r;
-          lambda := Iset.measure !regions
-        end
+        push t i;
+        let mid = (lo + hi) / 2 in
+        if pos <= mid then go (2 * i) lo mid else go ((2 * i) + 1) (mid + 1) hi;
+        pull t i
       end
-    done;
-    let core =
-      match !verdict with Some c -> c | None -> Feasible_regions !regions
     in
-    (core, Array.append kept (Array.of_list (List.rev !cps)))
+    go 1 0 (t.size - 1)
 
-  (* Priority-driven EDF dispatch on two heaps: [pending] orders the
-     not-yet-released jobs by release time, [ready] orders the released
-     ones by (deadline, release, id) — the heap pop is exactly the EDF
-     choice with the deterministic tie-break.  [advance] postpones
-     candidate dispatch instants (identity for the plain-EDF ablation,
-     forbidden-region hopping for the optimal schedule). *)
-  let pending_cmp (a : job) (b : job) =
-    let c = Rat.compare a.release b.release in
-    if c <> 0 then c else compare a.id b.id
+  let root_min t = t.min_.(1)
 
-  let ready_cmp (a : job) (b : job) =
-    let c = Rat.compare a.deadline b.deadline in
-    let c = if c <> 0 then c else Rat.compare a.release b.release in
-    if c <> 0 then c else compare a.id b.id
-
-  (* The dispatch loop, resumed from a committed prefix (positions,
-     starts): prefix starts are replayed, the heap frontier is rebuilt
-     exactly as the monolithic loop would have left it (ready =
-     undispatched jobs released by the last prefix start, machine free at
-     its finish), and the loop continues.  An empty prefix is the
-     from-scratch run. *)
-  let dispatch_from ~tau ~advance (jobs : job array) (prefix : (int * rat) array) =
-    let n = Array.length jobs in
-    let np = Array.length prefix in
-    let starts = Array.make n Rat.zero in
-    let order = Array.make n (0, Rat.zero) in
-    let missed = ref None in
-    let in_prefix = Array.make (max n 1) false in
-    Array.iteri
-      (fun i (p, s) ->
-        order.(i) <- (p, s);
-        starts.(p) <- s;
-        in_prefix.(p) <- true;
-        if Rat.(Rat.add s tau > jobs.(p).deadline) && !missed = None then missed := Some p)
-      prefix;
-    let pending = Heap.create ~cmp:pending_cmp in
-    let ready = Heap.create ~cmp:ready_cmp in
-    let t_last = if np = 0 then None else Some (snd prefix.(np - 1)) in
-    Array.iteri
-      (fun p (j : job) ->
-        if not in_prefix.(p) then
-          match t_last with
-          | Some tl when Rat.(j.release <= tl) -> Heap.push ready j
-          | _ -> Heap.push pending j)
-      jobs;
-    let free =
-      ref
-        (match t_last with
-        | Some tl -> Rat.add tl tau
-        | None -> ( match Heap.peek pending with Some j -> j.release | None -> Rat.zero))
+  (* Visit every active leaf whose value is <= threshold. *)
+  let iter_le t threshold f =
+    let rec go i lo hi =
+      match t.min_.(i) with
+      | None -> ()
+      | Some v when Rat.compare v threshold > 0 -> ()
+      | Some v ->
+          if lo = hi then f lo v
+          else begin
+            push t i;
+            let mid = (lo + hi) / 2 in
+            go (2 * i) lo mid;
+            go ((2 * i) + 1) (mid + 1) hi
+          end
     in
-    for step = np to n - 1 do
-      (* Candidate dispatch time: machine free, and at least one release.
-         Every ready job was released before the machine last went busy,
-         so a non-empty ready queue pins the candidate to [free]. *)
-      let t =
-        ref
-          (if Heap.is_empty ready then
-             match Heap.peek pending with
-             | Some j -> Rat.max !free j.release
-             | None -> assert false
-           else !free)
-      in
-      let rec settle () =
-        let t' = advance !t in
-        if Rat.(t' > !t) then begin
-          t := t';
-          settle ()
-        end
-      in
-      settle ();
-      let rec migrate () =
-        match Heap.peek pending with
-        | Some j when Rat.(j.release <= !t) ->
-            ignore (Heap.pop pending);
-            Heap.push ready j;
-            migrate ()
-        | _ -> ()
-      in
-      migrate ();
-      match Heap.pop ready with
-      | None -> assert false
-      | Some j ->
-          starts.(j.id) <- !t;
-          order.(step) <- (j.id, !t);
-          free := Rat.add !t tau;
-          if Rat.(!free > j.deadline) && !missed = None then missed := Some j.id
-    done;
-    { order; starts; missed = !missed }
-
-  let finish ~tau ~(jobs : job array) ~checkpoints ~core ~prefix =
-    match core with
-    | Infeasible_at _ -> { tau; jobs; checkpoints; core; disp = None }
-    | Feasible_regions iset ->
-        let disp = dispatch_from ~tau ~advance:(Iset.adjust_up iset) jobs prefix in
-        { tau; jobs; checkpoints; core; disp = Some disp }
-
-  let make ~tau jobs =
-    if Rat.(tau <= Rat.zero) then invalid_arg "Single_machine.Inc.make: tau must be positive";
-    let jobs = Array.mapi (fun i j -> { j with id = i }) jobs in
-    let core, checkpoints =
-      compute_core ~tau jobs ~kept:[||] ~start_regions:Iset.empty ~r0_opt:None
-    in
-    finish ~tau ~jobs ~checkpoints ~core ~prefix:[||]
-
-  (* Old dispatch prefix still valid after an edit at release [r0]:
-     entries with start < cut, where below [cut] the edited job is not
-     yet released and the region sets agree (see the module comment).
-     [remap] carries old positions to new ones ([None] = edited away —
-     unreachable for starts below cut, but filtered defensively). *)
-  let reusable_prefix old_st ~new_core ~r0 ~remap =
-    match (old_st.core, old_st.disp, new_core) with
-    | Feasible_regions old_iset, Some od, Feasible_regions new_iset ->
-        let cut =
-          match Iset.first_difference old_iset new_iset with
-          | None -> r0
-          | Some l -> Rat.min r0 l
-        in
-        let out = ref [] in
-        (try
-           Array.iter
-             (fun (p, s) ->
-               if Rat.(s >= cut) then raise Exit;
-               match remap p with Some q -> out := (q, s) :: !out | None -> raise Exit)
-             od.order
-         with Exit -> ());
-        Array.of_list (List.rev !out)
-    | _ -> [||]
-
-  let delta st (jobs : job array) ~r0 ~remap =
-    match st.core with
-    | Infeasible_at rf when Rat.(r0 < rf) ->
-        (* Every pass down to and including the failing one reads only
-           jobs with release >= rf > r0: the verdict and the checkpoints
-           survive the edit unchanged. *)
-        { st with jobs }
-    | _ ->
-        let kept_n = ref 0 in
-        while
-          !kept_n < Array.length st.checkpoints
-          && Rat.(st.checkpoints.(!kept_n).release > r0)
-        do
-          incr kept_n
-        done;
-        let kept = Array.sub st.checkpoints 0 !kept_n in
-        let start_regions =
-          if !kept_n < Array.length st.checkpoints then st.checkpoints.(!kept_n).before
-          else
-            match st.core with
-            | Feasible_regions r -> r
-            | Infeasible_at _ ->
-                (* The failing release has a checkpoint and is <= r0, so
-                   the sub above always finds it. *)
-                assert false
-        in
-        let core, checkpoints =
-          compute_core ~tau:st.tau jobs ~kept ~start_regions ~r0_opt:(Some r0)
-        in
-        let prefix = reusable_prefix st ~new_core:core ~r0 ~remap in
-        finish ~tau:st.tau ~jobs ~checkpoints ~core ~prefix
-
-  let add_task st ~at ~release ~deadline =
-    let n = Array.length st.jobs in
-    if at < 0 || at > n then invalid_arg "Single_machine.Inc.add_task: position out of range";
-    let jobs =
-      Array.init (n + 1) (fun i ->
-          if i < at then st.jobs.(i)
-          else if i = at then { id = i; release; deadline }
-          else { (st.jobs.(i - 1)) with id = i })
-    in
-    delta st jobs ~r0:release ~remap:(fun q -> if q >= at then Some (q + 1) else Some q)
-
-  let remove_task st ~at =
-    let n = Array.length st.jobs in
-    if at < 0 || at >= n then
-      invalid_arg "Single_machine.Inc.remove_task: position out of range";
-    let r0 = st.jobs.(at).release in
-    let jobs =
-      Array.init (n - 1) (fun i ->
-          if i < at then st.jobs.(i) else { (st.jobs.(i + 1)) with id = i })
-    in
-    delta st jobs ~r0 ~remap:(fun q ->
-        if q = at then None else if q > at then Some (q - 1) else Some q)
-
-  let solve st =
-    match (st.core, st.disp) with
-    | Infeasible_at _, _ -> Error `Infeasible
-    | Feasible_regions _, Some d -> (
-        match d.missed with Some _ -> Error `Infeasible | None -> Ok d.starts)
-    | Feasible_regions _, None -> assert false
-
-  let regions st =
-    match st.core with
-    | Infeasible_at _ -> Error `Infeasible
-    | Feasible_regions iset ->
-        Ok (List.map (fun (left, right) -> { left; right }) (Iset.to_list iset))
+    go 1 0 (t.size - 1)
 end
 
-(* The one-shot entry points: each is a from-scratch [Inc] run. *)
+(* g^k(x) for g(x) = adjust_down regions (x - tau), batching the plain
+   subtraction steps between regions: from [x], the first region the
+   walk can enter is the rightmost one with left < x (higher regions
+   start at or above x and the walk only descends), so one floor
+   division finds how many steps reach it.  O(regions crossed) region
+   lookups. *)
+let eval_gk regions ~tau x k =
+  let rec go x k =
+    if k = 0 then x
+    else
+      let j = Iset.rightmost_left_below regions x in
+      if j < 0 then Rat.sub x (Rat.mul_int tau k)
+      else
+        let _, rt = Iset.get regions j in
+        (* Smallest i >= 1 with x - i tau < rt (strict: the interval is
+           open, landing exactly on rt stays outside). *)
+        let i0 =
+          let q = Rat.floor (Rat.div (Rat.sub x rt) tau) + 1 in
+          if q < 1 then 1 else q
+        in
+        if i0 > k then Rat.sub x (Rat.mul_int tau k)
+        else
+          (* The landing value y < rt may sit strictly inside region j
+             — or inside a lower region entirely cleared by the last
+             tau-step — so settle it with a general lookup.  Either
+             way the settled value is <= l, so each recursion consumes
+             at least one region: O(regions crossed) total. *)
+          let y = Rat.sub x (Rat.mul_int tau i0) in
+          go (Iset.adjust_down regions y) (k - i0)
+  in
+  go x k
+
+type core = Feasible_regions of Iset.t | Infeasible_at of rat
+
+(* The packing sweep over every distinct release, descending. *)
+let compute_core ~tau (jobs : job array) =
+  if Rat.(tau <= Rat.zero) then invalid_arg "Single_machine: tau must be positive";
+  let n = Array.length jobs in
+  (* Distinct deadlines, ascending. *)
+  let sorted = Array.map (fun j -> j.deadline) jobs in
+  Array.sort Rat.compare sorted;
+  let m = ref 0 in
+  Array.iteri
+    (fun i d ->
+      if i = 0 || not (Rat.equal d sorted.(i - 1)) then begin
+        sorted.(!m) <- d;
+        incr m
+      end)
+    sorted;
+  let m = !m in
+  let distinct = Array.sub sorted 0 m in
+  let dpos d =
+    let lo = ref 0 and hi = ref (m - 1) in
+    while !lo < !hi do
+      let mid = (!lo + !hi) / 2 in
+      if Rat.compare distinct.(mid) d < 0 then lo := mid + 1 else hi := mid
+    done;
+    !lo
+  in
+  (* Job positions by release, descending. *)
+  let by_release = Array.init n Fun.id in
+  Array.sort (fun a b -> Rat.compare jobs.(b).release jobs.(a).release) by_release;
+  let fen = Fenwick.create m in
+  let tree = Vtree.create ~tau m in
+  let active = Array.make (max m 1) false in
+  let regions = ref Iset.empty in
+  let lambda = ref Rat.zero in
+  let idx = ref 0 in
+  let verdict = ref None in
+  while !verdict = None && !idx < n do
+    let r = jobs.(by_release.(!idx)).release in
+    while !idx < n && Rat.equal jobs.(by_release.(!idx)).release r do
+      let p = by_release.(!idx) in
+      let pos = dpos jobs.(p).deadline in
+      Fenwick.add fen pos 1;
+      if active.(pos) then Vtree.range_add tree pos (m - 1) 1
+      else begin
+        Vtree.range_add tree (pos + 1) (m - 1) 1;
+        Vtree.assign tree pos
+          (Rat.sub jobs.(p).deadline (Rat.mul_int tau (Fenwick.prefix fen pos)));
+        active.(pos) <- true
+      end;
+      incr idx
+    done;
+    let s =
+      match Vtree.root_min tree with
+      | None -> assert false (* at least one job just activated *)
+      | Some vmin ->
+          let threshold = Rat.add vmin !lambda in
+          let best = ref None in
+          Vtree.iter_le tree threshold (fun pos _ ->
+              let tv = eval_gk !regions ~tau distinct.(pos) (Fenwick.prefix fen pos) in
+              match !best with
+              | Some b when Rat.(b <= tv) -> ()
+              | _ -> best := Some tv);
+          Option.get !best
+    in
+    if Rat.(s < r) then verdict := Some (Infeasible_at r)
+    else begin
+      let left = Rat.sub s tau in
+      if Rat.(left < r) then begin
+        regions := Iset.add !regions ~left ~right:r;
+        lambda := Iset.measure !regions
+      end
+    end
+  done;
+  match !verdict with Some c -> c | None -> Feasible_regions !regions
+
+(* Priority-driven EDF dispatch on two heaps: [pending] orders the
+   not-yet-released jobs by release time, [ready] orders the released
+   ones by (deadline, release, id) — the heap pop is exactly the EDF
+   choice with the deterministic tie-break.  [advance] postpones
+   candidate dispatch instants (identity for the plain-EDF ablation,
+   forbidden-region hopping for the optimal schedule).  Job ids must be
+   positions; returns the starts by position and the first position
+   whose deadline is missed. *)
+let pending_cmp (a : job) (b : job) =
+  let c = Rat.compare a.release b.release in
+  if c <> 0 then c else compare a.id b.id
+
+let ready_cmp (a : job) (b : job) =
+  let c = Rat.compare a.deadline b.deadline in
+  let c = if c <> 0 then c else Rat.compare a.release b.release in
+  if c <> 0 then c else compare a.id b.id
+
+let dispatch ~tau ~advance (jobs : job array) =
+  let n = Array.length jobs in
+  let starts = Array.make n Rat.zero in
+  let missed = ref None in
+  let pending = Heap.create ~cmp:pending_cmp in
+  let ready = Heap.create ~cmp:ready_cmp in
+  Array.iter (Heap.push pending) jobs;
+  let free = ref (match Heap.peek pending with Some j -> j.release | None -> Rat.zero) in
+  for _ = 1 to n do
+    (* Candidate dispatch time: machine free, and at least one release.
+       Every ready job was released before the machine last went busy,
+       so a non-empty ready queue pins the candidate to [free]. *)
+    let t =
+      ref
+        (if Heap.is_empty ready then
+           match Heap.peek pending with
+           | Some j -> Rat.max !free j.release
+           | None -> assert false
+         else !free)
+    in
+    let rec settle () =
+      let t' = advance !t in
+      if Rat.(t' > !t) then begin
+        t := t';
+        settle ()
+      end
+    in
+    settle ();
+    let rec migrate () =
+      match Heap.peek pending with
+      | Some j when Rat.(j.release <= !t) ->
+          ignore (Heap.pop pending);
+          Heap.push ready j;
+          migrate ()
+      | _ -> ()
+    in
+    migrate ();
+    match Heap.pop ready with
+    | None -> assert false
+    | Some j ->
+        starts.(j.id) <- !t;
+        free := Rat.add !t tau;
+        if Rat.(!free > j.deadline) && !missed = None then missed := Some j.id
+  done;
+  (starts, !missed)
+
+let dense jobs = Array.mapi (fun i j -> { j with id = i }) jobs
+
+let to_regions iset = List.map (fun (left, right) -> { left; right }) (Iset.to_list iset)
+
+(* The entry points: each is a from-scratch run of the sweep and/or the
+   dispatch loop. *)
 
 let schedule ~tau jobs =
   if Array.length jobs = 0 then Ok [||]
@@ -614,13 +403,14 @@ let schedule ~tau jobs =
     Obs.span "single_machine.schedule"
       ~fields:[ ("jobs", Obs.Int (Array.length jobs)) ]
       (fun () ->
-        let st = Inc.make ~tau jobs in
+        let jobs = dense jobs in
+        let core = compute_core ~tau jobs in
         if Obs.enabled () then begin
-          match st.core with
-          | Inc.Infeasible_at r ->
+          match core with
+          | Infeasible_at r ->
               Obs.event "single_machine.infeasible_window"
                 ~fields:[ ("release", Obs.Str (Rat.to_string r)) ]
-          | Inc.Feasible_regions iset ->
+          | Feasible_regions iset ->
               Obs.event "single_machine.regions"
                 ~fields:[ ("count", Obs.Int (Iset.cardinal iset)) ];
               List.iter
@@ -633,11 +423,19 @@ let schedule ~tau jobs =
                       ])
                 (Iset.to_list iset)
         end;
-        Inc.solve st)
+        match core with
+        | Infeasible_at _ -> Error `Infeasible
+        | Feasible_regions iset -> (
+            match dispatch ~tau ~advance:(Iset.adjust_up iset) jobs with
+            | _, Some _ -> Error `Infeasible
+            | starts, None -> Ok starts))
 
-let forbidden_regions ~tau jobs = Inc.regions (Inc.make ~tau jobs)
+let forbidden_regions ~tau jobs =
+  match compute_core ~tau (dense jobs) with
+  | Infeasible_at _ -> Error `Infeasible
+  | Feasible_regions iset -> Ok (to_regions iset)
 
 let edf_schedule_no_regions ~tau jobs =
-  let dense = Array.mapi (fun i j -> { j with id = i }) jobs in
-  let d = Inc.dispatch_from ~tau ~advance:Fun.id dense [||] in
-  match d.missed with Some p -> Error (`Deadline_missed jobs.(p).id) | None -> Ok d.starts
+  match dispatch ~tau ~advance:Fun.id (dense jobs) with
+  | _, Some p -> Error (`Deadline_missed jobs.(p).id)
+  | starts, None -> Ok starts

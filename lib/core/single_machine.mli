@@ -12,16 +12,16 @@
     make those [m] jobs late.  EDF that only dispatches outside the
     forbidden regions ("modified release times") is optimal.
 
-    One engine, {!Inc}, computes everything here: one backward packing
-    pass per distinct release, each read off a lazy min segment tree
-    over deadline positions, builds the regions in a persistent
+    One engine computes everything here: one backward packing pass per
+    distinct release, each read off a lazy min segment tree over
+    deadline positions, builds the regions in a persistent
     {!E2e_ds.Interval_set}; a two-heap EDF loop (pending jobs by
     release, ready jobs by deadline) dispatches around them.
     {!schedule}, {!forbidden_regions} and {!edf_schedule_no_regions} are
     from-scratch runs of it.  The historical scan-based implementation
     is kept verbatim as [E2e_fuzz.Single_machine_ref], and the
-    [eedf-fast] and [eedf-inc] differential-fuzz classes check the
-    engine against it on every output. *)
+    [eedf-fast] differential-fuzz class checks the engine against it on
+    every output. *)
 
 type rat = E2e_rat.Rat.t
 
@@ -61,56 +61,3 @@ val brute_force_feasible : tau:rat -> job array -> bool
 (** Exhaustive search over all job orders (earliest-start timing per
     order, which is optimal for a fixed order).  Exponential; for tests
     on small instances only. *)
-
-(** Incremental solver state: persistent forbidden-region checkpoints
-    plus a replayable EDF dispatch log, warm-startable under single-task
-    edits.
-
-    {!Inc.make} solves from scratch and parks the per-release region
-    snapshots ({!E2e_ds.Interval_set} is persistent, so each snapshot is
-    an O(1) share).  {!Inc.add_task}/{!Inc.remove_task} re-run only the
-    packing passes for releases at or below the edited job's release —
-    using a lazy min segment tree over deadline positions so each
-    resumed pass costs O(log n + candidates) instead of O(n) — and
-    replay the committed dispatch order up to the first instant where
-    the old and new region sets (or the edit itself) can matter.
-
-    The contract is {e exact} agreement with [E2e_fuzz.Single_machine_ref]
-    on the same (position-id'd) job array: same regions, same start
-    times, same feasibility verdicts, byte for byte.  The [eedf-inc]
-    differential fuzz class enforces this after every edit of random
-    add/drop logs. *)
-module Inc : sig
-  type state
-
-  val make : tau:rat -> job array -> state
-  (** Solve from scratch and retain the warm-start state.  Job ids are
-      re-assigned to positions ([0..n-1] in input order); all position
-      arguments below refer to this dense indexing.
-      @raise Invalid_argument when [tau <= 0]. *)
-
-  val solve : state -> (rat array, [ `Infeasible ]) result
-  (** The current schedule (start times by position), identical to
-      [schedule ~tau (jobs state)].  O(1): solving happened at
-      construction / edit time. *)
-
-  val add_task : state -> at:int -> release:rat -> deadline:rat -> state
-  (** New state with a job inserted at position [at] (positions at or
-      after [at] shift up).  The input state remains valid.
-      @raise Invalid_argument when [at] is outside [0..n_jobs]. *)
-
-  val remove_task : state -> at:int -> state
-  (** New state with the job at position [at] removed (positions after
-      [at] shift down).  The input state remains valid.
-      @raise Invalid_argument when [at] is outside [0..n_jobs-1]. *)
-
-  val regions : state -> (region list, [ `Infeasible ]) result
-  (** Current forbidden regions, identical to [forbidden_regions]. *)
-
-  val n_jobs : state -> int
-
-  val jobs : state -> job array
-  (** Current jobs in position order (a copy). *)
-
-  val tau : state -> rat
-end

@@ -15,43 +15,6 @@ val solve : E2e_model.Flow_shop.t -> verdict
 (** Identical-length sets go to EEDF, homogeneous sets to Algorithm A
     (both optimal), everything else to Algorithm H. *)
 
-(** Warm-started re-solves for identical-length shops.
-
-    A resident handle keeps the reduced single-machine instance as a
-    {!Single_machine.Inc.state}; admitting more tasks re-solves by
-    [add_task] deltas (O(delta) passes) instead of from scratch.  All
-    verdicts are byte-identical to {!solve} on the same shop, so cold
-    and warm paths can be mixed freely — both run
-    {!Single_machine.Inc}, and the [eedf-fast] and [eedf-inc]
-    differential fuzz classes check its one-shot and warm results
-    against the scan-based reference. *)
-module Incremental : sig
-  type t
-
-  val of_flow_shop : E2e_model.Flow_shop.t -> t option
-  (** Solve from scratch and retain the warm-start state; [None] when
-      the shop is not identical-length (no incremental capability). *)
-
-  val verdict : t -> E2e_model.Flow_shop.t -> verdict
-  (** The verdict for the handle's current task set, lifted back to
-      [shop] (which must be the shop the handle currently represents).
-      O(n) — the solve happened at construction / extension time. *)
-
-  val extend : t -> E2e_model.Flow_shop.t -> t option
-  (** Grow the handle to [shop], whose reduced job list must contain the
-      resident jobs as a subsequence on (release, effective deadline) —
-      what the admission cache's stable merge produces for committed +
-      fresh tasks.  [None] when [shop] is not such an extension (caller
-      falls back to a cold solve).  The input handle remains valid. *)
-
-  val resident : t -> int
-  (** Number of tasks in the resident state. *)
-
-  val solve_with_state : E2e_model.Flow_shop.t -> verdict * t option
-  (** Like {!solve}, but additionally returns the warm-start handle when
-      the shop was solved feasible on the EEDF path. *)
-end
-
 val solve_recurrent : E2e_model.Recurrence_shop.t -> (E2e_schedule.Schedule.t, Algo_r.error) result
 (** Recurrent shops go to Algorithm R (optimal under its preconditions);
     traditional visit sequences are routed through {!solve}'s EEDF path

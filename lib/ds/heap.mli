@@ -32,8 +32,7 @@ val pop : 'a t -> 'a option
 val copy : 'a t -> 'a t
 (** O(n) snapshot: an independent heap with the same contents and
     comparison; pushes and pops on either side never affect the other
-    (elements themselves are shared).  This is the cheap-snapshot hook
-    for solver states that park a dispatch frontier. *)
+    (elements themselves are shared). *)
 
 val of_list : cmp:('a -> 'a -> int) -> 'a list -> 'a t
 

@@ -42,31 +42,10 @@ let adjust_up (t : t) x =
 let adjust_down (t : t) x =
   match containing t x with None -> x | Some i -> fst t.(i)
 
-(* The representation is an immutable sorted array, so a snapshot is the
-   value itself: every operation returns a fresh array and never mutates
-   an existing one, which makes sharing O(1) and unconditionally safe.
-   [snapshot]/[of_snapshot] exist to name that contract at call sites
-   (the incremental solver keeps one snapshot per checkpoint). *)
-let snapshot (t : t) : t = t
-let of_snapshot (t : t) : t = t
-
 let get (t : t) i = t.(i)
 
 let measure (t : t) =
   Array.fold_left (fun acc (l, r) -> Rat.add acc (Rat.sub r l)) Rat.zero t
-
-let first_difference (a : t) (b : t) =
-  let na = Array.length a and nb = Array.length b in
-  let rec go i =
-    if i >= na && i >= nb then None
-    else if i >= na then Some (fst b.(i))
-    else if i >= nb then Some (fst a.(i))
-    else
-      let la, ra = a.(i) and lb, rb = b.(i) in
-      if Rat.equal la lb && Rat.equal ra rb then go (i + 1)
-      else Some (Rat.min la lb)
-  in
-  go 0
 
 let add (t : t) ~left ~right =
   if Rat.(left >= right) then t

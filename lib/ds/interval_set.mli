@@ -52,30 +52,15 @@ val to_list : t -> (E2e_rat.Rat.t * E2e_rat.Rat.t) list
 
 val get : t -> int -> E2e_rat.Rat.t * E2e_rat.Rat.t
 (** [get t i] is the [i]-th interval in left-endpoint order (O(1); for
-    the incremental solver's batched region walks).
+    the single-machine engine's batched region walks).
     @raise Invalid_argument when [i] is out of range. *)
 
 val rightmost_left_below : t -> E2e_rat.Rat.t -> int
 (** Index of the rightmost interval whose left endpoint is strictly
     below [x], or [-1] when every interval starts at or after [x]
     (O(log n) — the primitive behind {!adjust_up}/{!adjust_down},
-    exposed for the incremental solver's [g^k] evaluation). *)
+    exposed for the single-machine engine's [g^k] evaluation). *)
 
 val measure : t -> E2e_rat.Rat.t
 (** Total length of the set, [sum (right - left)] — the bound [Lambda]
-    the incremental solver uses to prune packing-start candidates. *)
-
-val snapshot : t -> t
-val of_snapshot : t -> t
-(** O(1), and the snapshot is unconditionally safe to retain: the
-    representation is an immutable sorted array and every operation
-    returns a fresh value, so sharing is free.  These exist to name the
-    persistence contract at call sites (the incremental solver stores
-    one snapshot per release checkpoint); both are the identity. *)
-
-val first_difference : t -> t -> E2e_rat.Rat.t option
-(** [None] when the two sets are equal; otherwise the smallest left
-    endpoint at the first (in left-endpoint order) position where they
-    differ.  Every point strictly below the returned value is covered
-    identically by both sets — the cut point for incremental dispatch
-    replay. *)
+    the single-machine engine uses to prune packing-start candidates. *)

@@ -6,9 +6,9 @@ module Flow_shop = E2e_model.Flow_shop
 module Recurrence_shop = E2e_model.Recurrence_shop
 module Feasible_gen = E2e_workload.Feasible_gen
 
-type model_class = Eedf | R | A | H | Eedf_fast | Eedf_inc
+type model_class = Eedf | R | A | H | Eedf_fast
 
-let all = [ Eedf; R; A; H; Eedf_fast; Eedf_inc ]
+let all = [ Eedf; R; A; H; Eedf_fast ]
 
 let name = function
   | Eedf -> "eedf"
@@ -16,7 +16,6 @@ let name = function
   | A -> "a"
   | H -> "h"
   | Eedf_fast -> "eedf-fast"
-  | Eedf_inc -> "eedf-inc"
 
 let of_name = function
   | "eedf" -> Some Eedf
@@ -24,10 +23,9 @@ let of_name = function
   | "a" -> Some A
   | "h" -> Some H
   | "eedf-fast" -> Some Eedf_fast
-  | "eedf-inc" -> Some Eedf_inc
   | _ -> None
 
-let code = function Eedf -> 0 | R -> 1 | A -> 2 | H -> 3 | Eedf_fast -> 4 | Eedf_inc -> 5
+let code = function Eedf -> 0 | R -> 1 | A -> 2 | H -> 3 | Eedf_fast -> 4
 
 (* The feasible_gen helpers never produce a window below the task's total
    processing time, so on their own they only exercise the feasible and
@@ -104,22 +102,9 @@ let identical_large g =
   let tau = Prng.rat_uniform g ~den:2 (Rat.make 1 2) (Rat.of_int 2) in
   tighten g (Feasible_gen.identical_length g ~n ~m ~tau ~window)
 
-(* Warm-state churn: the oracle runs a deterministic add/drop log over
-   each instance, checking against the reference after every edit, so the
-   instance stays a bit smaller than [identical_large] while keeping the
-   windows tight enough that edits flip feasibility and reshape the
-   forbidden regions mid-log. *)
-let identical_churn g =
-  let n = 2 + Prng.int g 22 in
-  let m = 1 + Prng.int g 3 in
-  let window = 1 + Prng.int g 6 in
-  let tau = Prng.rat_uniform g ~den:2 (Rat.make 1 2) (Rat.of_int 2) in
-  tighten g (Feasible_gen.identical_length g ~n ~m ~tau ~window)
-
 let instance g = function
   | Eedf -> Recurrence_shop.of_traditional (identical g)
   | R -> recurrent g
   | A -> Recurrence_shop.of_traditional (homogeneous g)
   | H -> Recurrence_shop.of_traditional (arbitrary g)
   | Eedf_fast -> Recurrence_shop.of_traditional (identical_large g)
-  | Eedf_inc -> Recurrence_shop.of_traditional (identical_churn g)

@@ -16,21 +16,17 @@
     differential ({!Single_machine_ref} against
     {!E2e_core.Single_machine}), needs no exhaustive oracle, and so
     generates much larger identical-length instances (up to 40 tasks)
-    than the optimality classes can afford.  [Eedf_inc] is its sibling
-    for the engine's warm state: each instance seeds a deterministic
-    add/drop churn log whose every step is checked against the same
-    reference (regions, schedules and verdicts must agree
-    exactly). *)
+    than the optimality classes can afford. *)
 
-type model_class = Eedf | R | A | H | Eedf_fast | Eedf_inc
+type model_class = Eedf | R | A | H | Eedf_fast
 
 val all : model_class list
 (** Every class, in the fixed campaign order
-    [Eedf; R; A; H; Eedf_fast; Eedf_inc]. *)
+    [Eedf; R; A; H; Eedf_fast]. *)
 
 val name : model_class -> string
-(** CLI / corpus spelling: ["eedf"], ["r"], ["a"], ["h"], ["eedf-fast"],
-    ["eedf-inc"]. *)
+(** CLI / corpus spelling: ["eedf"], ["r"], ["a"], ["h"],
+    ["eedf-fast"]. *)
 
 val of_name : string -> model_class option
 

@@ -195,7 +195,7 @@ let run_h fs =
 
 (* {1 Single-machine differentials}
 
-   Both classes pit {!E2e_core.Single_machine} (one engine, [Inc])
+   The [eedf-fast] class pits {!E2e_core.Single_machine}
    against the retained scan-based {!Single_machine_ref} on the EEDF
    reduction of the instance.  Every output must match under exact
    rational equality; there is no tolerance and no oracle budget, so
@@ -221,8 +221,7 @@ let pp_ref_region ppf (r : Single_machine_ref.region) =
 
 let starts_equal a b = Array.length a = Array.length b && Array.for_all2 Rat.equal a b
 
-(* [what] prefixes every message: the output compared and, for churn
-   logs, the edit it was compared after. *)
+(* [what] prefixes every message: the output compared. *)
 let regions_verdict ~what engine reference =
   match (engine, reference) with
   | Error `Infeasible, Error `Infeasible -> Agree
@@ -296,85 +295,6 @@ let run_eedf_fast fs =
           ablation_verdict;
         ]
 
-(* Warm-state churn: replay a deterministic add/drop log over the
-   instance's EEDF reduction and require the warm {!SM.Inc} state to
-   agree with the reference after {e every} edit — regions, start times
-   and feasibility verdicts.  The edit positions are a fixed function
-   of the log length, so a failing trial replays from its seed alone. *)
-let rec insert_at i x l =
-  match l with
-  | l when i = 0 -> x :: l
-  | [] -> [ x ]
-  | y :: tl -> y :: insert_at (i - 1) x tl
-
-let rec remove_at i = function
-  | [] -> []
-  | _ :: tl when i = 0 -> tl
-  | y :: tl -> y :: remove_at (i - 1) tl
-
-let run_eedf_inc fs =
-  match Flow_shop.is_identical_length fs with
-  | None -> bug Precondition "eedf-inc generator produced a non-identical-length shop"
-  | Some tau ->
-      let all = Eedf.single_machine_jobs fs ~tau in
-      let n = Array.length all in
-      (* The incremental state re-ids jobs to positions, so the reference
-         mirror must too: EDF tie-breaks read the id. *)
-      let check ~step st mirror =
-        let jobs =
-          to_ref (Array.of_list (List.mapi (fun i (j : SM.job) -> { j with SM.id = i }) mirror))
-        in
-        first_bug
-          [
-            (fun () ->
-              regions_verdict ~what:step (SM.Inc.regions st)
-                (Single_machine_ref.forbidden_regions ~tau jobs));
-            (fun () ->
-              schedule_verdict ~what:step (SM.Inc.solve st)
-                (Single_machine_ref.schedule ~tau jobs));
-          ]
-      in
-      let exception Found of outcome in
-      let guard step st mirror =
-        match check ~step st mirror with Agree -> () | o -> raise (Found o)
-      in
-      let base_n = Stdlib.max 1 ((n + 1) / 2) in
-      let base = Array.sub all 0 base_n in
-      (try
-         let st = ref (SM.Inc.make ~tau base) in
-         let mirror = ref (Array.to_list base) in
-         guard "base" !st !mirror;
-         (* Grow back to the full job set one insertion at a time. *)
-         for k = base_n to n - 1 do
-           let (j : SM.job) = all.(k) in
-           let at = ((k * 13) + 5) mod (List.length !mirror + 1) in
-           st := SM.Inc.add_task !st ~at ~release:j.release ~deadline:j.deadline;
-           mirror := insert_at at j !mirror;
-           guard (Printf.sprintf "add#%d@%d" k at) !st !mirror
-         done;
-         (* Shrink to a single job, hitting early, middle and late
-            positions as the length changes parity. *)
-         let step = ref 0 in
-         while List.length !mirror > 1 do
-           let len = List.length !mirror in
-           let at = ((len * 31) + 7) mod len in
-           st := SM.Inc.remove_task !st ~at;
-           mirror := remove_at at !mirror;
-           incr step;
-           guard (Printf.sprintf "drop#%d@%d" !step at) !st !mirror
-         done;
-         (* Add after drop exercises checkpoint reuse on a state whose
-            history mixes both edit kinds. *)
-         List.iteri
-           (fun i (j : SM.job) ->
-             let at = ((i * 17) + 3) mod (List.length !mirror + 1) in
-             st := SM.Inc.add_task !st ~at ~release:j.release ~deadline:j.deadline;
-             mirror := insert_at at j !mirror;
-             guard (Printf.sprintf "readd#%d@%d" i at) !st !mirror)
-           [ all.(0); all.(n - 1) ];
-         Agree
-       with Found o -> o)
-
 let run cls (shop : Recurrence_shop.t) =
   let traditional run_fs =
     match to_flow_shop shop with
@@ -388,7 +308,6 @@ let run cls (shop : Recurrence_shop.t) =
     | Gen.H -> traditional run_h
     | Gen.R -> run_r shop
     | Gen.Eedf_fast -> traditional run_eedf_fast
-    | Gen.Eedf_inc -> traditional run_eedf_inc
   with
   | outcome -> outcome
   | exception exn -> Bug { kind = Crash (Printexc.to_string exn); detail = "solver raised" }

@@ -20,10 +20,7 @@
       points vs. the retained scan-based {!Single_machine_ref}, compared
       for exact rational equality on region lists, optimal schedules and
       the plain-EDF ablation.  No oracle budget: every trial is
-      decidable;
-    - [Eedf_inc] — the warm {!E2e_core.Single_machine.Inc} state vs. the
-      same reference after every edit of a deterministic add/drop churn
-      log (regions, schedules and verdicts).
+      decidable.
 
     Every returned schedule, from solver and oracle alike, is validated
     by the independent checker. *)
@@ -44,7 +41,7 @@ type kind =
       (** The {!E2e_core.Single_machine} engine and the retained
           scan-based {!Single_machine_ref} disagree on some output
           (regions, optimal starts, or the plain-EDF ablation) — the
-          [eedf-fast] and [eedf-inc] classes. *)
+          [eedf-fast] class. *)
   | Crash of string  (** The solver raised. *)
 
 type outcome =

@@ -1,6 +1,6 @@
 (** The historical scan-based single-machine EEDF engine, retained
     verbatim (minus telemetry) as the independent differential reference
-    for the one engine in {!E2e_core.Single_machine} ([Inc]).
+    for the one engine in {!E2e_core.Single_machine}.
 
     Forbidden regions are built by the transparent release x deadline
     pair enumeration over linear job scans (O(n^3)), regions live in a
@@ -9,9 +9,7 @@
     production engine must agree with byte-for-byte.  The [eedf-fast]
     fuzz class ({!Oracle}) compares the two engines' region lists,
     optimal schedules and plain-EDF ablations for exact rational
-    equality on random identical-length instances; [eedf-inc] compares
-    the warm [Inc] state's regions and schedules with this module after
-    every edit of a random add/drop log.
+    equality on random identical-length instances.
 
     Also the baseline timed by [make bench-core]: the speedup column in
     [BENCH_core.json] is new engine vs this module. *)

@@ -77,7 +77,7 @@ val pp_table : Format.formatter -> t -> unit
     effective window. *)
 
 val to_csv : t -> string
-(** Machine-readable dump, one line per stage:
+(** A machine-readable dump, one line per stage:
     [task,stage,processor,start,finish] with exact rational fields
     (["3/2"]).  For feeding external plotting or runtime tables. *)
 

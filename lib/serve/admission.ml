@@ -19,14 +19,11 @@ type decision =
   | Rejected of { certificate : Infeasibility.certificate option }
   | Undecided of { reason : string }
 
-(* Warm-start state parked with a committed shop.  [Machine] is a full
-   incremental solver handle (identical-length shops on the EEDF path):
-   the next Add re-solves by O(delta) [add_task] deltas.  [Hint] is the
-   portfolio strategy that last admitted the shop: the next full solve
-   tries it first.  Both are decision-transparent — the delta path is
-   byte-identical to a cold solve and the hint is part of the cache key
-   — so entries with and without state always produce the same replies. *)
-type inc_state = Machine of Solver.Incremental.t | Hint of H_portfolio.strategy
+(* Warm-start state parked with a committed shop: the portfolio
+   strategy that last admitted it, which the next full solve tries
+   first.  Decision-transparent — the hint is part of the cache key —
+   so entries with and without state always produce the same replies. *)
+type inc_state = Hint of H_portfolio.strategy
 
 (* Each committed shop carries the canonical form of its committed task
    set, so the next Add re-solve starts from already-sorted, already-
@@ -71,21 +68,17 @@ let budget_exhausted () =
 (* One candidate set, no cache: the strongest applicable algorithm, then
    certificates and the portfolio on the NP-hard path.  Pure, so batched
    solves can run on worker domains.  Returns the warm-start state of
-   the solve alongside the decision: the incremental handle on the EEDF
-   path, the winning strategy on the portfolio path.  [hint] warm-starts
-   the portfolio (it is part of the cache key, so hinted and unhinted
-   solves never alias). *)
+   the solve alongside the decision: the winning strategy on the
+   portfolio path.  [hint] warm-starts the portfolio (it is part of the
+   cache key, so hinted and unhinted solves never alias). *)
 let solve_full budget ?hint (shop : Recurrence_shop.t) : decision * inc_state option =
   Obs.incr "serve.solves";
   if Visit.is_traditional shop.Recurrence_shop.visit then begin
     let fs = Flow_shop.make ~processors:shop.visit.Visit.processors shop.tasks in
-    match Solver.Incremental.solve_with_state fs with
-    | Solver.Feasible (s, alg), state ->
-        ( Admitted { schedule = s; algo = algo_name alg },
-          Option.map (fun m -> Machine m) state )
-    | Solver.Proved_infeasible _, _ ->
-        (Rejected { certificate = Infeasibility.check fs }, None)
-    | Solver.Heuristic_failed, _ -> (
+    match Solver.solve fs with
+    | Solver.Feasible (s, alg) -> (Admitted { schedule = s; algo = algo_name alg }, None)
+    | Solver.Proved_infeasible _ -> (Rejected { certificate = Infeasibility.check fs }, None)
+    | Solver.Heuristic_failed -> (
         (* Portfolio first, certificate second: an infeasibility
            certificate implies every strategy fails, so the two tests
            can never both succeed and the order only affects cost.  The
@@ -237,7 +230,7 @@ let prepare ?keyer t = function
            { shop; n_tasks = Option.map (fun e -> Recurrence_shop.n_tasks e.shop) (Smap.find_opt shop t) })
   | Drop { shop } -> Error (Dropped { shop; existed = Smap.mem shop t })
 
-let hint_of p = match p.base_inc with Some (Hint h) -> Some h | _ -> None
+let hint_of p = match p.base_inc with Some (Hint h) -> Some h | None -> None
 let state_of_cached (s : solved) = Option.map (fun h -> Hint h) s.hint
 
 (* The warm solve for one prepared candidate: the hint (when the
@@ -245,45 +238,41 @@ let state_of_cached (s : solved) = Option.map (fun h -> Hint h) s.hint
    misses can run on worker domains. *)
 let solve_prepared ~budget p =
   let d, state = solve_full budget ?hint:(hint_of p) p.canon.Cache.shop in
-  ( { decision = d; hint = (match state with Some (Hint h) -> Some h | _ -> None) },
-    state )
+  ({ decision = d; hint = Option.map (fun (Hint h) -> h) state }, state)
 
-(* The O(delta) path: an Add to a shop whose committed solve left a
-   Machine handle extends that handle with the fresh canonical jobs and
-   reads the verdict — no cache, no full solve.  [None] falls back to
-   the cache/solve path (not an Add, no handle, or the merged set left
-   the identical-length class).  Decision-transparent: warm edits agree
-   byte-for-byte with the cold solve's from-scratch [Inc] run
-   ([eedf-inc] fuzz), and the Rejected arm rebuilds the same
-   certificate the cold path would.  Counters [serve.inc_hits]/[serve.inc_misses] measure
-   the delta-path hit rate over Add requests. *)
+(* The off-cache path: an Add whose canonical merged shop is
+   traditional and identical-length is decided by a from-scratch EEDF
+   solve that never touches the cache.  EEDF is optimal and cheap, while
+   a cache entry would hold the whole merged shop and its schedule, so
+   growing shops would fill the cache with one-off entries.  [None]
+   sends everything else to the cache/solve path.  Counters
+   [serve.inc_hits]/[serve.inc_misses] split Add requests between the
+   two. *)
 let try_incremental p =
   let result =
-    match p.base_inc with
-    | Some (Machine m)
-      when Visit.is_traditional p.canon.Cache.shop.Recurrence_shop.visit -> (
-        let shop = p.canon.Cache.shop in
-        let fs = Flow_shop.make ~processors:shop.visit.Visit.processors shop.tasks in
-        match Solver.Incremental.extend m fs with
-        | None -> None
-        | Some m' -> (
-            match Solver.Incremental.verdict m' fs with
-            | Solver.Feasible (s, alg) ->
-                Some (Admitted { schedule = s; algo = algo_name alg }, Some (Machine m'))
-            | Solver.Proved_infeasible _ ->
-                Some (Rejected { certificate = Infeasibility.check fs }, None)
-            | Solver.Heuristic_failed -> None))
-    | _ -> None
+    let shop = p.canon.Cache.shop in
+    if p.is_add && Visit.is_traditional shop.Recurrence_shop.visit then
+      let fs = Flow_shop.make ~processors:shop.visit.Visit.processors shop.tasks in
+      match Flow_shop.is_identical_length fs with
+      | None -> None
+      | Some _ -> (
+          match Solver.solve fs with
+          | Solver.Feasible (s, alg) ->
+              Some (Admitted { schedule = s; algo = algo_name alg }, None)
+          | Solver.Proved_infeasible _ ->
+              Some (Rejected { certificate = Infeasibility.check fs }, None)
+          | Solver.Heuristic_failed -> None)
+    else None
   in
   if p.is_add then
     Obs.incr (match result with Some _ -> "serve.inc_hits" | None -> "serve.inc_misses");
   result
 
-(* Decide one prepared candidate with every warm-start facility, in
-   fixed precedence: delta path first (never touches the cache), then
-   the cache under the hint-tagged key, then a hinted full solve.  Both
-   the sequential reference interpreter ({!apply}) and the batcher run
-   exactly this ordering, so they agree reply-for-reply.  Every solve
+(* Decide one prepared candidate in fixed precedence: the off-cache
+   EEDF path first, then the cache under the hint-tagged key, then a
+   hinted full solve.  Both the sequential reference interpreter
+   ({!apply}) and the batcher run exactly this ordering, so they agree
+   reply-for-reply.  Every solve
    runs on the canonical form, cached or not: heuristics may be
    sensitive to task order, so canonicalize-always makes cache-on and
    cache-off runs reach identical verdicts by construction. *)
@@ -322,12 +311,6 @@ let commit ?prepared ?(state : inc_state option = None) t request decision =
 
 let resident_sizes t =
   List.map (fun (name, e) -> (name, Recurrence_shop.n_tasks e.shop)) (Smap.bindings t)
-
-let warm_resident t =
-  Smap.fold
-    (fun _ e acc ->
-      match e.inc with Some (Machine m) -> acc + Solver.Incremental.resident m | _ -> acc)
-    t 0
 
 let apply ?budget ?cache ?keyer t request =
   Obs.incr "serve.requests";

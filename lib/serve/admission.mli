@@ -51,16 +51,13 @@ type decision =
   | Undecided of { reason : string }
 
 type inc_state =
-  | Machine of E2e_core.Solver.Incremental.t
-      (** A warm incremental solver handle (identical-length / EEDF
-          shops): the next [Add] re-solves by O(delta) task deltas. *)
   | Hint of E2e_core.H_portfolio.strategy
       (** The portfolio strategy that last admitted the shop: the next
           full solve tries it first. *)
 (** Warm-start state parked with a committed shop.  Decision-transparent
-    by construction: the delta path is byte-identical to a cold solve
-    and the hint is part of the cache key, so entries with and without
-    state always produce the same replies — only the work differs. *)
+    by construction: the hint is part of the cache key, so entries with
+    and without state always produce the same replies — only the work
+    differs. *)
 
 type t
 (** Immutable committed state: a map from shop name to its committed
@@ -136,14 +133,14 @@ type prepared = {
 }
 (** A validated [Submit]/[Add]: the merged committed-plus-candidate set
     together with its canonical form and the warm-start context the
-    delta path and the portfolio hint run on. *)
+    portfolio hint runs on. *)
 
 val prepare : ?keyer:Cache.Keyer.t -> t -> request -> (prepared, reply) result
 (** Validate one request and canonicalize its candidate, or return the
     error/informational reply for requests that need no solve ([Query],
-    [Drop], malformed [Submit]/[Add]).  This is where the incremental
-    machinery lives: an [Add] merges the fresh tasks into the committed
-    set's {e stored} canonical ({!Cache.merge} — committed lines and
+    [Drop], malformed [Submit]/[Add]).  Canonicalization reuses earlier
+    work: an [Add] merges the fresh tasks into the committed set's
+    {e stored} canonical ({!Cache.merge} — committed lines and
     order are reused), and a [Submit] goes through the [keyer]'s
     structural pre-key when one is given, skipping the render-and-digest
     for repeated instances.  Exposed so the batcher can validate and
@@ -151,16 +148,15 @@ val prepare : ?keyer:Cache.Keyer.t -> t -> request -> (prepared, reply) result
     parallel. *)
 
 val try_incremental : prepared -> (decision * inc_state option) option
-(** The O(delta) path: an [Add] to a shop whose committed solve left a
-    [Machine] handle extends that handle with the fresh canonical jobs
-    and reads the verdict — no cache, no full solve.  [None] falls back
-    to the cache/solve path (not an [Add], no handle, or the merged set
-    left the identical-length class).  The returned canonical decision
-    is byte-identical to what a cold solve would produce (both run
-    [Single_machine.Inc]; the [eedf-inc] fuzz class checks warm edits
-    against the scan-based reference); the state is the extended handle
-    to {!commit}.
-    Bumps [serve.inc_hits]/[serve.inc_misses] for [Add] requests. *)
+(** The off-cache path: an [Add] whose canonical merged shop is
+    traditional and identical-length is decided by a from-scratch
+    {!E2e_core.Solver.solve} (EEDF, optimal) without touching the
+    cache, so growing shops never fill it with one-off entries.
+    [Proved_infeasible] carries {!E2e_core.Infeasibility.check}'s
+    certificate, exactly as {!solve_prepared} would.  The returned state
+    is always [None].  [None] sends everything else to the cache/solve
+    path.  Bumps [serve.inc_hits]/[serve.inc_misses] for [Add]
+    requests. *)
 
 val hint_of : prepared -> E2e_core.H_portfolio.strategy option
 (** The portfolio hint the committed shop carries, if any — what
@@ -173,16 +169,13 @@ val solve_prepared : budget:budget -> prepared -> solved * inc_state option
     cache stores; the state is what {!commit} parks. *)
 
 val state_of_cached : solved -> inc_state option
-(** The warm-start state a cache hit commits: the cached hint (a
-    [Machine] handle is never reconstructed from the cache — the next
-    [Add] simply takes the full-solve path, with identical replies). *)
+(** The warm-start state a cache hit commits: the cached hint. *)
 
 val decide_prepared :
   ?budget:budget -> ?cache:solved Cache.t -> prepared -> decision * inc_state option
-(** Decide one prepared candidate with every warm-start facility, in
-    fixed precedence: {!try_incremental} first (never touches the
-    cache), then the cache under the hint-tagged key, then
-    {!solve_prepared}.  Relabels, verifies and records the decision;
+(** Decide one prepared candidate in fixed precedence:
+    {!try_incremental} first (never touches the cache), then the cache
+    under the hint-tagged key, then {!solve_prepared}.  Relabels, verifies and records the decision;
     returns the state for {!commit}.  The batcher replays exactly this
     ordering across its phases, so both interpreters agree
     reply-for-reply. *)
@@ -199,10 +192,6 @@ val commit : ?prepared:prepared -> ?state:inc_state option -> t -> request -> de
 val resident_sizes : t -> (string * int) list
 (** Committed task count per shop, sorted by shop name — the per-shop
     resident size the [metrics] reply exposes. *)
-
-val warm_resident : t -> int
-(** Total tasks held in warm [Machine] handles across all shops — how
-    much of the committed state the delta path can currently serve. *)
 
 val apply :
   ?budget:budget ->

@@ -28,8 +28,8 @@ type service_stats = {
   max_batch : int;
   budget_exhausted : int;
   verify_failures : int;
-  inc_hits : int;  (* Add requests decided by the O(delta) warm path *)
-  inc_misses : int;  (* Add requests that fell back to cache/full solve *)
+  inc_hits : int;  (* Add requests decided off-cache by EEDF *)
+  inc_misses : int;  (* Add requests that went to the cache/full solve *)
   resident : (string * int) list;  (* committed tasks per shop, sorted *)
   verdicts : (string * (int * int * int)) list;
       (* per shop: admitted, rejected, undecided — sorted by shop *)
@@ -156,9 +156,9 @@ type slot =
       state : Admission.inc_state option;
       prepared : Admission.prepared;
     }
-      (* Decided in phase 1 by the O(delta) warm path — the same
-         precedence the sequential interpreter uses (delta before
-         cache).  The delta solve is cheap enough for the ingress
+      (* Decided in phase 1 by the off-cache EEDF path — the same
+         precedence the sequential interpreter uses (EEDF before
+         cache).  The EEDF solve is cheap enough for the ingress
          domain; relabelling and verification still happen in phase 3. *)
   | Hit of { solved : Admission.solved; prepared : Admission.prepared }
       (* [solved] is the cached {e canonical} decision (plus its warm
@@ -239,12 +239,10 @@ let step t =
                     (req, tr, Resolved reply)
                 | Ok ({ Admission.canon; _ } as prepared) -> (
                     Rtrace.mark tr 1;
-                    (* Delta path before cache — the same precedence
-                       {!Admission.decide_prepared} uses, so cache-on
-                       batched and cache-off sequential runs agree.  The
-                       shops in one batch are distinct (take_batch), so
-                       the engine state every delta extends is the
-                       batch-start state for its shop. *)
+                    (* Off-cache EEDF before cache — the same
+                       precedence {!Admission.decide_prepared} uses, so
+                       cache-on batched and cache-off sequential runs
+                       agree. *)
                     match Admission.try_incremental prepared with
                     | Some (decision, state) ->
                         t.svc.inc_hits <- t.svc.inc_hits + 1;

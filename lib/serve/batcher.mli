@@ -105,12 +105,12 @@ type service_stats = {
   budget_exhausted : int;  (** Replies [Undecided (budget-exhausted)]. *)
   verify_failures : int;  (** Replies downgraded by the verify stage. *)
   inc_hits : int;
-      (** [Add] requests decided by the O(delta) warm path
+      (** [Add] requests decided off-cache by EEDF
           ({!Admission.try_incremental}). *)
   inc_misses : int;
-      (** [Add] requests that fell back to the cache/full-solve path —
-          [inc_hits / (inc_hits + inc_misses)] is the delta-path hit
-          rate. *)
+      (** [Add] requests that went to the cache/full-solve path —
+          [inc_hits / (inc_hits + inc_misses)] is the share of adds
+          decided off-cache. *)
   resident : (string * int) list;
       (** Committed tasks per shop, sorted by shop name. *)
   verdicts : (string * (int * int * int)) list;

@@ -188,7 +188,6 @@ let render_metrics stripes =
       iline "serve_verify_downgrades_total" svc.Batcher.verify_failures;
       iline "serve_incremental_hits_total" svc.Batcher.inc_hits;
       iline "serve_incremental_misses_total" svc.Batcher.inc_misses;
-      iline "serve_warm_resident_tasks" (sum_engines stripes Admission.warm_resident);
       iline "serve_stripes" (Stripes.count stripes);
       iline "serve_transport_read_errors_total" (Stripes.read_errors stripes);
     ]

@@ -1,6 +1,7 @@
 module Rat = E2e_rat.Rat
 module Periodic_shop = E2e_model.Periodic_shop
 module Obs = E2e_obs.Obs
+module Heap = E2e_ds.Heap
 
 type policy = [ `Postponed_phases of float array | `Direct_sync ]
 

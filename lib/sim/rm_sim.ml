@@ -1,3 +1,5 @@
+module Heap = E2e_ds.Heap
+
 type task = { id : int; phase : float; period : float; wcet : float; priority : int }
 
 let rm_priorities specs =

@@ -158,23 +158,6 @@ let test_iset_remove () =
   check_rat "measure after split" (q "5")
     (Interval_set.measure split)
 
-let test_iset_snapshot () =
-  let s = iset_of [ ("0", "2"); ("5", "6") ] in
-  let snap = Interval_set.snapshot s in
-  Alcotest.(check bool) "snapshot equals source" true
-    (Interval_set.first_difference s (Interval_set.of_snapshot snap) = None);
-  (* Persistence: edits to the source leave the snapshot untouched. *)
-  let s' = Interval_set.add s ~left:(q "3") ~right:(q "4") in
-  Alcotest.(check (list (pair string string))) "snapshot untouched by add"
-    [ ("0", "2"); ("5", "6") ]
-    (pairs_of (Interval_set.of_snapshot snap));
-  (match Interval_set.first_difference s s' with
-  | Some x -> check_rat "first difference at the new interval" (q "3") x
-  | None -> Alcotest.fail "add must register as a difference");
-  Alcotest.(check bool) "removal registers as a difference" true
-    (Interval_set.first_difference s (Interval_set.remove s ~left:(q "0") ~right:(q "1"))
-    <> None)
-
 (* Naive model: a list of open intervals with fold-based queries —
    exactly the representation the pre-rewrite engine used. *)
 let model_mem intervals x =
@@ -271,7 +254,6 @@ let suite =
     Alcotest.test_case "open-interval boundaries" `Quick test_iset_boundaries;
     Alcotest.test_case "degenerate adds ignored" `Quick test_iset_degenerate_add;
     Alcotest.test_case "closed-interval removal" `Quick test_iset_remove;
-    Alcotest.test_case "snapshots are persistent" `Quick test_iset_snapshot;
     to_alcotest prop_iset_matches_model;
     to_alcotest prop_iset_remove_matches_model;
   ]

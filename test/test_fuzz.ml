@@ -62,18 +62,6 @@ let test_gen_guards () =
             Alcotest.(check bool) "eedf-fast: identical length" true
               (Flow_shop.is_identical_length
                  (Flow_shop.make ~processors:k shop.Recurrence_shop.tasks)
-              <> None)
-        | Gen.Eedf_inc ->
-            (* Incremental differential: the churn oracle re-solves from
-               scratch after every edit, so the generator stays a notch
-               below eedf-fast in size. *)
-            Alcotest.(check bool) "eedf-inc: traditional" true
-              (Visit.is_traditional shop.Recurrence_shop.visit);
-            Alcotest.(check bool) "eedf-inc: tasks within generator bound" true
-              (n >= 2 && n <= 23);
-            Alcotest.(check bool) "eedf-inc: identical length" true
-              (Flow_shop.is_identical_length
-                 (Flow_shop.make ~processors:k shop.Recurrence_shop.tasks)
               <> None));
         ()
       done)

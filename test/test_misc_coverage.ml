@@ -97,11 +97,11 @@ let test_portfolio_pp () =
     strategies
 
 let test_heap_edges () =
-  let h = E2e_sim.Heap.create ~cmp:compare in
-  Alcotest.(check int) "empty length" 0 (E2e_sim.Heap.length h);
-  Alcotest.(check (option int)) "peek empty" None (E2e_sim.Heap.peek h);
-  E2e_sim.Heap.push h 42;
-  Alcotest.(check int) "length 1" 1 (E2e_sim.Heap.length h)
+  let h = E2e_ds.Heap.create ~cmp:compare in
+  Alcotest.(check int) "empty length" 0 (E2e_ds.Heap.length h);
+  Alcotest.(check (option int)) "peek empty" None (E2e_ds.Heap.peek h);
+  E2e_ds.Heap.push h 42;
+  Alcotest.(check int) "length 1" 1 (E2e_ds.Heap.length h)
 
 let test_schedule_is_permutation_negative () =
   (* Orders differ between processors: not a permutation schedule. *)

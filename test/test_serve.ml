@@ -435,9 +435,13 @@ let add_one shop release =
   Admission.Add
     { shop; tasks = [ (release, Rat.add release (Rat.of_int 6), Array.make 2 Rat.one) ] }
 
-(* An identical-length submit leaves a warm [Machine] handle; the
-   following adds must ride the delta path, be admitted, and keep the
-   resident accounting in step. *)
+let cache_size b =
+  match Batcher.cache_stats b with Some st -> st.Cache.size | None -> 0
+
+(* The memory policy: identical-length adds are decided by EEDF off the
+   cache (the delta path), so a growing shop leaves one cache entry (its
+   submit) however many adds it takes, and the resident accounting keeps
+   in step. *)
 let test_incremental_warm_path () =
   let log =
     [
@@ -446,7 +450,7 @@ let test_incremental_warm_path () =
       add_one "w" (Rat.of_int 2);
     ]
   in
-  let outcomes, b = run_log ~jobs:1 ~cache_capacity:0 log in
+  let outcomes, b = run_log ~jobs:1 ~cache_capacity:64 log in
   Array.iter
     (fun o ->
       match o with
@@ -454,16 +458,14 @@ let test_incremental_warm_path () =
       | o -> Alcotest.failf "expected admitted, got %a" Batcher.pp_outcome o)
     outcomes;
   let svc = Batcher.service_stats b in
-  Alcotest.(check int) "both adds on the delta path" 2 svc.Batcher.inc_hits;
-  Alcotest.(check int) "no fallbacks" 0 svc.Batcher.inc_misses;
+  Alcotest.(check int) "both adds decided off-cache" 2 svc.Batcher.inc_hits;
+  Alcotest.(check int) "no cache-path adds" 0 svc.Batcher.inc_misses;
+  Alcotest.(check int) "only the submit is cached" 1 (cache_size b);
   Alcotest.(check (list (pair string int))) "resident sizes track commits"
-    [ ("w", 8) ] svc.Batcher.resident;
-  Alcotest.(check int) "warm handle covers the whole shop" 8
-    (Admission.warm_resident (Batcher.engine b))
+    [ ("w", 8) ] svc.Batcher.resident
 
-(* A shop admitted through the portfolio (no [Machine] handle) sends its
-   adds down the full-solve path and counts misses, with replies still
-   matching the sequential reference engine. *)
+(* Adds to a shop outside the identical-length class go down the
+   full-solve path through the cache: each counts a miss and is stored. *)
 let test_incremental_fallback_counted () =
   let g = Prng.of_path [| 9; 55; 1 |] in
   let log =
@@ -471,11 +473,27 @@ let test_incremental_fallback_counted () =
   in
   let _, b = run_log ~jobs:1 ~cache_capacity:0 log in
   let svc = Batcher.service_stats b in
-  Alcotest.(check int) "no delta hits without a handle" 0 svc.Batcher.inc_hits;
-  Alcotest.(check int) "fallback counted" 1 svc.Batcher.inc_misses
+  Alcotest.(check int) "no delta hits for a generic shop" 0 svc.Batcher.inc_hits;
+  Alcotest.(check int) "fallback counted" 1 svc.Batcher.inc_misses;
+  let arbitrary =
+    Recurrence_shop.of_traditional
+      (Flow_shop.of_params
+         [|
+           (Rat.zero, Rat.of_int 10, [| Rat.of_int 2; Rat.one |]);
+           (Rat.zero, Rat.of_int 12, [| Rat.one; Rat.of_int 3 |]);
+         |])
+  in
+  let _, b =
+    run_log ~jobs:1 ~cache_capacity:64
+      [ Admission.Submit { shop = "c"; instance = arbitrary }; add_one "c" Rat.zero ]
+  in
+  let svc = Batcher.service_stats b in
+  Alcotest.(check int) "arbitrary add is not decided off-cache" 0 svc.Batcher.inc_hits;
+  Alcotest.(check int) "arbitrary add counted as a miss" 1 svc.Batcher.inc_misses;
+  Alcotest.(check int) "arbitrary add is cached" 2 (cache_size b)
 
-(* Replies must not depend on whether the delta path or a worker-domain
-   full solve produced them. *)
+(* Replies must not depend on whether the off-cache EEDF path or a
+   worker-domain full solve produced them. *)
 let test_incremental_transparent_across_jobs () =
   let log =
     Admission.Submit { shop = "w"; instance = identical_instance 11 }
@@ -504,7 +522,6 @@ let test_metrics_exposes_incremental () =
     [
       "serve_incremental_hits_total 1";
       "serve_incremental_misses_total 0";
-      "serve_warm_resident_tasks 7";
       "serve_shop_resident_tasks{shop=\"w\"} 7";
     ]
 

@@ -1,6 +1,6 @@
 module Rat = E2e_rat.Rat
 module Periodic_shop = E2e_model.Periodic_shop
-module Heap = E2e_sim.Heap
+module Heap = E2e_ds.Heap
 module Rm_sim = E2e_sim.Rm_sim
 module Pipeline_sim = E2e_sim.Pipeline_sim
 module Analysis = E2e_periodic.Analysis

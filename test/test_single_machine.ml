@@ -2,7 +2,6 @@ module Rat = E2e_rat.Rat
 module Sm = E2e_core.Single_machine
 module Prng = E2e_prng.Prng
 module Obs = E2e_obs.Obs
-module Ref = E2e_fuzz.Single_machine_ref
 open Helpers
 
 let job id release deadline = { Sm.id; release; deadline }
@@ -151,100 +150,6 @@ let prop_regions_disjoint_sorted =
           in
           ok regions)
 
-(* {1 Incremental state} *)
-
-(* The exactness contract: after any edit, the warm state's regions,
-   schedule and verdict must be byte-identical to the independent
-   reference's on the same (position-id'd) job set. *)
-let ref_jobs jobs =
-  Array.mapi (fun i (j : Sm.job) -> { Ref.id = i; release = j.release; deadline = j.deadline }) jobs
-
-let agree ~what ~tau st jobs =
-  let jobs = ref_jobs jobs in
-  (match (Sm.Inc.regions st, Ref.forbidden_regions ~tau jobs) with
-  | Error `Infeasible, Error `Infeasible -> ()
-  | Ok inc, Ok scr ->
-      Alcotest.(check bool)
-        (what ^ ": regions agree")
-        true
-        (List.length inc = List.length scr
-        && List.for_all2
-             (fun (a : Sm.region) (b : Ref.region) ->
-               Rat.equal a.left b.left && Rat.equal a.right b.right)
-             inc scr)
-  | _ -> Alcotest.failf "%s: regions verdicts disagree" what);
-  match (Sm.Inc.solve st, Ref.schedule ~tau jobs) with
-  | Error `Infeasible, Error `Infeasible -> ()
-  | Ok inc, Ok scr ->
-      Alcotest.(check bool)
-        (what ^ ": schedules agree")
-        true
-        (Array.length inc = Array.length scr && Array.for_all2 Rat.equal inc scr)
-  | _ -> Alcotest.failf "%s: schedule verdicts disagree" what
-
-let test_inc_trap_add_remove () =
-  let tau = r 2 in
-  (* Start from the long-window job alone, then add the tight job: the
-     warm state must discover the trap's forbidden region. *)
-  let st = Sm.Inc.make ~tau [| job 0 (r 0) (r 10) |] in
-  agree ~what:"base" ~tau st (Sm.Inc.jobs st);
-  let st' = Sm.Inc.add_task st ~at:1 ~release:(r 1) ~deadline:(r 3) in
-  agree ~what:"after add" ~tau st' (Sm.Inc.jobs st');
-  (match Sm.Inc.solve st' with
-  | Ok starts -> check_rat "tight job at its release" (r 1) starts.(1)
-  | Error `Infeasible -> Alcotest.fail "trap instance is feasible");
-  (* Persistence: the pre-add state still answers for the old set. *)
-  Alcotest.(check int) "input state untouched" 1 (Sm.Inc.n_jobs st);
-  agree ~what:"input state" ~tau st (Sm.Inc.jobs st);
-  let st'' = Sm.Inc.remove_task st' ~at:1 in
-  Alcotest.(check int) "back to one job" 1 (Sm.Inc.n_jobs st'');
-  agree ~what:"after remove" ~tau st'' (Sm.Inc.jobs st'')
-
-let test_inc_infeasibility_flips () =
-  let tau = r 1 in
-  let st = Sm.Inc.make ~tau [| job 0 (r 0) (r 1) |] in
-  let st' = Sm.Inc.add_task st ~at:1 ~release:(r 0) ~deadline:(r 1) in
-  (match Sm.Inc.solve st' with
-  | Error `Infeasible -> ()
-  | Ok _ -> Alcotest.fail "two unit jobs in one unit window");
-  agree ~what:"infeasible state" ~tau st' (Sm.Inc.jobs st');
-  (* Dropping either of the clashing jobs restores feasibility. *)
-  match Sm.Inc.solve (Sm.Inc.remove_task st' ~at:0) with
-  | Ok starts -> check_rat "survivor at release" (r 0) starts.(0)
-  | Error `Infeasible -> Alcotest.fail "one unit job fits"
-
-(* Random churn property: a chain of adds then drops, checked against
-   the reference at every step (the unit-test-sized sibling of the
-   eedf-inc fuzz class). *)
-let prop_inc_matches_scratch =
-  QCheck.Test.make ~name:"single machine: incremental matches from-scratch under churn"
-    ~count:200
-    (QCheck.make ~print:string_of_int QCheck.Gen.(int_bound 1_000_000))
-    (fun seed ->
-      let g = Prng.create seed in
-      let n = 2 + Prng.int g 6 in
-      let tau = Rat.make (2 + Prng.int g 7) 2 in
-      let jobs = random_jobs g n in
-      let st = ref (Sm.Inc.make ~tau [| jobs.(0) |]) in
-      let check what =
-        let scratch = Ref.schedule ~tau (ref_jobs (Sm.Inc.jobs !st)) in
-        match (Sm.Inc.solve !st, scratch) with
-        | Error `Infeasible, Error `Infeasible -> ()
-        | Ok a, Ok b when Array.length a = Array.length b && Array.for_all2 Rat.equal a b ->
-            ()
-        | _ -> QCheck.Test.fail_reportf "diverged at %s" what
-      in
-      for k = 1 to n - 1 do
-        let at = Prng.int g (Sm.Inc.n_jobs !st + 1) in
-        st := Sm.Inc.add_task !st ~at ~release:jobs.(k).Sm.release ~deadline:jobs.(k).Sm.deadline;
-        check (Printf.sprintf "add %d" k)
-      done;
-      while Sm.Inc.n_jobs !st > 1 do
-        st := Sm.Inc.remove_task !st ~at:(Prng.int g (Sm.Inc.n_jobs !st));
-        check "drop"
-      done;
-      true)
-
 let suite =
   [
     Alcotest.test_case "plain EDF fails the trap" `Quick test_plain_edf_fails_trap;
@@ -254,11 +159,8 @@ let suite =
     Alcotest.test_case "empty and singleton" `Quick test_empty_and_single;
     Alcotest.test_case "grid-aligned needs no regions" `Quick test_integral_release_edf_suffices;
     Alcotest.test_case "worked example" `Quick test_schedule_matches_brute_force_on_example;
-    Alcotest.test_case "incremental: trap add/remove" `Quick test_inc_trap_add_remove;
-    Alcotest.test_case "incremental: feasibility flips" `Quick test_inc_infeasibility_flips;
     to_alcotest prop_optimality;
     to_alcotest prop_plain_edf_never_beats_exact;
     to_alcotest prop_regions_disjoint_sorted;
-    to_alcotest prop_inc_matches_scratch;
     Alcotest.test_case "schedule telemetry" `Quick test_schedule_telemetry;
   ]
