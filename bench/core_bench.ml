@@ -34,6 +34,8 @@ module Baselines = E2e_baselines
 module Experiments = E2e_experiments.Experiments
 module Admission = E2e_serve.Admission
 module Cache = E2e_serve.Cache
+module Batcher = E2e_serve.Batcher
+module Protocol = E2e_serve.Protocol
 module Ref = E2e_fuzz.Single_machine_ref
 module Obs = E2e_obs.Obs
 module Json = E2e_obs.Json
@@ -162,6 +164,31 @@ let fig_pool ~seed ~n ~m ~stdev ~slack =
 
 let thunk f () = ignore (Sys.opaque_identity (f ()))
 
+(* The reply half of the admission path: rendering one admitted reply,
+   schedule field included, for a shop of [n] tasks on 4 stages whose
+   times sit on a 1/100 grid (a steady stream, each task due within 2-3x
+   its processing time, as in the service's large-shop benchmark). *)
+let serve_render_case n =
+  let g = Prng.create (6000 + n) in
+  let tasks =
+    Array.init n (fun id ->
+        let proc_times =
+          Array.init 4 (fun _ -> Prng.rat_uniform g ~den:100 (Rat.make 9 10) (Rat.make 11 10))
+        in
+        let release =
+          Rat.add (Rat.make (5 * id) 4) (Prng.rat_uniform g ~den:100 Rat.zero (Rat.make 1 4))
+        in
+        let stretch = Prng.rat_uniform g ~den:100 (Rat.of_int 2) (Rat.of_int 3) in
+        Task.make ~id ~release
+          ~deadline:(Rat.add release (Rat.mul (Rat.sum_array proc_times) stretch))
+          ~proc_times)
+  in
+  let instance = Recurrence_shop.make ~visit:(E2e_model.Visit.traditional 4) tasks in
+  match Admission.apply Admission.empty (Admission.Submit { shop = "L"; instance }) with
+  | _, (Admission.Decided { decision = Admission.Admitted _; _ } as reply) ->
+      thunk (fun () -> Protocol.render_reply (Batcher.Reply reply))
+  | _ -> failwith "serve_render: the shop is not admitted"
+
 let fixed_families () =
   (* [at] times one fixed instance, [on] cycles through a pool. *)
   let at x f = thunk (fun () -> f x) in
@@ -222,6 +249,7 @@ let fixed_families () =
     ( "dispatch_replay",
       4,
       at replay (Sim.Dispatcher.run Sim.Dispatcher.Work_conserving ~actual:replay_actual) );
+    ("serve_render", 250, serve_render_case 250);
   ]
 
 (* The full fig9a/fig9b/fig10 Monte Carlo sweeps at reduced trial

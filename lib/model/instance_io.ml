@@ -79,12 +79,21 @@ let parse_file path =
   | text -> parse text
   | exception Sys_error m -> Error m
 
-let task_line (task : Task.t) =
-  let buf = Buffer.create 32 in
-  Buffer.add_string buf
-    (Printf.sprintf "task %s %s" (Rat.to_string task.release) (Rat.to_string task.deadline));
-  Array.iter (fun tau -> Buffer.add_string buf (" " ^ Rat.to_string tau)) task.proc_times;
-  Buffer.add_char buf '\n';
+let add_task_line buf (task : Task.t) =
+  Buffer.add_string buf "task ";
+  Rat.add_to_buffer buf task.release;
+  Buffer.add_char buf ' ';
+  Rat.add_to_buffer buf task.deadline;
+  Array.iter
+    (fun tau ->
+      Buffer.add_char buf ' ';
+      Rat.add_to_buffer buf tau)
+    task.proc_times;
+  Buffer.add_char buf '\n'
+
+let task_line task =
+  let buf = Buffer.create 48 in
+  add_task_line buf task;
   Buffer.contents buf
 
 let to_string (shop : Recurrence_shop.t) =
@@ -92,9 +101,11 @@ let to_string (shop : Recurrence_shop.t) =
   if not (Visit.is_traditional shop.visit) then begin
     Buffer.add_string buf "visit";
     Array.iter
-      (fun p -> Buffer.add_string buf (Printf.sprintf " %d" (p + 1)))
+      (fun p ->
+        Buffer.add_char buf ' ';
+        Rat.add_int_to_buffer buf (p + 1))
       shop.visit.Visit.sequence;
     Buffer.add_char buf '\n'
   end;
-  Array.iter (fun task -> Buffer.add_string buf (task_line task)) shop.tasks;
+  Array.iter (add_task_line buf) shop.tasks;
   Buffer.contents buf

@@ -118,6 +118,15 @@ val of_decimal_string : string -> t
 val to_string : t -> string
 (** ["num/den"], or just ["num"] for integers. *)
 
+val add_to_buffer : Buffer.t -> t -> unit
+(** Appends {!to_string}'s text: sign, numerator and, unless the
+    rational is an integer, ["/den"], written digit by digit with no
+    format parsing.  The writer behind every rational the schedule,
+    instance and reply renderings print. *)
+
+val add_int_to_buffer : Buffer.t -> int -> unit
+(** Appends [string_of_int n]'s text the same way, [min_int] included. *)
+
 val pp : Format.formatter -> t -> unit
 (** Prints like {!to_string}. *)
 

@@ -32,23 +32,31 @@ let makespan t =
   done;
   !best
 
-(* Entries on one processor, sorted by start time. *)
-let processor_entries t p =
-  let entries = ref [] in
-  let seq = t.shop.Recurrence_shop.visit.Visit.sequence in
-  for i = 0 to n_tasks t - 1 do
-    for j = 0 to stages t - 1 do
-      if seq.(j) = p then entries := (t.starts.(i).(j), i, j) :: !entries
+(* Entries (start, task, stage) in start order, ties by task then stage.
+   Monomorphic: polymorphic [compare] on these tuples would walk the
+   rationals' blocks field by field. *)
+let compare_entry ((s1 : rat), (i1 : int), (j1 : int)) (s2, i2, j2) =
+  let c = Rat.compare s1 s2 in
+  if c <> 0 then c
+  else
+    let c = Int.compare i1 i2 in
+    if c <> 0 then c else Int.compare j1 j2
+
+(* Every processor's entries, sorted by [compare_entry]: one pass over
+   the n·k entries buckets them by processor. *)
+let processor_entries t =
+  let visit = t.shop.Recurrence_shop.visit in
+  let buckets = Array.make visit.Visit.processors [] in
+  for i = n_tasks t - 1 downto 0 do
+    for j = stages t - 1 downto 0 do
+      let p = visit.Visit.sequence.(j) in
+      buckets.(p) <- (t.starts.(i).(j), i, j) :: buckets.(p)
     done
   done;
-  List.sort (fun (s1, i1, j1) (s2, i2, j2) ->
-      let c = Rat.compare s1 s2 in
-      if c <> 0 then c else Stdlib.compare (i1, j1) (i2, j2))
-    !entries
+  Array.map (List.sort compare_entry) buckets
 
 let is_permutation t =
-  let m = t.shop.Recurrence_shop.visit.Visit.processors in
-  let order_of p = List.map (fun (_, i, _) -> i) (processor_entries t p) in
+  let order_of entries = List.map (fun (_, i, _) -> i) entries in
   (* Global distinctness: a task may appear at most once per processor, not
      merely on non-adjacent positions (T1,T2,T1 is not a permutation order). *)
   let distinct_order order =
@@ -60,7 +68,7 @@ let is_permutation t =
     no_dup sorted
   in
   (* Only meaningful when every processor runs each task once. *)
-  let orders = List.init m order_of in
+  let orders = Array.to_list (Array.map order_of (processor_entries t)) in
   match orders with
   | [] -> true
   | first :: rest -> List.for_all distinct_order orders && List.for_all (( = ) first) rest
@@ -88,21 +96,29 @@ let violations t =
   let out = ref [] in
   let push v = out := v :: !out in
   let tasks = t.shop.Recurrence_shop.tasks in
+  (* Every finish is computed once: the precedence, deadline and overlap
+     checks all read it. *)
+  let finishes =
+    Array.mapi
+      (fun i row -> Array.mapi (fun j s -> Rat.add s tasks.(i).Task.proc_times.(j)) row)
+      t.starts
+  in
+  let k = stages t in
   for i = 0 to n_tasks t - 1 do
     let task = tasks.(i) in
     if Rat.(t.starts.(i).(0) < task.Task.release) then
       push (Release_violated { task = i; start = t.starts.(i).(0); release = task.Task.release });
-    let fin = completion t i in
+    let fin = finishes.(i).(k - 1) in
     if Rat.(fin > task.Task.deadline) then
       push (Deadline_missed { task = i; finish = fin; deadline = task.Task.deadline });
-    for j = 1 to stages t - 1 do
-      let prev_finish = finish t ~task:i ~stage:(j - 1) in
+    for j = 1 to k - 1 do
+      let prev_finish = finishes.(i).(j - 1) in
       if Rat.(t.starts.(i).(j) < prev_finish) then
         push (Precedence_violated { task = i; stage = j; start = t.starts.(i).(j); prev_finish })
     done
   done;
-  let m = t.shop.Recurrence_shop.visit.Visit.processors in
-  for p = 0 to m - 1 do
+  let entries = processor_entries t in
+  for p = 0 to Array.length entries - 1 do
     (* Scan start-sorted entries carrying the running maximum finish; a
        long entry hides later overlaps from a purely adjacent comparison
        (A = [0,10], B = [1,2], C = [3,4]: B-C are disjoint but both sit
@@ -110,14 +126,14 @@ let violations t =
     let rec scan (max_f, mi, mj) = function
       | (s2, i2, j2) :: rest ->
           if Rat.(s2 < max_f) then push (Overlap { processor = p; a = (mi, mj); b = (i2, j2) });
-          let f2 = finish t ~task:i2 ~stage:j2 in
+          let f2 = finishes.(i2).(j2) in
           let running = if Rat.(f2 > max_f) then (f2, i2, j2) else (max_f, mi, mj) in
           scan running rest
       | [] -> ()
     in
-    match processor_entries t p with
+    match entries.(p) with
     | [] -> ()
-    | (_, i1, j1) :: rest -> scan (finish t ~task:i1 ~stage:j1, i1, j1) rest
+    | (_, i1, j1) :: rest -> scan (finishes.(i1).(j1), i1, j1) rest
   done;
   List.rev !out
 
@@ -160,13 +176,7 @@ let left_shift t =
     List.concat
       (List.init n (fun i -> List.init k (fun j -> (t.starts.(i).(j), i, j))))
   in
-  let all =
-    List.sort
-      (fun (s1, i1, j1) (s2, i2, j2) ->
-        let c = Rat.compare s1 s2 in
-        if c <> 0 then c else Stdlib.compare (i1, j1) (i2, j2))
-      all
-  in
+  let all = List.sort compare_entry all in
   let free = Array.make shop.Recurrence_shop.visit.Visit.processors Rat.zero in
   List.iter
     (fun (_, i, j) ->
@@ -199,22 +209,31 @@ let pp_table ppf t =
   done;
   Format.fprintf ppf "@]"
 
-let to_csv t =
-  let buf = Buffer.create 256 in
-  Buffer.add_string buf "task,stage,processor,start,finish\n";
+let add_csv buf ~sep t =
+  let seq = t.shop.Recurrence_shop.visit.Visit.sequence in
+  Buffer.add_string buf "task,stage,processor,start,finish";
   for i = 0 to n_tasks t - 1 do
     for j = 0 to stages t - 1 do
-      Buffer.add_string buf
-        (Printf.sprintf "%d,%d,%d,%s,%s\n" i j
-           (t.shop.Recurrence_shop.visit.Visit.sequence.(j) + 1)
-           (Rat.to_string (start t ~task:i ~stage:j))
-           (Rat.to_string (finish t ~task:i ~stage:j)))
+      Buffer.add_char buf sep;
+      Rat.add_int_to_buffer buf i;
+      Buffer.add_char buf ',';
+      Rat.add_int_to_buffer buf j;
+      Buffer.add_char buf ',';
+      Rat.add_int_to_buffer buf (seq.(j) + 1);
+      Buffer.add_char buf ',';
+      Rat.add_to_buffer buf (start t ~task:i ~stage:j);
+      Buffer.add_char buf ',';
+      Rat.add_to_buffer buf (finish t ~task:i ~stage:j)
     done
-  done;
+  done
+
+let to_csv t =
+  let buf = Buffer.create (32 + (24 * n_tasks t * stages t)) in
+  add_csv buf ~sep:'\n' t;
+  Buffer.add_char buf '\n';
   Buffer.contents buf
 
 let pp_gantt ?(unit_time = Rat.one) ppf t =
-  let m = t.shop.Recurrence_shop.visit.Visit.processors in
   (* Column 0 sits at the earliest start, not at 0: clamping negative
      starts into cell 0 would draw overlaps that do not exist.  For the
      common all-nonnegative case the origin stays 0, keeping the axis of
@@ -231,7 +250,8 @@ let pp_gantt ?(unit_time = Rat.one) ppf t =
   let cells = Stdlib.min cells 200 in
   Format.fprintf ppf "@[<v>";
   if not (Rat.is_zero origin) then Format.fprintf ppf "t = %a at column 0@," Rat.pp origin;
-  for p = 0 to m - 1 do
+  let entries = processor_entries t in
+  for p = 0 to Array.length entries - 1 do
     let row = Bytes.make cells '.' in
     List.iter
       (fun (s, i, j) ->
@@ -241,7 +261,7 @@ let pp_gantt ?(unit_time = Rat.one) ppf t =
         for c = Stdlib.max 0 c0 to Stdlib.min (cells - 1) (c1 - 1) do
           Bytes.set row c (Char.chr (Char.code '0' + (i + 1) mod 10))
         done)
-      (processor_entries t p);
+      entries.(p);
     Format.fprintf ppf "P%d |%s|@," (p + 1) (Bytes.to_string row)
   done;
   Format.fprintf ppf "@]"

@@ -81,6 +81,12 @@ val to_csv : t -> string
     [task,stage,processor,start,finish] with exact rational fields
     (["3/2"]).  For feeding external plotting or runtime tables. *)
 
+val add_csv : Buffer.t -> sep:char -> t -> unit
+(** The rows of {!to_csv} in one buffer pass: the header, then each
+    stage's row preceded by [sep], with no trailing separator.
+    [to_csv] is [add_csv ~sep:'\n'] plus a final newline; the admission
+    service's replies use [~sep:';']. *)
+
 val pp_gantt : ?unit_time:rat -> Format.formatter -> t -> unit
 (** ASCII Gantt chart, one row per processor, one column per [unit_time]
     (default 1).  Stage occupying a cell prints the task id (mod 10);

@@ -121,23 +121,25 @@ let render_request = function
   | Admission.Query { shop } -> "query " ^ shop
   | Admission.Drop { shop } -> "drop " ^ shop
 
-let render_schedule schedule =
-  let csv = Schedule.to_csv schedule in
-  let csv =
-    if String.length csv > 0 && csv.[String.length csv - 1] = '\n' then
-      String.sub csv 0 (String.length csv - 1)
-    else csv
-  in
-  String.map (function '\n' -> ';' | c -> c) csv
+let render_schedule buf schedule = Schedule.add_csv buf ~sep:';' schedule
 
+(* An admitted reply is built in one buffer sized for its rows (about
+   24 bytes each): the head line, then the schedule written in place. *)
 let render_reply ?(schedules = true) outcome =
-  let base = Format.asprintf "%a" Batcher.pp_outcome outcome in
+  let head = Format.asprintf "%a" Batcher.pp_outcome outcome in
   match outcome with
   | Batcher.Reply
       (Admission.Decided { decision = Admission.Admitted { schedule; _ }; _ })
     when schedules ->
-      base ^ " schedule=" ^ render_schedule schedule
-  | _ -> base
+      let rows =
+        Array.fold_left (fun acc row -> acc + Array.length row) 0 schedule.Schedule.starts
+      in
+      let buf = Buffer.create (String.length head + 48 + (24 * rows)) in
+      Buffer.add_string buf head;
+      Buffer.add_string buf " schedule=";
+      render_schedule buf schedule;
+      Buffer.contents buf
+  | _ -> head
 
 let render_hello ~requested =
   if requested = version then "ok " ^ version

@@ -43,8 +43,9 @@
     v}
 
     [schedule=CSV] is {!E2e_schedule.Schedule.to_csv} with [;] for
-    newline ([task,stage,processor,start,finish;0,0,1,0,1;...]) —
-    parseable back into exact rationals.  The [metrics] reply is the
+    newline and no trailing separator
+    ([task,stage,processor,start,finish;0,0,1,0,1;...]) — parseable back
+    into exact rationals.  The [metrics] reply is the
     Prometheus-style text exposition ({!E2e_obs.Obs.exposition}) with
     [;] standing for newline: live batcher samples (queue depth,
     committed shops/tasks, per-shop verdict counts, cache hit/miss,
@@ -88,7 +89,9 @@ val render_request : Admission.request -> string
 val render_reply : ?schedules:bool -> Batcher.outcome -> string
 (** One reply line, no terminator.  [schedules] (default [true])
     controls whether [admitted] replies carry the full [schedule=]
-    field — load generators turn it off to keep reply parsing cheap. *)
+    field — load generators turn it off to keep reply parsing cheap.
+    An admitted reply's head and schedule rows are written into one
+    buffer sized for its rows, with no intermediate copies. *)
 
 val render_hello : requested:string -> string
 (** [ok e2e-serve/1] when [requested] matches {!version}, an [error]
@@ -110,6 +113,8 @@ val render_metrics : Stripes.t -> string
     Deterministic: a function of the stripes' state and registry
     contents only. *)
 
-val render_schedule : E2e_schedule.Schedule.t -> string
-(** The [;]-framed CSV used in [admitted] replies (exposed for tests
-    and the load generator). *)
+val render_schedule : Buffer.t -> E2e_schedule.Schedule.t -> unit
+(** Appends the [;]-framed CSV of an [admitted] reply's [schedule=]
+    field: {!E2e_schedule.Schedule.add_csv} with [;] between rows, so
+    {!render_reply} writes the rows into the same buffer as the reply
+    head (exposed for tests). *)

@@ -55,6 +55,15 @@ let test_parse () =
 let test_to_string () =
   Alcotest.(check string) "integer" "7" (Rat.to_string (r 7));
   Alcotest.(check string) "fraction" "-3/2" (Rat.to_string (Rat.make 3 (-2)));
+  Alcotest.(check string) "extreme fraction"
+    (Printf.sprintf "%d/%d" (-max_int) (max_int - 1))
+    (Rat.to_string (Rat.make (-max_int) (max_int - 1)));
+  List.iter
+    (fun n ->
+      let buf = Buffer.create 8 in
+      Rat.add_int_to_buffer buf n;
+      Alcotest.(check string) "int digits" (string_of_int n) (Buffer.contents buf))
+    [ 0; 9; 10; -10; 1_000_003; max_int; min_int ];
   Alcotest.(check string) "decimal pp" "2.75" (Format.asprintf "%a" Rat.pp_decimal (q "2.75"))
 
 let test_of_float () =

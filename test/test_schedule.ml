@@ -210,10 +210,96 @@ let prop_forward_pass_feasible_on_generated =
          ignore shop;
          Schedule.is_feasible witness))
 
+(* The checker as it stood before processor bucketing: one rescan of
+   all n·k entries per processor and a polymorphic tuple tie-break.  The
+   reference the bucketed checker must match violation for violation,
+   order included. *)
+let reference_violations s =
+  let shop = s.Schedule.shop in
+  let seq = shop.Recurrence_shop.visit.Visit.sequence in
+  let n = Array.length s.Schedule.starts and k = Array.length seq in
+  let out = ref [] in
+  let push v = out := v :: !out in
+  for i = 0 to n - 1 do
+    let task = shop.Recurrence_shop.tasks.(i) in
+    let start = Schedule.start s ~task:i ~stage:0 in
+    if Rat.(start < task.Task.release) then
+      push (Schedule.Release_violated { task = i; start; release = task.Task.release });
+    let finish = Schedule.completion s i in
+    if Rat.(finish > task.Task.deadline) then
+      push (Schedule.Deadline_missed { task = i; finish; deadline = task.Task.deadline });
+    for j = 1 to k - 1 do
+      let prev_finish = Schedule.finish s ~task:i ~stage:(j - 1) in
+      let start = Schedule.start s ~task:i ~stage:j in
+      if Rat.(start < prev_finish) then
+        push (Schedule.Precedence_violated { task = i; stage = j; start; prev_finish })
+    done
+  done;
+  for p = 0 to shop.Recurrence_shop.visit.Visit.processors - 1 do
+    let entries = ref [] in
+    for i = 0 to n - 1 do
+      for j = 0 to k - 1 do
+        if seq.(j) = p then entries := (Schedule.start s ~task:i ~stage:j, i, j) :: !entries
+      done
+    done;
+    let sorted =
+      List.sort
+        (fun (s1, i1, j1) (s2, i2, j2) ->
+          let c = Rat.compare s1 s2 in
+          if c <> 0 then c else Stdlib.compare (i1, j1) (i2, j2))
+        !entries
+    in
+    let rec scan (max_f, mi, mj) = function
+      | (s2, i2, j2) :: rest ->
+          if Rat.(s2 < max_f) then
+            push (Schedule.Overlap { processor = p; a = (mi, mj); b = (i2, j2) });
+          let f2 = Schedule.finish s ~task:i2 ~stage:j2 in
+          scan (if Rat.(f2 > max_f) then (f2, i2, j2) else (max_f, mi, mj)) rest
+      | [] -> ()
+    in
+    match sorted with
+    | [] -> ()
+    | (_, i1, j1) :: rest -> scan (Schedule.finish s ~task:i1 ~stage:j1, i1, j1) rest
+  done;
+  List.rev !out
+
+(* Perturbed schedules: a forward pass (feasible up to the generated
+   windows) with some stage starts replaced by random values or by
+   another stage's start, so ties, overlaps hidden behind long entries
+   and precedence breaks all occur, on reused processors too. *)
+let prop_violations_match_reference =
+  let gen =
+    QCheck.Gen.(
+      pair (Helpers.schedule_gen ()) (list_size (int_range 0 6) (triple nat nat bool)))
+  in
+  let print (s, _) = Schedule.to_csv s in
+  Helpers.to_alcotest
+    (QCheck.Test.make ~name:"violations match the rescan reference" ~count:500
+       (QCheck.make ~print gen) (fun (random, picks) ->
+         let shop = random.Schedule.shop in
+         let n = Recurrence_shop.n_tasks shop in
+         let base = Schedule.forward_pass shop ~order:(Array.init n Fun.id) in
+         let starts = Array.map Array.copy base.Schedule.starts in
+         let k = Visit.length shop.Recurrence_shop.visit in
+         if n > 0 then
+           List.iter
+             (fun (a, b, tie) ->
+               let i = a mod n and j = b mod k in
+               starts.(i).(j) <-
+                 (if tie then starts.(b mod n).(a mod k) else random.Schedule.starts.(i).(j)))
+             picks;
+         let s = Schedule.make shop starts in
+         let got = Schedule.violations s and want = reference_violations s in
+         if got <> want then
+           QCheck.Test.fail_reportf "got %d violations, reference %d" (List.length got)
+             (List.length want);
+         true))
+
 let suite =
   [
     prop_left_shift_monotone;
     prop_forward_pass_feasible_on_generated;
+    prop_violations_match_reference;
     Alcotest.test_case "accessors" `Quick test_accessors;
     Alcotest.test_case "feasible schedule" `Quick test_feasible;
     Alcotest.test_case "release violation" `Quick test_release_violation;

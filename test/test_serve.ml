@@ -423,6 +423,110 @@ let test_protocol_render_reply () =
     "hello ok" "ok e2e-serve/1"
     (Protocol.render_hello ~requested:Protocol.version)
 
+(* The reply's schedule field as rendered before the digit writer:
+   [Printf] rows with [string_of_int]/["%d/%d"] rationals, newlines
+   turned into [;] and the trailing one stripped. *)
+let printf_schedule s =
+  let rat q =
+    if Rat.den q = 1 then string_of_int (Rat.num q)
+    else Printf.sprintf "%d/%d" (Rat.num q) (Rat.den q)
+  in
+  let buf = Buffer.create 256 in
+  Buffer.add_string buf "task,stage,processor,start,finish\n";
+  let seq = s.Schedule.shop.Recurrence_shop.visit.E2e_model.Visit.sequence in
+  Array.iteri
+    (fun i row ->
+      Array.iteri
+        (fun j _ ->
+          Buffer.add_string buf
+            (Printf.sprintf "%d,%d,%d,%s,%s\n" i j (seq.(j) + 1)
+               (rat (Schedule.start s ~task:i ~stage:j))
+               (rat (Schedule.finish s ~task:i ~stage:j))))
+        row)
+    s.Schedule.starts;
+  let csv = Buffer.contents buf in
+  String.map (function '\n' -> ';' | c -> c) (String.sub csv 0 (String.length csv - 1))
+
+let prop_render_schedule_matches_printf =
+  let outcome f = match f () with text -> Ok text | exception Rat.Overflow -> Error () in
+  Helpers.to_alcotest
+    (QCheck.Test.make ~name:"render_schedule matches the Printf rendering" ~count:500
+       (QCheck.make ~print:Schedule.to_csv (Helpers.schedule_gen ~huge:true ()))
+       (fun s ->
+         let rendered () =
+           let buf = Buffer.create 16 in
+           Protocol.render_schedule buf s;
+           Buffer.contents buf
+         in
+         outcome rendered = outcome (fun () -> printf_schedule s)
+         && outcome (fun () -> Schedule.to_csv s)
+            = outcome (fun () ->
+                  String.map (function ';' -> '\n' | c -> c) (printf_schedule s) ^ "\n")))
+
+(* A seeded log in the shape of a large-shop stream: 220-task shops of
+   unit times (EEDF) and of times on a 1/100 grid (Algorithm H, so
+   multi-digit denominators), adds, a drop and resubmit, a recurrent
+   visit, an infeasible submit and the small mixed log. *)
+let large_reply_log () =
+  let g = Prng.of_path [| 18; 0x5e4; 0 |] in
+  let stream_task ~identical i =
+    let taus =
+      Array.init 4 (fun _ ->
+          if identical then Rat.one
+          else Prng.rat_uniform g ~den:100 (Rat.make 9 10) (Rat.make 11 10))
+    in
+    let release =
+      Rat.add (Rat.make (5 * i) 4) (Prng.rat_uniform g ~den:100 Rat.zero (Rat.make 1 4))
+    in
+    let stretch = Prng.rat_uniform g ~den:100 (Rat.of_int 2) (Rat.of_int 3) in
+    (release, Rat.add release (Rat.mul (Rat.sum_array taus) stretch), taus)
+  in
+  let shop ~identical n =
+    Recurrence_shop.make ~visit:(E2e_model.Visit.traditional 4)
+      (Array.init n (fun i ->
+           let release, deadline, proc_times = stream_task ~identical i in
+           Task.make ~id:i ~release ~deadline ~proc_times))
+  in
+  let adds name ~identical from =
+    List.init 3 (fun k ->
+        Admission.Add { shop = name; tasks = [ stream_task ~identical (from + k) ] })
+  in
+  let big_eedf = shop ~identical:true 220 and big_h = shop ~identical:false 220 in
+  let recurrent =
+    Recurrence_shop.make ~visit:(E2e_model.Visit.of_one_based [| 1; 2; 1 |])
+      (Array.init 4 (fun i ->
+           Task.make ~id:i ~release:(Rat.make i 3) ~deadline:(Rat.of_int (20 + i))
+             ~proc_times:[| Rat.make 1 2; Rat.one; Rat.make 1 2 |]))
+  in
+  [ Admission.Submit { shop = "L0"; instance = big_eedf };
+    Admission.Submit { shop = "L1"; instance = big_h } ]
+  @ adds "L0" ~identical:true 220 @ adds "L1" ~identical:false 220
+  @ [ Admission.Query { shop = "L1" }; Admission.Drop { shop = "L1" };
+      Admission.Submit { shop = "L1"; instance = permute g big_h };
+      Admission.Submit { shop = "r"; instance = recurrent };
+      Admission.Submit { shop = "x"; instance = infeasible_instance () } ]
+  @ gen_log 18 40
+
+(* Every byte of every reply (and request line) of the large log,
+   pinned: a render path rewrite must not move one. *)
+let test_render_pinned_digest () =
+  let log = large_reply_log () in
+  let outcomes, _ = run_log ~jobs:1 ~cache_capacity:64 log in
+  Alcotest.(check string) "request digest" "41a14cb1ed8cd06f2be328cd47b711fc"
+    (Digest.to_hex (Digest.string (String.concat "\n" (List.map Protocol.render_request log))));
+  let text =
+    String.concat "\n" (Array.to_list (Array.map (fun o -> Protocol.render_reply o) outcomes))
+  in
+  Alcotest.(check bool) "log carries 200+-task schedules" true
+    (Array.exists
+       (function
+         | Batcher.Reply (Admission.Decided { n_tasks; decision = Admission.Admitted _; _ }) ->
+             n_tasks >= 200
+         | _ -> false)
+       outcomes);
+  Alcotest.(check string) "reply digest" "f3ffd6c3c6176b30537046ac2fd7fae1"
+    (Digest.to_hex (Digest.string text))
+
 (* ------------------------------------------------------------------ *)
 (* Incremental admission                                              *)
 
@@ -465,7 +569,9 @@ let test_incremental_warm_path () =
     [ ("w", 8) ] svc.Batcher.resident
 
 (* Adds to a shop outside the identical-length class go down the
-   full-solve path through the cache: each counts a miss and is stored. *)
+   full-solve path and count a delta miss, but stay off the cache: no
+   lookup (the cache's miss count is the submit's alone) and no entry,
+   in the batcher and in the sequential interpreter alike. *)
 let test_incremental_fallback_counted () =
   let g = Prng.of_path [| 9; 55; 1 |] in
   let log =
@@ -483,14 +589,23 @@ let test_incremental_fallback_counted () =
            (Rat.zero, Rat.of_int 12, [| Rat.one; Rat.of_int 3 |]);
          |])
   in
-  let _, b =
-    run_log ~jobs:1 ~cache_capacity:64
-      [ Admission.Submit { shop = "c"; instance = arbitrary }; add_one "c" Rat.zero ]
-  in
+  let log = [ Admission.Submit { shop = "c"; instance = arbitrary }; add_one "c" Rat.zero ] in
+  let _, b = run_log ~jobs:1 ~cache_capacity:64 log in
   let svc = Batcher.service_stats b in
   Alcotest.(check int) "arbitrary add is not decided off-cache" 0 svc.Batcher.inc_hits;
   Alcotest.(check int) "arbitrary add counted as a miss" 1 svc.Batcher.inc_misses;
-  Alcotest.(check int) "arbitrary add is cached" 2 (cache_size b)
+  Alcotest.(check int) "arbitrary add is not cached" 1 (cache_size b);
+  let misses = match Batcher.cache_stats b with Some st -> st.Cache.misses | None -> -1 in
+  Alcotest.(check int) "only the submit looked the cache up" 1 misses;
+  let cache = Cache.create ~capacity:64 in
+  let engine, _ = Admission.apply ~cache Admission.empty (List.hd log) in
+  let before = Cache.length cache in
+  let _, reply = Admission.apply ~cache engine (List.nth log 1) in
+  (match reply with
+  | Admission.Decided { decision = Admission.Admitted _; _ } -> ()
+  | r -> Alcotest.failf "expected the add admitted, got %a" Admission.pp_reply r);
+  Alcotest.(check int) "apply leaves the cache alone on an add" before (Cache.length cache);
+  Alcotest.(check int) "apply never looked an add up" 1 (Cache.stats cache).Cache.misses
 
 (* Replies must not depend on whether the off-cache EEDF path or a
    worker-domain full solve produced them. *)
@@ -1047,6 +1162,8 @@ let suite =
     ("protocol: request round-trips", `Quick, test_protocol_roundtrip);
     ("protocol: controls and parse errors", `Quick, test_protocol_errors_and_controls);
     ("protocol: reply rendering", `Quick, test_protocol_render_reply);
+    ("protocol: large reply log digest pinned", `Quick, test_render_pinned_digest);
+    prop_render_schedule_matches_printf;
     ("admission: warm delta path serves adds", `Quick, test_incremental_warm_path);
     ("admission: cold shops count delta misses", `Quick, test_incremental_fallback_counted);
     ("batcher: delta path transparent across jobs", `Quick,
