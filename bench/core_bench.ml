@@ -164,16 +164,20 @@ let fig_pool ~seed ~n ~m ~stdev ~slack =
 
 let thunk f () = ignore (Sys.opaque_identity (f ()))
 
-(* The reply half of the admission path: rendering one admitted reply,
-   schedule field included, for a shop of [n] tasks on 4 stages whose
-   times sit on a 1/100 grid (a steady stream, each task due within 2-3x
-   its processing time, as in the service's large-shop benchmark). *)
-let serve_render_case n =
-  let g = Prng.create (6000 + n) in
+(* A shop of [n] tasks shaped like the service's large-shop benchmark
+   shops: 4 stages, one arrival every 5/4 time units, each task due
+   within 2-3x its total processing time, times on a 1/100 grid.
+   Identical-length shops have unit times (EEDF); the others draw each
+   time from [0.9, 1.1] (Algorithm H, through its inflated
+   bottleneck). *)
+let stream_shop ~seed ~identical n =
+  let g = Prng.create seed in
   let tasks =
     Array.init n (fun id ->
         let proc_times =
-          Array.init 4 (fun _ -> Prng.rat_uniform g ~den:100 (Rat.make 9 10) (Rat.make 11 10))
+          Array.init 4 (fun _ ->
+              if identical then Rat.one
+              else Prng.rat_uniform g ~den:100 (Rat.make 9 10) (Rat.make 11 10))
         in
         let release =
           Rat.add (Rat.make (5 * id) 4) (Prng.rat_uniform g ~den:100 Rat.zero (Rat.make 1 4))
@@ -183,7 +187,20 @@ let serve_render_case n =
           ~deadline:(Rat.add release (Rat.mul (Rat.sum_array proc_times) stretch))
           ~proc_times)
   in
-  let instance = Recurrence_shop.make ~visit:(E2e_model.Visit.traditional 4) tasks in
+  Flow_shop.make ~processors:4 tasks
+
+(* The per-solve cost behind the service's admission solve on such
+   shops: the one-call front end, which routes identical-length shops
+   to EEDF and the arbitrary ones to Algorithm H. *)
+let stream_solve_case ~seed ~identical n =
+  let shop = stream_shop ~seed ~identical n in
+  thunk (fun () -> E2e_core.Solver.solve shop)
+
+(* The reply half of the admission path: rendering one admitted reply,
+   schedule field included, for an arbitrary stream shop of [n]
+   tasks. *)
+let serve_render_case n =
+  let instance = Recurrence_shop.of_traditional (stream_shop ~seed:(6000 + n) ~identical:false n) in
   match Admission.apply Admission.empty (Admission.Submit { shop = "L"; instance }) with
   | _, (Admission.Decided { decision = Admission.Admitted _; _ } as reply) ->
       thunk (fun () -> Protocol.render_reply (Batcher.Reply reply))
@@ -250,6 +267,8 @@ let fixed_families () =
       4,
       at replay (Sim.Dispatcher.run Sim.Dispatcher.Work_conserving ~actual:replay_actual) );
     ("serve_render", 250, serve_render_case 250);
+    ("stream_eedf", 250, stream_solve_case ~seed:6100 ~identical:true 250);
+    ("stream_h", 250, stream_solve_case ~seed:6200 ~identical:false 250);
   ]
 
 (* The full fig9a/fig9b/fig10 Monte Carlo sweeps at reduced trial

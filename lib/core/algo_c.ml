@@ -40,8 +40,12 @@ let compact ?(keep_first_start = true) (s : Schedule.t) =
     let release = ref tasks.(cur).Task.release in
     for j = 0 to m - 1 do
       let prev_free = Rat.add starts.(prev).(j) tasks.(prev).Task.proc_times.(j) in
-      let eff_release = Rat.max !release (Task.effective_release tasks.(cur) j) in
-      starts.(cur).(j) <- Rat.max prev_free eff_release;
+      (* Figure 7 also takes the max with the stage's effective release,
+         which never binds: [!release] starts as the task's release (the
+         effective release of stage 0) and becomes [start_j + tau_j >=
+         eff_j + tau_j = eff_(j+1)], so by induction it is already at
+         least the effective release. *)
+      starts.(cur).(j) <- Rat.max prev_free !release;
       release := Rat.add starts.(cur).(j) tasks.(cur).Task.proc_times.(j)
     done
   done;

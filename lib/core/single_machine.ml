@@ -1,7 +1,6 @@
 module Rat = E2e_rat.Rat
 module Obs = E2e_obs.Obs
 module Heap = E2e_ds.Heap
-module Iset = E2e_ds.Interval_set
 
 type rat = Rat.t
 type job = { id : int; release : rat; deadline : rat }
@@ -99,7 +98,41 @@ let brute_force_feasible ~tau jobs =
    tree (plus a Fenwick tree for the counts), reads the tree minimum,
    evaluates [g^{N(d)}(d)] exactly — batching the subtraction steps
    between regions with one floor division — only for the candidates
-   within [Lambda] of it, and takes the exact minimum. *)
+   within [Lambda] of it, and takes the exact minimum.
+
+   The engine is written once, over an ordered time domain ({!TIME}),
+   and instantiated twice: {!Grid} on native ints for instances on an
+   integer time grid, {!Exact} on rationals for the rest (see
+   {!to_grid} for when the grid applies and why it is exact). *)
+
+module type TIME = sig
+  include E2e_ds.Interval_set.TIME
+
+  val mul_int : t -> int -> t
+
+  val floor_div : t -> t -> int
+  (** [floor_div a b] is [floor (a / b)] for [b > 0]. *)
+end
+
+module Int_time = struct
+  type t = int
+
+  let zero = 0
+  let compare = Int.compare
+  let add = ( + )
+  let sub = ( - )
+  let mul_int = ( * )
+
+  let floor_div a b =
+    let q = a / b in
+    if a mod b < 0 then q - 1 else q
+end
+
+module Rat_time = struct
+  include Rat
+
+  let floor_div a b = Rat.floor (Rat.div a b)
+end
 
 (* Fenwick tree of active-job counts per deadline position (1-based
    internally). *)
@@ -126,316 +159,422 @@ module Fenwick = struct
     !s
 end
 
-(* Lazy min segment tree over deadline positions.  A leaf is [Some v]
-   for an active deadline (value [d - N(d) tau]) and [None] for an
-   inactive one; [range_add k] records "N grew by k" on a leaf range,
-   i.e. subtracts [k tau] from the active leaves, lazily. *)
-module Vtree = struct
-  type t = {
-    size : int; (* power of two >= leaf count, >= 1 *)
-    min_ : Rat.t option array; (* 1-based, 2*size nodes *)
-    pend : int array; (* pending count per internal node *)
-    tau : rat;
-  }
+module Engine (T : TIME) = struct
+  module Iset = E2e_ds.Interval_set.Make (T)
 
-  let create ~tau m =
-    let size = ref 1 in
-    while !size < m do
-      size := 2 * !size
-    done;
-    { size = !size; min_ = Array.make (2 * !size) None; pend = Array.make (2 * !size) 0; tau }
+  type job = { id : int; release : T.t; deadline : T.t }
 
-  let apply t i k =
-    if k <> 0 then begin
-      (match t.min_.(i) with
-      | Some v -> t.min_.(i) <- Some (Rat.sub v (Rat.mul_int t.tau k))
-      | None -> ());
-      if i < t.size then t.pend.(i) <- t.pend.(i) + k
-    end
+  let lt a b = T.compare a b < 0
 
-  let push t i =
-    let k = t.pend.(i) in
-    if k <> 0 then begin
-      apply t (2 * i) k;
-      apply t ((2 * i) + 1) k;
-      t.pend.(i) <- 0
-    end
+  (* Lazy min segment tree over deadline positions.  A leaf is live for
+     an active deadline (value [d - N(d) tau]) and dead for an inactive
+     one; a node is live when its subtree holds a live leaf, and its
+     [min_] entry is meaningful only then (values stay unboxed on the
+     int grid).  [apply i k] records "N grew by k" on a subtree, i.e.
+     subtracts [k tau] from its live leaves, lazily. *)
+  module Vtree = struct
+    type t = {
+      size : int; (* power of two >= leaf count, >= 1 *)
+      min_ : T.t array; (* 1-based, 2*size nodes *)
+      live : bool array;
+      pend : int array; (* pending count per internal node *)
+      tau : T.t;
+    }
 
-  let pull t i =
-    t.min_.(i) <-
-      (match (t.min_.(2 * i), t.min_.((2 * i) + 1)) with
-      | None, x | x, None -> x
-      | Some a, Some b -> Some (Rat.min a b))
+    let create ~tau m =
+      let size = ref 1 in
+      while !size < m do
+        size := 2 * !size
+      done;
+      {
+        size = !size;
+        min_ = Array.make (2 * !size) T.zero;
+        live = Array.make (2 * !size) false;
+        pend = Array.make (2 * !size) 0;
+        tau;
+      }
 
-  let range_add t l r k =
-    if l <= r && k <> 0 then begin
+    let apply t i k =
+      if k <> 0 then begin
+        if t.live.(i) then t.min_.(i) <- T.sub t.min_.(i) (T.mul_int t.tau k);
+        if i < t.size then t.pend.(i) <- t.pend.(i) + k
+      end
+
+    let push t i =
+      let k = t.pend.(i) in
+      if k <> 0 then begin
+        apply t (2 * i) k;
+        apply t ((2 * i) + 1) k;
+        t.pend.(i) <- 0
+      end
+
+    let pull t i =
+      let a = 2 * i and b = (2 * i) + 1 in
+      let la = t.live.(a) and lb = t.live.(b) in
+      if la && lb then begin
+        let va = t.min_.(a) and vb = t.min_.(b) in
+        t.min_.(i) <- (if T.compare va vb <= 0 then va else vb)
+      end
+      else if la then t.min_.(i) <- t.min_.(a)
+      else if lb then t.min_.(i) <- t.min_.(b);
+      t.live.(i) <- la || lb
+
+    (* One more active job with deadline position [pos]: N grows by one
+       on [pos, m), so the leaf at [pos] becomes live with its absolute
+       value [v] and every leaf right of it loses one tau.  Pending
+       counts on the path are pushed down first, so the assignment is
+       not retroactively shifted by adds that predate it ([v] already
+       accounts for them via the Fenwick count).  One root-to-leaf
+       descent: wherever it turns left, the whole right subtree lies
+       past [pos] (padding leaves past [m - 1] are never live). *)
+    let activate t pos v =
       let rec go i lo hi =
-        if r < lo || hi < l then ()
-        else if l <= lo && hi <= r then apply t i k
+        if lo = hi then begin
+          t.min_.(i) <- v;
+          t.live.(i) <- true
+        end
         else begin
           push t i;
           let mid = (lo + hi) / 2 in
-          go (2 * i) lo mid;
-          go ((2 * i) + 1) (mid + 1) hi;
+          if pos <= mid then begin
+            apply t ((2 * i) + 1) 1;
+            go (2 * i) lo mid
+          end
+          else go ((2 * i) + 1) (mid + 1) hi;
           pull t i
         end
       in
       go 1 0 (t.size - 1)
-    end
 
-  (* Activate a leaf with its absolute value: pending counts on the
-     path are pushed down first, so the assignment is not retroactively
-     shifted by adds that predate the activation (the absolute value
-     already accounts for them via the Fenwick count). *)
-  let assign t pos v =
-    let rec go i lo hi =
-      if lo = hi then t.min_.(i) <- Some v
-      else begin
-        push t i;
-        let mid = (lo + hi) / 2 in
-        if pos <= mid then go (2 * i) lo mid else go ((2 * i) + 1) (mid + 1) hi;
-        pull t i
-      end
-    in
-    go 1 0 (t.size - 1)
+    let root_min t =
+      assert t.live.(1);
+      t.min_.(1)
 
-  let root_min t = t.min_.(1)
-
-  (* Visit every active leaf whose value is <= threshold. *)
-  let iter_le t threshold f =
-    let rec go i lo hi =
-      match t.min_.(i) with
-      | None -> ()
-      | Some v when Rat.compare v threshold > 0 -> ()
-      | Some v ->
-          if lo = hi then f lo v
+    (* Visit the position of every live leaf whose value is <= threshold. *)
+    let iter_le t threshold f =
+      let rec go i lo hi =
+        if t.live.(i) && T.compare t.min_.(i) threshold <= 0 then
+          if lo = hi then f lo
           else begin
             push t i;
             let mid = (lo + hi) / 2 in
             go (2 * i) lo mid;
             go ((2 * i) + 1) (mid + 1) hi
           end
+      in
+      go 1 0 (t.size - 1)
+  end
+
+  (* g^k(x) for g(x) = adjust_down regions (x - tau), batching the plain
+     subtraction steps between regions: from [x], the first region the
+     walk can enter is the rightmost one with left < x (higher regions
+     start at or above x and the walk only descends), so one floor
+     division finds how many steps reach it.  O(regions crossed) region
+     lookups. *)
+  let eval_gk regions ~tau x k =
+    let rec go x k =
+      if k = 0 then x
+      else
+        let j = Iset.rightmost_left_below regions x in
+        if j < 0 then T.sub x (T.mul_int tau k)
+        else
+          let rt = Iset.right regions j in
+          (* Smallest i >= 1 with x - i tau < rt (strict: the interval is
+             open, landing exactly on rt stays outside). *)
+          let i0 =
+            let q = T.floor_div (T.sub x rt) tau + 1 in
+            if q < 1 then 1 else q
+          in
+          if i0 > k then T.sub x (T.mul_int tau k)
+          else
+            (* The landing value y < rt may sit strictly inside region j
+               — or inside a lower region entirely cleared by the last
+               tau-step — so settle it with a general lookup.  Either
+               way the settled value is <= l, so each recursion consumes
+               at least one region: O(regions crossed) total. *)
+            let y = T.sub x (T.mul_int tau i0) in
+            go (Iset.adjust_down regions y) (k - i0)
     in
-    go 1 0 (t.size - 1)
+    go x k
+
+  type core = Feasible_regions of Iset.t | Infeasible_at of T.t
+
+  (* The packing sweep over every distinct release, descending. *)
+  let compute_core ~tau (jobs : job array) =
+    if T.compare tau T.zero <= 0 then invalid_arg "Single_machine: tau must be positive";
+    let n = Array.length jobs in
+    (* Distinct deadlines, ascending, and each job's deadline position
+       among them. *)
+    let by_deadline = Array.init n Fun.id in
+    Array.stable_sort (fun a b -> T.compare jobs.(a).deadline jobs.(b).deadline) by_deadline;
+    let distinct = Array.make n T.zero and dpos = Array.make n 0 in
+    let m = ref 0 in
+    Array.iter
+      (fun p ->
+        let d = jobs.(p).deadline in
+        if !m = 0 || T.compare d distinct.(!m - 1) <> 0 then begin
+          distinct.(!m) <- d;
+          incr m
+        end;
+        dpos.(p) <- !m - 1)
+      by_deadline;
+    let m = !m in
+    (* Job positions by release, descending. *)
+    let by_release = Array.init n Fun.id in
+    Array.stable_sort (fun a b -> T.compare jobs.(b).release jobs.(a).release) by_release;
+    let fen = Fenwick.create m in
+    let tree = Vtree.create ~tau m in
+    let regions = ref Iset.empty in
+    let lambda = ref T.zero in
+    let idx = ref 0 in
+    let verdict = ref None in
+    while Option.is_none !verdict && !idx < n do
+      let r = jobs.(by_release.(!idx)).release in
+      while !idx < n && T.compare jobs.(by_release.(!idx)).release r = 0 do
+        let p = by_release.(!idx) in
+        let pos = dpos.(p) in
+        Fenwick.add fen pos 1;
+        Vtree.activate tree pos
+          (T.sub jobs.(p).deadline (T.mul_int tau (Fenwick.prefix fen pos)));
+        incr idx
+      done;
+      (* Every candidate's exact value is at most its no-region value,
+         hence at most the threshold, and the root minimum's leaf is
+         always a candidate: starting [s] at the threshold loses
+         nothing. *)
+      let threshold = T.add (Vtree.root_min tree) !lambda in
+      let s = ref threshold in
+      Vtree.iter_le tree threshold (fun pos ->
+          let tv = eval_gk !regions ~tau distinct.(pos) (Fenwick.prefix fen pos) in
+          if lt tv !s then s := tv);
+      let s = !s in
+      if lt s r then verdict := Some (Infeasible_at r)
+      else begin
+        let left = T.sub s tau in
+        if lt left r then begin
+          regions := Iset.add !regions ~left ~right:r;
+          lambda := Iset.measure !regions
+        end
+      end
+    done;
+    match !verdict with Some c -> c | None -> Feasible_regions !regions
+
+  (* Priority-driven EDF dispatch on two heaps: [pending] orders the
+     not-yet-released jobs by release time, [ready] orders the released
+     ones by (deadline, release, id) — the heap pop is exactly the EDF
+     choice with the deterministic tie-break.  [advance] postpones
+     candidate dispatch instants (identity for the plain-EDF ablation,
+     forbidden-region hopping for the optimal schedule).  Job ids must
+     be positions; returns the starts by position and the first position
+     whose deadline is missed. *)
+  let pending_cmp (a : job) (b : job) =
+    let c = T.compare a.release b.release in
+    if c <> 0 then c else Int.compare a.id b.id
+
+  let ready_cmp (a : job) (b : job) =
+    let c = T.compare a.deadline b.deadline in
+    let c = if c <> 0 then c else T.compare a.release b.release in
+    if c <> 0 then c else Int.compare a.id b.id
+
+  let dispatch ~tau ~advance (jobs : job array) =
+    let n = Array.length jobs in
+    let starts = Array.make n T.zero in
+    let missed = ref (-1) in
+    let pending = Heap.create ~cmp:pending_cmp in
+    let ready = Heap.create ~cmp:ready_cmp in
+    Array.iter (Heap.push pending) jobs;
+    let free = ref (match Heap.peek pending with Some j -> j.release | None -> T.zero) in
+    for _ = 1 to n do
+      (* Candidate dispatch time: machine free, and at least one
+         release.  Every ready job was released before the machine last
+         went busy, so a non-empty ready queue pins the candidate to
+         [free]. *)
+      let t =
+        ref
+          (if Heap.is_empty ready then
+             match Heap.peek pending with
+             | Some j -> if lt !free j.release then j.release else !free
+             | None -> assert false
+           else !free)
+      in
+      let rec settle () =
+        let t' = advance !t in
+        if lt !t t' then begin
+          t := t';
+          settle ()
+        end
+      in
+      settle ();
+      let rec migrate () =
+        match Heap.peek pending with
+        | Some j when T.compare j.release !t <= 0 ->
+            ignore (Heap.pop pending);
+            Heap.push ready j;
+            migrate ()
+        | _ -> ()
+      in
+      migrate ();
+      match Heap.pop ready with
+      | None -> assert false
+      | Some j ->
+          starts.(j.id) <- !t;
+          free := T.add !t tau;
+          if lt j.deadline !free && !missed < 0 then missed := j.id
+    done;
+    (starts, !missed)
+
+  (* The entry points on this time domain; jobs carry dense ids, and
+     [to_rat] maps a time back to the caller's rationals — both for the
+     results and for the telemetry, which always prints rational text. *)
+
+  let schedule ~to_rat ~tau jobs =
+    let core = compute_core ~tau jobs in
+    if Obs.enabled () then begin
+      match core with
+      | Infeasible_at r ->
+          Obs.event "single_machine.infeasible_window"
+            ~fields:[ ("release", Obs.Str (Rat.to_string (to_rat r))) ]
+      | Feasible_regions iset ->
+          Obs.event "single_machine.regions"
+            ~fields:[ ("count", Obs.Int (Iset.cardinal iset)) ];
+          List.iter
+            (fun (left, right) ->
+              Obs.event "single_machine.forbidden_region"
+                ~fields:
+                  [
+                    ("left", Obs.Str (Rat.to_string (to_rat left)));
+                    ("right", Obs.Str (Rat.to_string (to_rat right)));
+                  ])
+            (Iset.to_list iset)
+    end;
+    match core with
+    | Infeasible_at _ -> Error `Infeasible
+    | Feasible_regions iset -> (
+        match dispatch ~tau ~advance:(Iset.adjust_up iset) jobs with
+        | _, p when p >= 0 -> Error `Infeasible
+        | starts, _ -> Ok (Array.map to_rat starts))
+
+  let forbidden_regions ~to_rat ~tau jobs =
+    match compute_core ~tau jobs with
+    | Infeasible_at _ -> Error `Infeasible
+    | Feasible_regions iset ->
+        Ok (List.map (fun (l, r) -> { left = to_rat l; right = to_rat r }) (Iset.to_list iset))
+
+  (* [Error p]: the first position whose deadline is missed. *)
+  let edf_schedule_no_regions ~to_rat ~tau jobs =
+    match dispatch ~tau ~advance:Fun.id jobs with
+    | _, p when p >= 0 -> Error p
+    | starts, _ -> Ok (Array.map to_rat starts)
 end
 
-(* g^k(x) for g(x) = adjust_down regions (x - tau), batching the plain
-   subtraction steps between regions: from [x], the first region the
-   walk can enter is the rightmost one with left < x (higher regions
-   start at or above x and the walk only descends), so one floor
-   division finds how many steps reach it.  O(regions crossed) region
-   lookups. *)
-let eval_gk regions ~tau x k =
-  let rec go x k =
-    if k = 0 then x
-    else
-      let j = Iset.rightmost_left_below regions x in
-      if j < 0 then Rat.sub x (Rat.mul_int tau k)
-      else
-        let _, rt = Iset.get regions j in
-        (* Smallest i >= 1 with x - i tau < rt (strict: the interval is
-           open, landing exactly on rt stays outside). *)
-        let i0 =
-          let q = Rat.floor (Rat.div (Rat.sub x rt) tau) + 1 in
-          if q < 1 then 1 else q
-        in
-        if i0 > k then Rat.sub x (Rat.mul_int tau k)
-        else
-          (* The landing value y < rt may sit strictly inside region j
-             — or inside a lower region entirely cleared by the last
-             tau-step — so settle it with a general lookup.  Either
-             way the settled value is <= l, so each recursion consumes
-             at least one region: O(regions crossed) total. *)
-          let y = Rat.sub x (Rat.mul_int tau i0) in
-          go (Iset.adjust_down regions y) (k - i0)
-  in
-  go x k
+module Grid = Engine (Int_time)
+module Exact = Engine (Rat_time)
 
-type core = Feasible_regions of Iset.t | Infeasible_at of rat
+(* {1 The integer time grid}
 
-(* The packing sweep over every distinct release, descending. *)
-let compute_core ~tau (jobs : job array) =
-  if Rat.(tau <= Rat.zero) then invalid_arg "Single_machine: tau must be positive";
-  let n = Array.length jobs in
-  (* Distinct deadlines, ascending. *)
-  let sorted = Array.map (fun j -> j.deadline) jobs in
-  Array.sort Rat.compare sorted;
-  let m = ref 0 in
-  Array.iteri
-    (fun i d ->
-      if i = 0 || not (Rat.equal d sorted.(i - 1)) then begin
-        sorted.(!m) <- d;
-        incr m
-      end)
-    sorted;
-  let m = !m in
-  let distinct = Array.sub sorted 0 m in
-  let dpos d =
-    let lo = ref 0 and hi = ref (m - 1) in
-    while !lo < !hi do
-      let mid = (!lo + !hi) / 2 in
-      if Rat.compare distinct.(mid) d < 0 then lo := mid + 1 else hi := mid
-    done;
-    !lo
-  in
-  (* Job positions by release, descending. *)
-  let by_release = Array.init n Fun.id in
-  Array.sort (fun a b -> Rat.compare jobs.(b).release jobs.(a).release) by_release;
-  let fen = Fenwick.create m in
-  let tree = Vtree.create ~tau m in
-  let active = Array.make (max m 1) false in
-  let regions = ref Iset.empty in
-  let lambda = ref Rat.zero in
-  let idx = ref 0 in
-  let verdict = ref None in
-  while !verdict = None && !idx < n do
-    let r = jobs.(by_release.(!idx)).release in
-    while !idx < n && Rat.equal jobs.(by_release.(!idx)).release r do
-      let p = by_release.(!idx) in
-      let pos = dpos jobs.(p).deadline in
-      Fenwick.add fen pos 1;
-      if active.(pos) then Vtree.range_add tree pos (m - 1) 1
-      else begin
-        Vtree.range_add tree (pos + 1) (m - 1) 1;
-        Vtree.assign tree pos
-          (Rat.sub jobs.(p).deadline (Rat.mul_int tau (Fenwick.prefix fen pos)));
-        active.(pos) <- true
-      end;
-      incr idx
-    done;
-    let s =
-      match Vtree.root_min tree with
-      | None -> assert false (* at least one job just activated *)
-      | Some vmin ->
-          let threshold = Rat.add vmin !lambda in
-          let best = ref None in
-          Vtree.iter_le tree threshold (fun pos _ ->
-              let tv = eval_gk !regions ~tau distinct.(pos) (Fenwick.prefix fen pos) in
-              match !best with
-              | Some b when Rat.(b <= tv) -> ()
-              | _ -> best := Some tv);
-          Option.get !best
-    in
-    if Rat.(s < r) then verdict := Some (Infeasible_at r)
-    else begin
-      let left = Rat.sub s tau in
-      if Rat.(left < r) then begin
-        regions := Iset.add !regions ~left ~right:r;
-        lambda := Iset.measure !regions
-      end
-    end
-  done;
-  match !verdict with Some c -> c | None -> Feasible_regions !regions
+   Let L be the lcm of the denominators of [tau] and of every release
+   and deadline.  Scaling every time by L maps the instance onto the
+   integers, and every operation the engine performs — add, sub,
+   [mul_int], comparisons, and the floor division in [eval_gk], which
+   is exact when both operands are integers — commutes with the
+   scaling.  So the {!Grid} run computes exactly L times the {!Exact}
+   run's values, provided no int wraps; [Rat.make v L] maps each output
+   back, and since rationals are canonical the results are equal to
+   the rational run's, structurally.
 
-(* Priority-driven EDF dispatch on two heaps: [pending] orders the
-   not-yet-released jobs by release time, [ready] orders the released
-   ones by (deadline, release, id) — the heap pop is exactly the EDF
-   choice with the deterministic tie-break.  [advance] postpones
-   candidate dispatch instants (identity for the plain-EDF ablation,
-   forbidden-region hopping for the optimal schedule).  Job ids must be
-   positions; returns the starts by position and the first position
-   whose deadline is missed. *)
-let pending_cmp (a : job) (b : job) =
-  let c = Rat.compare a.release b.release in
-  if c <> 0 then c else compare a.id b.id
+   The bound.  In scaled units let [lo]/[hi] be the least/greatest
+   release or deadline, [M = max (|lo|, |hi|)], [D = hi - lo <= 2M],
+   [T = tau L] and [n] the number of jobs.  Then:
+   - leaf values [d - N(d) T] lie in [[lo - nT, hi]], and every
+     [mul_int] forms at most [nT] (counts are at most [n]);
+   - each region [(s - T, r)] has [s >= r], so every region lies in
+     [[lo - T, hi]] and [Lambda] (and each partial sum of [measure])
+     is in [[0, D + T]]; the threshold is at most [hi + D + T];
+   - a walk [g^k(d)] with [k <= n] loses at most [kT] to steps and at
+     most [Lambda] to region hops (each region is crossed once), so
+     every [x] and [y] it visits lies in [[lo - (n+1)T - D, hi]] and
+     [x - rt] (with [rt] a release) has magnitude at most
+     [2D + (n+1)T];
+   - every dispatch instant is a release, a region's right endpoint
+     (a release) or the previous finish, so starts lie in
+     [[lo, hi + (n-1)T]] and finishes are at most [hi + nT].
+   Every magnitude the engine forms is therefore at most
+   [B = 4M + (n+1)T].  The grid is used when L, the scaled values and
+   B are computed without passing [grid_limit = max_int / 2] — a
+   further factor of two of headroom — and every step of that check is
+   itself overflow-checked, so it cannot wrap.  Otherwise (say, many
+   coprime large denominators) the {!Exact} instance runs instead: the
+   grid never raises where the rational engine would answer. *)
 
-let ready_cmp (a : job) (b : job) =
-  let c = Rat.compare a.deadline b.deadline in
-  let c = if c <> 0 then c else Rat.compare a.release b.release in
-  if c <> 0 then c else compare a.id b.id
+let grid_limit = max_int / 2
 
-let dispatch ~tau ~advance (jobs : job array) =
-  let n = Array.length jobs in
-  let starts = Array.make n Rat.zero in
-  let missed = ref None in
-  let pending = Heap.create ~cmp:pending_cmp in
-  let ready = Heap.create ~cmp:ready_cmp in
-  Array.iter (Heap.push pending) jobs;
-  let free = ref (match Heap.peek pending with Some j -> j.release | None -> Rat.zero) in
-  for _ = 1 to n do
-    (* Candidate dispatch time: machine free, and at least one release.
-       Every ready job was released before the machine last went busy,
-       so a non-empty ready queue pins the candidate to [free]. *)
-    let t =
-      ref
-        (if Heap.is_empty ready then
-           match Heap.peek pending with
-           | Some j -> Rat.max !free j.release
-           | None -> assert false
-         else !free)
-    in
-    let rec settle () =
-      let t' = advance !t in
-      if Rat.(t' > !t) then begin
-        t := t';
-        settle ()
-      end
-    in
-    settle ();
-    let rec migrate () =
-      match Heap.peek pending with
-      | Some j when Rat.(j.release <= !t) ->
-          ignore (Heap.pop pending);
-          Heap.push ready j;
-          migrate ()
-      | _ -> ()
-    in
-    migrate ();
-    match Heap.pop ready with
-    | None -> assert false
-    | Some j ->
-        starts.(j.id) <- !t;
-        free := Rat.add !t tau;
-        if Rat.(!free > j.deadline) && !missed = None then missed := Some j.id
-  done;
-  (starts, !missed)
+exception Off_grid
 
-let dense jobs = Array.mapi (fun i j -> { j with id = i }) jobs
+(* Products and sums of non-negative ints, refused past the limit. *)
+let mul_le a b = if a <> 0 && b > grid_limit / a then raise Off_grid else a * b
+let add_le a b = if a > grid_limit - b then raise Off_grid else a + b
+let rec gcd a b = if b = 0 then a else gcd b (a mod b)
 
-let to_regions iset = List.map (fun (left, right) -> { left; right }) (Iset.to_list iset)
+type grid = { scale : int; gtau : int; gjobs : Grid.job array }
+
+let to_grid ~tau (jobs : job array) =
+  if Rat.sign tau <= 0 then None
+  else
+    try
+      let lcm l x =
+        let d = Rat.den x in
+        if l mod d = 0 then l else mul_le (l / gcd l d) d
+      in
+      let scale =
+        Array.fold_left (fun l j -> lcm (lcm l j.release) j.deadline) (Rat.den tau) jobs
+      in
+      let m = ref 0 in
+      let on_grid x =
+        let v = mul_le (abs (Rat.num x)) (scale / Rat.den x) in
+        if v > !m then m := v;
+        if Rat.num x < 0 then -v else v
+      in
+      let gjobs =
+        Array.mapi
+          (fun i j -> { Grid.id = i; release = on_grid j.release; deadline = on_grid j.deadline })
+          jobs
+      in
+      let gtau = mul_le (Rat.num tau) (scale / Rat.den tau) in
+      ignore (add_le (mul_le 4 !m) (mul_le (Array.length jobs + 1) gtau));
+      Some { scale; gtau; gjobs }
+    with Off_grid -> None
+
+let exact_jobs jobs =
+  Array.mapi (fun i (j : job) -> { Exact.id = i; release = j.release; deadline = j.deadline }) jobs
+let of_grid g v = Rat.make v g.scale
 
 (* The entry points: each is a from-scratch run of the sweep and/or the
-   dispatch loop. *)
+   dispatch loop, on the grid when one fits. *)
 
 let schedule ~tau jobs =
   if Array.length jobs = 0 then Ok [||]
   else
+    let grid = to_grid ~tau jobs in
     Obs.span "single_machine.schedule"
-      ~fields:[ ("jobs", Obs.Int (Array.length jobs)) ]
+      ~fields:
+        [
+          ("jobs", Obs.Int (Array.length jobs));
+          ("grid", Obs.Int (match grid with Some g -> g.scale | None -> 0));
+        ]
       (fun () ->
-        let jobs = dense jobs in
-        let core = compute_core ~tau jobs in
-        if Obs.enabled () then begin
-          match core with
-          | Infeasible_at r ->
-              Obs.event "single_machine.infeasible_window"
-                ~fields:[ ("release", Obs.Str (Rat.to_string r)) ]
-          | Feasible_regions iset ->
-              Obs.event "single_machine.regions"
-                ~fields:[ ("count", Obs.Int (Iset.cardinal iset)) ];
-              List.iter
-                (fun (left, right) ->
-                  Obs.event "single_machine.forbidden_region"
-                    ~fields:
-                      [
-                        ("left", Obs.Str (Rat.to_string left));
-                        ("right", Obs.Str (Rat.to_string right));
-                      ])
-                (Iset.to_list iset)
-        end;
-        match core with
-        | Infeasible_at _ -> Error `Infeasible
-        | Feasible_regions iset -> (
-            match dispatch ~tau ~advance:(Iset.adjust_up iset) jobs with
-            | _, Some _ -> Error `Infeasible
-            | starts, None -> Ok starts))
+        match grid with
+        | Some g -> Grid.schedule ~to_rat:(of_grid g) ~tau:g.gtau g.gjobs
+        | None -> Exact.schedule ~to_rat:Fun.id ~tau (exact_jobs jobs))
 
 let forbidden_regions ~tau jobs =
-  match compute_core ~tau (dense jobs) with
-  | Infeasible_at _ -> Error `Infeasible
-  | Feasible_regions iset -> Ok (to_regions iset)
+  match to_grid ~tau jobs with
+  | Some g -> Grid.forbidden_regions ~to_rat:(of_grid g) ~tau:g.gtau g.gjobs
+  | None -> Exact.forbidden_regions ~to_rat:Fun.id ~tau (exact_jobs jobs)
 
 let edf_schedule_no_regions ~tau jobs =
-  match dispatch ~tau ~advance:Fun.id (dense jobs) with
-  | _, Some p -> Error (`Deadline_missed jobs.(p).id)
-  | starts, None -> Ok starts
+  let result =
+    match to_grid ~tau jobs with
+    | Some g -> Grid.edf_schedule_no_regions ~to_rat:(of_grid g) ~tau:g.gtau g.gjobs
+    | None -> Exact.edf_schedule_no_regions ~to_rat:Fun.id ~tau (exact_jobs jobs)
+  in
+  Result.map_error (fun p -> `Deadline_missed jobs.(p).id) result

@@ -14,14 +14,38 @@
 
     One engine computes everything here: one backward packing pass per
     distinct release, each read off a lazy min segment tree over
-    deadline positions, builds the regions in a persistent
+    deadline positions, builds the regions in a sorted
     {!E2e_ds.Interval_set}; a two-heap EDF loop (pending jobs by
     release, ready jobs by deadline) dispatches around them.
     {!schedule}, {!forbidden_regions} and {!edf_schedule_no_regions} are
-    from-scratch runs of it.  The historical scan-based implementation
-    is kept verbatim as [E2e_fuzz.Single_machine_ref], and the
-    [eedf-fast] differential-fuzz class checks the engine against it on
-    every output. *)
+    from-scratch runs of it.
+
+    {b The integer time grid.}  The engine body is written once, over an
+    ordered time domain, and instantiated twice.  Each entry point first
+    computes L, the lcm of the denominators of [tau] and of every
+    release and deadline, and scales the instance by L onto the
+    integers.  In scaled units let M be the largest release or deadline
+    magnitude and T = tau L; every value the sweep and the dispatch form
+    (leaf values, the region measure and threshold, the [g^k] walks and
+    their floor divisions, dispatch instants) has magnitude at most
+    B = 4M + (n+1)T — the proof is in the implementation.  When L, the
+    scaled values and B stay within [max_int / 2] (a further factor of
+    two of headroom, every step of the check overflow-checked), the
+    engine runs on native ints; otherwise (say, many coprime large
+    denominators) it runs on {!E2e_rat.Rat} as before.  Every operation
+    commutes with the scaling and the floor division is exact on
+    integers, so the int run computes exactly L times the rational run's
+    values; each start and region endpoint is mapped back once with
+    [Rat.make v L], and since rationals are canonical every output, and
+    every [single_machine.*] event field, is identical to the rational
+    run's.  The grid never raises: when no grid fits, the rational
+    instance answers.  The [single_machine.schedule] span's [grid] field
+    is L, or 0 for the rational fallback.
+
+    The historical scan-based implementation is kept verbatim as
+    [E2e_fuzz.Single_machine_ref], and the [eedf-fast] differential-fuzz
+    class checks the engine against it on every output, with a quarter
+    of its draws just under the grid bound and a quarter just over it. *)
 
 type rat = E2e_rat.Rat.t
 

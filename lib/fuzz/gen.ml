@@ -95,12 +95,80 @@ let recurrent g =
    can afford real contention: up to 40 tasks fighting over windows a few
    jobs wide, which is where the engine's heap order and interval merges
    see interesting traffic. *)
-let identical_large g =
+let identical_contended g =
   let n = 1 + Prng.int g 40 in
   let m = 1 + Prng.int g 4 in
   let window = 1 + Prng.int g 8 in
   let tau = Prng.rat_uniform g ~den:2 (Rat.make 1 2) (Rat.of_int 2) in
   tighten g (Feasible_gen.identical_length g ~n ~m ~tau ~window)
+
+(* {2 Draws at the edge of the single-machine engine's integer grid}
+
+   The engine runs on native ints when every time, scaled by the lcm L
+   of the denominators, keeps B = 4M + (n+1)T within max_int / 2, where
+   M is the largest scaled release or deadline magnitude and T the
+   scaled tau; otherwise it falls back to exact rationals (see
+   [E2e_core.Single_machine]).  These draws give releases one large
+   prime denominator and deadlines another (moving each release
+   earlier and each deadline later by a sliver), then shift the whole
+   instance by the integer offset that puts B of the EEDF reduction
+   just under the limit (the grid runs on 60-bit magnitudes) or just
+   over it (the rational fallback runs).  With only two large primes
+   no denominator either engine forms exceeds L, so the magnitudes
+   stay near 2^60 and both engines still answer exactly. *)
+
+let release_primes = [| 1_048_573; 1_048_571; 1_048_559; 1_048_549 |]
+let deadline_primes = [| 1_048_583; 1_048_589; 1_048_601; 1_048_609 |]
+let grid_limit = max_int / 2
+let rec gcd a b = if b = 0 then a else gcd b (a mod b)
+
+let edge_of_grid g ~over =
+  let fs = identical_contended g in
+  let tau = Option.get (Flow_shop.is_identical_length fs) in
+  let p = release_primes.(Prng.int g (Array.length release_primes)) in
+  let q = deadline_primes.(Prng.int g (Array.length deadline_primes)) in
+  let shift k (t : Task.t) =
+    let k = Rat.of_int k in
+    Task.make ~id:t.id
+      ~release:Rat.(t.release + k - make 1 p)
+      ~deadline:Rat.(t.deadline + k + make 1 q)
+      ~proc_times:t.proc_times
+  in
+  let tasks = Array.map (shift 0) fs.tasks in
+  (* The EEDF reduction's values: releases, and deadlines less the
+     m - 1 downstream stages.  The offset [k] dwarfs every one of them,
+     so the largest scaled magnitude under it is [k L + m0]. *)
+  let values =
+    Array.concat
+      [
+        Array.map (fun (t : Task.t) -> t.release) tasks;
+        Array.map
+          (fun (t : Task.t) -> Rat.sub t.deadline (Rat.mul_int tau (fs.processors - 1)))
+          tasks;
+      ]
+  in
+  let l =
+    Array.fold_left
+      (fun l x ->
+        let d = Rat.den x in
+        l / gcd l d * d)
+      (Rat.den tau) values
+  in
+  let scaled x = Rat.num x * (l / Rat.den x) in
+  let m0 = Array.fold_left (fun m x -> Stdlib.max m (scaled x)) 0 values in
+  let n = Array.length tasks in
+  (* The largest offset with 4 (k L + m0) + (n + 1) T <= limit. *)
+  let k = (grid_limit - (4 * m0) - ((n + 1) * scaled tau)) / (4 * l) in
+  let k = if over then k + 1 else k in
+  Flow_shop.make ~processors:fs.processors (Array.map (shift k) fs.tasks)
+
+(* Half the draws are the contended ones above; a quarter each sit just
+   under and just over the edge of the grid. *)
+let identical_large g =
+  match Prng.int g 4 with
+  | 0 -> edge_of_grid g ~over:false
+  | 1 -> edge_of_grid g ~over:true
+  | _ -> identical_contended g
 
 let instance g = function
   | Eedf -> Recurrence_shop.of_traditional (identical g)

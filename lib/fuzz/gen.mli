@@ -16,7 +16,8 @@
     differential ({!Single_machine_ref} against
     {!E2e_core.Single_machine}), needs no exhaustive oracle, and so
     generates much larger identical-length instances (up to 40 tasks)
-    than the optimality classes can afford. *)
+    than the optimality classes can afford.  Half of its draws sit at
+    the edge of the engine's integer time grid ({!edge_of_grid}). *)
 
 type model_class = Eedf | R | A | H | Eedf_fast
 
@@ -42,3 +43,14 @@ val instance : E2e_prng.Prng.t -> model_class -> E2e_model.Recurrence_shop.t
     release.  Roughly a quarter of the instances get one task's window
     tightened below its total processing time, so the claimed-infeasible
     branches of the solvers are exercised too. *)
+
+val edge_of_grid : E2e_prng.Prng.t -> over:bool -> E2e_model.Flow_shop.t
+(** An identical-length shop whose releases carry one large prime
+    denominator and whose deadlines carry another, shifted by the
+    integer offset that puts the single-machine engine's grid bound
+    (B = 4M + (n+1)T against [max_int / 2], see
+    {!E2e_core.Single_machine}) of its EEDF reduction just under the
+    limit ([over:false]: the native-int grid runs on 60-bit magnitudes)
+    or just over it ([over:true]: the exact rational fallback runs).
+    Every rational either engine forms stays within the lcm of two
+    denominators, so both still answer. *)

@@ -99,11 +99,16 @@ let compare a b =
     Stdlib.compare (a.num * b.den) (b.num * a.den)
   else
     (* Differing signs decide without multiplying; equal signs fall back
-       to checked cross-multiplication, which raises [Overflow] rather
-       than comparing wrapped products. *)
+       to checked cross-multiplication by the cofactors of the common
+       denominator (a/b vs c/d as a*(d/g) vs c*(b/g), g = gcd b d: both
+       sides scaled by the positive lcm), which raises [Overflow] only
+       when the lcm-scaled numerators do not fit, never comparing
+       wrapped products. *)
     let sa = Stdlib.compare a.num 0 and sb = Stdlib.compare b.num 0 in
     if sa <> sb then Stdlib.compare sa sb
-    else Stdlib.compare (checked_mul a.num b.den) (checked_mul b.num a.den)
+    else
+      let g = gcd a.den b.den in
+      Stdlib.compare (checked_mul a.num (b.den / g)) (checked_mul b.num (a.den / g))
 
 let equal a b = a.num = b.num && a.den = b.den
 let min a b = if compare a b <= 0 then a else b

@@ -59,10 +59,11 @@ val compare : t -> t -> int
 (** Total order by exact value.  Operands sharing a denominator — the
     common case on solver hot paths, where values live on one time grid
     — are decided by an allocation- and multiplication-free numerator
-    comparison ({!min} and {!max} inherit the fast path).  For operands
-    with huge components whose cross-products overflow (and whose signs
-    do not already decide), raises {!Overflow} rather than returning a
-    wrong answer. *)
+    comparison ({!min} and {!max} inherit the fast path).  Operands with
+    huge components are compared over the lcm of their denominators;
+    when even those scaled numerators overflow (and the signs do not
+    already decide), raises {!Overflow} rather than returning a wrong
+    answer. *)
 
 val equal : t -> t -> bool
 val ( = ) : t -> t -> bool

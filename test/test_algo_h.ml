@@ -135,6 +135,59 @@ let test_keep_first_start_literal () =
   let eager = Algo_c.compact ~keep_first_start:false delayed in
   check_rat "eager start pulled to release" (r 0) (Schedule.start eager ~task:0 ~stage:0)
 
+(* Figure 7 as first transcribed, with the stage's effective release in
+   every max: the reference the simplified [Algo_c.compact] must match. *)
+let compact_reference ~keep_first_start (s : Schedule.t) =
+  let shop = s.Schedule.shop in
+  let m = E2e_model.Visit.length shop.Recurrence_shop.visit in
+  let tasks = shop.Recurrence_shop.tasks in
+  let n = Array.length tasks in
+  let order = Algo_c.order_on_processor s 0 in
+  let starts = Array.make_matrix n m Rat.zero in
+  let first = order.(0) in
+  let release (t : E2e_model.Task.t) = t.release in
+  starts.(first).(0) <-
+    (if keep_first_start then Rat.max s.starts.(first).(0) (release tasks.(first))
+     else release tasks.(first));
+  for j = 1 to m - 1 do
+    starts.(first).(j) <- Rat.add starts.(first).(j - 1) tasks.(first).proc_times.(j - 1)
+  done;
+  for i = 1 to n - 1 do
+    let cur = order.(i) and prev = order.(i - 1) in
+    let rel = ref (release tasks.(cur)) in
+    for j = 0 to m - 1 do
+      let prev_free = Rat.add starts.(prev).(j) tasks.(prev).proc_times.(j) in
+      let eff = Rat.max !rel (E2e_model.Task.effective_release tasks.(cur) j) in
+      starts.(cur).(j) <- Rat.max prev_free eff;
+      rel := Rat.add starts.(cur).(j) tasks.(cur).proc_times.(j)
+    done
+  done;
+  starts
+
+(* Any start matrix will do: compaction only reads the processor-0
+   order and the first task's start. *)
+let prop_compact_matches_reference =
+  QCheck.Test.make ~name:"Algo_c.compact equals Figure 7 with the effective-release max"
+    ~count:300
+    (QCheck.make ~print:string_of_int QCheck.Gen.(int_bound 1_000_000))
+    (fun seed ->
+      let g = Prng.create seed in
+      let n = 1 + Prng.int g 8 and m = 1 + Prng.int g 5 in
+      let shop =
+        Gen.generate g
+          { Gen.n_tasks = n; n_processors = m; mean_tau = 1.0; stdev = 0.5; slack_factor = 1.0 }
+      in
+      let starts =
+        Array.init n (fun _ ->
+            Array.init m (fun _ -> Prng.rat_uniform g ~den:4 Rat.zero (Rat.of_int 20)))
+      in
+      let raw = Schedule.of_flow_shop shop starts in
+      List.for_all
+        (fun keep_first_start ->
+          (Algo_c.compact ~keep_first_start raw).Schedule.starts
+          = compact_reference ~keep_first_start raw)
+        [ true; false ])
+
 let suite =
   [
     Alcotest.test_case "homogeneous passthrough" `Quick test_homogeneous_passthrough;
@@ -145,4 +198,5 @@ let suite =
     Alcotest.test_case "success grows with slack" `Slow test_success_improves_with_slack;
     Alcotest.test_case "success grows as stdev shrinks" `Slow test_success_improves_with_lower_stdev;
     Alcotest.test_case "keep-first-start literal" `Quick test_keep_first_start_literal;
+    to_alcotest prop_compact_matches_reference;
   ]

@@ -105,6 +105,12 @@ let test_overflow () =
   check_rat "big - big" Rat.zero (Rat.sub big big);
   check_rat "big * 1" big (Rat.mul big Rat.one);
   check_rat "big / big" Rat.one (Rat.div big big);
+  (* Denominators sharing a large factor compare over their lcm, whose
+     scaled numerators fit although the plain cross-products do not. *)
+  let p = 1_000_000_007 and x = (1 lsl 40) + 1 and y = (1 lsl 40) + 3 in
+  Alcotest.(check int) "common factor cancels before cross-multiplying"
+    (Stdlib.compare (x * 3) (y * 2))
+    (Rat.compare (Rat.make x (2 * p)) (Rat.make y (3 * p)));
   (* Opposite signs are decided without cross-multiplying. *)
   Alcotest.(check int) "sign shortcut avoids overflow" 1
     (Rat.compare (Rat.make (max_int - 1) (max_int - 2)) (Rat.make (-(max_int - 3)) (max_int - 4)));

@@ -150,6 +150,183 @@ let prop_regions_disjoint_sorted =
           in
           ok regions)
 
+(* {1 The integer grid and its exact fallback}
+
+   Every entry point must equal the scan-based reference whether it runs
+   on the native-int grid or on exact rationals; the [grid] field of the
+   [single_machine.schedule] span says which ran (the lcm of the
+   denominators, or 0 for the rational fallback). *)
+
+module Ref = E2e_fuzz.Single_machine_ref
+
+let to_ref jobs =
+  Array.map (fun (j : Sm.job) -> { Ref.id = j.id; release = j.release; deadline = j.deadline }) jobs
+
+(* [None] when the reference overflows. *)
+let reference ~tau jobs =
+  let rj = to_ref jobs in
+  match
+    ( Ref.forbidden_regions ~tau rj,
+      Ref.schedule ~tau rj,
+      Ref.edf_schedule_no_regions ~tau rj )
+  with
+  | regions, starts, plain ->
+      Some
+        ( Result.map (List.map (fun (g : Ref.region) -> (g.left, g.right))) regions,
+          starts,
+          plain )
+  | exception Rat.Overflow -> None
+
+let engine ~tau jobs =
+  ( Result.map
+      (List.map (fun (g : Sm.region) -> (g.left, g.right)))
+      (Sm.forbidden_regions ~tau jobs),
+    Sm.schedule ~tau jobs,
+    Sm.edf_schedule_no_regions ~tau jobs )
+
+(* The [grid] field of the schedule span (the span opens before the
+   engine runs, so it is there even when the run raises). *)
+let grid_of ~tau jobs =
+  let sink, events = Obs.Sink.memory () in
+  Obs.install sink;
+  Fun.protect ~finally:Obs.uninstall (fun () ->
+      try ignore (Sm.schedule ~tau jobs) with Rat.Overflow -> ());
+  List.find_map
+    (fun (e : Obs.event) ->
+      if e.name = "single_machine.schedule" then
+        match List.assoc_opt "grid" e.fields with Some (Obs.Int l) -> Some l | _ -> None
+      else None)
+    (events ())
+  |> Option.get
+
+let check_against_reference what ~tau jobs =
+  match reference ~tau jobs with
+  | None -> Alcotest.failf "%s: the reference overflows" what
+  | Some expected ->
+      Alcotest.(check bool) (what ^ ": regions, starts and verdicts equal the reference") true
+        (engine ~tau jobs = expected)
+
+(* Fractional releases, deadlines and tau on a 1/4 grid, with forbidden
+   regions: the grid scales by 4. *)
+let on_grid_jobs () =
+  [|
+    job 0 (q "0") (q "10.5");
+    job 1 (q "0.75") (q "3.5");
+    job 2 (q "1.25") (q "4.75");
+    job 3 (Rat.make 7 2) (q "6.25");
+  |]
+
+let test_on_grid_matches_reference () =
+  let tau = Rat.make 3 2 in
+  let jobs = on_grid_jobs () in
+  Alcotest.(check int) "runs on the 1/4 grid" 4 (grid_of ~tau jobs);
+  (match Sm.forbidden_regions ~tau jobs with
+  | Ok (_ :: _) -> ()
+  | _ -> Alcotest.fail "the instance has forbidden regions");
+  check_against_reference "on grid" ~tau jobs
+
+(* Coprime denominators near 2^20: their lcm passes the grid limit, so
+   the exact rational engine answers. *)
+let test_off_grid_matches_reference () =
+  let primes = [| 1_000_003; 1_000_033; 1_000_037; 1_000_039; 1_000_081 |] in
+  let tau = Rat.one in
+  let jobs =
+    Array.mapi
+      (fun i p ->
+        let release = Rat.add (Rat.of_int (i / 2)) (Rat.make 1 p) in
+        job i release (Rat.add release (Rat.make (5 * p + 1) (2 * p))))
+      primes
+  in
+  Alcotest.(check int) "falls back to rationals" 0 (grid_of ~tau jobs);
+  check_against_reference "off grid" ~tau jobs;
+  (* The generator's draws on both sides of the bound. *)
+  List.iter
+    (fun over ->
+      let fs = E2e_fuzz.Gen.edge_of_grid (Prng.create 1) ~over in
+      let tau = Option.get (E2e_model.Flow_shop.is_identical_length fs) in
+      let jobs = E2e_core.Eedf.single_machine_jobs fs ~tau in
+      let what = if over then "just over the bound" else "just under the bound" in
+      Alcotest.(check bool) (what ^ ": path") over (grid_of ~tau jobs = 0);
+      check_against_reference what ~tau jobs)
+    [ false; true ]
+
+(* Hostile magnitudes: denominators up to 2^31, widths up to 2^40 time
+   units and offsets as large as the denominators leave room for (every
+   constructed value keeps |num| below 2^61).  Wherever both answer, the
+   engine's answers equal the reference's, on the grid or off it.  The
+   grid never raises: a raise may only come from the rational fallback,
+   whose min tree compares the values of different deadlines — which the
+   reference scan never does — so it can overflow on a few instances the
+   reference answers (as the engine always could).  On the grid the
+   engine answers even where the reference overflows. *)
+let hostile_jobs g =
+  let n = 1 + Prng.int g 8 in
+  let dmax = 1 lsl Prng.int g 32 in
+  let den () = 1 + Prng.int g dmax in
+  let offset = (if Prng.bool g then 1 else -1) * Prng.int g (max_int / 4 / dmax) in
+  let width = 1 lsl Prng.int g 40 in
+  let tau = Rat.make (1 + Prng.int g width) (den ()) in
+  let jobs =
+    Array.init n (fun id ->
+        let d = den () in
+        let release = Rat.add (Rat.of_int offset) (Rat.make (Prng.int g (4 * width)) d) in
+        let d = if Prng.bool g then d else den () in
+        job id release (Rat.add release (Rat.make (Prng.int g (8 * width)) d)))
+  in
+  (tau, jobs)
+
+let prop_hostile_magnitudes =
+  QCheck.Test.make ~name:"single machine: hostile magnitudes match the reference" ~count:1000
+    (QCheck.make ~print:string_of_int QCheck.Gen.(int_bound 1_000_000))
+    (fun seed ->
+      match hostile_jobs (Prng.create seed) with
+      | exception Rat.Overflow -> QCheck.assume_fail ()
+      | tau, jobs -> (
+          let grid = grid_of ~tau jobs in
+          match engine ~tau jobs with
+          | exception Rat.Overflow -> grid = 0
+          | answers -> (
+              match reference ~tau jobs with None -> true | Some expected -> answers = expected)))
+
+(* Events print rationals even when the engine ran on the grid: the
+   region endpoints and the infeasible release come back through the
+   grid's scale before they are emitted. *)
+let test_grid_telemetry_prints_rationals () =
+  let tau = Rat.make 3 2 in
+  let jobs = on_grid_jobs () in
+  let sink, events = Obs.Sink.memory () in
+  Obs.install sink;
+  Fun.protect ~finally:Obs.uninstall (fun () -> ignore (Sm.schedule ~tau jobs));
+  let emitted =
+    List.filter_map
+      (fun (e : Obs.event) ->
+        if e.name = "single_machine.forbidden_region" then
+          match e.fields with
+          | [ ("left", Obs.Str l); ("right", Obs.Str r) ] -> Some (l, r)
+          | _ -> None
+        else None)
+      (events ())
+  in
+  let expected =
+    match Sm.forbidden_regions ~tau jobs with
+    | Ok regions ->
+        List.map (fun (g : Sm.region) -> (Rat.to_string g.left, Rat.to_string g.right)) regions
+    | Error `Infeasible -> Alcotest.fail "feasible"
+  in
+  Alcotest.(check (list (pair string string))) "region endpoints as rationals" expected emitted;
+  Alcotest.(check (list (pair string string))) "the regions (1/4, 3/4) and (13/4, 7/2)"
+    [ ("1/4", "3/4"); ("13/4", "7/2") ] emitted;
+  (* Two jobs of length 3/2 in a window of 5/2 from release 1/4. *)
+  let sink, events = Obs.Sink.memory () in
+  Obs.install sink;
+  Fun.protect ~finally:Obs.uninstall (fun () ->
+      ignore (Sm.schedule ~tau [| job 0 (q "0.25") (q "2.75"); job 1 (q "0.25") (q "2.75") |]));
+  let infeasible (e : Obs.event) = e.name = "single_machine.infeasible_window" in
+  match List.filter infeasible (events ()) with
+  | [ e ] ->
+      Alcotest.(check bool) "release 1/4" true (e.fields = [ ("release", Obs.Str "1/4") ])
+  | es -> Alcotest.failf "expected one infeasible_window event, got %d" (List.length es)
+
 let suite =
   [
     Alcotest.test_case "plain EDF fails the trap" `Quick test_plain_edf_fails_trap;
@@ -163,4 +340,11 @@ let suite =
     to_alcotest prop_plain_edf_never_beats_exact;
     to_alcotest prop_regions_disjoint_sorted;
     Alcotest.test_case "schedule telemetry" `Quick test_schedule_telemetry;
+    Alcotest.test_case "on-grid instance equals the reference" `Quick
+      test_on_grid_matches_reference;
+    Alcotest.test_case "off-grid instances equal the reference" `Quick
+      test_off_grid_matches_reference;
+    to_alcotest prop_hostile_magnitudes;
+    Alcotest.test_case "grid telemetry prints rationals" `Quick
+      test_grid_telemetry_prints_rationals;
   ]
