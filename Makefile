@@ -101,6 +101,7 @@ serve-smoke:
 	grep -q '^admitted ' $(SERVE_A)
 	grep -q '^rejected ' $(SERVE_A)
 	grep -q '^metrics ' $(SERVE_A)
+	grep -A1 '^error shop=big internal$$' $(SERVE_A) | grep -q '^pong '
 
 # The concurrent transport determinism smoke: $(CONC_CONNS) pipelined
 # client domains against an embedded multi-domain TCP server on 1 and 4

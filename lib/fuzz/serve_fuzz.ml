@@ -60,6 +60,35 @@ let permute g (shop : Recurrence_shop.t) =
   in
   Recurrence_shop.make ~visit:shop.visit tasks
 
+(* A hostile task: magnitudes near 2^62 and large pairwise-coprime
+   denominators, so the sums and cross products the solvers form
+   overflow 63 bits and the request meets the exception boundary.  A
+   draw whose own construction overflows falls back to [benign]. *)
+let large_primes = [| 1_000_000_007; 998_244_353; 2_147_483_647; 4_294_967_291; 1_000_000_000_039 |]
+
+let hostile_task g ~id ~stages benign =
+  let den () = if Prng.int g 3 = 0 then 1 else large_primes.(Prng.int g (Array.length large_primes)) in
+  let near_top () = (1 lsl 62) - 1 - Prng.int g (1 lsl 40) in
+  let magnitude () =
+    match Prng.int g 3 with
+    | 0 -> Rat.of_int (near_top ())
+    | 1 -> Rat.make (near_top ()) (den ())
+    | _ -> Rat.make (1 + Prng.int g (1 lsl 30)) (den ())
+  in
+  let release = if Prng.int g 2 = 0 then Rat.zero else magnitude () in
+  let deadline = magnitude () and proc_times = Array.init stages (fun _ -> magnitude ()) in
+  match Task.make ~id ~release ~deadline ~proc_times with
+  | t -> t
+  | exception (Rat.Overflow | Invalid_argument _) -> benign
+
+(* Replace a share of an instance's tasks with hostile ones. *)
+let harden g (shop : Recurrence_shop.t) =
+  let stages = Array.length shop.Recurrence_shop.tasks.(0).Task.proc_times in
+  Recurrence_shop.make ~visit:shop.visit
+    (Array.map
+       (fun (t : Task.t) -> if Prng.int g 5 = 0 then hostile_task g ~id:t.id ~stages t else t)
+       shop.tasks)
+
 let gen_log g =
   let requests = 6 + Prng.int g 15 in
   let live = ref [] (* (shop, instance), most recent first *) in
@@ -74,7 +103,9 @@ let gen_log g =
   List.init requests (fun _ ->
       let p = Prng.float g 1.0 in
       if p < 0.35 || !live = [] then begin
-        let shop = fresh_shop () and instance = gen_instance g in
+        let shop = fresh_shop () in
+        let instance = gen_instance g in
+        let instance = if Prng.int g 4 = 0 then harden g instance else instance in
         live := (shop, instance) :: !live;
         Admission.Submit { shop; instance }
       end
@@ -104,7 +135,9 @@ let gen_log g =
               let total = Rat.sum_array taus in
               let release = Prng.rat_uniform g ~den:100 Rat.zero (Rat.of_int 4) in
               let window = Rat.mul_int total (2 + Prng.int g 3) in
-              (release, Rat.add release window, taus))
+              let benign = Task.make ~id:0 ~release ~deadline:(Rat.add release window) ~proc_times:taus in
+              let t = if Prng.int g 5 = 0 then hostile_task g ~id:0 ~stages:k benign else benign in
+              (t.Task.release, t.deadline, t.proc_times))
         in
         Admission.Add { shop; tasks }
       end

@@ -3,7 +3,11 @@
     Each trial generates a random request log — fresh submissions,
     permuted resubmissions (canonical-cache exercisers), duplicate
     submissions, incremental adds, deliberately infeasible sets,
-    queries and drops — and runs it through two interpreters:
+    queries and drops — and runs it through two interpreters.  A share
+    of submitted and added tasks is hostile: magnitudes near 2^62 and
+    large coprime denominators, whose sums overflow 63 bits, so both
+    interpreters must answer those requests [error shop=<s> internal]
+    alike and go on:
 
     - the {b batched} engine ({!E2e_serve.Batcher.process_log}) with
       the canonical solver cache enabled and solves fanned out over

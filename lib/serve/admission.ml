@@ -19,18 +19,14 @@ type decision =
   | Rejected of { certificate : Infeasibility.certificate option }
   | Undecided of { reason : string }
 
-(* Warm-start state parked with a committed shop: the portfolio
-   strategy that last admitted it, which the next full solve tries
-   first.  Decision-transparent — the hint is part of the cache key —
-   so entries with and without state always produce the same replies. *)
-type inc_state = Hint of H_portfolio.strategy
-
 (* Each committed shop carries the canonical form of its committed task
-   set, so the next Add re-solve starts from already-sorted, already-
-   rendered committed lines (Cache.merge) instead of canonicalizing the
-   whole merged candidate from scratch — plus the warm-start state of
-   the solve that admitted it. *)
-type entry = { shop : Recurrence_shop.t; canon : Cache.canonical; inc : inc_state option }
+   set, so the next Add re-solve starts from the already-sorted
+   committed order (Cache.merge) instead of canonicalizing the whole
+   merged candidate from scratch — plus the portfolio strategy that
+   last admitted it, which the next full solve tries first.  The hint is
+   decision-transparent: it is part of the cache key, so entries with
+   and without one always produce the same replies. *)
+type entry = { shop : Recurrence_shop.t; canon : Cache.canonical; hint : H_portfolio.strategy option }
 type t = entry Smap.t
 
 type request =
@@ -67,11 +63,11 @@ let budget_exhausted () =
 
 (* One candidate set, no cache: the strongest applicable algorithm, then
    certificates and the portfolio on the NP-hard path.  Pure, so batched
-   solves can run on worker domains.  Returns the warm-start state of
-   the solve alongside the decision: the winning strategy on the
-   portfolio path.  [hint] warm-starts the portfolio (it is part of the
-   cache key, so hinted and unhinted solves never alias). *)
-let solve_full budget ?hint (shop : Recurrence_shop.t) : decision * inc_state option =
+   solves can run on worker domains.  Returns the winning strategy on
+   the portfolio path alongside the decision.  [hint] warm-starts the
+   portfolio (it is part of the cache key, so hinted and unhinted solves
+   never alias). *)
+let solve_full budget ?hint (shop : Recurrence_shop.t) =
   Obs.incr "serve.solves";
   if Visit.is_traditional shop.Recurrence_shop.visit then begin
     let fs = Flow_shop.make ~processors:shop.visit.Visit.processors shop.tasks in
@@ -91,7 +87,7 @@ let solve_full budget ?hint (shop : Recurrence_shop.t) : decision * inc_state op
         let portfolio ?budget () =
           match H_portfolio.schedule ?budget ?hint fs with
           | Ok (s, strat) ->
-              Some (Admitted { schedule = s; algo = "portfolio" }, Some (Hint strat))
+              Some (Admitted { schedule = s; algo = "portfolio" }, Some strat)
           | Error `All_failed -> None
         in
         let rejected_or fallback =
@@ -171,11 +167,26 @@ let hint_tag = function
   | Some h -> ":h" ^ H_portfolio.strategy_code h
 
 let cache_key ~budget ?hint canon =
-  canon.Cache.key ^ ":" ^ budget_tag budget ^ hint_tag hint
+  Lazy.force canon.Cache.key ^ ":" ^ budget_tag budget ^ hint_tag hint
 
 let request_error shop message =
   Obs.incr "serve.request_errors";
   Request_error { shop; message }
+
+(* The per-request exception boundary.  A request whose own computation
+   raises — [Rat.Overflow] on magnitudes the parser admits, say — is
+   answered [error shop=<s> internal] and never committed; the caller
+   goes on with the next request.  [Out_of_memory] is not the request's
+   fault and propagates. *)
+let guard f x =
+  match f x with
+  | v -> Ok v
+  | exception (Out_of_memory as e) -> raise e
+  | exception _ -> Error ()
+
+let internal_error shop =
+  Obs.incr "serve.internal_failures";
+  Request_error { shop; message = "internal" }
 
 let fresh_tasks (committed : Recurrence_shop.t) tasks =
   let n = Recurrence_shop.n_tasks committed in
@@ -192,7 +203,7 @@ let merge_candidate (committed : Recurrence_shop.t) tasks =
 type prepared = {
   candidate : Recurrence_shop.t;
   canon : Cache.canonical;
-  base_inc : inc_state option;
+  hint : H_portfolio.strategy option;
   is_add : bool;
 }
 
@@ -206,21 +217,21 @@ let prepare ?keyer t = function
           | Some k -> Cache.Keyer.canonicalize k instance
           | None -> Cache.canonicalize instance
         in
-        Ok { candidate = instance; canon; base_inc = None; is_add = false }
+        Ok { candidate = instance; canon; hint = None; is_add = false }
   | Add { shop; tasks } -> (
       match Smap.find_opt shop t with
       | None -> Error (request_error shop "unknown shop")
       | Some _ when tasks = [] -> Error (request_error shop "add expects at least one task")
-      | Some { shop = committed; canon = base; inc } -> (
+      | Some { shop = committed; canon = base; hint } -> (
           match merge_candidate committed tasks with
           | candidate ->
-              (* The committed side arrives pre-sorted and pre-rendered:
-                 only the handful of fresh tasks pays canonicalization. *)
+              (* The committed side arrives pre-sorted: only the handful
+                 of fresh tasks pays the sort. *)
               Ok
                 {
                   candidate;
                   canon = Cache.merge ~base (fresh_tasks committed tasks);
-                  base_inc = inc;
+                  hint;
                   is_add = true;
                 }
           | exception Invalid_argument m -> Error (request_error shop m)))
@@ -230,83 +241,68 @@ let prepare ?keyer t = function
            { shop; n_tasks = Option.map (fun e -> Recurrence_shop.n_tasks e.shop) (Smap.find_opt shop t) })
   | Drop { shop } -> Error (Dropped { shop; existed = Smap.mem shop t })
 
-let hint_of p = match p.base_inc with Some (Hint h) -> Some h | None -> None
-let state_of_cached (s : solved) = Option.map (fun h -> Hint h) s.hint
+let hint_of p = p.hint
+let state_of_cached (s : solved) = s.hint
 
-(* The warm solve for one prepared candidate: the hint (when the
-   committed shop has one) rides into the portfolio.  Pure, so batched
-   misses can run on worker domains. *)
+(* The hinted full solve for one prepared candidate, on its canonical
+   form.  Pure, so batched misses can run on worker domains.  The
+   strategy is returned twice, inside [solved] and beside it, for
+   callers that commit it without the cache. *)
 let solve_prepared ~budget p =
-  let d, state = solve_full budget ?hint:(hint_of p) p.canon.Cache.shop in
-  ({ decision = d; hint = Option.map (fun (Hint h) -> h) state }, state)
+  let decision, hint = solve_full budget ?hint:p.hint p.canon.Cache.shop in
+  ({ decision; hint }, hint)
 
-(* The cheap path for an Add whose canonical merged shop is traditional
-   and identical-length: a from-scratch EEDF solve, optimal and cheap.
-   [None] sends everything else to the full solve.  No Add touches the
-   cache either way (see [decide_prepared]).  Counters
-   [serve.inc_hits]/[serve.inc_misses] split Add requests between the
-   two paths. *)
+(* Not called in lib/ or bin/: kept for the benchmark's traced replay,
+   which times identical-length adds apart.  For such a shop
+   [Solver.solve] goes straight to EEDF and never fails heuristically,
+   so the result is exactly [solve_prepared]'s. *)
 let try_incremental p =
-  let result =
-    let shop = p.canon.Cache.shop in
-    if p.is_add && Visit.is_traditional shop.Recurrence_shop.visit then
-      let fs = Flow_shop.make ~processors:shop.visit.Visit.processors shop.tasks in
-      match Flow_shop.is_identical_length fs with
-      | None -> None
-      | Some _ -> (
-          match Solver.solve fs with
-          | Solver.Feasible (s, alg) ->
-              Some (Admitted { schedule = s; algo = algo_name alg }, None)
-          | Solver.Proved_infeasible _ ->
-              Some (Rejected { certificate = Infeasibility.check fs }, None)
-          | Solver.Heuristic_failed -> None)
-    else None
-  in
-  if p.is_add then
-    Obs.incr (match result with Some _ -> "serve.inc_hits" | None -> "serve.inc_misses");
-  result
+  let shop = p.canon.Cache.shop in
+  if
+    p.is_add
+    && Visit.is_traditional shop.Recurrence_shop.visit
+    && Flow_shop.is_identical_length
+         (Flow_shop.make ~processors:shop.visit.Visit.processors shop.tasks)
+       <> None
+  then Some (solve_full Unbounded shop)
+  else None
 
-(* Decide one prepared candidate in fixed precedence: the EEDF path
-   first, then (Submits only) the cache under the hint-tagged key, then a
-   hinted full solve.  Adds never look up or fill the cache: an Add's
-   merged shop is one-off (the next Add grows it again), so an entry
-   would hold a whole shop and its schedule that no later request hits.
-   Both the sequential reference interpreter ({!apply}) and the batcher
-   run exactly this ordering, so they agree reply-for-reply.  Every
-   solve runs on the canonical form, cached or not: heuristics may be
-   sensitive to task order, so canonicalize-always makes cache-on and
-   cache-off runs reach identical verdicts by construction. *)
+(* Decide one prepared candidate: a Submit through the cache under the
+   hint-tagged key (find, or solve then insert), an Add by one uncached
+   solve.  An Add's merged shop is one-off (the next Add grows it
+   again), so an entry would hold a whole shop and its schedule that no
+   later request hits.  Both the sequential reference interpreter
+   ({!apply}) and the batcher follow exactly this policy, so they agree
+   reply-for-reply.  Every solve runs on the canonical form, cached or
+   not: heuristics may be sensitive to task order, so canonicalize-always
+   makes cache-on and cache-off runs reach identical verdicts by
+   construction. *)
 let cache_for p cache = if p.is_add then None else cache
 
 let decide_prepared ?(budget = Unbounded) ?cache ({ candidate; canon; _ } as p) =
-  let canonical, state =
-    match try_incremental p with
-    | Some r -> r
-    | None -> (
-        match cache_for p cache with
+  let s =
+    match cache_for p cache with
+    | None -> fst (solve_prepared ~budget p)
+    | Some c -> (
+        let key = cache_key ~budget ?hint:p.hint canon in
+        match Cache.find c key with
+        | Some s -> s
         | None ->
-            let s, state = solve_prepared ~budget p in
-            (s.decision, state)
-        | Some c -> (
-            let key = cache_key ~budget ?hint:(hint_of p) canon in
-            match Cache.find c key with
-            | Some s -> (s.decision, state_of_cached s)
-            | None ->
-                let s, state = solve_prepared ~budget p in
-                Cache.add c key s;
-                (s.decision, state)))
+            let s = fst (solve_prepared ~budget p) in
+            Cache.add c key s;
+            s)
   in
-  let decision = verify_decision (relabel canon candidate canonical) in
+  let decision = verify_decision (relabel canon candidate s.decision) in
   record_decision decision;
-  (decision, state)
+  (decision, s.hint)
 
-let commit ?prepared ?(state : inc_state option = None) t request decision =
+let commit ?prepared ?(state = None) t request decision =
   match (request, decision) with
   | (Submit { shop; _ } | Add { shop; _ }), Some (Admitted _) -> (
       match
         match prepared with Some p -> Ok p | None -> prepare t request
       with
-      | Ok { candidate; canon; _ } -> Smap.add shop { shop = candidate; canon; inc = state } t
+      | Ok { candidate; canon; _ } -> Smap.add shop { shop = candidate; canon; hint = state } t
       | Error _ -> t)
   | Drop { shop }, _ -> Smap.remove shop t
   | _, _ -> t
@@ -316,16 +312,19 @@ let resident_sizes t =
 
 let apply ?budget ?cache ?keyer t request =
   Obs.incr "serve.requests";
-  match prepare ?keyer t request with
-  | Error reply -> (commit t request None, reply)
-  | Ok ({ candidate; _ } as prepared) ->
-      let decision, state = decide_prepared ?budget ?cache prepared in
-      let shop =
-        match request with
-        | Submit { shop; _ } | Add { shop; _ } | Query { shop } | Drop { shop } -> shop
-      in
-      ( commit ~prepared ~state t request (Some decision),
-        Decided { shop; n_tasks = Recurrence_shop.n_tasks candidate; decision } )
+  let shop =
+    match request with
+    | Submit { shop; _ } | Add { shop; _ } | Query { shop } | Drop { shop } -> shop
+  in
+  let decide () =
+    match prepare ?keyer t request with
+    | Error reply -> (commit t request None, reply)
+    | Ok ({ candidate; _ } as prepared) ->
+        let decision, state = decide_prepared ?budget ?cache prepared in
+        ( commit ~prepared ~state t request (Some decision),
+          Decided { shop; n_tasks = Recurrence_shop.n_tasks candidate; decision } )
+  in
+  match guard decide () with Ok r -> r | Error () -> (t, internal_error shop)
 
 let decision_kind = function
   | Admitted _ -> "admitted"

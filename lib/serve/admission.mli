@@ -29,9 +29,14 @@
     request logs always produce identical replies — the property the
     batcher and the differential fuzzer build on.
 
+    A request whose own computation raises (today [Rat.Overflow] on
+    magnitudes the parser admits) is answered [error shop=<s> internal]
+    ({!internal_error}) and not committed; [Out_of_memory] propagates.
+
     Telemetry: counters [serve.requests], [serve.admitted],
     [serve.rejected], [serve.undecided], [serve.request_errors],
-    [serve.solves], [serve.budget_exhausted], [serve.verify_failures]. *)
+    [serve.internal_failures], [serve.solves], [serve.budget_exhausted],
+    [serve.verify_failures]. *)
 
 type rat = E2e_rat.Rat.t
 
@@ -50,19 +55,13 @@ type decision =
           polynomial certificate generator found no witness window. *)
   | Undecided of { reason : string }
 
-type inc_state =
-  | Hint of E2e_core.H_portfolio.strategy
-      (** The portfolio strategy that last admitted the shop: the next
-          full solve tries it first. *)
-(** Warm-start state parked with a committed shop.  Decision-transparent
-    by construction: the hint is part of the cache key, so entries with
-    and without state always produce the same replies — only the work
-    differs. *)
-
 type t
 (** Immutable committed state: a map from shop name to its committed
-    task set (plus canonical form and warm-start state).  All
-    transitions go through {!apply}. *)
+    task set, its canonical form and its hint: the portfolio strategy
+    that last admitted it, which the next full solve tries first.  The
+    hint is decision-transparent — it is part of the cache key — so
+    only the work differs with and without one.  All transitions go
+    through {!apply}. *)
 
 type request =
   | Submit of { shop : string; instance : E2e_model.Recurrence_shop.t }
@@ -124,11 +123,23 @@ val record_decision : decision -> unit
     counter for one reply (exposed for the batcher, which replays
     {!decide_prepared}'s cache dance in deterministic phases). *)
 
+val guard : ('a -> 'b) -> 'a -> ('b, unit) result
+(** The per-request exception boundary: [Ok (f x)], or [Error ()] when
+    [f x] raises anything but [Out_of_memory] (which propagates).  The
+    batcher wraps each stage of a request in it — prepare, the solve
+    handed to the worker pool, relabel and verify — and {!apply} wraps
+    the whole request. *)
+
+val internal_error : string -> reply
+(** [Request_error { shop; message = "internal" }], rendered
+    [error shop=<shop> internal]: the reply to a request that raised.
+    Bumps [serve.internal_failures]. *)
+
 type prepared = {
   candidate : E2e_model.Recurrence_shop.t;
   canon : Cache.canonical;
-  base_inc : inc_state option;
-      (** The committed shop's warm-start state ([Add] only). *)
+  hint : E2e_core.H_portfolio.strategy option;
+      (** The committed shop's portfolio hint ([Add] only). *)
   is_add : bool;
 }
 (** A validated [Submit]/[Add]: the merged committed-plus-candidate set
@@ -140,36 +151,37 @@ val prepare : ?keyer:Cache.Keyer.t -> t -> request -> (prepared, reply) result
     error/informational reply for requests that need no solve ([Query],
     [Drop], malformed [Submit]/[Add]).  Canonicalization reuses earlier
     work: an [Add] merges the fresh tasks into the committed set's
-    {e stored} canonical ({!Cache.merge} — committed lines and
-    order are reused), and a [Submit] goes through the [keyer]'s
-    structural pre-key when one is given, skipping the render-and-digest
-    for repeated instances.  Exposed so the batcher can validate and
-    canonicalize sequentially while fanning only the solves out in
-    parallel. *)
+    {e stored} canonical order ({!Cache.merge}), and a [Submit] goes
+    through the [keyer]'s structural pre-key when one is given, sharing
+    the canonical (and its digest) of a repeated instance.  Exposed so
+    the batcher can validate and canonicalize sequentially while fanning
+    only the solves out in parallel. *)
 
-val try_incremental : prepared -> (decision * inc_state option) option
-(** The cheap path: an [Add] whose canonical merged shop is traditional
-    and identical-length is decided by a from-scratch
-    {!E2e_core.Solver.solve} (EEDF, optimal).
-    [Proved_infeasible] carries {!E2e_core.Infeasibility.check}'s
-    certificate, exactly as {!solve_prepared} would.  The returned state
-    is always [None].  [None] sends everything else to
-    {!solve_prepared} — through the cache for a [Submit], uncached for
-    an [Add]: no [Add] ever touches the cache.  Bumps
-    [serve.inc_hits]/[serve.inc_misses] for [Add] requests. *)
+val try_incremental : prepared -> (decision * E2e_core.H_portfolio.strategy option) option
+(** Nothing in [lib/] or [bin/] calls this: it stays for the
+    benchmark's traced replay, which times identical-length adds apart.
+    [Some] exactly for an [Add] whose canonical merged shop is
+    traditional and identical-length, and then the unhinted
+    {!solve_prepared} result: for such a shop
+    {!E2e_core.Solver.solve} goes straight to EEDF and never fails
+    heuristically, so budget and hint play no part and the strategy is
+    always [None].  Every other candidate gives [None]. *)
 
 val hint_of : prepared -> E2e_core.H_portfolio.strategy option
-(** The portfolio hint the committed shop carries, if any — what
-    {!solve_prepared} warm-starts with and {!cache_key} tags. *)
+(** [p.hint]: what {!solve_prepared} warm-starts with and {!cache_key}
+    tags.  Like {!state_of_cached}, kept for the benchmark's replay;
+    nothing in [lib/] or [bin/] calls it. *)
 
-val solve_prepared : budget:budget -> prepared -> solved * inc_state option
+val solve_prepared :
+  budget:budget -> prepared -> solved * E2e_core.H_portfolio.strategy option
 (** The hinted full solve for one prepared candidate, on its canonical
     form.  Pure (no cache, no commit), safe on worker domains — the
-    batcher fans cache misses out with it.  The [solved] is what the
-    cache stores; the state is what {!commit} parks. *)
+    batcher fans its solves out with it.  The [solved] is what the cache
+    stores; the second component is its [hint], the strategy {!commit}
+    parks. *)
 
-val state_of_cached : solved -> inc_state option
-(** The warm-start state a cache hit commits: the cached hint. *)
+val state_of_cached : solved -> E2e_core.H_portfolio.strategy option
+(** The hint a cache hit commits: [s.hint]. *)
 
 val cache_for : prepared -> 'a Cache.t option -> 'a Cache.t option
 (** The cache a prepared candidate may use: the given one for a
@@ -177,20 +189,29 @@ val cache_for : prepared -> 'a Cache.t option -> 'a Cache.t option
     lookup both go through it, so the policy is written once. *)
 
 val decide_prepared :
-  ?budget:budget -> ?cache:solved Cache.t -> prepared -> decision * inc_state option
-(** Decide one prepared candidate in fixed precedence:
-    {!try_incremental} first, then — for a [Submit] only — the cache
-    under the hint-tagged key, then {!solve_prepared}.  An [Add] never
+  ?budget:budget ->
+  ?cache:solved Cache.t ->
+  prepared ->
+  decision * E2e_core.H_portfolio.strategy option
+(** Decide one prepared candidate on one path: a [Submit] through the
+    cache under the hint-tagged key (find, or {!solve_prepared} then
+    insert), an [Add] by one uncached {!solve_prepared}.  An [Add] never
     looks up or inserts a cache entry: its merged shop is one-off, and
     an entry would pin a whole shop and its schedule in memory for no
     later hit.  Relabels, verifies and records the decision; returns the
-    state for {!commit}.  The batcher replays exactly this ordering
-    across its phases, so both interpreters agree reply-for-reply. *)
+    hint for {!commit}.  The batcher replays exactly this policy across
+    its phases, so both interpreters agree reply-for-reply. *)
 
-val commit : ?prepared:prepared -> ?state:inc_state option -> t -> request -> decision option -> t
+val commit :
+  ?prepared:prepared ->
+  ?state:E2e_core.H_portfolio.strategy option ->
+  t ->
+  request ->
+  decision option ->
+  t
 (** Fold a processed request into the state: a [Submit]/[Add] decided
     [Admitted] commits its candidate {e and its canonical} (handed back
-    on the next [Add]'s merge) {e and the warm-start [state]} (default
+    on the next [Add]'s merge) {e and the hint [state]} (default
     none), [Drop] removes its shop, and everything else ([Rejected],
     [Undecided], [Query], no-solve replies) leaves the state unchanged.
     Pass the [prepared] value from {!prepare} to avoid re-validating and
@@ -209,7 +230,8 @@ val apply :
   t * reply
 (** [prepare] + [decide_prepared] + [commit] in one step — the
     sequential reference interpreter the differential fuzzer checks the
-    batched engine against. *)
+    batched engine against.  A request that raises is answered
+    {!internal_error} and leaves the state as it was. *)
 
 val decision_kind : decision -> string
 (** ["admitted"], ["rejected"] or ["undecided"] — the verdict signature

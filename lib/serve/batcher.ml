@@ -28,8 +28,7 @@ type service_stats = {
   max_batch : int;
   budget_exhausted : int;
   verify_failures : int;
-  inc_hits : int;  (* Add requests decided by EEDF *)
-  inc_misses : int;  (* Add requests that went to the full solve *)
+  internal_errors : int;  (* requests answered [error internal] *)
   resident : (string * int) list;  (* committed tasks per shop, sorted *)
   verdicts : (string * (int * int * int)) list;
       (* per shop: admitted, rejected, undecided — sorted by shop *)
@@ -43,8 +42,7 @@ type svc = {
   mutable max_batch : int;
   mutable budget_exhausted : int;
   mutable verify_failures : int;
-  mutable inc_hits : int;
-  mutable inc_misses : int;
+  mutable internal_errors : int;
   verdict_tbl : (string, int array) Hashtbl.t;  (* [| admitted; rejected; undecided |] *)
 }
 
@@ -86,8 +84,7 @@ let create ?(config = default_config) ?(id_offset = 0) ?(id_stride = 1) () =
         max_batch = 0;
         budget_exhausted = 0;
         verify_failures = 0;
-        inc_hits = 0;
-        inc_misses = 0;
+        internal_errors = 0;
         verdict_tbl = Hashtbl.create 32;
       };
   }
@@ -108,8 +105,7 @@ let service_stats t =
     max_batch = t.svc.max_batch;
     budget_exhausted = t.svc.budget_exhausted;
     verify_failures = t.svc.verify_failures;
-    inc_hits = t.svc.inc_hits;
-    inc_misses = t.svc.inc_misses;
+    internal_errors = t.svc.internal_errors;
     resident = Admission.resident_sizes t.engine;
     verdicts =
       Hashtbl.fold
@@ -151,19 +147,10 @@ let submit t request =
 (* Phase-1 classification of one batch member. *)
 type slot =
   | Resolved of Admission.reply  (* no solve needed (error/query/drop) *)
-  | Inc of {
-      decision : Admission.decision;
-      state : Admission.inc_state option;
-      prepared : Admission.prepared;
-    }
-      (* Decided in phase 1 by the EEDF path — the same precedence the
-         sequential interpreter uses (EEDF before cache).  The EEDF
-         solve is cheap enough for the ingress domain; relabelling and
-         verification still happen in phase 3. *)
   | Hit of { solved : Admission.solved; prepared : Admission.prepared }
-      (* [solved] is the cached {e canonical} decision (plus its warm
-         hint); relabelling and verification happen in phase 3, where
-         they are attributed to the verify stage like the miss path's. *)
+      (* [solved] is the cached {e canonical} decision (plus its hint);
+         relabelling and verification happen in phase 3, where they are
+         attributed to the verify stage like the miss path's. *)
   | Miss of { prepared : Admission.prepared; key : string option }
       (* [key] is [Some] exactly when phase 1 looked the cache up, and
          phase 3 inserts the solve under it.  Solves always run on the
@@ -216,6 +203,10 @@ let bump_verdict t shop = function
           t.svc.verify_failures <- t.svc.verify_failures + 1
       | _ -> ())
 
+let internal_error t req =
+  t.svc.internal_errors <- t.svc.internal_errors + 1;
+  Admission.internal_error (shop_of req)
+
 let step t =
   match take_batch t with
   | [] -> []
@@ -229,64 +220,59 @@ let step t =
           if Obs.stats_enabled () then Obs.observe "serve.batch_size" (float_of_int bs);
           (* Phase 1 (sequential, submission order): preconditions and
              cache lookups.  All cache mutation — and every clock read —
-             stays on this domain. *)
+             stays on this domain.  Each stage of a request runs under
+             {!Admission.guard}: a request that raises is answered
+             [error internal], left uncommitted, and the batch goes on. *)
           let slots =
             List.map
               (fun (req, tr) ->
-                match Admission.prepare ~keyer:t.keyer t.engine req with
-                | Error reply ->
+                let resolved reply =
+                  Rtrace.mark tr 1;
+                  Rtrace.mark tr 2;
+                  (req, tr, Resolved reply)
+                in
+                match Admission.guard (Admission.prepare ~keyer:t.keyer t.engine) req with
+                | Error () -> resolved (internal_error t req)
+                | Ok (Error reply) -> resolved reply
+                | Ok (Ok prepared) ->
                     Rtrace.mark tr 1;
+                    (* The cache for Submits only — the policy
+                       {!Admission.decide_prepared} uses, so cache-on
+                       batched and cache-off sequential runs agree.
+                       Keys are forced here, never on a worker. *)
+                    let slot =
+                      match Admission.cache_for prepared t.cache with
+                      | None -> Miss { prepared; key = None }
+                      | Some cache -> (
+                          let key =
+                            Admission.cache_key ~budget:t.cfg.budget
+                              ?hint:prepared.Admission.hint prepared.Admission.canon
+                          in
+                          match Cache.find cache key with
+                          | Some solved -> Hit { solved; prepared }
+                          | None -> Miss { prepared; key = Some key })
+                    in
                     Rtrace.mark tr 2;
-                    (req, tr, Resolved reply)
-                | Ok ({ Admission.canon; _ } as prepared) -> (
-                    Rtrace.mark tr 1;
-                    (* EEDF, then the cache for Submits only — the
-                       same precedence {!Admission.decide_prepared}
-                       uses, so cache-on batched and cache-off
-                       sequential runs agree. *)
-                    match Admission.try_incremental prepared with
-                    | Some (decision, state) ->
-                        t.svc.inc_hits <- t.svc.inc_hits + 1;
-                        Rtrace.mark tr 2;
-                        (req, tr, Inc { decision; state; prepared })
-                    | None -> (
-                        if prepared.Admission.is_add then
-                          t.svc.inc_misses <- t.svc.inc_misses + 1;
-                        match Admission.cache_for prepared t.cache with
-                        | None ->
-                            Rtrace.mark tr 2;
-                            (req, tr, Miss { prepared; key = None })
-                        | Some cache ->
-                            let key =
-                              Admission.cache_key ~budget:t.cfg.budget
-                                ?hint:(Admission.hint_of prepared) canon
-                            in
-                            let slot =
-                              match Cache.find cache key with
-                              | Some solved -> Hit { solved; prepared }
-                              | None -> Miss { prepared; key = Some key }
-                            in
-                            Rtrace.mark tr 2;
-                            (req, tr, slot))))
+                    (req, tr, slot))
               batch
           in
-          (* Phase 2 (parallel): solve the misses.  Submission order is
-             preserved by Pool.run and each solve is pure — worker
-             domains never touch the clock, so traces are unaffected by
-             the domain count.  The persistent pool matters here: a
-             server steps thousands of small batches, and a per-batch
-             domain spawn would cost more than the solves. *)
+          (* Phase 2 (parallel): solve the misses and every Add.
+             Submission order is preserved by Pool.run and each solve is
+             pure — worker domains never touch the clock, so traces are
+             unaffected by the domain count.  The persistent pool matters
+             here: a server steps thousands of small batches, and a
+             per-batch domain spawn would cost more than the solves. *)
           let misses =
             List.filter_map
               (function
                 | _, _, Miss { prepared; _ } -> Some prepared
-                | _, _, (Resolved _ | Hit _ | Inc _) -> None)
+                | _, _, (Resolved _ | Hit _) -> None)
               slots
             |> Array.of_list
           in
           let solved =
             Pool.run ~jobs:t.cfg.jobs
-              (Admission.solve_prepared ~budget:t.cfg.budget)
+              (Admission.guard (fun p -> fst (Admission.solve_prepared ~budget:t.cfg.budget p)))
               misses
           in
           (* Phase 3 (sequential, submission order): relabel + verify,
@@ -302,43 +288,48 @@ let step t =
                   Rtrace.mark tr 5;
                   Rtrace.set_verdict tr (verdict_of_reply reply);
                   (req, tr, reply)
-              | Inc _ | Hit _ | Miss _ ->
-                  (* canonical decision, warm state to commit, and the
-                     keyed cache entry to insert (a looked-up miss only). *)
-                  let prepared, canonical, state, insert =
+              | Hit _ | Miss _ ->
+                  (* the canonical solve and the keyed cache entry to
+                     insert (a looked-up miss only). *)
+                  let prepared, solved, key =
                     match slot with
-                    | Inc { decision; state; prepared } -> (prepared, decision, state, None)
-                    | Hit { solved; prepared } ->
-                        (prepared, solved.Admission.decision, Admission.state_of_cached solved, None)
+                    | Hit { solved; prepared } -> (prepared, Ok solved, None)
                     | Miss { prepared; key } ->
-                        let s, state = solved.(!next_miss) in
+                        let r = solved.(!next_miss) in
                         incr next_miss;
-                        (prepared, s.Admission.decision, state, Option.map (fun k -> (k, s)) key)
+                        (prepared, r, key)
                     | Resolved _ -> assert false
                   in
                   let { Admission.candidate; canon; _ } = prepared in
                   Rtrace.mark tr 3;
-                  let decision =
-                    Admission.verify_decision (Admission.relabel canon candidate canonical)
+                  let verified =
+                    Result.bind solved
+                      (Admission.guard (fun (s : Admission.solved) ->
+                           ( Admission.verify_decision (Admission.relabel canon candidate s.decision),
+                             s.hint )))
                   in
-                  Admission.record_decision decision;
                   Rtrace.mark tr 4;
-                  (match (t.cache, insert) with
-                  | Some cache, Some (key, s) ->
+                  (match (t.cache, key, solved) with
+                  | Some cache, Some key, Ok s ->
                       (* The cache stores the pre-verify canonical
                          decision; hits re-verify after relabelling, so
                          cache-on and cache-off verify identically. *)
                       Cache.add cache key s
                   | _ -> ());
-                  t.engine <- Admission.commit ~prepared ~state t.engine req (Some decision);
-                  Rtrace.mark tr 5;
                   let shop = shop_of req in
-                  bump_verdict t shop decision;
-                  Rtrace.set_verdict tr (Admission.decision_kind decision);
-                  ( req,
-                    tr,
-                    Admission.Decided
-                      { shop; n_tasks = Recurrence_shop.n_tasks candidate; decision } ))
+                  let reply =
+                    match verified with
+                    | Ok (decision, state) ->
+                        Admission.record_decision decision;
+                        t.engine <- Admission.commit ~prepared ~state t.engine req (Some decision);
+                        bump_verdict t shop decision;
+                        Admission.Decided
+                          { shop; n_tasks = Recurrence_shop.n_tasks candidate; decision }
+                    | Error () -> internal_error t req
+                  in
+                  Rtrace.mark tr 5;
+                  Rtrace.set_verdict tr (verdict_of_reply reply);
+                  (req, tr, reply))
             slots)
 
 let drain t =

@@ -11,19 +11,27 @@
     for the next batch — requests on distinct shops are independent by
     construction, since an admission decision reads only its own shop's
     committed set).  Each batch runs in three phases: precondition
-    checks, the EEDF path for identical-length adds and cache lookups
-    sequentially in submission order, cache misses and uncached adds
-    solved in parallel ({!E2e_exec.Pool.map} preserves
-    submission order and every solve is a pure function of its
-    candidate), then relabelling + checker verification
+    checks, canonicalization and cache lookups sequentially in
+    submission order; cache misses and every [Add] solved in parallel
+    ({!E2e_exec.Pool.map} preserves submission order and every solve is
+    a pure function of its candidate), so an [Add]'s solve is timed in
+    the solve stage; then relabelling + checker verification
     ({!Admission.verify_decision}), cache insertion, state commits and
     reply emission sequentially in submission order again.  Only
     [Submit]s use the cache: phase 1 asks {!Admission.cache_for}, and
     phase 3 inserts exactly the misses phase 1 looked up, so an [Add]
     is never looked up or inserted and growing shops cannot fill the
-    cache with one-off entries.  Replies
-    therefore depend only on the request log and the configuration —
-    the same log yields a byte-identical reply log at any [jobs] value.
+    cache with one-off entries.  Cache keys are forced in phase 1 only,
+    never on a worker domain.  Replies therefore depend only on the
+    request log and the configuration — the same log yields a
+    byte-identical reply log at any [jobs] value.
+
+    {b Exception boundary.}  Prepare, the solve handed to the pool, and
+    relabel + verify each run under {!Admission.guard}.  A request that
+    raises (today [Rat.Overflow] on magnitudes the parser admits) is
+    answered {!Admission.internal_error}, counted in
+    [internal_errors], and left uncommitted; the rest of the batch, and
+    later batches, proceed.
 
     {b Telemetry.}  Every queued request gets a monotonically
     increasing id at ingress.  When {!Rtrace.active} the batcher
@@ -109,13 +117,9 @@ type service_stats = {
   max_batch : int;
   budget_exhausted : int;  (** Replies [Undecided (budget-exhausted)]. *)
   verify_failures : int;  (** Replies downgraded by the verify stage. *)
-  inc_hits : int;
-      (** [Add] requests decided by EEDF
-          ({!Admission.try_incremental}). *)
-  inc_misses : int;
-      (** [Add] requests that went to the (uncached) full solve —
-          [inc_hits / (inc_hits + inc_misses)] is the share of adds
-          decided by EEDF. *)
+  internal_errors : int;
+      (** Requests that raised and were answered
+          {!Admission.internal_error}. *)
   resident : (string * int) list;
       (** Committed tasks per shop, sorted by shop name. *)
   verdicts : (string * (int * int * int)) list;

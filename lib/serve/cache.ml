@@ -8,8 +8,7 @@ module Obs = E2e_obs.Obs
 type canonical = {
   shop : Recurrence_shop.t;
   perm : int array;
-  key : string;
-  lines : string array;
+  key : string Lazy.t;
 }
 
 let compare_task (a : Task.t) (b : Task.t) =
@@ -27,13 +26,14 @@ let compare_task (a : Task.t) (b : Task.t) =
       in
       go 0
 
-(* The visit sequence is part of the key: Instance_io omits the identity
-   sequence, and two shops with the same tasks but different sequences
-   are different instances.  The header plus the per-task lines is
-   byte-identical to the historical [Printf]-over-[Instance_io.to_string]
-   rendering, so keys are stable across the incremental paths below. *)
-let header (visit : Visit.t) =
-  let buf = Buffer.create 32 in
+(* The digest of the canonical rendering.  The visit sequence is part of
+   the key: Instance_io omits the identity sequence, and two shops with
+   the same tasks but different sequences are different instances.  The
+   header plus the per-task lines is byte-identical to the historical
+   [Printf]-over-[Instance_io.to_string] rendering. *)
+let digest (shop : Recurrence_shop.t) =
+  let visit = shop.Recurrence_shop.visit in
+  let buf = Buffer.create 256 in
   Buffer.add_string buf "visit:";
   Array.iteri
     (fun i p ->
@@ -46,12 +46,7 @@ let header (visit : Visit.t) =
     Array.iter (fun p -> Buffer.add_string buf (Printf.sprintf " %d" (p + 1))) visit.Visit.sequence;
     Buffer.add_char buf '\n'
   end;
-  Buffer.contents buf
-
-let digest_lines visit lines =
-  let buf = Buffer.create 256 in
-  Buffer.add_string buf (header visit);
-  Array.iter (Buffer.add_string buf) lines;
+  Array.iter (fun t -> Buffer.add_string buf (Instance_io.task_line t)) shop.tasks;
   Digest.to_hex (Digest.string (Buffer.contents buf))
 
 let sort_positions (tasks : Task.t array) =
@@ -62,80 +57,56 @@ let sort_positions (tasks : Task.t array) =
        (fun a b -> compare_task tasks.(a) tasks.(b))
        (Array.to_list (Array.init (Array.length tasks) Fun.id)))
 
-let relabelled tasks = Array.mapi (fun p (t : Task.t) -> Task.make ~id:p ~release:t.release ~deadline:t.deadline ~proc_times:t.proc_times) tasks
+(* [sorted] in canonical order, relabelled [0..n-1].  The key is left
+   unforced: only a cache lookup needs it, and [Add]s never look up. *)
+let of_sorted visit (sorted : Task.t array) perm =
+  let tasks =
+    Array.mapi
+      (fun p (t : Task.t) ->
+        Task.make ~id:p ~release:t.release ~deadline:t.deadline ~proc_times:t.proc_times)
+      sorted
+  in
+  let shop = Recurrence_shop.make ~visit tasks in
+  { shop; perm; key = lazy (digest shop) }
 
 let canonicalize (shop : Recurrence_shop.t) =
   let perm = sort_positions shop.tasks in
-  let tasks = relabelled (Array.map (fun orig -> shop.Recurrence_shop.tasks.(orig)) perm) in
-  let canonical_shop = Recurrence_shop.make ~visit:shop.visit tasks in
-  let lines = Array.map Instance_io.task_line tasks in
-  { shop = canonical_shop; perm; key = digest_lines shop.visit lines; lines }
+  of_sorted shop.visit (Array.map (fun orig -> shop.Recurrence_shop.tasks.(orig)) perm) perm
 
-let key shop = (canonicalize shop).key
+let key shop = Lazy.force (canonicalize shop).key
 
 (* Stable merge of the committed canonical order with the stably sorted
    fresh tasks — ties take the committed side — equals the stable sort
    of committed-then-fresh, i.e. exactly what [canonicalize] would
-   compute on the merged candidate.  Committed lines are reused verbatim;
-   only the fresh tasks are rendered. *)
+   compute on the merged candidate. *)
 let merge ~(base : canonical) (fresh : Task.t array) =
-  let n = Array.length base.perm and k = Array.length fresh in
+  let committed = base.shop.Recurrence_shop.tasks in
+  let n = Array.length committed and k = Array.length fresh in
   let fperm = sort_positions fresh in
-  let total = n + k in
-  let perm = Array.make total 0 in
-  let lines = Array.make total "" in
-  let pick = Array.make total true (* true = committed side *) in
+  let perm = Array.make (n + k) 0 in
   let i = ref 0 and j = ref 0 in
-  for p = 0 to total - 1 do
-    let take_base =
-      if !i >= n then false
-      else if !j >= k then true
-      else compare_task base.shop.Recurrence_shop.tasks.(!i) fresh.(fperm.(!j)) <= 0
-    in
-    pick.(p) <- take_base;
-    if take_base then begin
-      perm.(p) <- base.perm.(!i);
-      lines.(p) <- base.lines.(!i);
-      incr i
-    end
-    else begin
-      perm.(p) <- n + fperm.(!j);
-      lines.(p) <- Instance_io.task_line fresh.(fperm.(!j));
-      incr j
-    end
-  done;
-  let i = ref 0 and j = ref 0 in
-  let tasks =
-    Array.init total (fun p ->
-        let t =
-          if pick.(p) then begin
-            let t = base.shop.Recurrence_shop.tasks.(!i) in
-            incr i;
-            t
-          end
-          else begin
-            let t = fresh.(fperm.(!j)) in
-            incr j;
-            t
-          end
-        in
-        Task.make ~id:p ~release:t.Task.release ~deadline:t.deadline ~proc_times:t.proc_times)
+  (* [Array.init] applies its function to 0, 1, ... in order. *)
+  let sorted =
+    Array.init (n + k) (fun p ->
+        if !j >= k || (!i < n && compare_task committed.(!i) fresh.(fperm.(!j)) <= 0) then begin
+          perm.(p) <- base.perm.(!i);
+          incr i;
+          committed.(!i - 1)
+        end
+        else begin
+          perm.(p) <- n + fperm.(!j);
+          incr j;
+          fresh.(fperm.(!j - 1))
+        end)
   in
-  let visit = base.shop.Recurrence_shop.visit in
-  {
-    shop = Recurrence_shop.make ~visit tasks;
-    perm;
-    key = digest_lines visit lines;
-    lines;
-  }
+  of_sorted base.shop.Recurrence_shop.visit sorted perm
 
 (* {2 Structural pre-key}
 
-   Canonicalization's cost is dominated by rendering the task lines and
-   digesting them.  The keyer memoizes finished canonicals under a cheap
-   structural fingerprint; a repeat (byte-identical or any permutation)
-   is recognised by sorting alone and reuses the stored key and lines
-   without touching [Printf] or [Digest].  The fingerprint is only an
+   The keyer memoizes finished canonicals under a cheap structural
+   fingerprint; a repeat (byte-identical or any permutation) is
+   recognised by sorting alone and shares the stored shop and its key,
+   which is rendered and digested at most once.  The fingerprint is only an
    index — every memo hit is verified task-by-task with exact rational
    comparison before reuse, so hash collisions cost time, never
    correctness. *)
@@ -193,10 +164,7 @@ module Keyer = struct
     | None ->
         t.rendered <- t.rendered + 1;
         Obs.incr "serve.keyer.render";
-        let tasks = relabelled sorted in
-        let canonical_shop = Recurrence_shop.make ~visit tasks in
-        let lines = Array.map Instance_io.task_line tasks in
-        let c = { shop = canonical_shop; perm; key = digest_lines visit lines; lines } in
+        let c = of_sorted visit sorted perm in
         bucket := c :: !bucket;
         c
 

@@ -33,35 +33,33 @@ type canonical = {
   perm : int array;
       (** [perm.(p)] is the original id of the task at canonical
           position [p]. *)
-  key : string;  (** Digest of the canonical rendering. *)
-  lines : string array;
-      (** [lines.(p)] is the rendered {!E2e_model.Instance_io.task_line}
-          of the task at canonical position [p] — task lines are id-free,
-          so they survive relabelling and are reused verbatim by
-          {!merge} and {!Keyer}. *)
+  key : string Lazy.t;
+      (** Digest of the canonical rendering, computed when first forced.
+          Only cache lookups force it, always on the batcher's own
+          domain: two domains must never force one key at once. *)
 }
 
 val canonicalize : E2e_model.Recurrence_shop.t -> canonical
 
 val key : E2e_model.Recurrence_shop.t -> string
-(** [key shop] = [(canonicalize shop).key]. *)
+(** [key shop] = [Lazy.force (canonicalize shop).key]. *)
 
 val merge : base:canonical -> E2e_model.Task.t array -> canonical
 (** [merge ~base fresh] is [canonicalize] of the shop whose task array is
     [base]'s original task set followed by [fresh] (ids renumbered
     densely, [fresh.(i)] becoming original id [n + i]) — computed
     incrementally: the committed side contributes its already-sorted
-    order and already-rendered lines, so only the [fresh] tasks are
-    sorted and rendered before the single stable merge and digest.  This
-    is the admission engine's [Add] hot path: the committed set's
-    canonical is kept per shop and every re-solve reuses it. *)
+    order, so only the [fresh] tasks are sorted before one stable merge.
+    Nothing is rendered or digested until the key is forced, which the
+    admission engine never does for an [Add]. *)
 
 (** Structural pre-key: a memo that recognises repeated instances (byte
-    repeats and permutations alike) after sorting alone, skipping the
-    render-and-digest step of {!canonicalize}.  Every memo hit is
-    verified with exact rational comparison against the stored canonical
-    before its key is reused, so fingerprint collisions cost time, never
-    correctness.  Counters: [serve.keyer.reuse], [serve.keyer.render]. *)
+    repeats and permutations alike) after sorting alone and shares the
+    stored canonical, so a repeat never renders or digests its key
+    again.  Every memo hit is verified with exact rational comparison
+    against the stored canonical before its key is reused, so
+    fingerprint collisions cost time, never correctness.  Counters:
+    [serve.keyer.reuse], [serve.keyer.render]. *)
 module Keyer : sig
   type t
 
@@ -69,7 +67,7 @@ module Keyer : sig
 
   val canonicalize : t -> E2e_model.Recurrence_shop.t -> canonical
   (** Same result as the top-level {!canonicalize} (the [perm] is the
-      candidate's own; shop, key and lines may be shared with earlier
+      candidate's own; shop and key may be shared with earlier
       results). *)
 
   type stats = { reused : int; rendered : int }

@@ -188,8 +188,7 @@ let render_metrics stripes =
       iline "serve_max_batch_size" svc.Batcher.max_batch;
       iline "serve_budget_exhaustions_total" svc.Batcher.budget_exhausted;
       iline "serve_verify_downgrades_total" svc.Batcher.verify_failures;
-      iline "serve_incremental_hits_total" svc.Batcher.inc_hits;
-      iline "serve_incremental_misses_total" svc.Batcher.inc_misses;
+      iline "serve_internal_errors_total" svc.Batcher.internal_errors;
       iline "serve_stripes" (Stripes.count stripes);
       iline "serve_transport_read_errors_total" (Stripes.read_errors stripes);
     ]

@@ -93,8 +93,7 @@ let service_stats t =
         0 t.batchers;
     budget_exhausted = sum (fun s -> s.Batcher.budget_exhausted);
     verify_failures = sum (fun s -> s.Batcher.verify_failures);
-    inc_hits = sum (fun s -> s.Batcher.inc_hits);
-    inc_misses = sum (fun s -> s.Batcher.inc_misses);
+    internal_errors = sum (fun s -> s.Batcher.internal_errors);
     resident = merge (fun s -> s.Batcher.resident);
     verdicts = merge (fun s -> s.Batcher.verdicts);
   }

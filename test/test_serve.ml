@@ -151,7 +151,7 @@ let test_canonical_key_permutation_invariant () =
 
 (* The incremental Add path must be indistinguishable from a from-scratch
    canonicalization of the merged candidate: same key, same permutation,
-   same rendered lines — byte for byte. *)
+   same canonical tasks — byte for byte. *)
 let test_merge_matches_canonicalize () =
   let g = Prng.of_path [| 5; 99; 0 |] in
   for _ = 1 to 30 do
@@ -165,10 +165,13 @@ let test_merge_matches_canonicalize () =
     let fresh = Array.sub shop.Recurrence_shop.tasks h (n - h) in
     let merged = Cache.merge ~base:(Cache.canonicalize committed) fresh in
     let full = Cache.canonicalize shop in
-    Alcotest.(check string) "merge key = full key" full.Cache.key merged.Cache.key;
+    let lines (c : Cache.canonical) =
+      Array.map E2e_model.Instance_io.task_line c.shop.Recurrence_shop.tasks
+    in
+    Alcotest.(check string) "merge key = full key" (Lazy.force full.Cache.key)
+      (Lazy.force merged.Cache.key);
     Alcotest.(check (array int)) "merge perm = full perm" full.Cache.perm merged.Cache.perm;
-    Alcotest.(check (array string)) "merge lines = full lines" full.Cache.lines
-      merged.Cache.lines
+    Alcotest.(check (array string)) "merge lines = full lines" (lines full) (lines merged)
   done
 
 let test_keyer_reuses () =
@@ -177,20 +180,21 @@ let test_keyer_reuses () =
   for _ = 1 to 10 do
     let shop = gen_instance g in
     let c1 = Cache.Keyer.canonicalize k shop in
-    Alcotest.(check string) "keyer agrees with canonicalize" (Cache.key shop) c1.Cache.key;
+    Alcotest.(check string) "keyer agrees with canonicalize" (Cache.key shop)
+      (Lazy.force c1.Cache.key);
     (* A permutation sorts to the same canonical instance, so the second
-       canonicalization must skip the render-and-digest step yet hand
-       back the same key (and a perm valid for the permuted shop). *)
+       canonicalization must share the first one's key — digested at
+       most once — (and carry a perm valid for the permuted shop). *)
     let shuffled = permute g shop in
     let c2 = Cache.Keyer.canonicalize k shuffled in
-    Alcotest.(check string) "permutation reuses the key" c1.Cache.key c2.Cache.key;
+    Alcotest.(check bool) "permutation shares the key" true (c1.Cache.key == c2.Cache.key);
     (* The reused canonical carries the shuffled shop's own perm: the
        task at canonical position [p] must be (a content-equal twin of)
        [shuffled.tasks.(perm.(p))]. *)
     Array.iteri
       (fun p orig ->
         Alcotest.(check string) "perm points at a content-equal task"
-          c2.Cache.lines.(p)
+          (E2e_model.Instance_io.task_line c2.Cache.shop.Recurrence_shop.tasks.(p))
           (E2e_model.Instance_io.task_line shuffled.Recurrence_shop.tasks.(orig)))
       c2.Cache.perm
   done;
@@ -542,10 +546,10 @@ let add_one shop release =
 let cache_size b =
   match Batcher.cache_stats b with Some st -> st.Cache.size | None -> 0
 
-(* The memory policy: identical-length adds are decided by EEDF off the
-   cache (the delta path), so a growing shop leaves one cache entry (its
-   submit) however many adds it takes, and the resident accounting keeps
-   in step. *)
+(* The memory policy: adds stay off the cache — an identical-length one
+   is decided by EEDF on the full-solve path — so a growing shop leaves
+   one cache entry (its submit) however many adds it takes, and the
+   resident accounting keeps in step. *)
 let test_incremental_warm_path () =
   let log =
     [
@@ -558,29 +562,19 @@ let test_incremental_warm_path () =
   Array.iter
     (fun o ->
       match o with
-      | Batcher.Reply (Admission.Decided { decision = Admission.Admitted _; _ }) -> ()
-      | o -> Alcotest.failf "expected admitted, got %a" Batcher.pp_outcome o)
+      | Batcher.Reply
+          (Admission.Decided { decision = Admission.Admitted { algo = "eedf"; _ }; _ }) -> ()
+      | o -> Alcotest.failf "expected admitted by eedf, got %a" Batcher.pp_outcome o)
     outcomes;
   let svc = Batcher.service_stats b in
-  Alcotest.(check int) "both adds decided off-cache" 2 svc.Batcher.inc_hits;
-  Alcotest.(check int) "no cache-path adds" 0 svc.Batcher.inc_misses;
   Alcotest.(check int) "only the submit is cached" 1 (cache_size b);
   Alcotest.(check (list (pair string int))) "resident sizes track commits"
     [ ("w", 8) ] svc.Batcher.resident
 
-(* Adds to a shop outside the identical-length class go down the
-   full-solve path and count a delta miss, but stay off the cache: no
-   lookup (the cache's miss count is the submit's alone) and no entry,
-   in the batcher and in the sequential interpreter alike. *)
+(* Adds to a shop outside the identical-length class stay off the cache
+   too: no lookup (the cache's miss count is the submit's alone) and no
+   entry, in the batcher and in the sequential interpreter alike. *)
 let test_incremental_fallback_counted () =
-  let g = Prng.of_path [| 9; 55; 1 |] in
-  let log =
-    [ Admission.Submit { shop = "c"; instance = gen_instance g }; add_one "c" Rat.zero ]
-  in
-  let _, b = run_log ~jobs:1 ~cache_capacity:0 log in
-  let svc = Batcher.service_stats b in
-  Alcotest.(check int) "no delta hits for a generic shop" 0 svc.Batcher.inc_hits;
-  Alcotest.(check int) "fallback counted" 1 svc.Batcher.inc_misses;
   let arbitrary =
     Recurrence_shop.of_traditional
       (Flow_shop.of_params
@@ -591,9 +585,6 @@ let test_incremental_fallback_counted () =
   in
   let log = [ Admission.Submit { shop = "c"; instance = arbitrary }; add_one "c" Rat.zero ] in
   let _, b = run_log ~jobs:1 ~cache_capacity:64 log in
-  let svc = Batcher.service_stats b in
-  Alcotest.(check int) "arbitrary add is not decided off-cache" 0 svc.Batcher.inc_hits;
-  Alcotest.(check int) "arbitrary add counted as a miss" 1 svc.Batcher.inc_misses;
   Alcotest.(check int) "arbitrary add is not cached" 1 (cache_size b);
   let misses = match Batcher.cache_stats b with Some st -> st.Cache.misses | None -> -1 in
   Alcotest.(check int) "only the submit looked the cache up" 1 misses;
@@ -607,8 +598,7 @@ let test_incremental_fallback_counted () =
   Alcotest.(check int) "apply leaves the cache alone on an add" before (Cache.length cache);
   Alcotest.(check int) "apply never looked an add up" 1 (Cache.stats cache).Cache.misses
 
-(* Replies must not depend on whether the off-cache EEDF path or a
-   worker-domain full solve produced them. *)
+(* Replies to adds must not depend on the worker-domain count. *)
 let test_incremental_transparent_across_jobs () =
   let log =
     Admission.Submit { shop = "w"; instance = identical_instance 11 }
@@ -617,6 +607,64 @@ let test_incremental_transparent_across_jobs () =
   let o1, _ = run_log ~jobs:1 ~cache_capacity:64 log in
   let o4, _ = run_log ~jobs:4 ~cache_capacity:64 log in
   Alcotest.(check string) "byte-identical replies" (render_outcomes o1) (render_outcomes o4)
+
+(* Random identical-length shops under random batches of identical-length
+   adds.  Windows of m..4m task lengths make some adds (and submits)
+   infeasible. *)
+let identical_add_log seed =
+  let g = Prng.of_path [| seed; 56; 0 |] in
+  let shops = 1 + Prng.int g 3 and m = 2 + Prng.int g 2 in
+  let tau = Rat.make (1 + Prng.int g 3) (1 + Prng.int g 2) in
+  let submits =
+    List.init shops (fun i ->
+        let fs = Feasible_gen.identical_length g ~n:(2 + Prng.int g 5) ~m ~tau ~window:(8 + Prng.int g 12) in
+        Admission.Submit
+          { shop = Printf.sprintf "i%d" i; instance = Recurrence_shop.of_traditional fs })
+  in
+  let adds =
+    List.init (3 + Prng.int g 8) (fun _ ->
+        let tasks =
+          List.init (1 + Prng.int g 3) (fun _ ->
+              let release = Prng.rat_uniform g ~den:4 Rat.zero (Rat.of_int 10) in
+              let window = Rat.mul_int tau (m + Prng.int g (3 * m)) in
+              (release, Rat.add release window, Array.make m tau))
+        in
+        Admission.Add { shop = Printf.sprintf "i%d" (Prng.int g shops); tasks })
+  in
+  submits @ adds
+
+(* Identical-length adds have one decision path: [try_incremental] (the
+   benchmark's EEDF guard) agrees with [solve_prepared] on every add,
+   and the batcher at -j 1 and -j 4 agrees with [Admission.apply] reply
+   for reply, schedules included. *)
+let prop_identical_adds_one_path =
+  let render reply = Protocol.render_reply (Batcher.Reply reply) in
+  let decided decision = render (Admission.Decided { shop = "x"; n_tasks = 0; decision }) in
+  Helpers.to_alcotest
+    (QCheck.Test.make ~name:"identical-length adds take one decision path" ~count:60
+       QCheck.(make ~print:string_of_int Gen.(int_bound 1_000_000))
+       (fun seed ->
+         let log = identical_add_log seed in
+         let _, reference =
+           List.fold_left
+             (fun (state, acc) req ->
+               (match Admission.prepare state req with
+               | Ok p when p.Admission.is_add -> (
+                   let s, hint = Admission.solve_prepared ~budget:Admission.Unbounded p in
+                   match Admission.try_incremental p with
+                   | Some (d, h) when decided d = decided s.Admission.decision && h = hint -> ()
+                   | Some _ -> QCheck.Test.fail_report "try_incremental and solve_prepared differ"
+                   | None -> QCheck.Test.fail_report "identical-length add missed the guard")
+               | _ -> ());
+               let state, reply = Admission.apply state req in
+               (state, render reply :: acc))
+             (Admission.empty, []) log
+         in
+         let reference = List.rev reference in
+         let batched jobs =
+           Array.to_list (Array.map Protocol.render_reply (fst (run_log ~jobs ~cache_capacity:64 log)))
+         in
+         batched 1 = reference && batched 4 = reference))
 
 let test_metrics_exposes_incremental () =
   let log =
@@ -635,8 +683,7 @@ let test_metrics_exposes_incremental () =
     (fun needle ->
       Alcotest.(check bool) ("metrics expose " ^ needle) true (contains needle))
     [
-      "serve_incremental_hits_total 1";
-      "serve_incremental_misses_total 0";
+      "serve_internal_errors_total 0";
       "serve_shop_resident_tasks{shop=\"w\"} 7";
     ]
 
@@ -736,9 +783,11 @@ let with_server ?(jobs = 1) ?(accept_pool = 3) ?(window = 64) ?(drainers = 1)
   r
 
 (* One client session: connect, read the greeting, send every line plus
-   [quit], then read replies to end-of-stream. *)
-let tcp_session port lines =
+   [quit], then read replies to end-of-stream.  With [recv_timeout] a
+   reply that never comes fails the read instead of hanging the test. *)
+let tcp_session ?recv_timeout port lines =
   let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+  Option.iter (Unix.setsockopt_float fd Unix.SO_RCVTIMEO) recv_timeout;
   Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
   let ic = Unix.in_channel_of_descr fd in
   let oc = Unix.out_channel_of_descr fd in
@@ -1035,6 +1084,66 @@ let test_session_counts_read_errors () =
     [ "serve_stripes 1"; "serve_transport_read_errors_total 1" ]
 
 (* ------------------------------------------------------------------ *)
+(* The per-request exception boundary                                  *)
+
+(* Task sums past 2^62: the solver raises [Rat.Overflow] on these. *)
+let huge = "4600000000000000000" and half = "2300000000000000000"
+
+(* One stdio session over pipes on a fresh one-stripe service: the reply
+   lines after the greeting, and the stripes. *)
+let stdio_session lines =
+  let req_r, req_w = Unix.pipe () and rep_r, rep_w = Unix.pipe () in
+  Wire.write_all req_w (String.concat "" (List.map (fun l -> l ^ "\n") lines));
+  Unix.close req_w;
+  let stripes = Stripes.create () in
+  let oc = Unix.out_channel_of_descr rep_w in
+  Server.session ~schedules:false stripes req_r oc;
+  close_out oc;
+  Unix.close req_r;
+  let ic = Unix.in_channel_of_descr rep_r in
+  let rec read acc = match input_line ic with l -> read (l :: acc) | exception End_of_file -> acc in
+  let lines = List.rev (read []) in
+  close_in ic;
+  (List.tl lines, stripes)
+
+(* Regression: the overflow escaped [Batcher.step] and killed
+   [e2e-serve --stdio] with exit 125. *)
+let test_overflow_submit_answered () =
+  let replies, stripes =
+    stdio_session [ Printf.sprintf "submit big task 0 %s %s %s %s" huge half half half; "ping" ]
+  in
+  Alcotest.(check (list string)) "error internal, then pong"
+    [ "error shop=big internal"; "pong " ^ Protocol.version ] replies;
+  Alcotest.(check bool) "counted" true
+    (List.mem "serve_internal_errors_total 1"
+       (String.split_on_char ';' (Protocol.render_metrics stripes)))
+
+let test_overflow_add_uncommitted () =
+  let replies, _ =
+    stdio_session
+      [ "submit s task 0 10 1 1 1"; Printf.sprintf "add s task 0 %s %s %s %s" huge huge huge huge;
+        "query s" ]
+  in
+  Alcotest.(check (list string)) "the add is not committed"
+    [ "admitted shop=s tasks=1 algo=eedf makespan=3"; "error shop=s internal";
+      "info shop=s tasks=1" ]
+    replies
+
+(* Regression: on TCP the overflow killed the stripe's drainer domain,
+   and every later request on that stripe hung. *)
+let test_overflow_keeps_stripe_stepping () =
+  with_server ~drainers:1 ~max_connections:1 (fun port ->
+      let _, replies =
+        tcp_session ~recv_timeout:10. port
+          [ Printf.sprintf "submit big task 0 %s %s %s %s" huge half half half;
+            "submit s task 0 10 1 1 1"; "query s" ]
+      in
+      Alcotest.(check (list string)) "later requests on the stripe answered"
+        [ "error shop=big internal"; "admitted shop=s tasks=1 algo=eedf makespan=3";
+          "info shop=s tasks=1"; "bye" ]
+        replies)
+
+(* ------------------------------------------------------------------ *)
 (* The shared listener, driven with a trivial echo handler             *)
 
 let echo conn r =
@@ -1170,6 +1279,7 @@ let suite =
      test_incremental_transparent_across_jobs);
     ("protocol: metrics expose incremental counters", `Quick,
      test_metrics_exposes_incremental);
+    prop_identical_adds_one_path;
     ("protocol: any whitespace splits words", `Quick, test_protocol_whitespace);
     ("protocol: add payloads whitelist task directives", `Quick,
      test_parse_tasks_whitelist);
@@ -1187,6 +1297,10 @@ let suite =
      test_session_oversized_line);
     ("server: stdio session counts hard read errors", `Quick,
      test_session_counts_read_errors);
+    ("server: stdio overflow answered error internal", `Quick, test_overflow_submit_answered);
+    ("server: overflowing add is not committed", `Quick, test_overflow_add_uncommitted);
+    ("server: overflow keeps the TCP stripe stepping", `Quick,
+     test_overflow_keeps_stripe_stepping);
     ("wire: max_connections ends serve after N accepts", `Quick, test_wire_quota);
     ("wire: shutdown wakes accepts, resets connections", `Quick, test_wire_shutdown);
     ("wire: shutdown before bind returns at once", `Quick,
