@@ -6,6 +6,7 @@ FUZZ_A := /tmp/e2e_sched_fuzz_j1.txt
 FUZZ_B := /tmp/e2e_sched_fuzz_j4.txt
 SERVE_A := /tmp/e2e_sched_serve_j1.txt
 SERVE_B := /tmp/e2e_sched_serve_j4.txt
+OFF_GRID := /tmp/e2e_sched_off_grid.txt
 CONC_A := /tmp/e2e_sched_conc_j1
 CONC_B := /tmp/e2e_sched_conc_j4
 CONC_D := /tmp/e2e_sched_conc_d4
@@ -89,7 +90,9 @@ bench-cluster:
 
 # Replay the full-grammar request fixture through the stdio transport on
 # 1 and 4 domains: the reply logs must be byte-identical and contain
-# admitted verdicts.
+# admitted verdicts, and every hostile line (a solver overflow, decimal
+# literals past the 63-bit rationals) must get an error reply followed
+# by a live pong.
 serve-smoke:
 	rm -f $(SERVE_A) $(SERVE_B)
 	dune exec bin/serve.exe -- --stdio -j 1 \
@@ -102,6 +105,8 @@ serve-smoke:
 	grep -q '^rejected ' $(SERVE_A)
 	grep -q '^metrics ' $(SERVE_A)
 	grep -A1 '^error shop=big internal$$' $(SERVE_A) | grep -q '^pong '
+	grep -A1 '^error .*"2\.00000000000000000001"$$' $(SERVE_A) | grep -q '^pong '
+	grep -A1 '^error .*"4611686018427387903\.5"$$' $(SERVE_A) | grep -q '^pong '
 
 # The concurrent transport determinism smoke: $(CONC_CONNS) pipelined
 # client domains against an embedded multi-domain TCP server on 1 and 4
@@ -203,10 +208,15 @@ fuzz-smoke:
 # and cluster smokes, the loadgen sweep path, and both tracked loadgen
 # benchmark files (every point a valid `jsonl_check --bench` record),
 # then check that `jsonl_check --bench` rejects a point whose host has
-# no commit (test/bench_point_no_commit.jsonl).
+# no commit (test/bench_point_no_commit.jsonl).  The CLI must refuse an
+# instance past the single-machine engine's integer-grid bound with a
+# one-line message and a non-zero exit.
 check:
 	dune build
 	dune runtest
+	! dune exec bin/e2e_sched_cli.exe -- schedule \
+	  test/corpus/seed-eedf-fast-grid-over.txt 2> $(OFF_GRID)
+	grep -q 'do not fit the 63-bit integer grid' $(OFF_GRID)
 	rm -f $(METRICS) $(PAR_METRICS) $(PAR_A) $(PAR_B)
 	dune exec bin/experiments.exe -- table1 --metrics $(METRICS)
 	dune exec bin/jsonl_check.exe $(METRICS)
@@ -229,7 +239,7 @@ check:
 clean:
 	dune clean
 	rm -f $(METRICS) $(PAR_METRICS) $(PAR_A) $(PAR_B) $(FUZZ_A) $(FUZZ_B) \
-	  $(SERVE_A) $(SERVE_B) $(CONC_A).conn* $(CONC_B).conn* $(CONC_D).conn* \
+	  $(SERVE_A) $(SERVE_B) $(OFF_GRID) $(CONC_A).conn* $(CONC_B).conn* $(CONC_D).conn* \
 	  $(CORE_SMOKE) $(CLUS_A).conn* $(CLUS_B).conn* $(CLUS_C).conn* \
 	  $(TRACE_A) $(TRACE_B) $(TRACE_SUM) \
 	  $(TRACE_LG) $(SWEEP_D) $(SWEEP_S)

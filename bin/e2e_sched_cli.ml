@@ -96,6 +96,14 @@ let with_telemetry ~trace ~trace_format ~stats f =
           end)
         f
 
+(* The single-machine engine refuses instances whose scaled times could
+   wrap a native int, and the rationals refuse sums past 63 bits: say so
+   in one line instead of dying on the exception. *)
+let refuse_overflow path f =
+  try f ()
+  with Rat.Overflow ->
+    Error (`Msg (path ^ ": the instance's times do not fit the 63-bit integer grid"))
+
 let schedule_cmd =
   let path = Arg.(required & pos 0 (some file) None & info [] ~docv:"FILE") in
   let gantt = Arg.(value & flag & info [ "gantt"; "g" ] ~doc:"Also print an ASCII Gantt chart.") in
@@ -117,6 +125,7 @@ let schedule_cmd =
     match load path with
     | Error e -> Error e
     | Ok shop ->
+        refuse_overflow path @@ fun () ->
         with_telemetry ~trace ~trace_format ~stats @@ fun () ->
         (
         let traditional () =
@@ -238,6 +247,7 @@ let check_cmd =
     match load path with
     | Error e -> Error e
     | Ok shop ->
+        refuse_overflow path @@ fun () ->
         Format.printf "%d tasks, %d stages, %d processors@." (Recurrence_shop.n_tasks shop)
           (Visit.length shop.Recurrence_shop.visit)
           shop.Recurrence_shop.visit.Visit.processors;
@@ -257,6 +267,7 @@ let certify_cmd =
     match load path with
     | Error e -> Error e
     | Ok shop ->
+        refuse_overflow path @@ fun () ->
         if not (Visit.is_traditional shop.Recurrence_shop.visit) then
           Error (`Msg "certificates apply to traditional (loop-free) task sets")
         else begin

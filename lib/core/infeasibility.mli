@@ -29,7 +29,10 @@ val pp_certificate : Format.formatter -> certificate -> unit
 
 val check : E2e_model.Flow_shop.t -> certificate option
 (** First certificate found, or [None] when the tests are inconclusive
-    (the instance may still be infeasible).  O(m n^2) after sorting. *)
+    (the instance may still be infeasible).  O(m^2 n^3): for each of
+    the m processors, every (release, deadline) window rescans the n
+    tasks, recomputing each task's effective release and deadline in
+    O(m). *)
 
 val is_provably_infeasible : E2e_model.Flow_shop.t -> bool
 

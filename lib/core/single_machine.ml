@@ -100,39 +100,15 @@ let brute_force_feasible ~tau jobs =
    between regions with one floor division — only for the candidates
    within [Lambda] of it, and takes the exact minimum.
 
-   The engine is written once, over an ordered time domain ({!TIME}),
-   and instantiated twice: {!Grid} on native ints for instances on an
-   integer time grid, {!Exact} on rationals for the rest (see
-   {!to_grid} for when the grid applies and why it is exact). *)
+   The engine runs on native ints: each entry point first scales the
+   instance onto an integer time grid ({!to_grid}, which also proves
+   that no int the engine forms can wrap, and refuses the instances
+   for which it cannot). *)
 
-module type TIME = sig
-  include E2e_ds.Interval_set.TIME
-
-  val mul_int : t -> int -> t
-
-  val floor_div : t -> t -> int
-  (** [floor_div a b] is [floor (a / b)] for [b > 0]. *)
-end
-
-module Int_time = struct
-  type t = int
-
-  let zero = 0
-  let compare = Int.compare
-  let add = ( + )
-  let sub = ( - )
-  let mul_int = ( * )
-
-  let floor_div a b =
-    let q = a / b in
-    if a mod b < 0 then q - 1 else q
-end
-
-module Rat_time = struct
-  include Rat
-
-  let floor_div a b = Rat.floor (Rat.div a b)
-end
+(* [floor (a / b)] for [b > 0]. *)
+let floor_div a b =
+  let q = a / b in
+  if a mod b < 0 then q - 1 else q
 
 (* Fenwick tree of active-job counts per deadline position (1-based
    internally). *)
@@ -159,26 +135,24 @@ module Fenwick = struct
     !s
 end
 
-module Engine (T : TIME) = struct
-  module Iset = E2e_ds.Interval_set.Make (T)
+module Grid = struct
+  module Iset = E2e_ds.Interval_set
 
-  type job = { id : int; release : T.t; deadline : T.t }
-
-  let lt a b = T.compare a b < 0
+  type job = { id : int; release : int; deadline : int }
 
   (* Lazy min segment tree over deadline positions.  A leaf is live for
      an active deadline (value [d - N(d) tau]) and dead for an inactive
      one; a node is live when its subtree holds a live leaf, and its
-     [min_] entry is meaningful only then (values stay unboxed on the
-     int grid).  [apply i k] records "N grew by k" on a subtree, i.e.
-     subtracts [k tau] from its live leaves, lazily. *)
+     [min_] entry is meaningful only then.  [apply i k] records "N grew
+     by k" on a subtree, i.e. subtracts [k tau] from its live leaves,
+     lazily. *)
   module Vtree = struct
     type t = {
       size : int; (* power of two >= leaf count, >= 1 *)
-      min_ : T.t array; (* 1-based, 2*size nodes *)
+      min_ : int array; (* 1-based, 2*size nodes *)
       live : bool array;
       pend : int array; (* pending count per internal node *)
-      tau : T.t;
+      tau : int;
     }
 
     let create ~tau m =
@@ -188,7 +162,7 @@ module Engine (T : TIME) = struct
       done;
       {
         size = !size;
-        min_ = Array.make (2 * !size) T.zero;
+        min_ = Array.make (2 * !size) 0;
         live = Array.make (2 * !size) false;
         pend = Array.make (2 * !size) 0;
         tau;
@@ -196,7 +170,7 @@ module Engine (T : TIME) = struct
 
     let apply t i k =
       if k <> 0 then begin
-        if t.live.(i) then t.min_.(i) <- T.sub t.min_.(i) (T.mul_int t.tau k);
+        if t.live.(i) then t.min_.(i) <- t.min_.(i) - (t.tau * k);
         if i < t.size then t.pend.(i) <- t.pend.(i) + k
       end
 
@@ -211,10 +185,7 @@ module Engine (T : TIME) = struct
     let pull t i =
       let a = 2 * i and b = (2 * i) + 1 in
       let la = t.live.(a) and lb = t.live.(b) in
-      if la && lb then begin
-        let va = t.min_.(a) and vb = t.min_.(b) in
-        t.min_.(i) <- (if T.compare va vb <= 0 then va else vb)
-      end
+      if la && lb then t.min_.(i) <- Int.min t.min_.(a) t.min_.(b)
       else if la then t.min_.(i) <- t.min_.(a)
       else if lb then t.min_.(i) <- t.min_.(b);
       t.live.(i) <- la || lb
@@ -253,7 +224,7 @@ module Engine (T : TIME) = struct
     (* Visit the position of every live leaf whose value is <= threshold. *)
     let iter_le t threshold f =
       let rec go i lo hi =
-        if t.live.(i) && T.compare t.min_.(i) threshold <= 0 then
+        if t.live.(i) && t.min_.(i) <= threshold then
           if lo = hi then f lo
           else begin
             push t i;
@@ -276,43 +247,38 @@ module Engine (T : TIME) = struct
       if k = 0 then x
       else
         let j = Iset.rightmost_left_below regions x in
-        if j < 0 then T.sub x (T.mul_int tau k)
+        if j < 0 then x - (tau * k)
         else
           let rt = Iset.right regions j in
           (* Smallest i >= 1 with x - i tau < rt (strict: the interval is
              open, landing exactly on rt stays outside). *)
-          let i0 =
-            let q = T.floor_div (T.sub x rt) tau + 1 in
-            if q < 1 then 1 else q
-          in
-          if i0 > k then T.sub x (T.mul_int tau k)
+          let i0 = Int.max 1 (floor_div (x - rt) tau + 1) in
+          if i0 > k then x - (tau * k)
           else
             (* The landing value y < rt may sit strictly inside region j
                — or inside a lower region entirely cleared by the last
                tau-step — so settle it with a general lookup.  Either
                way the settled value is <= l, so each recursion consumes
                at least one region: O(regions crossed) total. *)
-            let y = T.sub x (T.mul_int tau i0) in
-            go (Iset.adjust_down regions y) (k - i0)
+            go (Iset.adjust_down regions (x - (tau * i0))) (k - i0)
     in
     go x k
 
-  type core = Feasible_regions of Iset.t | Infeasible_at of T.t
+  type core = Feasible_regions of Iset.t | Infeasible_at of int
 
   (* The packing sweep over every distinct release, descending. *)
   let compute_core ~tau (jobs : job array) =
-    if T.compare tau T.zero <= 0 then invalid_arg "Single_machine: tau must be positive";
     let n = Array.length jobs in
     (* Distinct deadlines, ascending, and each job's deadline position
        among them. *)
     let by_deadline = Array.init n Fun.id in
-    Array.stable_sort (fun a b -> T.compare jobs.(a).deadline jobs.(b).deadline) by_deadline;
-    let distinct = Array.make n T.zero and dpos = Array.make n 0 in
+    Array.stable_sort (fun a b -> Int.compare jobs.(a).deadline jobs.(b).deadline) by_deadline;
+    let distinct = Array.make n 0 and dpos = Array.make n 0 in
     let m = ref 0 in
     Array.iter
       (fun p ->
         let d = jobs.(p).deadline in
-        if !m = 0 || T.compare d distinct.(!m - 1) <> 0 then begin
+        if !m = 0 || d <> distinct.(!m - 1) then begin
           distinct.(!m) <- d;
           incr m
         end;
@@ -321,37 +287,35 @@ module Engine (T : TIME) = struct
     let m = !m in
     (* Job positions by release, descending. *)
     let by_release = Array.init n Fun.id in
-    Array.stable_sort (fun a b -> T.compare jobs.(b).release jobs.(a).release) by_release;
+    Array.stable_sort (fun a b -> Int.compare jobs.(b).release jobs.(a).release) by_release;
     let fen = Fenwick.create m in
     let tree = Vtree.create ~tau m in
     let regions = ref Iset.empty in
-    let lambda = ref T.zero in
+    let lambda = ref 0 in
     let idx = ref 0 in
     let verdict = ref None in
     while Option.is_none !verdict && !idx < n do
       let r = jobs.(by_release.(!idx)).release in
-      while !idx < n && T.compare jobs.(by_release.(!idx)).release r = 0 do
+      while !idx < n && jobs.(by_release.(!idx)).release = r do
         let p = by_release.(!idx) in
         let pos = dpos.(p) in
         Fenwick.add fen pos 1;
-        Vtree.activate tree pos
-          (T.sub jobs.(p).deadline (T.mul_int tau (Fenwick.prefix fen pos)));
+        Vtree.activate tree pos (jobs.(p).deadline - (tau * Fenwick.prefix fen pos));
         incr idx
       done;
       (* Every candidate's exact value is at most its no-region value,
          hence at most the threshold, and the root minimum's leaf is
          always a candidate: starting [s] at the threshold loses
          nothing. *)
-      let threshold = T.add (Vtree.root_min tree) !lambda in
+      let threshold = Vtree.root_min tree + !lambda in
       let s = ref threshold in
       Vtree.iter_le tree threshold (fun pos ->
-          let tv = eval_gk !regions ~tau distinct.(pos) (Fenwick.prefix fen pos) in
-          if lt tv !s then s := tv);
+          s := Int.min !s (eval_gk !regions ~tau distinct.(pos) (Fenwick.prefix fen pos)));
       let s = !s in
-      if lt s r then verdict := Some (Infeasible_at r)
+      if s < r then verdict := Some (Infeasible_at r)
       else begin
-        let left = T.sub s tau in
-        if lt left r then begin
+        let left = s - tau in
+        if left < r then begin
           regions := Iset.add !regions ~left ~right:r;
           lambda := Iset.measure !regions
         end
@@ -368,22 +332,22 @@ module Engine (T : TIME) = struct
      be positions; returns the starts by position and the first position
      whose deadline is missed. *)
   let pending_cmp (a : job) (b : job) =
-    let c = T.compare a.release b.release in
+    let c = Int.compare a.release b.release in
     if c <> 0 then c else Int.compare a.id b.id
 
   let ready_cmp (a : job) (b : job) =
-    let c = T.compare a.deadline b.deadline in
-    let c = if c <> 0 then c else T.compare a.release b.release in
+    let c = Int.compare a.deadline b.deadline in
+    let c = if c <> 0 then c else Int.compare a.release b.release in
     if c <> 0 then c else Int.compare a.id b.id
 
   let dispatch ~tau ~advance (jobs : job array) =
     let n = Array.length jobs in
-    let starts = Array.make n T.zero in
+    let starts = Array.make n 0 in
     let missed = ref (-1) in
     let pending = Heap.create ~cmp:pending_cmp in
     let ready = Heap.create ~cmp:ready_cmp in
     Array.iter (Heap.push pending) jobs;
-    let free = ref (match Heap.peek pending with Some j -> j.release | None -> T.zero) in
+    let free = ref (match Heap.peek pending with Some j -> j.release | None -> 0) in
     for _ = 1 to n do
       (* Candidate dispatch time: machine free, and at least one
          release.  Every ready job was released before the machine last
@@ -393,13 +357,13 @@ module Engine (T : TIME) = struct
         ref
           (if Heap.is_empty ready then
              match Heap.peek pending with
-             | Some j -> if lt !free j.release then j.release else !free
+             | Some j -> Int.max !free j.release
              | None -> assert false
            else !free)
       in
       let rec settle () =
         let t' = advance !t in
-        if lt !t t' then begin
+        if !t < t' then begin
           t := t';
           settle ()
         end
@@ -407,7 +371,7 @@ module Engine (T : TIME) = struct
       settle ();
       let rec migrate () =
         match Heap.peek pending with
-        | Some j when T.compare j.release !t <= 0 ->
+        | Some j when j.release <= !t ->
             ignore (Heap.pop pending);
             Heap.push ready j;
             migrate ()
@@ -418,75 +382,29 @@ module Engine (T : TIME) = struct
       | None -> assert false
       | Some j ->
           starts.(j.id) <- !t;
-          free := T.add !t tau;
-          if lt j.deadline !free && !missed < 0 then missed := j.id
+          free := !t + tau;
+          if j.deadline < !free && !missed < 0 then missed := j.id
     done;
     (starts, !missed)
-
-  (* The entry points on this time domain; jobs carry dense ids, and
-     [to_rat] maps a time back to the caller's rationals — both for the
-     results and for the telemetry, which always prints rational text. *)
-
-  let schedule ~to_rat ~tau jobs =
-    let core = compute_core ~tau jobs in
-    if Obs.enabled () then begin
-      match core with
-      | Infeasible_at r ->
-          Obs.event "single_machine.infeasible_window"
-            ~fields:[ ("release", Obs.Str (Rat.to_string (to_rat r))) ]
-      | Feasible_regions iset ->
-          Obs.event "single_machine.regions"
-            ~fields:[ ("count", Obs.Int (Iset.cardinal iset)) ];
-          List.iter
-            (fun (left, right) ->
-              Obs.event "single_machine.forbidden_region"
-                ~fields:
-                  [
-                    ("left", Obs.Str (Rat.to_string (to_rat left)));
-                    ("right", Obs.Str (Rat.to_string (to_rat right)));
-                  ])
-            (Iset.to_list iset)
-    end;
-    match core with
-    | Infeasible_at _ -> Error `Infeasible
-    | Feasible_regions iset -> (
-        match dispatch ~tau ~advance:(Iset.adjust_up iset) jobs with
-        | _, p when p >= 0 -> Error `Infeasible
-        | starts, _ -> Ok (Array.map to_rat starts))
-
-  let forbidden_regions ~to_rat ~tau jobs =
-    match compute_core ~tau jobs with
-    | Infeasible_at _ -> Error `Infeasible
-    | Feasible_regions iset ->
-        Ok (List.map (fun (l, r) -> { left = to_rat l; right = to_rat r }) (Iset.to_list iset))
-
-  (* [Error p]: the first position whose deadline is missed. *)
-  let edf_schedule_no_regions ~to_rat ~tau jobs =
-    match dispatch ~tau ~advance:Fun.id jobs with
-    | _, p when p >= 0 -> Error p
-    | starts, _ -> Ok (Array.map to_rat starts)
 end
-
-module Grid = Engine (Int_time)
-module Exact = Engine (Rat_time)
 
 (* {1 The integer time grid}
 
    Let L be the lcm of the denominators of [tau] and of every release
    and deadline.  Scaling every time by L maps the instance onto the
    integers, and every operation the engine performs — add, sub,
-   [mul_int], comparisons, and the floor division in [eval_gk], which
-   is exact when both operands are integers — commutes with the
-   scaling.  So the {!Grid} run computes exactly L times the {!Exact}
-   run's values, provided no int wraps; [Rat.make v L] maps each output
-   back, and since rationals are canonical the results are equal to
-   the rational run's, structurally.
+   products with a count, comparisons, and the floor division in
+   [eval_gk], which is exact when both operands are integers — commutes
+   with the scaling.  So the {!Grid} run computes exactly L times the
+   values the same sweep and dispatch would compute on rationals,
+   provided no int wraps; [Rat.make v L] maps each output back, and
+   since rationals are canonical the results are the exact rationals.
 
    The bound.  In scaled units let [lo]/[hi] be the least/greatest
    release or deadline, [M = max (|lo|, |hi|)], [D = hi - lo <= 2M],
    [T = tau L] and [n] the number of jobs.  Then:
    - leaf values [d - N(d) T] lie in [[lo - nT, hi]], and every
-     [mul_int] forms at most [nT] (counts are at most [n]);
+     product with a count is at most [nT] (counts are at most [n]);
    - each region [(s - T, r)] has [s >= r], so every region lies in
      [[lo - T, hi]] and [Lambda] (and each partial sum of [measure])
      is in [[0, D + T]]; the threshold is at most [hi + D + T];
@@ -503,78 +421,88 @@ module Exact = Engine (Rat_time)
    B are computed without passing [grid_limit = max_int / 2] — a
    further factor of two of headroom — and every step of that check is
    itself overflow-checked, so it cannot wrap.  Otherwise (say, many
-   coprime large denominators) the {!Exact} instance runs instead: the
-   grid never raises where the rational engine would answer. *)
+   coprime large denominators) the instance is refused with
+   {!Rat.Overflow}, the exception the 63-bit rationals raise for values
+   that do not fit: the engine never answers from a wrapped int. *)
 
 let grid_limit = max_int / 2
 
-exception Off_grid
-
 (* Products and sums of non-negative ints, refused past the limit. *)
-let mul_le a b = if a <> 0 && b > grid_limit / a then raise Off_grid else a * b
-let add_le a b = if a > grid_limit - b then raise Off_grid else a + b
+let mul_le a b = if a <> 0 && b > grid_limit / a then raise Rat.Overflow else a * b
+let add_le a b = if a > grid_limit - b then raise Rat.Overflow else a + b
 let rec gcd a b = if b = 0 then a else gcd b (a mod b)
 
 type grid = { scale : int; gtau : int; gjobs : Grid.job array }
 
 let to_grid ~tau (jobs : job array) =
-  if Rat.sign tau <= 0 then None
-  else
-    try
-      let lcm l x =
-        let d = Rat.den x in
-        if l mod d = 0 then l else mul_le (l / gcd l d) d
-      in
-      let scale =
-        Array.fold_left (fun l j -> lcm (lcm l j.release) j.deadline) (Rat.den tau) jobs
-      in
-      let m = ref 0 in
-      let on_grid x =
-        let v = mul_le (abs (Rat.num x)) (scale / Rat.den x) in
-        if v > !m then m := v;
-        if Rat.num x < 0 then -v else v
-      in
-      let gjobs =
-        Array.mapi
-          (fun i j -> { Grid.id = i; release = on_grid j.release; deadline = on_grid j.deadline })
-          jobs
-      in
-      let gtau = mul_le (Rat.num tau) (scale / Rat.den tau) in
-      ignore (add_le (mul_le 4 !m) (mul_le (Array.length jobs + 1) gtau));
-      Some { scale; gtau; gjobs }
-    with Off_grid -> None
+  if Rat.sign tau <= 0 then invalid_arg "Single_machine: tau must be positive";
+  let lcm l x =
+    let d = Rat.den x in
+    if l mod d = 0 then l else mul_le (l / gcd l d) d
+  in
+  let scale = Array.fold_left (fun l j -> lcm (lcm l j.release) j.deadline) (Rat.den tau) jobs in
+  let m = ref 0 in
+  let on_grid x =
+    let v = mul_le (abs (Rat.num x)) (scale / Rat.den x) in
+    if v > !m then m := v;
+    if Rat.num x < 0 then -v else v
+  in
+  let gjobs =
+    Array.mapi
+      (fun i j -> { Grid.id = i; release = on_grid j.release; deadline = on_grid j.deadline })
+      jobs
+  in
+  let gtau = mul_le (Rat.num tau) (scale / Rat.den tau) in
+  ignore (add_le (mul_le 4 !m) (mul_le (Array.length jobs + 1) gtau));
+  { scale; gtau; gjobs }
 
-let exact_jobs jobs =
-  Array.mapi (fun i (j : job) -> { Exact.id = i; release = j.release; deadline = j.deadline }) jobs
 let of_grid g v = Rat.make v g.scale
 
 (* The entry points: each is a from-scratch run of the sweep and/or the
-   dispatch loop, on the grid when one fits. *)
+   dispatch loop on the instance's grid.  Telemetry always prints the
+   rational values. *)
 
 let schedule ~tau jobs =
   if Array.length jobs = 0 then Ok [||]
   else
-    let grid = to_grid ~tau jobs in
+    let g = to_grid ~tau jobs in
     Obs.span "single_machine.schedule"
-      ~fields:
-        [
-          ("jobs", Obs.Int (Array.length jobs));
-          ("grid", Obs.Int (match grid with Some g -> g.scale | None -> 0));
-        ]
+      ~fields:[ ("jobs", Obs.Int (Array.length jobs)); ("grid", Obs.Int g.scale) ]
       (fun () ->
-        match grid with
-        | Some g -> Grid.schedule ~to_rat:(of_grid g) ~tau:g.gtau g.gjobs
-        | None -> Exact.schedule ~to_rat:Fun.id ~tau (exact_jobs jobs))
+        let core = Grid.compute_core ~tau:g.gtau g.gjobs in
+        let rat v = Obs.Str (Rat.to_string (of_grid g v)) in
+        if Obs.enabled () then begin
+          match core with
+          | Grid.Infeasible_at r ->
+              Obs.event "single_machine.infeasible_window" ~fields:[ ("release", rat r) ]
+          | Grid.Feasible_regions iset ->
+              Obs.event "single_machine.regions"
+                ~fields:[ ("count", Obs.Int (Grid.Iset.cardinal iset)) ];
+              List.iter
+                (fun (left, right) ->
+                  Obs.event "single_machine.forbidden_region"
+                    ~fields:[ ("left", rat left); ("right", rat right) ])
+                (Grid.Iset.to_list iset)
+        end;
+        match core with
+        | Grid.Infeasible_at _ -> Error `Infeasible
+        | Grid.Feasible_regions iset -> (
+            match Grid.dispatch ~tau:g.gtau ~advance:(Grid.Iset.adjust_up iset) g.gjobs with
+            | _, p when p >= 0 -> Error `Infeasible
+            | starts, _ -> Ok (Array.map (of_grid g) starts)))
 
 let forbidden_regions ~tau jobs =
-  match to_grid ~tau jobs with
-  | Some g -> Grid.forbidden_regions ~to_rat:(of_grid g) ~tau:g.gtau g.gjobs
-  | None -> Exact.forbidden_regions ~to_rat:Fun.id ~tau (exact_jobs jobs)
+  let g = to_grid ~tau jobs in
+  match Grid.compute_core ~tau:g.gtau g.gjobs with
+  | Grid.Infeasible_at _ -> Error `Infeasible
+  | Grid.Feasible_regions iset ->
+      Ok
+        (List.map
+           (fun (l, r) -> { left = of_grid g l; right = of_grid g r })
+           (Grid.Iset.to_list iset))
 
 let edf_schedule_no_regions ~tau jobs =
-  let result =
-    match to_grid ~tau jobs with
-    | Some g -> Grid.edf_schedule_no_regions ~to_rat:(of_grid g) ~tau:g.gtau g.gjobs
-    | None -> Exact.edf_schedule_no_regions ~to_rat:Fun.id ~tau (exact_jobs jobs)
-  in
-  Result.map_error (fun p -> `Deadline_missed jobs.(p).id) result
+  let g = to_grid ~tau jobs in
+  match Grid.dispatch ~tau:g.gtau ~advance:Fun.id g.gjobs with
+  | _, p when p >= 0 -> Error (`Deadline_missed jobs.(p).id)
+  | starts, _ -> Ok (Array.map (of_grid g) starts)

@@ -20,32 +20,33 @@
     {!schedule}, {!forbidden_regions} and {!edf_schedule_no_regions} are
     from-scratch runs of it.
 
-    {b The integer time grid.}  The engine body is written once, over an
-    ordered time domain, and instantiated twice.  Each entry point first
-    computes L, the lcm of the denominators of [tau] and of every
-    release and deadline, and scales the instance by L onto the
-    integers.  In scaled units let M be the largest release or deadline
-    magnitude and T = tau L; every value the sweep and the dispatch form
-    (leaf values, the region measure and threshold, the [g^k] walks and
-    their floor divisions, dispatch instants) has magnitude at most
-    B = 4M + (n+1)T — the proof is in the implementation.  When L, the
-    scaled values and B stay within [max_int / 2] (a further factor of
-    two of headroom, every step of the check overflow-checked), the
-    engine runs on native ints; otherwise (say, many coprime large
-    denominators) it runs on {!E2e_rat.Rat} as before.  Every operation
-    commutes with the scaling and the floor division is exact on
-    integers, so the int run computes exactly L times the rational run's
-    values; each start and region endpoint is mapped back once with
-    [Rat.make v L], and since rationals are canonical every output, and
-    every [single_machine.*] event field, is identical to the rational
-    run's.  The grid never raises: when no grid fits, the rational
-    instance answers.  The [single_machine.schedule] span's [grid] field
-    is L, or 0 for the rational fallback.
+    {b The integer time grid.}  The engine runs on native ints.  Each
+    entry point first computes L, the lcm of the denominators of [tau]
+    and of every release and deadline, and scales the instance by L onto
+    the integers.  In scaled units let M be the largest release or
+    deadline magnitude and T = tau L; every value the sweep and the
+    dispatch form (leaf values, the region measure and threshold, the
+    [g^k] walks and their floor divisions, dispatch instants) has
+    magnitude at most B = 4M + (n+1)T — the proof is in the
+    implementation.  Every operation commutes with the scaling and the
+    floor division is exact on integers, so the int run computes exactly
+    L times the values of the same computation on rationals; each start
+    and region endpoint is mapped back once with [Rat.make v L], and
+    every [single_machine.*] event field prints that rational.  The [single_machine.schedule]
+    span's [grid] field is L.
+
+    {b Refusal.}  When L, a scaled value or B passes [max_int / 2] (a
+    further factor of two of headroom, every step of the check
+    overflow-checked) — say, many coprime large denominators — the
+    instance is refused with {!E2e_rat.Rat.Overflow}, the exception the
+    63-bit rationals raise for values that do not fit.  No answer is
+    ever computed from a wrapped int.
 
     The historical scan-based implementation is kept verbatim as
     [E2e_fuzz.Single_machine_ref], and the [eedf-fast] differential-fuzz
     class checks the engine against it on every output, with a quarter
-    of its draws just under the grid bound and a quarter just over it. *)
+    of its draws just under the grid bound and a quarter just over it
+    (which every entry point must refuse). *)
 
 type rat = E2e_rat.Rat.t
 
@@ -63,19 +64,26 @@ val forbidden_regions :
 (** All forbidden regions, sorted by left endpoint, pairwise disjoint.
     [`Infeasible] when some backward packing already proves that no
     schedule can meet all deadlines.
-    @raise Invalid_argument when [tau <= 0]. *)
+    @raise Invalid_argument when [tau <= 0].
+    @raise E2e_rat.Rat.Overflow when the instance does not fit the
+    integer grid. *)
 
 val schedule :
   tau:rat -> job array -> (rat array, [ `Infeasible ]) result
 (** Optimal start times (input order): EDF over the forbidden regions.
     [Error `Infeasible] means no feasible schedule exists at all — the
     algorithm is optimal.
-    @raise Invalid_argument when [tau <= 0] and [jobs] is non-empty. *)
+    @raise Invalid_argument when [tau <= 0] and [jobs] is non-empty.
+    @raise E2e_rat.Rat.Overflow when the instance does not fit the
+    integer grid. *)
 
 val edf_schedule_no_regions : tau:rat -> job array -> (rat array, [ `Deadline_missed of int ]) result
 (** Plain priority-driven EDF without forbidden regions — the ablation
     baseline showing why the regions are needed.  Fails with the first
-    job whose deadline is missed. *)
+    job whose deadline is missed.
+    @raise Invalid_argument when [tau <= 0].
+    @raise E2e_rat.Rat.Overflow when the instance does not fit the
+    integer grid. *)
 
 val feasible_starts : tau:rat -> job array -> rat array -> bool
 (** Independent check that the given start times respect releases,

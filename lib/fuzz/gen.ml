@@ -107,15 +107,15 @@ let identical_contended g =
    The engine runs on native ints when every time, scaled by the lcm L
    of the denominators, keeps B = 4M + (n+1)T within max_int / 2, where
    M is the largest scaled release or deadline magnitude and T the
-   scaled tau; otherwise it falls back to exact rationals (see
-   [E2e_core.Single_machine]).  These draws give releases one large
-   prime denominator and deadlines another (moving each release
+   scaled tau; otherwise it refuses the instance with [Rat.Overflow]
+   (see [E2e_core.Single_machine]).  These draws give releases one
+   large prime denominator and deadlines another (moving each release
    earlier and each deadline later by a sliver), then shift the whole
    instance by the integer offset that puts B of the EEDF reduction
    just under the limit (the grid runs on 60-bit magnitudes) or just
-   over it (the rational fallback runs).  With only two large primes
-   no denominator either engine forms exceeds L, so the magnitudes
-   stay near 2^60 and both engines still answer exactly. *)
+   over it (the engine refuses).  With only two large primes no
+   denominator the scan-based reference forms exceeds L, so its
+   magnitudes stay near 2^60 and it answers both exactly. *)
 
 let release_primes = [| 1_048_573; 1_048_571; 1_048_559; 1_048_549 |]
 let deadline_primes = [| 1_048_583; 1_048_589; 1_048_601; 1_048_609 |]

@@ -51,6 +51,6 @@ val edge_of_grid : E2e_prng.Prng.t -> over:bool -> E2e_model.Flow_shop.t
     (B = 4M + (n+1)T against [max_int / 2], see
     {!E2e_core.Single_machine}) of its EEDF reduction just under the
     limit ([over:false]: the native-int grid runs on 60-bit magnitudes)
-    or just over it ([over:true]: the exact rational fallback runs).
-    Every rational either engine forms stays within the lcm of two
-    denominators, so both still answer. *)
+    or just over it ([over:true]: every entry point refuses the instance
+    with [Rat.Overflow]).  Every rational the scan-based reference forms
+    stays within the lcm of two denominators, so it answers both. *)

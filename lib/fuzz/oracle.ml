@@ -256,44 +256,90 @@ let schedule_verdict ~what engine reference =
 let first_bug verdicts =
   List.fold_left (fun acc v -> match acc with Bug _ -> acc | _ -> v ()) Agree verdicts
 
+(* The engine's documented grid bound, evaluated independently of it:
+   L, the lcm of every denominator, and B = 4M + (n+1)T in scaled units
+   (M the largest release or deadline magnitude, T = tau L) must both
+   stay within max_int / 2.  Products are formed in floats, so a value
+   within a relative 1e-9 of the limit decides nothing ([`Edge]). *)
+let grid_fit ~tau (jobs : SM.job array) =
+  let limit = float_of_int (max_int / 2) in
+  let over x = x > limit *. (1. +. 1e-9) and under x = x < limit *. (1. -. 1e-9) in
+  let rec gcd a b = if b = 0 then a else gcd b (a mod b) in
+  let lcm l d =
+    match l with
+    | `Fits l ->
+        let f = l / gcd l d in
+        let p = float_of_int f *. float_of_int d in
+        if under p then `Fits (f * d) else if over p then `Over else `Edge
+    | (`Over | `Edge) as v -> v
+  in
+  let dens =
+    Rat.den tau
+    :: List.concat_map (fun (j : SM.job) -> [ Rat.den j.release; Rat.den j.deadline ])
+         (Array.to_list jobs)
+  in
+  match List.fold_left lcm (`Fits 1) dens with
+  | (`Over | `Edge) as v -> v
+  | `Fits l ->
+      let scaled x = Float.abs (float_of_int (Rat.num x) *. float_of_int (l / Rat.den x)) in
+      let m =
+        Array.fold_left
+          (fun m (j : SM.job) -> Float.max m (Float.max (scaled j.release) (scaled j.deadline)))
+          0. jobs
+      in
+      let b = (4. *. m) +. (float_of_int (Array.length jobs + 1) *. scaled tau) in
+      if under b then `Fits l else if over b then `Over else `Edge
+
 (* One-shot entry points: regions, optimal starts and the plain-EDF
-   ablation on the caller's ids. *)
+   ablation on the caller's ids.  Within the grid bound every output
+   must equal the reference's; past it every entry point must refuse
+   with [Rat.Overflow], and that refusal is the agreeing answer. *)
 let run_eedf_fast fs =
   match Flow_shop.is_identical_length fs with
   | None -> bug Precondition "eedf-fast generator produced a non-identical-length shop"
-  | Some tau ->
+  | Some tau -> (
       let jobs = Eedf.single_machine_jobs fs ~tau in
       let ref_jobs = to_ref jobs in
-      let ablation_verdict () =
-        match
-          ( SM.edf_schedule_no_regions ~tau jobs,
-            Single_machine_ref.edf_schedule_no_regions ~tau ref_jobs )
-        with
-        | Error (`Deadline_missed i), Error (`Deadline_missed i') ->
-            if i = i' then Agree
-            else
-              bug Divergence "plain EDF misses different first deadlines: engine %d vs ref %d" i
-                i'
-        | Ok e, Ok r ->
-            if starts_equal e r then Agree
-            else
-              bug Divergence "plain-EDF schedules differ: engine [%a] vs ref [%a]" pp_rats e
-                pp_rats r
-        | Ok _, Error (`Deadline_missed i) ->
-            bug Divergence "plain EDF: engine meets all deadlines, reference misses job %d" i
-        | Error (`Deadline_missed i), Ok _ ->
-            bug Divergence "plain EDF: engine misses job %d, reference meets all deadlines" i
-      in
-      first_bug
-        [
-          (fun () ->
-            regions_verdict ~what:"regions" (SM.forbidden_regions ~tau jobs)
-              (Single_machine_ref.forbidden_regions ~tau ref_jobs));
-          (fun () ->
-            schedule_verdict ~what:"schedule" (SM.schedule ~tau jobs)
-              (Single_machine_ref.schedule ~tau ref_jobs));
-          ablation_verdict;
-        ]
+      let attempt f = match f () with v -> Some v | exception Rat.Overflow -> None in
+      match
+        ( grid_fit ~tau jobs,
+          attempt (fun () -> SM.forbidden_regions ~tau jobs),
+          attempt (fun () -> SM.schedule ~tau jobs),
+          attempt (fun () -> SM.edf_schedule_no_regions ~tau jobs) )
+      with
+      | (`Over | `Edge), None, None, None -> Agree
+      | (`Fits _ | `Edge), Some regions, Some starts, Some plain ->
+          let ablation_verdict () =
+            match (plain, Single_machine_ref.edf_schedule_no_regions ~tau ref_jobs) with
+            | Error (`Deadline_missed i), Error (`Deadline_missed i') ->
+                if i = i' then Agree
+                else
+                  bug Divergence "plain EDF misses different first deadlines: engine %d vs ref %d"
+                    i i'
+            | Ok e, Ok r ->
+                if starts_equal e r then Agree
+                else
+                  bug Divergence "plain-EDF schedules differ: engine [%a] vs ref [%a]" pp_rats e
+                    pp_rats r
+            | Ok _, Error (`Deadline_missed i) ->
+                bug Divergence "plain EDF: engine meets all deadlines, reference misses job %d" i
+            | Error (`Deadline_missed i), Ok _ ->
+                bug Divergence "plain EDF: engine misses job %d, reference meets all deadlines" i
+          in
+          first_bug
+            [
+              (fun () ->
+                regions_verdict ~what:"regions" regions
+                  (Single_machine_ref.forbidden_regions ~tau ref_jobs));
+              (fun () ->
+                schedule_verdict ~what:"schedule" starts
+                  (Single_machine_ref.schedule ~tau ref_jobs));
+              ablation_verdict;
+            ]
+      | `Fits _, _, _, _ -> bug Divergence "the engine refuses an instance within the grid bound"
+      | `Over, _, _, _ -> bug Divergence "the engine answers an instance past the grid bound"
+      | `Edge, _, _, _ ->
+          bug Divergence "the entry points disagree on whether the instance fits the grid")
 
 let run cls (shop : Recurrence_shop.t) =
   let traditional run_fs =

@@ -19,8 +19,10 @@
     - [Eedf_fast] — the one-shot {!E2e_core.Single_machine} entry
       points vs. the retained scan-based {!Single_machine_ref}, compared
       for exact rational equality on region lists, optimal schedules and
-      the plain-EDF ablation.  No oracle budget: every trial is
-      decidable.
+      the plain-EDF ablation.  An instance past the engine's integer
+      grid bound ({!grid_fit}) must instead be refused by every entry
+      point with [Rat.Overflow], and then agrees.  No oracle budget:
+      every trial is decidable.
 
     Every returned schedule, from solver and oracle alike, is validated
     by the independent checker. *)
@@ -40,8 +42,9 @@ type kind =
   | Divergence
       (** The {!E2e_core.Single_machine} engine and the retained
           scan-based {!Single_machine_ref} disagree on some output
-          (regions, optimal starts, or the plain-EDF ablation) — the
-          [eedf-fast] class. *)
+          (regions, optimal starts, or the plain-EDF ablation), or the
+          engine's refusals do not match {!grid_fit} — the [eedf-fast]
+          class. *)
   | Crash of string  (** The solver raised. *)
 
 type outcome =
@@ -59,3 +62,15 @@ val run : Gen.model_class -> E2e_model.Recurrence_shop.t -> outcome
 (** Run the class's differential comparison on one instance.  Solver
     exceptions are caught and classified as [Bug Crash]; oracle guard
     violations become [Skip]. *)
+
+val grid_fit :
+  tau:E2e_rat.Rat.t ->
+  E2e_core.Single_machine.job array ->
+  [ `Fits of int | `Over | `Edge ]
+(** The single-machine engine's documented integer-grid bound, computed
+    independently of the engine: [`Fits l] when L (the lcm of every
+    denominator, returned) and B = 4M + (n+1)T in scaled units both
+    stay within [max_int / 2] — the engine must then answer — and
+    [`Over] when either passes it — every entry point must then raise
+    [Rat.Overflow].  The products are formed in floats, so values within
+    a relative 1e-9 of the limit give [`Edge], which decides nothing. *)

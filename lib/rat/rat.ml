@@ -158,33 +158,41 @@ let of_decimal_string s =
   let s = String.trim s in
   let fail () = invalid_arg (Printf.sprintf "Rat.of_decimal_string: %S" s) in
   if String.length s = 0 then fail ();
-  match String.index_opt s '/' with
-  | Some i ->
-      let parse part = match int_of_string_opt part with Some n -> n | None -> fail () in
-      let n = parse (String.sub s 0 i)
-      and d = parse (String.sub s (i + 1) (String.length s - i - 1)) in
-      if d = 0 then fail () else make n d
-  | None -> (
-      match String.index_opt s '.' with
-      | None -> ( match int_of_string_opt s with Some n -> of_int n | None -> fail () )
-      | Some i ->
-          let int_part = String.sub s 0 i in
-          let frac_part = String.sub s (i + 1) (String.length s - i - 1) in
-          if String.length frac_part = 0 then fail ();
-          let negative = String.length int_part > 0 && int_part.[0] = '-' in
-          let whole =
-            if int_part = "" || int_part = "-" then 0
-            else match int_of_string_opt int_part with Some n -> n | None -> fail ()
-          in
-          let frac =
-            match int_of_string_opt frac_part with Some n when n >= 0 -> n | _ -> fail ()
-          in
-          let scale =
-            let rec pow acc k = if k = 0 then acc else pow (acc * 10) (k - 1) in
-            pow 1 (String.length frac_part)
-          in
-          let magnitude = add (of_int (Stdlib.abs whole)) (make frac scale) in
-          if negative then neg magnitude else magnitude)
+  (* A literal whose value or scale does not fit the 63-bit rationals is
+     malformed input, not an arithmetic fault. *)
+  try
+    match String.index_opt s '/' with
+    | Some i ->
+        let parse part = match int_of_string_opt part with Some n -> n | None -> fail () in
+        let n = parse (String.sub s 0 i)
+        and d = parse (String.sub s (i + 1) (String.length s - i - 1)) in
+        if d = 0 then fail () else make n d
+    | None -> (
+        match String.index_opt s '.' with
+        | None -> ( match int_of_string_opt s with Some n -> of_int n | None -> fail () )
+        | Some i ->
+            let int_part = String.sub s 0 i in
+            let frac_part = String.sub s (i + 1) (String.length s - i - 1) in
+            if String.length frac_part = 0 then fail ();
+            let negative = String.length int_part > 0 && int_part.[0] = '-' in
+            let whole =
+              if int_part = "" || int_part = "-" then 0
+              else match int_of_string_opt int_part with Some n -> n | None -> fail ()
+            in
+            let frac =
+              match int_of_string_opt frac_part with Some n when n >= 0 -> n | _ -> fail ()
+            in
+            (* 10^digits, refused before [acc * 10] could wrap. *)
+            let scale =
+              let rec pow acc k =
+                if k = 0 then acc else if acc > max_int / 10 then raise Overflow
+                else pow (acc * 10) (k - 1)
+              in
+              pow 1 (String.length frac_part)
+            in
+            let magnitude = add (of_int (Stdlib.abs whole)) (make frac scale) in
+            if negative then neg magnitude else magnitude)
+  with Overflow -> fail ()
 
 (* Digits are peeled off the non-positive [-|n|], which unlike [|n|] is
    representable for every int, [min_int] included. *)

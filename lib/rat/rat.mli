@@ -114,7 +114,9 @@ val of_float : ?max_den:int -> float -> t
 
 val of_decimal_string : string -> t
 (** Parse ["3"], ["-2.75"], ["4/3"] style literals exactly.
-    @raise Invalid_argument on malformed input. *)
+    @raise Invalid_argument on malformed input, which includes a literal
+    whose value or whose [10^digits] scale does not fit the 63-bit
+    rationals (it never raises {!Overflow}). *)
 
 val to_string : t -> string
 (** ["num/den"], or just ["num"] for integers. *)

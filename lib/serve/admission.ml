@@ -79,8 +79,9 @@ let solve_full budget ?hint (shop : Recurrence_shop.t) =
            certificate implies every strategy fails, so the two tests
            can never both succeed and the order only affects cost.  The
            portfolio succeeds on the overwhelming majority of H
-           failures and is ~5x cheaper than the certificate search, so
-           the expensive test runs only on the rare all-failed path.
+           failures and is far cheaper than the certificate search (on
+           a 250-task, 4-stage shop: 5.9 ms against 9.4 s), so the
+           expensive test runs only on the rare all-failed path.
            Decisions are identical either way, including under a
            strategy budget (a budget-truncated portfolio failure still
            reaches the same certificate check before giving up). *)

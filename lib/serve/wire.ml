@@ -285,18 +285,16 @@ let serve ?(host = "127.0.0.1") ?max_connections ?(accept_pool = 4) ?(window = 6
     ?(control = control ()) ~greeting ~port handler =
   let addr = Unix.ADDR_INET (resolve_host host, port) in
   let sock = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-  let old_sigpipe =
-    (* A peer that disappears mid-reply must surface as EPIPE on the
-       write, not kill the whole process. *)
-    try Some (Sys.signal Sys.sigpipe Sys.Signal_ignore) with Invalid_argument _ -> None
-  in
+  (* A peer that disappears mid-reply must surface as EPIPE on the
+     write, not kill the whole process.  Ignored for good, never
+     restored: a thread that outlives this listener (a client or an
+     upstream lane writing to a dead shard) must not be killed either,
+     and every write already handles EPIPE. *)
+  (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore with Invalid_argument _ -> ());
   Fun.protect
     ~finally:(fun () ->
       locked control (fun () -> control.listener <- None);
-      (try Unix.close sock with Unix.Unix_error _ -> ());
-      Option.iter
-        (fun b -> try Sys.set_signal Sys.sigpipe b with Invalid_argument _ -> ())
-        old_sigpipe)
+      try Unix.close sock with Unix.Unix_error _ -> ())
     (fun () ->
       Unix.setsockopt sock Unix.SO_REUSEADDR true;
       Unix.bind sock addr;

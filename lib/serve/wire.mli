@@ -104,7 +104,8 @@ val serve :
 
     Robustness: transient accept failures ([EINTR], [ECONNABORTED],
     [EAGAIN]) are retried, resource-pressure failures back off and
-    retry, [SIGPIPE] is ignored for the listener's lifetime (a
-    vanished peer surfaces as a write error on its own connection),
+    retry, [SIGPIPE] is ignored from the first call on and never
+    restored (a vanished peer surfaces as a write error on its own
+    connection, also for threads that outlive the listener),
     and a connection whose setup or handler fails is closed without
     taking the listener down. *)

@@ -76,172 +76,96 @@ let test_heap_copy () =
 (* {1 Interval set} *)
 
 let iset_of pairs =
-  List.fold_left
-    (fun s (l, rt) -> Interval_set.add s ~left:(q l) ~right:(q rt))
-    Interval_set.empty pairs
+  List.fold_left (fun s (l, rt) -> Interval_set.add s ~left:l ~right:rt) Interval_set.empty pairs
 
 let check_invariants s =
   (* Sorted by left endpoint, pairwise disjoint (touching allowed). *)
   let rec go = function
     | (l1, r1) :: ((l2, _) :: _ as rest) ->
-        Alcotest.(check bool) "interval nonempty" true Rat.(l1 < r1);
-        Alcotest.(check bool) "sorted and disjoint" true Rat.(r1 <= l2);
+        Alcotest.(check bool) "interval nonempty" true (l1 < r1);
+        Alcotest.(check bool) "sorted and disjoint" true (r1 <= l2);
         go rest
-    | [ (l, rt) ] -> Alcotest.(check bool) "interval nonempty" true Rat.(l < rt)
+    | [ (l, rt) ] -> Alcotest.(check bool) "interval nonempty" true (l < rt)
     | [] -> ()
   in
   go (Interval_set.to_list s)
 
+let intervals = Alcotest.(list (pair int int))
+
 let test_iset_merge_overlap () =
-  let s = iset_of [ ("0", "2"); ("1", "3"); ("5", "6") ] in
+  let s = iset_of [ (0, 2); (1, 3); (5, 6) ] in
   check_invariants s;
   Alcotest.(check int) "overlap coalesced" 2 (Interval_set.cardinal s);
-  Alcotest.(check (list (pair string string))) "merged span"
-    [ ("0", "3"); ("5", "6") ]
-    (List.map
-       (fun (l, rt) -> (Rat.to_string l, Rat.to_string rt))
-       (Interval_set.to_list s))
+  Alcotest.check intervals "merged span" [ (0, 3); (5, 6) ] (Interval_set.to_list s)
 
 let test_iset_touching_not_merged () =
   (* Open intervals: sharing an endpoint leaves that point startable, so
-     (0,1) and (1,2) must stay separate and 1 must not be a member. *)
-  let s = iset_of [ ("0", "1"); ("1", "2") ] in
+     (0,2) and (2,4) must stay separate and 2 must not be a member. *)
+  let s = iset_of [ (0, 2); (2, 4) ] in
   check_invariants s;
   Alcotest.(check int) "kept separate" 2 (Interval_set.cardinal s);
-  Alcotest.(check bool) "shared endpoint not inside" false (Interval_set.mem s (q "1"));
-  check_rat "adjust_up fixes shared endpoint" (q "1") (Interval_set.adjust_up s (q "1"));
-  Alcotest.(check bool) "interior is inside" true (Interval_set.mem s (q "0.5"))
+  Alcotest.(check bool) "shared endpoint not inside" false (Interval_set.mem s 2);
+  Alcotest.(check int) "adjust_up fixes shared endpoint" 2 (Interval_set.adjust_up s 2);
+  Alcotest.(check bool) "interior is inside" true (Interval_set.mem s 1)
 
 let test_iset_boundaries () =
-  let s = iset_of [ ("1", "3") ] in
-  Alcotest.(check bool) "left endpoint outside" false (Interval_set.mem s (q "1"));
-  Alcotest.(check bool) "right endpoint outside" false (Interval_set.mem s (q "3"));
-  check_rat "adjust_up from interior" (q "3") (Interval_set.adjust_up s (q "2"));
-  check_rat "adjust_up from endpoint" (q "1") (Interval_set.adjust_up s (q "1"));
-  check_rat "adjust_down from interior" (q "1") (Interval_set.adjust_down s (q "2"));
-  check_rat "adjust_down from endpoint" (q "3") (Interval_set.adjust_down s (q "3"));
-  check_rat "adjust_up outside" (q "5") (Interval_set.adjust_up s (q "5"));
+  let s = iset_of [ (1, 3) ] in
+  Alcotest.(check bool) "left endpoint outside" false (Interval_set.mem s 1);
+  Alcotest.(check bool) "right endpoint outside" false (Interval_set.mem s 3);
+  Alcotest.(check int) "adjust_up from interior" 3 (Interval_set.adjust_up s 2);
+  Alcotest.(check int) "adjust_up from endpoint" 1 (Interval_set.adjust_up s 1);
+  Alcotest.(check int) "adjust_down from interior" 1 (Interval_set.adjust_down s 2);
+  Alcotest.(check int) "adjust_down from endpoint" 3 (Interval_set.adjust_down s 3);
+  Alcotest.(check int) "adjust_up outside" 5 (Interval_set.adjust_up s 5);
   let empty = Interval_set.empty in
   Alcotest.(check bool) "empty is empty" true (Interval_set.is_empty empty);
-  check_rat "adjust on empty" (q "2") (Interval_set.adjust_up empty (q "2"))
+  Alcotest.(check int) "adjust on empty" 2 (Interval_set.adjust_up empty 2)
 
 let test_iset_degenerate_add () =
-  let s = Interval_set.add Interval_set.empty ~left:(q "2") ~right:(q "2") in
+  let s = Interval_set.add Interval_set.empty ~left:2 ~right:2 in
   Alcotest.(check bool) "empty interval ignored" true (Interval_set.is_empty s);
-  let s = Interval_set.add Interval_set.empty ~left:(q "3") ~right:(q "2") in
+  let s = Interval_set.add Interval_set.empty ~left:3 ~right:2 in
   Alcotest.(check bool) "inverted interval ignored" true (Interval_set.is_empty s)
-
-let pairs_of s =
-  List.map (fun (l, rt) -> (Rat.to_string l, Rat.to_string rt)) (Interval_set.to_list s)
-
-let test_iset_remove () =
-  let s = iset_of [ ("0", "4"); ("6", "8") ] in
-  (* Closed subtraction: the removed endpoints do not survive, so (0,4)
-     splits into (0,1) and (2,4). *)
-  let split = Interval_set.remove s ~left:(q "1") ~right:(q "2") in
-  check_invariants split;
-  Alcotest.(check (list (pair string string))) "interior removal splits"
-    [ ("0", "1"); ("2", "4"); ("6", "8") ]
-    (pairs_of split);
-  (* A point removal splits the interval containing it. *)
-  let point = Interval_set.remove s ~left:(q "7") ~right:(q "7") in
-  check_invariants point;
-  Alcotest.(check (list (pair string string))) "point removal splits"
-    [ ("0", "4"); ("6", "7"); ("7", "8") ]
-    (pairs_of point);
-  (* Disjoint removal is the identity; a covering removal empties. *)
-  Alcotest.(check (list (pair string string))) "disjoint removal is identity"
-    (pairs_of s)
-    (pairs_of (Interval_set.remove s ~left:(q "4") ~right:(q "6")));
-  Alcotest.(check bool) "covering removal empties" true
-    (Interval_set.is_empty (Interval_set.remove s ~left:(q "-1") ~right:(q "9")));
-  check_rat "measure after split" (q "5")
-    (Interval_set.measure split)
 
 (* Naive model: a list of open intervals with fold-based queries —
    exactly the representation the pre-rewrite engine used. *)
-let model_mem intervals x =
-  List.exists (fun (l, rt) -> Rat.(l < x) && Rat.(x < rt)) intervals
+let model_find intervals x = List.find_opt (fun (l, rt) -> l < x && x < rt) intervals
 
 let model_add intervals (l, rt) =
-  if Rat.(l >= rt) then intervals
+  if l >= rt then intervals
   else
-    let overlapping, rest =
-      List.partition (fun (l', r') -> Rat.(l' < rt) && Rat.(l < r')) intervals
-    in
-    let l = List.fold_left (fun acc (l', _) -> Rat.min acc l') l overlapping in
-    let rt = List.fold_left (fun acc (_, r') -> Rat.max acc r') rt overlapping in
-    List.sort (fun (a, _) (b, _) -> Rat.compare a b) ((l, rt) :: rest)
+    let overlapping, rest = List.partition (fun (l', r') -> l' < rt && l < r') intervals in
+    let l = List.fold_left (fun acc (l', _) -> Int.min acc l') l overlapping in
+    let rt = List.fold_left (fun acc (_, r') -> Int.max acc r') rt overlapping in
+    List.sort compare ((l, rt) :: rest)
 
+(* Even endpoints in [0, 96], so every midpoint and every point one unit
+   outside an endpoint is an integer probe. *)
 let arb_interval =
   QCheck.map
-    (fun (a, b) -> if Rat.(a <= b) then (a, b) else (b, a))
-    QCheck.(
-      pair
-        (QCheck.make (rat_gen ~den:4 ~lo:0 ~hi:12 ()))
-        (QCheck.make (rat_gen ~den:4 ~lo:0 ~hi:12 ())))
+    (fun (a, b) -> (2 * Int.min a b, 2 * Int.max a b))
+    QCheck.(pair (int_bound 48) (int_bound 48))
 
 let prop_iset_matches_model =
   QCheck.Test.make ~name:"interval set agrees with naive list model" ~count:300
     QCheck.(list_of_size Gen.(int_range 0 25) arb_interval)
     (fun intervals ->
-      let s =
-        List.fold_left
-          (fun s (l, rt) -> Interval_set.add s ~left:l ~right:rt)
-          Interval_set.empty intervals
-      in
+      let s = iset_of intervals in
       let model = List.fold_left model_add [] intervals in
       (* Same membership on a probe grid covering all endpoints and
          midpoints, and same adjusted values. *)
-      let probes =
-        List.concat_map
-          (fun (l, rt) ->
-            [ l; rt; Rat.div_int (Rat.add l rt) 2; Rat.sub l (Rat.make 1 8); Rat.add rt (Rat.make 1 8) ])
-          intervals
-      in
+      let probes = List.concat_map (fun (l, rt) -> [ l; rt; (l + rt) / 2; l - 1; rt + 1 ]) intervals in
       List.for_all
         (fun x ->
-          Interval_set.mem s x = model_mem model x
-          && Rat.equal (Interval_set.adjust_up s x)
-               (match List.find_opt (fun (l, rt) -> Rat.(l < x) && Rat.(x < rt)) model with
-                | Some (_, rt) -> rt
-                | None -> x)
-          && Rat.equal (Interval_set.adjust_down s x)
-               (match List.find_opt (fun (l, rt) -> Rat.(l < x) && Rat.(x < rt)) model with
-                | Some (l, _) -> l
-                | None -> x))
+          let inside = model_find model x in
+          Interval_set.mem s x = Option.is_some inside
+          && Interval_set.adjust_up s x = Option.fold ~none:x ~some:snd inside
+          && Interval_set.adjust_down s x = Option.fold ~none:x ~some:fst inside)
         probes
-      (* And the cardinality matches: merged runs collapse identically. *)
-      && Interval_set.cardinal s = List.length model)
-
-(* Closed-interval subtraction in the list model: each interval keeps
-   its pieces strictly below [l] and strictly above [r]. *)
-let model_remove intervals (l, rt) =
-  List.concat_map
-    (fun (l', r') ->
-      List.filter
-        (fun (a, b) -> Rat.(a < b))
-        [ (l', Rat.min r' l); (Rat.max l' rt, r') ])
-    intervals
-
-let prop_iset_remove_matches_model =
-  QCheck.Test.make ~name:"interval set add/remove agrees with naive model" ~count:300
-    QCheck.(list_of_size Gen.(int_range 0 30) (pair bool arb_interval))
-    (fun ops ->
-      let s, model =
-        List.fold_left
-          (fun (s, model) (is_add, (l, rt)) ->
-            if is_add then (Interval_set.add s ~left:l ~right:rt, model_add model (l, rt))
-            else (Interval_set.remove s ~left:l ~right:rt, model_remove model (l, rt)))
-          (Interval_set.empty, []) ops
-      in
-      let pairs = Interval_set.to_list s in
-      List.length pairs = List.length model
-      && List.for_all2
-           (fun (a, b) (c, d) -> Rat.equal a c && Rat.equal b d)
-           pairs model
-      && Rat.equal (Interval_set.measure s)
-           (List.fold_left (fun acc (l, rt) -> Rat.add acc (Rat.sub rt l)) Rat.zero model))
+      (* And the same intervals, merged runs collapsed identically, and
+         the same total length. *)
+      && Interval_set.to_list s = model
+      && Interval_set.measure s = List.fold_left (fun acc (l, rt) -> acc + (rt - l)) 0 model)
 
 let suite =
   [
@@ -253,7 +177,5 @@ let suite =
     Alcotest.test_case "touching intervals stay separate" `Quick test_iset_touching_not_merged;
     Alcotest.test_case "open-interval boundaries" `Quick test_iset_boundaries;
     Alcotest.test_case "degenerate adds ignored" `Quick test_iset_degenerate_add;
-    Alcotest.test_case "closed-interval removal" `Quick test_iset_remove;
     to_alcotest prop_iset_matches_model;
-    to_alcotest prop_iset_remove_matches_model;
   ]

@@ -112,6 +112,8 @@ let test_malformed_rationals () =
       "task 0 10 --1\n" (* doubled sign *);
       "task 0 10 -1\n" (* negative processing time *);
       "task 0 10 1 -2\n" (* negative later stage *);
+      "task 0 2.00000000000000000001 1 1\n" (* 10^20 scale *);
+      "task 0 4611686018427387903.5 1 1\n" (* value past 2^62 *);
     ]
 
 let test_malformed_structure () =

@@ -50,7 +50,15 @@ let test_parse () =
   check_rat "0.1" (Rat.make 1 10) (q "0.1");
   check_rat "12.5" (Rat.make 25 2) (q "12.5");
   Alcotest.check_raises "garbage" (Invalid_argument "Rat.of_decimal_string: \"x\"") (fun () ->
-      ignore (q "x"))
+      ignore (q "x"));
+  (* 18 fraction digits still fit; past that 10^digits would wrap, and a
+     value past 2^62 would overflow: both are malformed literals. *)
+  check_rat "18 fraction digits" (Rat.make 1 1_000_000_000_000_000_000) (q "0.000000000000000001");
+  List.iter
+    (fun s ->
+      Alcotest.check_raises s (Invalid_argument (Printf.sprintf "Rat.of_decimal_string: %S" s))
+        (fun () -> ignore (q s)))
+    [ "2.00000000000000000001"; "4611686018427387903.5"; "-4611686018427387904.5" ]
 
 let test_to_string () =
   Alcotest.(check string) "integer" "7" (Rat.to_string (r 7));

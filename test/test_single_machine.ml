@@ -150,12 +150,13 @@ let prop_regions_disjoint_sorted =
           in
           ok regions)
 
-(* {1 The integer grid and its exact fallback}
+(* {1 The integer grid and its refusal}
 
-   Every entry point must equal the scan-based reference whether it runs
-   on the native-int grid or on exact rationals; the [grid] field of the
-   [single_machine.schedule] span says which ran (the lcm of the
-   denominators, or 0 for the rational fallback). *)
+   Every entry point runs on the instance's integer grid and must equal
+   the scan-based reference there; the [grid] field of the
+   [single_machine.schedule] span is the lcm of the denominators.  An
+   instance the grid cannot hold is refused with [Rat.Overflow] by
+   every entry point, before any span opens. *)
 
 module Ref = E2e_fuzz.Single_machine_ref
 
@@ -177,15 +178,24 @@ let reference ~tau jobs =
           plain )
   | exception Rat.Overflow -> None
 
+(* [None] when any entry point refuses the instance; a refusal by one
+   but not all of them fails the test. *)
 let engine ~tau jobs =
-  ( Result.map
-      (List.map (fun (g : Sm.region) -> (g.left, g.right)))
-      (Sm.forbidden_regions ~tau jobs),
-    Sm.schedule ~tau jobs,
-    Sm.edf_schedule_no_regions ~tau jobs )
+  let attempt f = match f () with v -> Some v | exception Rat.Overflow -> None in
+  match
+    ( attempt (fun () ->
+          Result.map
+            (List.map (fun (g : Sm.region) -> (g.left, g.right)))
+            (Sm.forbidden_regions ~tau jobs)),
+      attempt (fun () -> Sm.schedule ~tau jobs),
+      attempt (fun () -> Sm.edf_schedule_no_regions ~tau jobs) )
+  with
+  | Some regions, Some starts, Some plain -> Some (regions, starts, plain)
+  | None, None, None -> None
+  | _ -> Alcotest.fail "the entry points disagree on whether the instance fits the grid"
 
-(* The [grid] field of the schedule span (the span opens before the
-   engine runs, so it is there even when the run raises). *)
+(* The [grid] field of the schedule span, or [None] when no span opened
+   (the grid check refused the instance). *)
 let grid_of ~tau jobs =
   let sink, events = Obs.Sink.memory () in
   Obs.install sink;
@@ -197,14 +207,14 @@ let grid_of ~tau jobs =
         match List.assoc_opt "grid" e.fields with Some (Obs.Int l) -> Some l | _ -> None
       else None)
     (events ())
-  |> Option.get
 
 let check_against_reference what ~tau jobs =
-  match reference ~tau jobs with
-  | None -> Alcotest.failf "%s: the reference overflows" what
-  | Some expected ->
+  match (reference ~tau jobs, engine ~tau jobs) with
+  | None, _ -> Alcotest.failf "%s: the reference overflows" what
+  | _, None -> Alcotest.failf "%s: the engine refuses the instance" what
+  | Some expected, Some answers ->
       Alcotest.(check bool) (what ^ ": regions, starts and verdicts equal the reference") true
-        (engine ~tau jobs = expected)
+        (answers = expected)
 
 (* Fractional releases, deadlines and tau on a 1/4 grid, with forbidden
    regions: the grid scales by 4. *)
@@ -219,15 +229,16 @@ let on_grid_jobs () =
 let test_on_grid_matches_reference () =
   let tau = Rat.make 3 2 in
   let jobs = on_grid_jobs () in
-  Alcotest.(check int) "runs on the 1/4 grid" 4 (grid_of ~tau jobs);
+  Alcotest.(check (option int)) "runs on the 1/4 grid" (Some 4) (grid_of ~tau jobs);
   (match Sm.forbidden_regions ~tau jobs with
   | Ok (_ :: _) -> ()
   | _ -> Alcotest.fail "the instance has forbidden regions");
   check_against_reference "on grid" ~tau jobs
 
 (* Coprime denominators near 2^20: their lcm passes the grid limit, so
-   the exact rational engine answers. *)
-let test_off_grid_matches_reference () =
+   every entry point refuses.  The generator's draws just under the
+   bound still equal the reference; those just over it are refused. *)
+let test_off_grid_refused () =
   let primes = [| 1_000_003; 1_000_033; 1_000_037; 1_000_039; 1_000_081 |] in
   let tau = Rat.one in
   let jobs =
@@ -237,28 +248,25 @@ let test_off_grid_matches_reference () =
         job i release (Rat.add release (Rat.make (5 * p + 1) (2 * p))))
       primes
   in
-  Alcotest.(check int) "falls back to rationals" 0 (grid_of ~tau jobs);
-  check_against_reference "off grid" ~tau jobs;
-  (* The generator's draws on both sides of the bound. *)
-  List.iter
-    (fun over ->
-      let fs = E2e_fuzz.Gen.edge_of_grid (Prng.create 1) ~over in
-      let tau = Option.get (E2e_model.Flow_shop.is_identical_length fs) in
-      let jobs = E2e_core.Eedf.single_machine_jobs fs ~tau in
-      let what = if over then "just over the bound" else "just under the bound" in
-      Alcotest.(check bool) (what ^ ": path") over (grid_of ~tau jobs = 0);
-      check_against_reference what ~tau jobs)
-    [ false; true ]
+  Alcotest.(check bool) "coprime denominators: refused" true (engine ~tau jobs = None);
+  Alcotest.(check (option int)) "no schedule span" None (grid_of ~tau jobs);
+  for seed = 1 to 8 do
+    List.iter
+      (fun over ->
+        let fs = E2e_fuzz.Gen.edge_of_grid (Prng.create seed) ~over in
+        let tau = Option.get (E2e_model.Flow_shop.is_identical_length fs) in
+        let jobs = E2e_core.Eedf.single_machine_jobs fs ~tau in
+        if over then
+          Alcotest.(check bool)
+            (Printf.sprintf "seed %d just over the bound: refused" seed)
+            true (engine ~tau jobs = None)
+        else check_against_reference (Printf.sprintf "seed %d just under the bound" seed) ~tau jobs)
+      [ false; true ]
+  done
 
 (* Hostile magnitudes: denominators up to 2^31, widths up to 2^40 time
    units and offsets as large as the denominators leave room for (every
-   constructed value keeps |num| below 2^61).  Wherever both answer, the
-   engine's answers equal the reference's, on the grid or off it.  The
-   grid never raises: a raise may only come from the rational fallback,
-   whose min tree compares the values of different deadlines — which the
-   reference scan never does — so it can overflow on a few instances the
-   reference answers (as the engine always could).  On the grid the
-   engine answers even where the reference overflows. *)
+   constructed value keeps |num| below 2^61). *)
 let hostile_jobs g =
   let n = 1 + Prng.int g 8 in
   let dmax = 1 lsl Prng.int g 32 in
@@ -275,6 +283,11 @@ let hostile_jobs g =
   in
   (tau, jobs)
 
+(* On the grid the engine equals the reference wherever the reference
+   answers (it answers even where the reference overflows).  It refuses
+   exactly the instances past the documented bound, computed
+   independently by [Oracle.grid_fit], and a refusal happens before the
+   schedule span opens. *)
 let prop_hostile_magnitudes =
   QCheck.Test.make ~name:"single machine: hostile magnitudes match the reference" ~count:1000
     (QCheck.make ~print:string_of_int QCheck.Gen.(int_bound 1_000_000))
@@ -283,10 +296,14 @@ let prop_hostile_magnitudes =
       | exception Rat.Overflow -> QCheck.assume_fail ()
       | tau, jobs -> (
           let grid = grid_of ~tau jobs in
-          match engine ~tau jobs with
-          | exception Rat.Overflow -> grid = 0
-          | answers -> (
-              match reference ~tau jobs with None -> true | Some expected -> answers = expected)))
+          let matches answers =
+            match reference ~tau jobs with None -> true | Some expected -> answers = expected
+          in
+          match (E2e_fuzz.Oracle.grid_fit ~tau jobs, engine ~tau jobs) with
+          | (`Over | `Edge), None -> grid = None
+          | `Fits l, Some answers -> grid = Some l && matches answers
+          | `Edge, Some answers -> grid <> None && matches answers
+          | `Over, Some _ | `Fits _, None -> false))
 
 (* Events print rationals even when the engine ran on the grid: the
    region endpoints and the infeasible release come back through the
@@ -342,8 +359,7 @@ let suite =
     Alcotest.test_case "schedule telemetry" `Quick test_schedule_telemetry;
     Alcotest.test_case "on-grid instance equals the reference" `Quick
       test_on_grid_matches_reference;
-    Alcotest.test_case "off-grid instances equal the reference" `Quick
-      test_off_grid_matches_reference;
+    Alcotest.test_case "off-grid instances are refused" `Quick test_off_grid_refused;
     to_alcotest prop_hostile_magnitudes;
     Alcotest.test_case "grid telemetry prints rationals" `Quick
       test_grid_telemetry_prints_rationals;
