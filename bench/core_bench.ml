@@ -86,7 +86,7 @@ let eedf_case next () = Eedf.schedule (next ())
 (* The reference engine runs on the same reduced single-machine instance
    the production EEDF solves internally. *)
 let eedf_ref_case next =
-  let jobs shop = Eedf.single_machine_jobs shop ~tau:Rat.one in
+  let jobs shop = E2e_fuzz.Oracle.eedf_jobs shop ~tau:Rat.one in
   fun () ->
     let shop = next () in
     let js =
@@ -206,6 +206,17 @@ let serve_render_case n =
       thunk (fun () -> Protocol.render_reply (Batcher.Reply reply))
   | _ -> failwith "serve_render: the shop is not admitted"
 
+(* The verify stage of the admission path: the checker on one admitted
+   reply's schedule — an arbitrary stream shop of [n] tasks solved on its
+   canonical form and relabelled to the candidate's task ids, as
+   [Admission] hands it to the checker before commit. *)
+let serve_verify_case n =
+  let instance = Recurrence_shop.of_traditional (stream_shop ~seed:(6000 + n) ~identical:false n) in
+  match Admission.apply Admission.empty (Admission.Submit { shop = "L"; instance }) with
+  | _, Admission.Decided { decision = Admission.Admitted { schedule; _ }; _ } ->
+      thunk (fun () -> E2e_schedule.Schedule.check schedule)
+  | _ -> failwith "serve_verify: the shop is not admitted"
+
 let fixed_families () =
   (* [at] times one fixed instance, [on] cycles through a pool. *)
   let at x f = thunk (fun () -> f x) in
@@ -267,6 +278,7 @@ let fixed_families () =
       4,
       at replay (Sim.Dispatcher.run Sim.Dispatcher.Work_conserving ~actual:replay_actual) );
     ("serve_render", 250, serve_render_case 250);
+    ("serve_verify", 250, serve_verify_case 250);
     ("stream_eedf", 250, stream_solve_case ~seed:6100 ~identical:true 250);
     ("stream_h", 250, stream_solve_case ~seed:6200 ~identical:false 250);
   ]

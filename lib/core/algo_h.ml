@@ -1,5 +1,7 @@
 module Rat = E2e_rat.Rat
 module Flow_shop = E2e_model.Flow_shop
+module Recurrence_shop = E2e_model.Recurrence_shop
+module Grid = E2e_model.Grid
 module Schedule = E2e_schedule.Schedule
 module Obs = E2e_obs.Obs
 
@@ -12,7 +14,7 @@ let pp_failure ppf = function
       Format.pp_print_string ppf "compacted schedule still violates a constraint"
 
 type report = {
-  inflated : Flow_shop.t;
+  inflated : Flow_shop.t Lazy.t;
   bottleneck : int;
   raw : Schedule.t option;
   result : (Schedule.t, failure) result;
@@ -20,15 +22,12 @@ type report = {
 
 (* Total processing time added by Step 2's inflation, per processor, as a
    float (telemetry only). *)
-let inflation_fields (shop : Flow_shop.t) maxima =
-  let m = shop.Flow_shop.processors in
-  let per_proc = Array.make m 0.0 in
+let inflation_fields (g : Grid.t) =
+  let per_proc = Array.make (Array.length g.max_tau) 0.0 in
   Array.iter
-    (fun (task : E2e_model.Task.t) ->
-      Array.iteri
-        (fun j tau -> per_proc.(j) <- per_proc.(j) +. Rat.to_float (Rat.sub maxima.(j) tau))
-        task.E2e_model.Task.proc_times)
-    shop.Flow_shop.tasks;
+    (Array.iteri (fun j tau ->
+         per_proc.(j) <- per_proc.(j) +. Rat.to_float (Grid.to_rat g (g.max_tau.(j) - tau))))
+    g.tau;
   let total = Array.fold_left ( +. ) 0.0 per_proc in
   ("total", Obs.Float total)
   :: Array.to_list
@@ -36,19 +35,19 @@ let inflation_fields (shop : Flow_shop.t) maxima =
 
 (* How far Algorithm C moved the raw schedule: entries changed and the
    summed absolute shift (telemetry only). *)
-let compaction_fields (raw : Schedule.t) (final : Schedule.t) =
+let compaction_fields (g : Grid.t) raw_starts final_starts raw =
   let moved = ref 0 and shift = ref 0.0 in
   Array.iteri
     (fun i row ->
       Array.iteri
         (fun j s ->
-          let s' = final.Schedule.starts.(i).(j) in
-          if not (Rat.equal s s') then begin
+          let s' = final_starts.(i).(j) in
+          if s <> s' then begin
             incr moved;
-            shift := !shift +. Rat.to_float (Rat.abs (Rat.sub s' s))
+            shift := !shift +. Rat.to_float (Grid.to_rat g (abs (s' - s)))
           end)
         row)
-    raw.Schedule.starts;
+    raw_starts;
   [
     ("moved", Obs.Int !moved);
     ("total_shift", Obs.Float !shift);
@@ -64,19 +63,21 @@ let run ?(compact = true) ?bottleneck (shop : Flow_shop.t) =
          Step 1, i.e. from the ORIGINAL processing times — the inflated
          windows are not recomputed.  This is why the schedule of Figure 8(a)
          can violate release times: the rigid upstream propagation uses the
-         longer inflated durations against the original windows. *)
-      let inflated = Flow_shop.inflate shop in
-      let maxima = Flow_shop.max_proc_times shop in
-      let b = match bottleneck with Some b -> b | None -> Flow_shop.bottleneck inflated in
+         longer inflated durations against the original windows.  On the
+         grid the inflated shop is just [g.max_tau]. *)
+      let inflated = lazy (Flow_shop.inflate shop) in
+      let g = Grid.of_shop (Recurrence_shop.of_traditional shop) in
+      let b = match bottleneck with Some b -> b | None -> Algo_a.longest g.max_tau in
       if Obs.enabled () then
         Obs.event "algo_h.inflation"
-          ~fields:(("bottleneck", Obs.Int b) :: inflation_fields shop maxima);
+          ~fields:(("bottleneck", Obs.Int b) :: inflation_fields g);
       (* Step 4: Algorithm A's Step 2 on the bottleneck — an equal-length
          (tau_max,b) single-machine instance over the original effective
          windows. *)
       match
         Obs.span "algo_h.bottleneck_pass" (fun () ->
-            Single_machine.schedule ~tau:maxima.(b) (Algo_a.bottleneck_jobs shop ~bottleneck:b))
+            let release, deadline = Algo_a.bottleneck_windows g ~bottleneck:b in
+            Single_machine.schedule_grid ~scale:g.scale ~tau:g.max_tau.(b) ~release ~deadline)
       with
       | Error `Infeasible ->
           Obs.incr "algo_h.inflated_infeasible";
@@ -85,18 +86,16 @@ let run ?(compact = true) ?bottleneck (shop : Flow_shop.t) =
           (* Algorithm A's Step 3 with the inflated durations; the inflated
              schedule is then reread with the original processing times (each
              inflated subtask = busy segment first, idle padding after). *)
-          let inflated_schedule =
-            Algo_a.propagate_from_bottleneck inflated ~bottleneck:b starts_b
-          in
-          let raw = Schedule.make (E2e_model.Recurrence_shop.of_traditional shop)
-                      inflated_schedule.Schedule.starts in
+          let raw_starts = Algo_a.propagate ~bottleneck:b ~taus:g.max_tau starts_b in
+          let raw = Schedule.of_grid g raw_starts in
           (* Step 5: Algorithm C. *)
-          let final =
-            if compact then Obs.span "algo_h.compact" (fun () -> Algo_c.compact raw)
-            else raw
+          let final_starts =
+            if compact then Obs.span "algo_h.compact" (fun () -> Algo_c.compact_grid g raw_starts)
+            else raw_starts
           in
+          let final = if compact then Schedule.of_grid g final_starts else raw in
           if Obs.enabled () && compact then
-            Obs.event "algo_h.compaction" ~fields:(compaction_fields raw final);
+            Obs.event "algo_h.compaction" ~fields:(compaction_fields g raw_starts final_starts raw);
           let result =
             if Schedule.is_feasible final then begin
               Obs.incr "algo_h.feasible";

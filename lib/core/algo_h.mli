@@ -11,7 +11,13 @@
 
     H is {e not} optimal, for the two reasons the paper names: inflation
     adds workload (so A may fail or pick a bad order on the bottleneck),
-    and only permutation schedules are explored. *)
+    and only permutation schedules are explored.
+
+    One int pipeline serves {!run} and {!schedule}: the shop is scaled
+    onto its integer grid ({!E2e_model.Grid}) once, and the bottleneck
+    pass, the inflated propagation, Algorithm C and H's own feasibility
+    test all read ints; [raw] and the result are built from those ints
+    with {!E2e_schedule.Schedule.of_grid}. *)
 
 type failure =
   [ `Inflated_infeasible
@@ -23,7 +29,9 @@ type failure =
 val pp_failure : Format.formatter -> failure -> unit
 
 type report = {
-  inflated : E2e_model.Flow_shop.t;  (** Step 3's homogeneous task set. *)
+  inflated : E2e_model.Flow_shop.t Lazy.t;
+      (** Step 3's homogeneous task set, built when forced: the pipeline
+          itself only needs its per-processor times, on the grid. *)
   bottleneck : int;  (** Step 1 of Algorithm A's choice. *)
   raw : E2e_schedule.Schedule.t option;
       (** A's inflated-set schedule reread with the original processing
@@ -36,9 +44,14 @@ val run :
   ?compact:bool -> ?bottleneck:int -> E2e_model.Flow_shop.t -> report
 (** Full pipeline with intermediates.  [?compact:false] skips Step 5 (the
     compaction ablation); [?bottleneck] overrides A's bottleneck choice
-    (the bottleneck ablation). *)
+    (the bottleneck ablation).
+    @raise E2e_rat.Rat.Overflow when the shop does not fit its integer
+    grid. *)
 
 val schedule :
   E2e_model.Flow_shop.t -> (E2e_schedule.Schedule.t, failure) result
-(** Just the answer.  [Ok s] is always feasible (checker-verified); an
-    error does {e not} prove infeasibility — H is a heuristic. *)
+(** Just the answer: [(run shop).result].  [Ok s] is always feasible
+    (checker-verified); an error does {e not} prove infeasibility — H is
+    a heuristic.
+    @raise E2e_rat.Rat.Overflow when the shop does not fit its integer
+    grid. *)

@@ -8,22 +8,25 @@
     subtask the instant its predecessor completes.  With equal stage
     lengths the pipeline never collides, so the flow-shop problem reduces
     exactly to the single-machine problem on [P_1] with deadlines
-    [d_i - (m-1) tau]. *)
+    [d_i - (m-1) tau].
 
-type rat = E2e_rat.Rat.t
+    The reduction, the single-machine pass and the propagation run on
+    the shop's integer grid ({!E2e_model.Grid}); the schedule is built
+    once with {!E2e_schedule.Schedule.of_grid}. *)
 
 val schedule :
   E2e_model.Flow_shop.t ->
   (E2e_schedule.Schedule.t, [ `Infeasible | `Not_identical_length ]) result
 (** Optimal: [`Infeasible] means no feasible schedule exists.
     [`Not_identical_length] if the precondition fails (use Algorithm A or
-    H instead). *)
+    H instead).
+    @raise E2e_rat.Rat.Overflow when the shop does not fit its integer
+    grid. *)
 
 val schedule_no_regions :
   E2e_model.Flow_shop.t ->
   (E2e_schedule.Schedule.t, [ `Deadline_missed of int | `Not_identical_length ]) result
 (** Ablation: plain priority-driven EDF on [P_1], without the forbidden
-    regions.  Not optimal for arbitrary rational release times. *)
-
-val single_machine_jobs : E2e_model.Flow_shop.t -> tau:rat -> Single_machine.job array
-(** The reduced instance on [P_1] (exposed for tests and benches). *)
+    regions.  Not optimal for arbitrary rational release times.
+    @raise E2e_rat.Rat.Overflow when the shop does not fit its integer
+    grid. *)

@@ -100,10 +100,11 @@ let brute_force_feasible ~tau jobs =
    between regions with one floor division — only for the candidates
    within [Lambda] of it, and takes the exact minimum.
 
-   The engine runs on native ints: each entry point first scales the
-   instance onto an integer time grid ({!to_grid}, which also proves
-   that no int the engine forms can wrap, and refuses the instances
-   for which it cannot). *)
+   The engine runs on native ints ({!schedule_grid}); the rational entry
+   points scale their instance onto its integer time grid first.  Why
+   no int the engine forms can wrap — the bound B = 4M + (n+1)T that
+   every entry point checks — is proved with the grid itself, in
+   [E2e_model.Grid]. *)
 
 (* [floor (a / b)] for [b > 0]. *)
 let floor_div a b =
@@ -135,7 +136,7 @@ module Fenwick = struct
     !s
 end
 
-module Grid = struct
+module Engine = struct
   module Iset = E2e_ds.Interval_set
 
   type job = { id : int; release : int; deadline : int }
@@ -388,121 +389,112 @@ module Grid = struct
     (starts, !missed)
 end
 
-(* {1 The integer time grid}
+(* {1 Entry points}
 
-   Let L be the lcm of the denominators of [tau] and of every release
-   and deadline.  Scaling every time by L maps the instance onto the
-   integers, and every operation the engine performs — add, sub,
-   products with a count, comparisons, and the floor division in
-   [eval_gk], which is exact when both operands are integers — commutes
-   with the scaling.  So the {!Grid} run computes exactly L times the
-   values the same sweep and dispatch would compute on rationals,
-   provided no int wraps; [Rat.make v L] maps each output back, and
-   since rationals are canonical the results are the exact rationals.
+   Every entry point is a from-scratch run of the sweep and/or the
+   dispatch loop on int jobs.  Telemetry always prints the rational
+   values. *)
 
-   The bound.  In scaled units let [lo]/[hi] be the least/greatest
-   release or deadline, [M = max (|lo|, |hi|)], [D = hi - lo <= 2M],
-   [T = tau L] and [n] the number of jobs.  Then:
-   - leaf values [d - N(d) T] lie in [[lo - nT, hi]], and every
-     product with a count is at most [nT] (counts are at most [n]);
-   - each region [(s - T, r)] has [s >= r], so every region lies in
-     [[lo - T, hi]] and [Lambda] (and each partial sum of [measure])
-     is in [[0, D + T]]; the threshold is at most [hi + D + T];
-   - a walk [g^k(d)] with [k <= n] loses at most [kT] to steps and at
-     most [Lambda] to region hops (each region is crossed once), so
-     every [x] and [y] it visits lies in [[lo - (n+1)T - D, hi]] and
-     [x - rt] (with [rt] a release) has magnitude at most
-     [2D + (n+1)T];
-   - every dispatch instant is a release, a region's right endpoint
-     (a release) or the previous finish, so starts lie in
-     [[lo, hi + (n-1)T]] and finishes are at most [hi + nT].
-   Every magnitude the engine forms is therefore at most
-   [B = 4M + (n+1)T].  The grid is used when L, the scaled values and
-   B are computed without passing [grid_limit = max_int / 2] — a
-   further factor of two of headroom — and every step of that check is
-   itself overflow-checked, so it cannot wrap.  Otherwise (say, many
-   coprime large denominators) the instance is refused with
-   {!Rat.Overflow}, the exception the 63-bit rationals raise for values
-   that do not fit: the engine never answers from a wrapped int. *)
+module Grid = E2e_model.Grid
 
-let grid_limit = max_int / 2
-
-(* Products and sums of non-negative ints, refused past the limit. *)
-let mul_le a b = if a <> 0 && b > grid_limit / a then raise Rat.Overflow else a * b
-let add_le a b = if a > grid_limit - b then raise Rat.Overflow else a + b
-let rec gcd a b = if b = 0 then a else gcd b (a mod b)
-
-type grid = { scale : int; gtau : int; gjobs : Grid.job array }
-
-let to_grid ~tau (jobs : job array) =
-  if Rat.sign tau <= 0 then invalid_arg "Single_machine: tau must be positive";
-  let lcm l x =
-    let d = Rat.den x in
-    if l mod d = 0 then l else mul_le (l / gcd l d) d
-  in
-  let scale = Array.fold_left (fun l j -> lcm (lcm l j.release) j.deadline) (Rat.den tau) jobs in
+(* The engine's bound B = 4M + (n+1)T on int jobs (see [Grid]). *)
+let check_bound ~tau ~release ~deadline =
+  if tau <= 0 then invalid_arg "Single_machine: tau must be positive";
+  if Array.length deadline <> Array.length release then
+    invalid_arg "Single_machine: as many deadlines as releases";
   let m = ref 0 in
-  let on_grid x =
-    let v = mul_le (abs (Rat.num x)) (scale / Rat.den x) in
-    if v > !m then m := v;
-    if Rat.num x < 0 then -v else v
+  let bound v =
+    if v = min_int then raise Rat.Overflow;
+    m := Int.max !m (abs v)
   in
-  let gjobs =
-    Array.mapi
-      (fun i j -> { Grid.id = i; release = on_grid j.release; deadline = on_grid j.deadline })
-      jobs
-  in
-  let gtau = mul_le (Rat.num tau) (scale / Rat.den tau) in
-  ignore (add_le (mul_le 4 !m) (mul_le (Array.length jobs + 1) gtau));
-  { scale; gtau; gjobs }
+  Array.iter bound release;
+  Array.iter bound deadline;
+  ignore (Grid.add_le (Grid.mul_le 4 !m) (Grid.mul_le (Array.length release + 1) tau))
 
-let of_grid g v = Rat.make v g.scale
+let engine_jobs ~release ~deadline =
+  Array.mapi (fun i r -> { Engine.id = i; release = r; deadline = deadline.(i) }) release
 
-(* The entry points: each is a from-scratch run of the sweep and/or the
-   dispatch loop on the instance's grid.  Telemetry always prints the
-   rational values. *)
+(* The grid the jobs need on their own: the lcm of the reduced
+   denominators of [tau / scale] and of every release and deadline —
+   [scale] itself for a rational instance, a divisor of it for jobs
+   cut from a larger shop. *)
+let own_grid ~scale ~tau ~release ~deadline =
+  let cover l v = Grid.lcm l (scale / Grid.gcd (abs v) scale) in
+  Array.fold_left cover (Array.fold_left cover (cover 1 tau) release) deadline
 
-let schedule ~tau jobs =
-  if Array.length jobs = 0 then Ok [||]
-  else
-    let g = to_grid ~tau jobs in
-    Obs.span "single_machine.schedule"
-      ~fields:[ ("jobs", Obs.Int (Array.length jobs)); ("grid", Obs.Int g.scale) ]
-      (fun () ->
-        let core = Grid.compute_core ~tau:g.gtau g.gjobs in
-        let rat v = Obs.Str (Rat.to_string (of_grid g v)) in
+let schedule_grid ~scale ~tau ~release ~deadline =
+  let n = Array.length release in
+  if n = 0 then Ok [||]
+  else begin
+    check_bound ~tau ~release ~deadline;
+    let fields =
+      if Obs.enabled () then
+        [ ("jobs", Obs.Int n); ("grid", Obs.Int (own_grid ~scale ~tau ~release ~deadline)) ]
+      else []
+    in
+    Obs.span "single_machine.schedule" ~fields (fun () ->
+        let jobs = engine_jobs ~release ~deadline in
+        let core = Engine.compute_core ~tau jobs in
+        let rat v = Obs.Str (Rat.to_string (Rat.make v scale)) in
         if Obs.enabled () then begin
           match core with
-          | Grid.Infeasible_at r ->
+          | Engine.Infeasible_at r ->
               Obs.event "single_machine.infeasible_window" ~fields:[ ("release", rat r) ]
-          | Grid.Feasible_regions iset ->
+          | Engine.Feasible_regions iset ->
               Obs.event "single_machine.regions"
-                ~fields:[ ("count", Obs.Int (Grid.Iset.cardinal iset)) ];
+                ~fields:[ ("count", Obs.Int (Engine.Iset.cardinal iset)) ];
               List.iter
                 (fun (left, right) ->
                   Obs.event "single_machine.forbidden_region"
                     ~fields:[ ("left", rat left); ("right", rat right) ])
-                (Grid.Iset.to_list iset)
+                (Engine.Iset.to_list iset)
         end;
         match core with
-        | Grid.Infeasible_at _ -> Error `Infeasible
-        | Grid.Feasible_regions iset -> (
-            match Grid.dispatch ~tau:g.gtau ~advance:(Grid.Iset.adjust_up iset) g.gjobs with
+        | Engine.Infeasible_at _ -> Error `Infeasible
+        | Engine.Feasible_regions iset -> (
+            match Engine.dispatch ~tau ~advance:(Engine.Iset.adjust_up iset) jobs with
             | _, p when p >= 0 -> Error `Infeasible
-            | starts, _ -> Ok (Array.map (of_grid g) starts)))
+            | starts, _ -> Ok starts))
+  end
+
+let edf_grid_no_regions ~tau ~release ~deadline =
+  check_bound ~tau ~release ~deadline;
+  match Engine.dispatch ~tau ~advance:Fun.id (engine_jobs ~release ~deadline) with
+  | _, p when p >= 0 -> Error (`Deadline_missed p)
+  | starts, _ -> Ok starts
+
+(* A rational instance on its own grid: L over tau and every release and
+   deadline, and the scaled values. *)
+let scale_jobs ~tau (jobs : job array) =
+  if Rat.sign tau <= 0 then invalid_arg "Single_machine: tau must be positive";
+  let scale =
+    Array.fold_left (fun l j -> Grid.lcm_den (Grid.lcm_den l j.release) j.deadline) (Rat.den tau) jobs
+  in
+  let on = Grid.scaled scale in
+  ( scale,
+    on tau,
+    Array.map (fun j -> on j.release) jobs,
+    Array.map (fun j -> on j.deadline) jobs )
+
+let schedule ~tau jobs =
+  if Array.length jobs = 0 then Ok [||]
+  else
+    let scale, tau, release, deadline = scale_jobs ~tau jobs in
+    Result.map (Array.map (fun v -> Rat.make v scale)) (schedule_grid ~scale ~tau ~release ~deadline)
 
 let forbidden_regions ~tau jobs =
-  let g = to_grid ~tau jobs in
-  match Grid.compute_core ~tau:g.gtau g.gjobs with
-  | Grid.Infeasible_at _ -> Error `Infeasible
-  | Grid.Feasible_regions iset ->
+  let scale, tau, release, deadline = scale_jobs ~tau jobs in
+  check_bound ~tau ~release ~deadline;
+  match Engine.compute_core ~tau (engine_jobs ~release ~deadline) with
+  | Engine.Infeasible_at _ -> Error `Infeasible
+  | Engine.Feasible_regions iset ->
       Ok
         (List.map
-           (fun (l, r) -> { left = of_grid g l; right = of_grid g r })
-           (Grid.Iset.to_list iset))
+           (fun (l, r) -> { left = Rat.make l scale; right = Rat.make r scale })
+           (Engine.Iset.to_list iset))
 
 let edf_schedule_no_regions ~tau jobs =
-  let g = to_grid ~tau jobs in
-  match Grid.dispatch ~tau:g.gtau ~advance:Fun.id g.gjobs with
-  | _, p when p >= 0 -> Error (`Deadline_missed jobs.(p).id)
-  | starts, _ -> Ok (Array.map (of_grid g) starts)
+  let scale, tau, release, deadline = scale_jobs ~tau jobs in
+  match edf_grid_no_regions ~tau ~release ~deadline with
+  | Error (`Deadline_missed p) -> Error (`Deadline_missed jobs.(p).id)
+  | Ok starts -> Ok (Array.map (fun v -> Rat.make v scale) starts)

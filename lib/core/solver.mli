@@ -13,7 +13,9 @@ type verdict =
 
 val solve : E2e_model.Flow_shop.t -> verdict
 (** Identical-length sets go to EEDF, homogeneous sets to Algorithm A
-    (both optimal), everything else to Algorithm H. *)
+    (both optimal), everything else to Algorithm H.
+    @raise E2e_rat.Rat.Overflow when the shop does not fit its integer
+    grid ({!E2e_model.Grid}). *)
 
 val solve_recurrent : E2e_model.Recurrence_shop.t -> (E2e_schedule.Schedule.t, Algo_r.error) result
 (** Recurrent shops go to Algorithm R (optimal under its preconditions);

@@ -40,11 +40,13 @@ let pp_outcome ppf = function
 
 let bug kind fmt = Format.kasprintf (fun detail -> Bug { kind; detail }) fmt
 
-(* The independent checker's verdict on a returned schedule. *)
+(* The reference checker's verdict on a returned schedule: the
+   rational one, so the eedf/a/h classes test the solvers' int pipeline
+   against code that shares none of it. *)
 let invalid s =
-  match Schedule.check s with
-  | Ok () -> None
-  | Error vs ->
+  match Schedule.violations_ref s with
+  | [] -> None
+  | vs ->
       Some
         (Format.asprintf "%a"
            (Format.pp_print_list ~pp_sep:(fun ppf () -> Format.fprintf ppf "; ")
@@ -159,7 +161,7 @@ let run_h fs =
     | Error (`Compacted_infeasible s) ->
         (* H gave up because its own compacted schedule is infeasible; the
            attached witness must indeed violate a constraint. *)
-        if Schedule.is_feasible s then
+        if Schedule.violations_ref s = [] then
           bug Invalid_schedule
             "Algorithm H reported its compacted schedule infeasible, but the checker accepts it"
         else Agree
@@ -201,6 +203,36 @@ let run_h fs =
    rational equality; there is no tolerance and no oracle budget, so
    any mismatch is a bug. *)
 module SM = E2e_core.Single_machine
+
+(* The single-machine reductions on the rationals, independently of the
+   solvers' grid pipeline: EEDF's first stage (deadlines less the m-1
+   later stages) and Algorithm A's bottleneck stage (windows shrunk by
+   the stages before and after it). *)
+let eedf_jobs (shop : Flow_shop.t) ~tau =
+  Array.map
+    (fun (task : E2e_model.Task.t) ->
+      {
+        SM.id = task.id;
+        release = task.release;
+        deadline = Rat.sub task.deadline (Rat.mul_int tau (shop.processors - 1));
+      })
+    shop.tasks
+
+let bottleneck_jobs (shop : Flow_shop.t) ~bottleneck =
+  Array.map
+    (fun (task : E2e_model.Task.t) ->
+      let before = ref Rat.zero and after = ref Rat.zero in
+      Array.iteri
+        (fun j tau ->
+          if j < bottleneck then before := Rat.add !before tau
+          else if j > bottleneck then after := Rat.add !after tau)
+        task.proc_times;
+      {
+        SM.id = task.id;
+        release = Rat.add task.release !before;
+        deadline = Rat.sub task.deadline !after;
+      })
+    shop.tasks
 
 let to_ref (jobs : SM.job array) =
   Array.map
@@ -298,7 +330,7 @@ let run_eedf_fast fs =
   match Flow_shop.is_identical_length fs with
   | None -> bug Precondition "eedf-fast generator produced a non-identical-length shop"
   | Some tau -> (
-      let jobs = Eedf.single_machine_jobs fs ~tau in
+      let jobs = eedf_jobs fs ~tau in
       let ref_jobs = to_ref jobs in
       let attempt f = match f () with v -> Some v | exception Rat.Overflow -> None in
       match

@@ -25,7 +25,10 @@
       every trial is decidable.
 
     Every returned schedule, from solver and oracle alike, is validated
-    by the independent checker. *)
+    by the reference checker {!E2e_schedule.Schedule.violations_ref},
+    which works on the rationals: the solvers and the production checker
+    run on the integer grid, so the eedf, a and h classes test that int
+    pipeline against code that shares none of it. *)
 
 type kind =
   | Invalid_schedule
@@ -74,3 +77,13 @@ val grid_fit :
     [`Over] when either passes it — every entry point must then raise
     [Rat.Overflow].  The products are formed in floats, so values within
     a relative 1e-9 of the limit give [`Edge], which decides nothing. *)
+
+val eedf_jobs :
+  E2e_model.Flow_shop.t -> tau:E2e_rat.Rat.t -> E2e_core.Single_machine.job array
+(** EEDF's reduced instance on [P_1], on the rationals: each task's
+    release and its deadline less [(m-1) tau]. *)
+
+val bottleneck_jobs :
+  E2e_model.Flow_shop.t -> bottleneck:int -> E2e_core.Single_machine.job array
+(** Algorithm A's reduced instance on [P_b], on the rationals: the
+    effective release and deadline of every task's subtask there. *)

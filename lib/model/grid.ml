@@ -1,0 +1,122 @@
+module Rat = E2e_rat.Rat
+
+type rat = Rat.t
+
+(* {1 Why no int wraps}
+
+   Scaling every time of a shop by L, the lcm of its denominators, maps
+   it onto the integers, and every operation the algorithms perform —
+   add, sub, max, comparisons, products with a count, and the
+   single-machine engine's floor division, which is exact when both
+   operands are integers — commutes with the scaling.  So an int run
+   computes exactly L times the rational run's values, provided no int
+   wraps; [Rat.make v L] maps each output back, and since rationals are
+   canonical the results are the exact rationals.  The two checks below
+   say why no int wraps.
+
+   {2 The single-machine engine: B = 4M + (n+1)T}
+
+   For [n] equal-length jobs in scaled units let [lo]/[hi] be the
+   least/greatest release or deadline, [M = max (|lo|, |hi|)],
+   [D = hi - lo <= 2M] and [T] the job length.  Then:
+   - leaf values [d - N(d) T] lie in [[lo - nT, hi]], and every product
+     with a count is at most [nT] (counts are at most [n]);
+   - each forbidden region [(s - T, r)] has [s >= r], so every region
+     lies in [[lo - T, hi]] and [Lambda] (and each partial sum of the
+     region measure) is in [[0, D + T]]; the threshold is at most
+     [hi + D + T];
+   - a walk [g^k(d)] with [k <= n] loses at most [kT] to steps and at
+     most [Lambda] to region hops (each region is crossed once), so
+     every [x] and [y] it visits lies in [[lo - (n+1)T - D, hi]] and
+     [x - rt] (with [rt] a release) has magnitude at most
+     [2D + (n+1)T];
+   - every dispatch instant is a release, a region's right endpoint (a
+     release) or the previous finish, so starts lie in
+     [[lo, hi + (n-1)T]] and finishes are at most [hi + nT].
+   Every magnitude the engine forms is therefore at most
+   [B = 4M + (n+1)T].  [Single_machine] checks B against [limit] on its
+   int jobs, with every step overflow-checked.
+
+   {2 A flow shop}
+
+   A shop is admitted when L and every scaled release, deadline and
+   processing time stay within [limit = max_int / 2], and so does [P],
+   the sum over stages of the longest processing time on the stage — at
+   least every task's total, and exactly an inflated task's total.
+   Every step of that check is itself overflow-checked, so it cannot
+   wrap.  Then no int of the flow-shop pipeline wraps, because every
+   value is a sum of at most two terms of magnitude at most [limit]
+   (and [2 limit < max_int]), and every value that is carried further
+   is first checked against [limit] again:
+   - effective windows [r_i + sum_{j<b} tau_ij], [d_i - sum_{j>b}
+     tau_ij] and [d_i - (m-1) tau] add a time to a partial sum of at
+     most [P]; the single-machine engine then checks its bound B on
+     them, so everything it forms, its starts included, is at most
+     [B <= limit];
+   - propagation adds or subtracts a partial sum of (possibly inflated)
+     stage times to such a start; [Schedule.of_grid] refuses any start
+     past [limit];
+   - compaction (Algorithm C) writes each start as the max of a release
+     and a start plus one stage time, and refuses a start past [limit]
+     as it writes it (no start falls below the least of the releases
+     and the first start, so only the upper side can pass);
+   - the checker and the reply writer add one stage time to a start
+     that [Schedule.of_grid] or [of_schedule] admitted.
+   A shop or schedule past these checks is refused with {!Rat.Overflow}:
+   no answer is ever computed from a wrapped int. *)
+
+let limit = max_int / 2
+
+(* Below 2^30 both factors of a product, it stays below 2^60 < limit:
+   no division needed to check it. *)
+let small v = v < 0x4000_0000
+
+let mul_le a b =
+  if small a && small b then a * b
+  else if a <> 0 && b > limit / a then raise Rat.Overflow
+  else a * b
+
+let add_le a b = if a > limit - b then raise Rat.Overflow else a + b
+let rec gcd a b = if b = 0 then a else gcd b (a mod b)
+let lcm l d = if l mod d = 0 then l else mul_le (l / gcd l d) d
+let lcm_den l x = lcm l (Rat.den x)
+
+let scaled l x =
+  let d = Rat.den x in
+  if l mod d <> 0 then invalid_arg "Grid.scaled: the denominator does not divide the scale";
+  let v = mul_le (abs (Rat.num x)) (l / d) in
+  if Rat.num x < 0 then -v else v
+
+let rescale l x = Rat.num x * (l / Rat.den x)
+
+type t = {
+  shop : Recurrence_shop.t;
+  scale : int;
+  release : int array;
+  deadline : int array;
+  tau : int array array;
+  max_tau : int array;
+}
+
+let build (shop : Recurrence_shop.t) (times : rat array array) =
+  let tasks = shop.Recurrence_shop.tasks in
+  let scale =
+    Array.fold_left
+      (fun l (t : Task.t) ->
+        Array.fold_left lcm_den (lcm_den (lcm_den l t.release) t.deadline) t.proc_times)
+      1 tasks
+  in
+  let scale = Array.fold_left (Array.fold_left lcm_den) scale times in
+  let on_grid = scaled scale in
+  let release = Array.map (fun (t : Task.t) -> on_grid t.release) tasks in
+  let deadline = Array.map (fun (t : Task.t) -> on_grid t.deadline) tasks in
+  let tau = Array.map (fun (t : Task.t) -> Array.map on_grid t.proc_times) tasks in
+  let gtimes = Array.map (Array.map on_grid) times in
+  let max_tau = Array.make (Visit.length shop.Recurrence_shop.visit) 0 in
+  Array.iter (Array.iteri (fun j v -> max_tau.(j) <- Int.max max_tau.(j) v)) tau;
+  ignore (Array.fold_left add_le 0 max_tau);
+  ({ shop; scale; release; deadline; tau; max_tau }, gtimes)
+
+let of_shop shop = fst (build shop [||])
+let of_schedule = build
+let to_rat g v = Rat.make v g.scale

@@ -2,17 +2,68 @@ module Rat = E2e_rat.Rat
 module Task = E2e_model.Task
 module Visit = E2e_model.Visit
 module Recurrence_shop = E2e_model.Recurrence_shop
+module Grid = E2e_model.Grid
 
 type rat = Rat.t
-type t = { shop : Recurrence_shop.t; starts : rat array array }
+
+(* The grid form: L and the starts times L.  The shop's own times are
+   rescaled from its rationals where a consumer needs them, so a
+   schedule holds no scaled copy of its instance. *)
+type grid = { scale : int; gstarts : int array array }
+type t = { shop : Recurrence_shop.t; starts : rat array array; grid : grid option }
+
+let check_shape name shop starts =
+  let n = Recurrence_shop.n_tasks shop and k = Visit.length shop.Recurrence_shop.visit in
+  if Array.length starts <> n then invalid_arg (name ^ ": wrong task count");
+  Array.iter (fun row -> if Array.length row <> k then invalid_arg (name ^ ": wrong stage count")) starts
 
 let make shop starts =
-  let n = Recurrence_shop.n_tasks shop and k = Visit.length shop.Recurrence_shop.visit in
-  if Array.length starts <> n then invalid_arg "Schedule.make: wrong task count";
-  Array.iter
-    (fun row -> if Array.length row <> k then invalid_arg "Schedule.make: wrong stage count")
-    starts;
-  { shop; starts }
+  check_shape "Schedule.make" shop starts;
+  { shop; starts; grid = None }
+
+let of_grid (g : Grid.t) gstarts =
+  check_shape "Schedule.of_grid" g.shop gstarts;
+  Array.iter (Array.iter (fun s -> if s > Grid.limit || s < -Grid.limit then raise Rat.Overflow)) gstarts;
+  let scale = g.scale in
+  {
+    shop = g.shop;
+    starts = Array.map (Array.map (fun s -> Rat.make s scale)) gstarts;
+    grid = Some { scale; gstarts };
+  }
+
+let same_task (a : Task.t) (b : Task.t) =
+  Rat.equal a.release b.release
+  && Rat.equal a.deadline b.deadline
+  && (a.proc_times == b.proc_times
+     || Array.length a.proc_times = Array.length b.proc_times
+        && Array.for_all2 Rat.equal a.proc_times b.proc_times)
+
+let relabel ~perm t (shop : Recurrence_shop.t) =
+  let n = Array.length t.starts in
+  let mismatch () = invalid_arg "Schedule.relabel: the shop is not the schedule's shop permuted" in
+  if
+    Array.length perm <> n
+    || Recurrence_shop.n_tasks shop <> n
+    || shop.visit.Visit.sequence <> t.shop.visit.Visit.sequence
+  then mismatch ();
+  let seen = Array.make n false in
+  Array.iteri
+    (fun p orig ->
+      if orig < 0 || orig >= n || seen.(orig) then mismatch ();
+      seen.(orig) <- true;
+      if not (same_task t.shop.tasks.(p) shop.tasks.(orig)) then mismatch ())
+    perm;
+  (* Row [p] moves to [perm.(p)]; the rows themselves are shared. *)
+  let permute rows =
+    let out = Array.make n [||] in
+    Array.iteri (fun p orig -> out.(orig) <- rows.(p)) perm;
+    out
+  in
+  {
+    shop;
+    starts = permute t.starts;
+    grid = Option.map (fun g -> { g with gstarts = permute g.gstarts }) t.grid;
+  }
 
 let of_flow_shop fs starts = make (Recurrence_shop.of_traditional fs) starts
 let start t ~task ~stage = t.starts.(task).(stage)
@@ -25,12 +76,29 @@ let n_tasks t = Array.length t.starts
 
 let completion t task = finish t ~task ~stage:(stages t - 1)
 
+(* The tasks' times on a grid of scale [scale] that admitted them. *)
+let scaled_instance scale (tasks : Task.t array) =
+  let on = Grid.rescale scale in
+  ( Array.map (fun (t : Task.t) -> on t.release) tasks,
+    Array.map (fun (t : Task.t) -> on t.deadline) tasks,
+    Array.map (fun (t : Task.t) -> Array.map on t.proc_times) tasks )
+
 let makespan t =
-  let best = ref Rat.zero in
-  for i = 0 to n_tasks t - 1 do
-    best := Rat.max !best (completion t i)
-  done;
-  !best
+  match t.grid with
+  | Some { scale; gstarts } ->
+      let tau = Grid.rescale scale and k = stages t in
+      let best = ref 0 in
+      Array.iteri
+        (fun i row ->
+          best := Int.max !best (row.(k - 1) + tau t.shop.tasks.(i).Task.proc_times.(k - 1)))
+        gstarts;
+      Rat.make !best scale
+  | None ->
+      let best = ref Rat.zero in
+      for i = 0 to n_tasks t - 1 do
+        best := Rat.max !best (completion t i)
+      done;
+      !best
 
 (* Entries (start, task, stage) in start order, ties by task then stage.
    Monomorphic: polymorphic [compare] on these tuples would walk the
@@ -92,7 +160,10 @@ let pp_violation ppf = function
       Format.fprintf ppf "processor %d: (task %d, stage %d) overlaps (task %d, stage %d)"
         processor ta sa tb sb
 
-let violations t =
+(* The reference checker: every constraint re-derived on the rationals.
+   It checks the schedules whose grid does not fit, and the grid checker
+   below must return exactly its list. *)
+let violations_ref t =
   let out = ref [] in
   let push v = out := v :: !out in
   let tasks = t.shop.Recurrence_shop.tasks in
@@ -136,6 +207,85 @@ let violations t =
     | (_, i1, j1) :: rest -> scan (finishes.(i1).(j1), i1, j1) rest
   done;
   List.rev !out
+
+(* The checker on the grid: the reference's checks in the reference's
+   order on ints, each violation's rationals made only when it is
+   pushed.  Entry [c = i k + j] is stage [j] of task [i]; each
+   processor's entries are listed by [c] and stably sorted by start,
+   which is the reference's (start, task, stage) order. *)
+let grid_violations t ~scale ~release ~deadline ~tau gstarts =
+  let out = ref [] in
+  let push v = out := v :: !out in
+  let rat v = Rat.make v scale in
+  let tasks = t.shop.Recurrence_shop.tasks in
+  let n = n_tasks t and k = stages t in
+  let start = Array.make (n * k) 0 and finish = Array.make (n * k) 0 in
+  for i = 0 to n - 1 do
+    let row = gstarts.(i) and taus = tau.(i) in
+    for j = 0 to k - 1 do
+      start.((i * k) + j) <- row.(j);
+      finish.((i * k) + j) <- row.(j) + taus.(j)
+    done
+  done;
+  for i = 0 to n - 1 do
+    let task = tasks.(i) and c = i * k in
+    if start.(c) < release.(i) then
+      push (Release_violated { task = i; start = t.starts.(i).(0); release = task.Task.release });
+    if finish.(c + k - 1) > deadline.(i) then
+      push
+        (Deadline_missed
+           { task = i; finish = rat finish.(c + k - 1); deadline = task.Task.deadline });
+    for j = 1 to k - 1 do
+      if start.(c + j) < finish.(c + j - 1) then
+        push
+          (Precedence_violated
+             { task = i; stage = j; start = t.starts.(i).(j); prev_finish = rat finish.(c + j - 1) })
+    done
+  done;
+  let visit = t.shop.Recurrence_shop.visit in
+  let per_proc = Array.make visit.Visit.processors 0 in
+  Array.iter (fun p -> per_proc.(p) <- per_proc.(p) + n) visit.Visit.sequence;
+  let entries = Array.map (fun len -> Array.make len 0) per_proc in
+  let fill = Array.make visit.Visit.processors 0 in
+  for i = 0 to n - 1 do
+    for j = 0 to k - 1 do
+      let p = visit.Visit.sequence.(j) in
+      entries.(p).(fill.(p)) <- (i * k) + j;
+      fill.(p) <- fill.(p) + 1
+    done
+  done;
+  Array.iteri
+    (fun p es ->
+      Array.stable_sort (fun a b -> Int.compare start.(a) start.(b)) es;
+      if Array.length es > 0 then begin
+        (* The running maximum finish, as in the reference. *)
+        let max_f = ref finish.(es.(0)) and holder = ref es.(0) in
+        for x = 1 to Array.length es - 1 do
+          let c = es.(x) in
+          if start.(c) < !max_f then
+            push
+              (Overlap
+                 { processor = p; a = (!holder / k, !holder mod k); b = (c / k, c mod k) });
+          if finish.(c) > !max_f then begin
+            max_f := finish.(c);
+            holder := c
+          end
+        done
+      end)
+    entries;
+  List.rev !out
+
+let violations t =
+  match t.grid with
+  | Some { scale; gstarts } ->
+      let release, deadline, tau = scaled_instance scale t.shop.Recurrence_shop.tasks in
+      grid_violations t ~scale ~release ~deadline ~tau gstarts
+  | None -> (
+      match Grid.of_schedule t.shop t.starts with
+      | g, gstarts ->
+          grid_violations t ~scale:g.scale ~release:g.release ~deadline:g.deadline ~tau:g.tau
+            gstarts
+      | exception Rat.Overflow -> violations_ref t)
 
 let is_feasible t = violations t = []
 let check t = match violations t with [] -> Ok () | vs -> Error vs
@@ -211,6 +361,15 @@ let pp_table ppf t =
 
 let add_csv buf ~sep t =
   let seq = t.shop.Recurrence_shop.visit.Visit.sequence in
+  let add_finish =
+    match t.grid with
+    | Some { scale; gstarts } ->
+        let tau = Grid.rescale scale and tasks = t.shop.Recurrence_shop.tasks in
+        fun i j ->
+          Rat.add_to_buffer buf
+            (Rat.make (gstarts.(i).(j) + tau tasks.(i).Task.proc_times.(j)) scale)
+    | None -> fun i j -> Rat.add_to_buffer buf (finish t ~task:i ~stage:j)
+  in
   Buffer.add_string buf "task,stage,processor,start,finish";
   for i = 0 to n_tasks t - 1 do
     for j = 0 to stages t - 1 do
@@ -223,7 +382,7 @@ let add_csv buf ~sep t =
       Buffer.add_char buf ',';
       Rat.add_to_buffer buf (start t ~task:i ~stage:j);
       Buffer.add_char buf ',';
-      Rat.add_to_buffer buf (finish t ~task:i ~stage:j)
+      add_finish i j
     done
   done
 

@@ -10,16 +10,43 @@
 
 type rat = E2e_rat.Rat.t
 
+type grid
+(** A schedule's integer-grid form: the scale L of its shop's
+    {!E2e_model.Grid} and every start times L.  The shop's own times are
+    rescaled from its rationals where they are needed, not stored. *)
+
 type t = private {
   shop : E2e_model.Recurrence_shop.t;
   starts : rat array array;  (** [starts.(i).(j)]: start of stage [j] of task [i]. *)
+  grid : grid option;
+      (** Present when the schedule was built by {!of_grid} (and kept by
+          {!relabel}): the checker, {!makespan} and {!add_csv} then
+          read ints. *)
 }
 
 val make : E2e_model.Recurrence_shop.t -> rat array array -> t
-(** @raise Invalid_argument on a shape mismatch with the shop. *)
+(** A schedule without a grid form; its checker scales it onto a grid
+    once per check.
+    @raise Invalid_argument on a shape mismatch with the shop. *)
+
+val of_grid : E2e_model.Grid.t -> int array array -> t
+(** [of_grid g starts] is the schedule of [g]'s shop whose start of
+    stage [j] of task [i] is [starts.(i).(j) / L]: the rational [starts]
+    are made once, here, and the int starts are kept as the grid form.
+    @raise Invalid_argument on a shape mismatch with the shop.
+    @raise E2e_rat.Rat.Overflow when a start's magnitude passes
+    {!E2e_model.Grid.limit}. *)
 
 val of_flow_shop : E2e_model.Flow_shop.t -> rat array array -> t
 (** Wraps a traditional flow shop. *)
+
+val relabel : perm:int array -> t -> E2e_model.Recurrence_shop.t -> t
+(** [relabel ~perm t shop] moves row [p] of [t] (its rational and its
+    grid starts alike) to row [perm.(p)] of a schedule of [shop] — the
+    schedule of [t]'s shop with its tasks permuted, so that task [p] of
+    [t.shop] is task [perm.(p)] of [shop].  Feasibility is unchanged.
+    @raise Invalid_argument when [perm] is not a permutation or [shop]
+    is not [t]'s shop permuted by it. *)
 
 val start : t -> task:int -> stage:int -> rat
 val finish : t -> task:int -> stage:int -> rat
@@ -27,7 +54,8 @@ val completion : t -> int -> rat
 (** Completion time of a task: finish of its last stage. *)
 
 val makespan : t -> rat
-(** Latest completion over all tasks. *)
+(** Latest completion over all tasks, and at least 0 (read from the
+    grid form when there is one). *)
 
 val is_permutation : t -> bool
 (** True when all processors execute the tasks in one common order —
@@ -47,8 +75,17 @@ type violation =
 val pp_violation : Format.formatter -> violation -> unit
 
 val violations : t -> violation list
-(** All constraint violations; the empty list means the schedule is
-    feasible in the sense of the paper. *)
+(** All constraint violations, in the order of {!violations_ref}: the
+    empty list means the schedule is feasible in the sense of the paper.
+    Runs on ints: on the grid form when the schedule has one, otherwise
+    on a grid of its shop and starts made once per call
+    ({!E2e_model.Grid.of_schedule}); only a schedule whose grid does not
+    fit is checked by {!violations_ref}. *)
+
+val violations_ref : t -> violation list
+(** The reference checker: the same list derived on the rationals, with
+    no scaling.  The path for schedules whose grid does not fit, and the
+    independent reference the grid checker is tested against. *)
 
 val is_feasible : t -> bool
 
@@ -85,7 +122,8 @@ val add_csv : Buffer.t -> sep:char -> t -> unit
 (** The rows of {!to_csv} in one buffer pass: the header, then each
     stage's row preceded by [sep], with no trailing separator.
     [to_csv] is [add_csv ~sep:'\n'] plus a final newline; the admission
-    service's replies use [~sep:';']. *)
+    service's replies use [~sep:';'].  With a grid form each finish is
+    written as [(s + tau) / L] reduced by one int gcd. *)
 
 val pp_gantt : ?unit_time:rat -> Format.formatter -> t -> unit
 (** ASCII Gantt chart, one row per processor, one column per [unit_time]

@@ -127,8 +127,7 @@ let solve_full budget ?hint (shop : Recurrence_shop.t) =
    passes the checker exactly when the canonical one does. *)
 let relabel canon (shop : Recurrence_shop.t) = function
   | Admitted { schedule; algo } ->
-      let starts = Cache.restore_starts canon schedule.Schedule.starts in
-      Admitted { schedule = Schedule.make shop starts; algo }
+      Admitted { schedule = Schedule.relabel ~perm:canon.Cache.perm schedule shop; algo }
   | (Rejected _ | Undecided _) as d -> d
 
 (* Independent re-verification of an admitted schedule against the

@@ -173,11 +173,6 @@ module Keyer = struct
   let stats (t : t) = { reused = t.reused; rendered = t.rendered }
 end
 
-let restore_starts { perm; _ } (starts : Rat.t array array) =
-  let out = Array.make (Array.length starts) [||] in
-  Array.iteri (fun p orig -> out.(orig) <- starts.(p)) perm;
-  out
-
 (* Doubly-linked intrusive LRU list: [head] is most recent, [tail] the
    eviction candidate. *)
 type 'a node = {

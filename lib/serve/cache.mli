@@ -14,8 +14,9 @@
     is a canonical representative of the instance's permutation class.
     The cache key is its digest.  Feasibility is invariant under task
     relabelling, so one cached solve answers every permutation of the
-    instance; {!restore_starts} maps a schedule computed on the
-    canonical shop back to the original task labelling.
+    instance; {!E2e_schedule.Schedule.relabel} with the canonical
+    form's [perm] maps a schedule computed on the canonical shop back to
+    the original task labelling.
 
     {b Replacement and metering.}  A bounded LRU: [find] refreshes
     recency, [add] evicts the least-recently-used entry once past
@@ -74,12 +75,6 @@ module Keyer : sig
 
   val stats : t -> stats
 end
-
-val restore_starts :
-  canonical -> E2e_rat.Rat.t array array -> E2e_rat.Rat.t array array
-(** Map per-task start times computed against the canonical shop back to
-    the original task order: row [perm.(p)] of the result is row [p] of
-    the input. *)
 
 type 'a t
 (** An LRU cache from canonical keys to ['a]. *)

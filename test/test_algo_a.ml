@@ -72,7 +72,7 @@ let prop_optimality =
       let b = Flow_shop.bottleneck shop in
       let taus = Option.get (Flow_shop.is_homogeneous shop) in
       let exact =
-        Sm.brute_force_feasible ~tau:taus.(b) (Algo_a.bottleneck_jobs shop ~bottleneck:b)
+        Sm.brute_force_feasible ~tau:taus.(b) (E2e_fuzz.Oracle.bottleneck_jobs shop ~bottleneck:b)
       in
       match Algo_a.schedule shop with
       | Ok s -> exact && Schedule.is_feasible s

@@ -62,7 +62,7 @@ let test_reduction_shape () =
   let shop =
     identical_shop [ (r 1, r 10, [| r 2; r 2; r 2 |]) ]
   in
-  let jobs = Eedf.single_machine_jobs shop ~tau:(r 2) in
+  let jobs = E2e_fuzz.Oracle.eedf_jobs shop ~tau:(r 2) in
   check_rat "release kept" (r 1) jobs.(0).Sm.release;
   check_rat "deadline shifted by (m-1) tau" (r 6) jobs.(0).Sm.deadline
 
@@ -78,7 +78,7 @@ let prop_optimality =
       let m = 2 + Prng.int g 3 in
       let tau = Rat.make (1 + Prng.int g 4) 2 in
       let shop = Gen.identical_length g ~n ~m ~tau ~window:6 in
-      let exact = Sm.brute_force_feasible ~tau (Eedf.single_machine_jobs shop ~tau) in
+      let exact = Sm.brute_force_feasible ~tau (E2e_fuzz.Oracle.eedf_jobs shop ~tau) in
       match Eedf.schedule shop with
       | Ok s -> exact && Schedule.is_feasible s
       | Error `Infeasible -> not exact

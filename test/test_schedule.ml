@@ -295,8 +295,85 @@ let prop_violations_match_reference =
              (List.length want);
          true))
 
+(* The grid checker against the rational reference [Schedule.violations_ref]:
+   the same list, in the same order, with the same rationals, whether the
+   schedule carries its grid form ([of_grid], and after [relabel]) or is
+   scaled by the checker itself ([make]).  Draws start from a forward
+   pass — feasible when the deadlines are loosened — over random visit
+   sequences (reused processors included) with negative times and mixed
+   denominators, then perturb some starts: by one grid unit either way,
+   onto another entry's start, just inside another entry (so a long
+   entry hides later overlaps), or to an arbitrary rational.  Renderings
+   and makespans of the two constructions agree too. *)
+let prop_grid_checker_matches_reference =
+  let gen =
+    QCheck.Gen.(
+      quad (Helpers.schedule_gen ()) bool
+        (list_size (int_range 0 6) (quad nat nat (int_bound 4) bool))
+        (int_bound 1_000_000))
+  in
+  let print (s, _, _, _) = Schedule.to_csv s in
+  Helpers.to_alcotest
+    (QCheck.Test.make ~name:"grid checker equals the rational reference" ~count:1000
+       (QCheck.make ~print gen) (fun (random, loose, picks, seed) ->
+         let shop =
+           let shop = random.Schedule.shop in
+           if not loose then shop
+           else
+             Recurrence_shop.make ~visit:shop.visit
+               (Array.map
+                  (fun (t : Task.t) ->
+                    Task.make ~id:t.id ~release:t.release
+                      ~deadline:(Rat.add t.release (r 100_000)) ~proc_times:t.proc_times)
+                  shop.tasks)
+         in
+         let n = Recurrence_shop.n_tasks shop and k = Visit.length shop.visit in
+         let base = Schedule.forward_pass shop ~order:(Array.init n Fun.id) in
+         let starts = Array.map Array.copy base.Schedule.starts in
+         let unit = Rat.make 1 (E2e_model.Grid.of_schedule shop starts |> fst).scale in
+         if n > 0 then
+           List.iter
+             (fun (a, b, kind, up) ->
+               let i = a mod n and j = b mod k in
+               let i' = b mod n and j' = a mod k in
+               starts.(i).(j) <-
+                 (match kind with
+                 | 0 -> (if up then Rat.add else Rat.sub) starts.(i).(j) unit
+                 | 1 -> starts.(i').(j')
+                 | 2 -> Rat.add starts.(i').(j') unit
+                 | _ -> random.Schedule.starts.(i).(j)))
+             picks;
+         let made = Schedule.make shop starts in
+         let g, gstarts = E2e_model.Grid.of_schedule shop starts in
+         let gridded = Schedule.of_grid g gstarts in
+         let want = Schedule.violations_ref made in
+         let perm = E2e_prng.Prng.permutation (E2e_prng.Prng.create seed) n in
+         (* Task [p] of [shop] becomes task [perm.(p)] of [permuted]. *)
+         let permuted =
+           let inv = Array.make n 0 in
+           Array.iteri (fun p orig -> inv.(orig) <- p) perm;
+           Recurrence_shop.make ~visit:shop.visit
+             (Array.init n (fun id ->
+                  let (t : Task.t) = shop.tasks.(inv.(id)) in
+                  Task.make ~id ~release:t.release ~deadline:t.deadline ~proc_times:t.proc_times))
+         in
+         let relabelled = Schedule.relabel ~perm gridded permuted in
+         let check what got want =
+           if got <> want then
+             QCheck.Test.fail_reportf "%s: got %d violations, reference %d" what
+               (List.length got) (List.length want)
+         in
+         check "make" (Schedule.violations made) want;
+         check "of_grid" (Schedule.violations gridded) want;
+         check "relabel"
+           (Schedule.violations relabelled)
+           (Schedule.violations_ref (Schedule.make permuted relabelled.Schedule.starts));
+         Schedule.to_csv gridded = Schedule.to_csv made
+         && Rat.equal (Schedule.makespan gridded) (Schedule.makespan made)))
+
 let suite =
   [
+    prop_grid_checker_matches_reference;
     prop_left_shift_monotone;
     prop_forward_pass_feasible_on_generated;
     prop_violations_match_reference;

@@ -142,7 +142,7 @@ let test_canonical_key_permutation_invariant () =
     let canon = Cache.canonicalize shuffled in
     let sched = E2e_core.Greedy_edf.schedule canon.Cache.shop in
     let restored =
-      Schedule.make shuffled (Cache.restore_starts canon sched.Schedule.starts)
+      Schedule.relabel ~perm:canon.Cache.perm sched shuffled
     in
     match Schedule.check restored with
     | Ok () -> ()

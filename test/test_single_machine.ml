@@ -255,7 +255,7 @@ let test_off_grid_refused () =
       (fun over ->
         let fs = E2e_fuzz.Gen.edge_of_grid (Prng.create seed) ~over in
         let tau = Option.get (E2e_model.Flow_shop.is_identical_length fs) in
-        let jobs = E2e_core.Eedf.single_machine_jobs fs ~tau in
+        let jobs = E2e_fuzz.Oracle.eedf_jobs fs ~tau in
         if over then
           Alcotest.(check bool)
             (Printf.sprintf "seed %d just over the bound: refused" seed)
@@ -264,15 +264,20 @@ let test_off_grid_refused () =
       [ false; true ]
   done
 
-(* Hostile magnitudes: denominators up to 2^31, widths up to 2^40 time
-   units and offsets as large as the denominators leave room for (every
-   constructed value keeps |num| below 2^61). *)
+(* Hostile magnitudes: denominators up to 2^30, widths up to 2^40 time
+   units and offsets as large as the denominators leave room for.  The
+   offset is bounded by [max_int / 8 / dmax^2] and the width by
+   [2^56 / dmax], so every sum of two constructed values (whose
+   denominators multiply to at most [dmax^2]) keeps its numerator below
+   2^61: the draws are built within the rationals' range, and the
+   property checks them instead of discarding them. *)
 let hostile_jobs g =
   let n = 1 + Prng.int g 8 in
-  let dmax = 1 lsl Prng.int g 32 in
+  let bits = Prng.int g 31 in
+  let dmax = 1 lsl bits in
   let den () = 1 + Prng.int g dmax in
-  let offset = (if Prng.bool g then 1 else -1) * Prng.int g (max_int / 4 / dmax) in
-  let width = 1 lsl Prng.int g 40 in
+  let offset = (if Prng.bool g then 1 else -1) * Prng.int g (1 + (max_int / 8 / dmax / dmax)) in
+  let width = 1 lsl Prng.int g (Int.min 41 (57 - bits)) in
   let tau = Rat.make (1 + Prng.int g width) (den ()) in
   let jobs =
     Array.init n (fun id ->
@@ -282,6 +287,23 @@ let hostile_jobs g =
         job id release (Rat.add release (Rat.make (Prng.int g (8 * width)) d)))
   in
   (tau, jobs)
+
+(* The draws the property sees: over seeds 0-999, how many are built
+   at all and how many of those the engine answers (the rest it
+   refuses as off the grid). *)
+let test_hostile_draws_are_checked () =
+  let built = ref 0 and on_grid = ref 0 in
+  for seed = 0 to 999 do
+    match hostile_jobs (Prng.create seed) with
+    | exception Rat.Overflow -> ()
+    | tau, jobs ->
+        incr built;
+        if engine ~tau jobs <> None then incr on_grid
+  done;
+  Alcotest.(check bool) (Printf.sprintf "%d of 1000 draws built (floor 950)" !built) true
+    (!built >= 950);
+  Alcotest.(check bool) (Printf.sprintf "%d draws on the grid (floor 200)" !on_grid) true
+    (!on_grid >= 200)
 
 (* On the grid the engine equals the reference wherever the reference
    answers (it answers even where the reference overflows).  It refuses
@@ -361,6 +383,8 @@ let suite =
       test_on_grid_matches_reference;
     Alcotest.test_case "off-grid instances are refused" `Quick test_off_grid_refused;
     to_alcotest prop_hostile_magnitudes;
+    Alcotest.test_case "hostile draws are built and checked" `Quick
+      test_hostile_draws_are_checked;
     Alcotest.test_case "grid telemetry prints rationals" `Quick
       test_grid_telemetry_prints_rationals;
   ]
