@@ -10,6 +10,7 @@ OFF_GRID := /tmp/e2e_sched_off_grid.txt
 CONC_A := /tmp/e2e_sched_conc_j1
 CONC_B := /tmp/e2e_sched_conc_j4
 CONC_D := /tmp/e2e_sched_conc_d4
+CONC_C := /tmp/e2e_sched_conc_closed
 CONC_CONNS := 4
 CLUS_A := /tmp/e2e_sched_clus_j1
 CLUS_B := /tmp/e2e_sched_clus_j4
@@ -111,11 +112,13 @@ serve-smoke:
 # The concurrent transport determinism smoke: $(CONC_CONNS) pipelined
 # client domains against an embedded multi-domain TCP server on 1 and 4
 # worker domains, then again with the queue striped over 4 drainer
-# domains.  Every connection's reply log must be byte-identical across
-# domain counts AND stripe counts (disjoint per-connection shop
-# namespaces) and contain admitted verdicts.
+# domains, then closed-loop (one request in flight per connection, so
+# the drainer mostly steps batches of one or two).  Every connection's
+# reply log must be byte-identical across domain counts, stripe counts
+# AND pipelining depths (disjoint per-connection shop namespaces) and
+# contain admitted verdicts.
 serve-conc-smoke:
-	rm -f $(CONC_A).conn* $(CONC_B).conn* $(CONC_D).conn*
+	rm -f $(CONC_A).conn* $(CONC_B).conn* $(CONC_D).conn* $(CONC_C).conn*
 	dune exec bin/loadgen.exe -- --self-serve --connections $(CONC_CONNS) \
 	  --pipeline 16 --requests 800 --seed 42 -j 1 \
 	  --reply-log $(CONC_A) > /dev/null
@@ -125,9 +128,13 @@ serve-conc-smoke:
 	dune exec bin/loadgen.exe -- --self-serve --connections $(CONC_CONNS) \
 	  --pipeline 16 --requests 800 --seed 42 -j 1 --drainers 4 \
 	  --reply-log $(CONC_D) > /dev/null
+	dune exec bin/loadgen.exe -- --self-serve --connections $(CONC_CONNS) \
+	  --pipeline 1 --requests 800 --seed 42 -j 1 \
+	  --reply-log $(CONC_C) > /dev/null
 	for i in $$(seq 0 $$(( $(CONC_CONNS) - 1 ))); do \
 	  cmp $(CONC_A).conn$$i $(CONC_B).conn$$i || exit 1; \
 	  cmp $(CONC_A).conn$$i $(CONC_D).conn$$i || exit 1; \
+	  cmp $(CONC_A).conn$$i $(CONC_C).conn$$i || exit 1; \
 	  grep -q '^admitted ' $(CONC_A).conn$$i || exit 1; \
 	done
 

@@ -55,7 +55,12 @@ let queue_arg =
        & info [ "queue" ] ~docv:"N" ~doc)
 
 let batch_arg =
-  let doc = "Maximum requests per batch (and the stdio pipelining depth)." in
+  let doc =
+    "Upper bound on the requests in one batch (and the stdio pipelining depth).  A TCP \
+     drainer steps as soon as a request is queued and never waits for a batch to fill: a \
+     batch is what the readers queued while the drainer was idle or the previous batch's \
+     solves ran, capped at $(docv)."
+  in
   Arg.(value & opt int Batcher.default_config.Batcher.batch & info [ "batch" ] ~docv:"N" ~doc)
 
 let cache_arg =

@@ -16,7 +16,7 @@ let pp_failure ppf = function
 type report = {
   inflated : Flow_shop.t Lazy.t;
   bottleneck : int;
-  raw : Schedule.t option;
+  raw : Schedule.t Lazy.t option;
   result : (Schedule.t, failure) result;
 }
 
@@ -51,7 +51,7 @@ let compaction_fields (g : Grid.t) raw_starts final_starts raw =
   [
     ("moved", Obs.Int !moved);
     ("total_shift", Obs.Float !shift);
-    ("violations_before", Obs.Int (List.length (Schedule.violations raw)));
+    ("violations_before", Obs.Int (List.length (Schedule.violations (Lazy.force raw))));
   ]
 
 let run ?(compact = true) ?bottleneck (shop : Flow_shop.t) =
@@ -87,13 +87,16 @@ let run ?(compact = true) ?bottleneck (shop : Flow_shop.t) =
              schedule is then reread with the original processing times (each
              inflated subtask = busy segment first, idle padding after). *)
           let raw_starts = Algo_a.propagate ~bottleneck:b ~taus:g.max_tau starts_b in
-          let raw = Schedule.of_grid g raw_starts in
+          (* Only the int check is eager: nothing on the solve path reads
+             [raw] as rationals, so it is built when forced. *)
+          Grid.check_starts raw_starts;
+          let raw = lazy (Schedule.of_grid g raw_starts) in
           (* Step 5: Algorithm C. *)
           let final_starts =
             if compact then Obs.span "algo_h.compact" (fun () -> Algo_c.compact_grid g raw_starts)
             else raw_starts
           in
-          let final = if compact then Schedule.of_grid g final_starts else raw in
+          let final = if compact then Schedule.of_grid g final_starts else Lazy.force raw in
           if Obs.enabled () && compact then
             Obs.event "algo_h.compaction" ~fields:(compaction_fields g raw_starts final_starts raw);
           let result =

@@ -16,8 +16,8 @@
     One int pipeline serves {!run} and {!schedule}: the shop is scaled
     onto its integer grid ({!E2e_model.Grid}) once, and the bottleneck
     pass, the inflated propagation, Algorithm C and H's own feasibility
-    test all read ints; [raw] and the result are built from those ints
-    with {!E2e_schedule.Schedule.of_grid}. *)
+    test all read ints; the result, and [raw] when forced, are built
+    from those ints with {!E2e_schedule.Schedule.of_grid}. *)
 
 type failure =
   [ `Inflated_infeasible
@@ -33,10 +33,12 @@ type report = {
       (** Step 3's homogeneous task set, built when forced: the pipeline
           itself only needs its per-processor times, on the grid. *)
   bottleneck : int;  (** Step 1 of Algorithm A's choice. *)
-  raw : E2e_schedule.Schedule.t option;
+  raw : E2e_schedule.Schedule.t Lazy.t option;
       (** A's inflated-set schedule reread with the original processing
           times — the "before compaction" schedule of Figure 8(a).
-          [None] when A already failed. *)
+          [None] when A already failed.  Built when forced: the pipeline
+          reads only its int starts, which {!run} has already checked
+          against {!E2e_model.Grid.limit}, so forcing it never raises. *)
   result : (E2e_schedule.Schedule.t, failure) result;
 }
 

@@ -115,7 +115,7 @@ let table3 ppf =
   let report = Algo_h.run shop in
   Format.fprintf ppf "bottleneck (after inflation): P%d@." (report.Algo_h.bottleneck + 1);
   (match report.Algo_h.raw with
-  | Some raw ->
+  | Some (lazy raw) ->
       Format.fprintf ppf "@.(a) before compaction:@.%a@.violations:@." Schedule.pp_table raw;
       List.iter
         (fun v -> Format.fprintf ppf "  %a@." Schedule.pp_violation v)

@@ -54,8 +54,10 @@ type rat = Rat.t
      them, so everything it forms, its starts included, is at most
      [B <= limit];
    - propagation adds or subtracts a partial sum of (possibly inflated)
-     stage times to such a start; [Schedule.of_grid] refuses any start
-     past [limit];
+     stage times to such a start; [check_starts] refuses any start past
+     [limit] — Algorithm H runs it on the propagated starts before
+     anything reads them, and [Schedule.of_grid] runs it on every start
+     it is given;
    - compaction (Algorithm C) writes each start as the max of a release
      and a start plus one stage time, and refuses a start past [limit]
      as it writes it (no start falls below the least of the releases
@@ -88,6 +90,9 @@ let scaled l x =
   if Rat.num x < 0 then -v else v
 
 let rescale l x = Rat.num x * (l / Rat.den x)
+
+let check_starts starts =
+  Array.iter (Array.iter (fun s -> if s > limit || s < -limit then raise Rat.Overflow)) starts
 
 type t = {
   shop : Recurrence_shop.t;

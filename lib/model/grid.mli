@@ -16,11 +16,12 @@
     {!limit}, so it cannot wrap, and every value carried further is
     checked again: the single-machine engine checks its own bound
     B = 4M + (n+1)T on the effective windows, Algorithm C refuses a
-    compacted start past {!limit}, and so does
-    [E2e_schedule.Schedule.of_grid] for every start.  The proofs are in
-    the implementation.  A shop or schedule past these checks is
-    refused with {!E2e_rat.Rat.Overflow}, the exception the 63-bit
-    rationals raise for values that do not fit. *)
+    compacted start past {!limit}, and {!check_starts} refuses any
+    start past it: Algorithm H runs it on its propagated starts and
+    [E2e_schedule.Schedule.of_grid] on every start it is given.  The
+    proofs are in the implementation.  A shop or schedule past these
+    checks is refused with {!E2e_rat.Rat.Overflow}, the exception the
+    63-bit rationals raise for values that do not fit. *)
 
 type rat = E2e_rat.Rat.t
 
@@ -55,6 +56,11 @@ val rescale : int -> rat -> int
 (** [rescale l x] is {!scaled} without either check: only for the times
     of a shop (or the starts of a schedule) that a grid of scale [l] has
     already admitted. *)
+
+val check_starts : int array array -> unit
+(** Admit a start matrix on a grid: every start's magnitude is within
+    {!limit}.
+    @raise E2e_rat.Rat.Overflow otherwise. *)
 
 type t = private {
   shop : Recurrence_shop.t;

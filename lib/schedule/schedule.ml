@@ -23,7 +23,7 @@ let make shop starts =
 
 let of_grid (g : Grid.t) gstarts =
   check_shape "Schedule.of_grid" g.shop gstarts;
-  Array.iter (Array.iter (fun s -> if s > Grid.limit || s < -Grid.limit then raise Rat.Overflow)) gstarts;
+  Grid.check_starts gstarts;
   let scale = g.scale in
   {
     shop = g.shop;

@@ -207,7 +207,7 @@ let internal_error t req =
   t.svc.internal_errors <- t.svc.internal_errors + 1;
   Admission.internal_error (shop_of req)
 
-let step t =
+let step ?release t =
   match take_batch t with
   | [] -> []
   | batch ->
@@ -270,10 +270,20 @@ let step t =
               slots
             |> Array.of_list
           in
-          let solved =
+          let solve () =
             Pool.run ~jobs:t.cfg.jobs
               (Admission.guard (fun p -> fst (Admission.solve_prepared ~budget:t.cfg.budget p)))
               misses
+          in
+          (* The solves read only [misses]; [submit] touches only the
+             queue and the ingress counters, so the caller's lock can be
+             released around them. *)
+          let solved =
+            match release with
+            | None -> solve ()
+            | Some mu ->
+                Mutex.unlock mu;
+                Fun.protect ~finally:(fun () -> Mutex.lock mu) solve
           in
           (* Phase 3 (sequential, submission order): relabel + verify,
              cache insertion, commits, reply emission. *)

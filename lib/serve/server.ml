@@ -126,7 +126,8 @@ let serve_stdio ?schedules stripes = session ?schedules stripes Unix.stdin stdou
    with the cluster dispatcher; this transport contributes the
    per-connection reader and the drainers.  Requests are routed by
    shop to a {!Stripes} batcher stripe — same shop, same stripe — and
-   one drainer domain per stripe steps its batcher and routes replies
+   one drainer domain per stripe steps its batcher as soon as it holds
+   a request, never waiting for a batch to fill, and routes replies
    back.  Admission semantics, trace stage attribution and the
    per-connection reply order are exactly the sequential transport's.
    Per-connection reply streams stay byte-identical at every [jobs]
@@ -139,7 +140,9 @@ let serve_stdio ?schedules stripes = session ?schedules stripes Unix.stdin stdou
    Domain/thread layout and locking:
    - each stripe has its own [smu] ordering every touch of its batcher
      (submit, step, per-stripe [Rtrace] marks) and its [sroute] FIFO of
-     reply slots parallel to that batcher's request queue;
+     reply slots parallel to that batcher's request queue; the drainer
+     releases it while a batch's solves run ({!Batcher.step}'s
+     [release]), so readers can queue during the solves;
    - [stats]/[metrics] render an aggregated snapshot by locking all
      stripes in index order (drainers only ever hold their own lock,
      so the order is deadlock-free);
@@ -226,14 +229,17 @@ let reader_loop center conn r =
   in
   loop ()
 
-(* Drainer domain (one per stripe): step the stripe's batcher whenever
-   requests are pending — after a short grace while a partial batch is
-   still filling — and route each reply to its slot.  Replies come
-   back in submission order and [sroute] is pushed in submission order
-   under the same mutex, so the head of [sroute] is always the slot of
-   the head reply. *)
+(* Drainer domain (one per stripe): step the stripe's batcher as soon
+   as a request is pending, and wait on [skick] only while the queue
+   is empty.  The drainer holds [smu] except while it waits and while a
+   batch's solves run, so those are the windows in which readers queue:
+   under load a batch is what queued during the previous batch's
+   solves, capped by the batch size and cut at a repeated shop.  The
+   drainer never waits for a batch to fill.  On stop it keeps stepping
+   until the queue is empty, so every queued request is answered.  Replies come back in submission order
+   and [sroute] is pushed in submission order under the same mutex, so
+   the head of [sroute] is always the slot of the head reply. *)
 let drainer_loop schedules lane =
-  let grace = 0.0002 in
   let route_replies replies =
     List.iter
       (fun (_req, tr, reply) ->
@@ -247,33 +253,13 @@ let drainer_loop schedules lane =
   in
   Mutex.lock lane.smu;
   let rec loop () =
-    let pending = Batcher.pending lane.sbatcher in
-    if pending = 0 then begin
-      if not lane.sstop then begin
-        Condition.wait lane.skick lane.smu;
-        loop ()
-      end
+    if Batcher.pending lane.sbatcher > 0 then begin
+      route_replies (Batcher.step ~release:lane.smu lane.sbatcher);
+      loop ()
     end
-    else begin
-      let batch = (Batcher.config lane.sbatcher).Batcher.batch in
-      if pending < batch && not lane.sstop then begin
-        (* Give the readers one grace period to fill the batch; step as
-           soon as the queue stops growing so a trickle of requests is
-           never parked behind a timer. *)
-        Mutex.unlock lane.smu;
-        Unix.sleepf grace;
-        Mutex.lock lane.smu;
-        let now = Batcher.pending lane.sbatcher in
-        if now > pending && now < batch && not lane.sstop then loop ()
-        else begin
-          route_replies (Batcher.step lane.sbatcher);
-          loop ()
-        end
-      end
-      else begin
-        route_replies (Batcher.step lane.sbatcher);
-        loop ()
-      end
+    else if not lane.sstop then begin
+      Condition.wait lane.skick lane.smu;
+      loop ()
     end
   in
   loop ();

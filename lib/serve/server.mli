@@ -21,9 +21,13 @@
     simultaneously, each pipelining up to [window] outstanding replies
     over bounded per-connection read/write buffers.  Requests route by
     shop into a {!Stripes} batcher — same shop, same stripe — and one
-    drainer domain per stripe steps its batcher and routes replies
-    back, so admission semantics, {!Rtrace} stage attribution and the
-    per-connection reply order are exactly the sequential transport's.
+    drainer domain per stripe steps its batcher as soon as a request is
+    queued and routes replies back.  A drainer never waits for a batch
+    to fill; it releases the stripe's lock while a batch's solves run,
+    so a batch is what the readers queued meanwhile, capped by the
+    batch size.  Batch boundaries never change a reply: admission
+    semantics, {!Rtrace} stage attribution and the per-connection reply
+    order are exactly the sequential transport's.
     Per-connection reply streams are byte-identical at every [jobs]
     value, at every stripe count, and under any cross-connection
     interleaving as long as connections use disjoint shop namespaces

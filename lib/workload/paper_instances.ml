@@ -62,7 +62,7 @@ let table3 =
             let shop = Feasible_gen.generate g params in
             let report = E2e_core.Algo_h.run shop in
             match (report.E2e_core.Algo_h.raw, report.E2e_core.Algo_h.result) with
-            | Some raw, Ok _ ->
+            | Some (lazy raw), Ok _ ->
                 let vs = Schedule.violations raw in
                 let misses_deadline =
                   List.exists (function Schedule.Deadline_missed _ -> true | _ -> false) vs

@@ -24,7 +24,7 @@ let test_table3_figure8 () =
   let report = Algo_h.run shop in
   (match report.Algo_h.raw with
   | None -> Alcotest.fail "A succeeded on the inflated set by construction"
-  | Some raw ->
+  | Some (lazy raw) ->
       let vs = Schedule.violations raw in
       Alcotest.(check bool) "uncompacted misses a deadline" true
         (List.exists (function Schedule.Deadline_missed _ -> true | _ -> false) vs);
@@ -61,7 +61,7 @@ let test_compaction_agrees_with_forward_pass () =
     let report = Algo_h.run shop in
     match report.Algo_h.raw with
     | None -> ()
-    | Some raw ->
+    | Some (lazy raw) ->
         let compacted = Algo_c.compact ~keep_first_start:false raw in
         let order = Algo_c.order_on_processor raw 0 in
         let fp = Schedule.forward_pass (Recurrence_shop.of_traditional shop) ~order in
@@ -188,6 +188,38 @@ let prop_compact_matches_reference =
           = compact_reference ~keep_first_start raw)
         [ true; false ])
 
+(* Random arbitrary shops, and identical-length ones just under and just
+   over the integer grid's bound: [run] refuses a shop exactly when the
+   fuzz oracle's independent [grid_fit] puts it past the bound (the
+   arbitrary shops' small values always fit; an [`Edge] draw decides
+   nothing), and forcing the lazy [raw] of a report it returned never
+   raises, because the int check on its starts stays eager. *)
+let prop_lazy_raw_refusals =
+  QCheck.Test.make ~name:"forcing raw never raises; over-grid shops refused" ~count:300
+    (QCheck.make ~print:string_of_int QCheck.Gen.(int_bound 1_000_000))
+    (fun seed ->
+      let g = Prng.create seed in
+      let shop =
+        match Prng.int g 4 with
+        | 0 -> E2e_fuzz.Gen.edge_of_grid g ~over:false
+        | 1 -> E2e_fuzz.Gen.edge_of_grid g ~over:true
+        | _ ->
+            Gen.generate g
+              { Gen.n_tasks = 1 + Prng.int g 12; n_processors = 1 + Prng.int g 5;
+                mean_tau = 1.0; stdev = 0.5; slack_factor = Prng.uniform g 1.0 3.0 }
+      in
+      let fit =
+        match Flow_shop.is_identical_length shop with
+        | None -> `Fits 0
+        | Some tau -> E2e_fuzz.Oracle.grid_fit ~tau (E2e_fuzz.Oracle.eedf_jobs shop ~tau)
+      in
+      match (Algo_h.run shop, fit) with
+      | exception Rat.Overflow -> ( match fit with `Fits _ -> false | `Over | `Edge -> true)
+      | _, `Over -> false
+      | { Algo_h.raw = None; _ }, _ -> true
+      | { Algo_h.raw = Some raw; _ }, _ -> (
+          match Lazy.force raw with _ -> true | exception Rat.Overflow -> false))
+
 let suite =
   [
     Alcotest.test_case "homogeneous passthrough" `Quick test_homogeneous_passthrough;
@@ -199,4 +231,5 @@ let suite =
     Alcotest.test_case "success grows as stdev shrinks" `Slow test_success_improves_with_lower_stdev;
     Alcotest.test_case "keep-first-start literal" `Quick test_keep_first_start_literal;
     to_alcotest prop_compact_matches_reference;
+    to_alcotest prop_lazy_raw_refusals;
   ]
