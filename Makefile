@@ -10,6 +10,7 @@ OFF_GRID := /tmp/e2e_sched_off_grid.txt
 CONC_A := /tmp/e2e_sched_conc_j1
 CONC_B := /tmp/e2e_sched_conc_j4
 CONC_D := /tmp/e2e_sched_conc_d4
+CONC_E := /tmp/e2e_sched_conc_j2d2
 CONC_C := /tmp/e2e_sched_conc_closed
 CONC_CONNS := 4
 CLUS_A := /tmp/e2e_sched_clus_j1
@@ -110,15 +111,18 @@ serve-smoke:
 	grep -A1 '^error .*"4611686018427387903\.5"$$' $(SERVE_A) | grep -q '^pong '
 
 # The concurrent transport determinism smoke: $(CONC_CONNS) pipelined
-# client domains against an embedded multi-domain TCP server on 1 and 4
-# worker domains, then again with the queue striped over 4 drainer
-# domains, then closed-loop (one request in flight per connection, so
-# the drainer mostly steps batches of one or two).  Every connection's
+# client domains against an embedded TCP server on 1 and 4 worker
+# domains, then again with the queue striped over 4 drainer domains,
+# then with 2 drainers sharing a 2-job solve pool (so several drainers
+# queue on the pool's one batch at a time), then closed-loop (one
+# request in flight per connection, so the drainer mostly steps batches
+# of one or two).  Every connection's
 # reply log must be byte-identical across domain counts, stripe counts
 # AND pipelining depths (disjoint per-connection shop namespaces) and
 # contain admitted verdicts.
 serve-conc-smoke:
-	rm -f $(CONC_A).conn* $(CONC_B).conn* $(CONC_D).conn* $(CONC_C).conn*
+	rm -f $(CONC_A).conn* $(CONC_B).conn* $(CONC_D).conn* $(CONC_E).conn* \
+	  $(CONC_C).conn*
 	dune exec bin/loadgen.exe -- --self-serve --connections $(CONC_CONNS) \
 	  --pipeline 16 --requests 800 --seed 42 -j 1 \
 	  --reply-log $(CONC_A) > /dev/null
@@ -129,11 +133,15 @@ serve-conc-smoke:
 	  --pipeline 16 --requests 800 --seed 42 -j 1 --drainers 4 \
 	  --reply-log $(CONC_D) > /dev/null
 	dune exec bin/loadgen.exe -- --self-serve --connections $(CONC_CONNS) \
+	  --pipeline 16 --requests 800 --seed 42 -j 2 --drainers 2 \
+	  --reply-log $(CONC_E) > /dev/null
+	dune exec bin/loadgen.exe -- --self-serve --connections $(CONC_CONNS) \
 	  --pipeline 1 --requests 800 --seed 42 -j 1 \
 	  --reply-log $(CONC_C) > /dev/null
 	for i in $$(seq 0 $$(( $(CONC_CONNS) - 1 ))); do \
 	  cmp $(CONC_A).conn$$i $(CONC_B).conn$$i || exit 1; \
 	  cmp $(CONC_A).conn$$i $(CONC_D).conn$$i || exit 1; \
+	  cmp $(CONC_A).conn$$i $(CONC_E).conn$$i || exit 1; \
 	  cmp $(CONC_A).conn$$i $(CONC_C).conn$$i || exit 1; \
 	  grep -q '^admitted ' $(CONC_A).conn$$i || exit 1; \
 	done
@@ -246,7 +254,7 @@ check:
 clean:
 	dune clean
 	rm -f $(METRICS) $(PAR_METRICS) $(PAR_A) $(PAR_B) $(FUZZ_A) $(FUZZ_B) \
-	  $(SERVE_A) $(SERVE_B) $(OFF_GRID) $(CONC_A).conn* $(CONC_B).conn* $(CONC_D).conn* \
+	  $(SERVE_A) $(SERVE_B) $(OFF_GRID) $(CONC_A).conn* $(CONC_B).conn* $(CONC_D).conn* $(CONC_E).conn* \
 	  $(CORE_SMOKE) $(CLUS_A).conn* $(CLUS_B).conn* $(CLUS_C).conn* \
 	  $(TRACE_A) $(TRACE_B) $(TRACE_SUM) \
 	  $(TRACE_LG) $(SWEEP_D) $(SWEEP_S)

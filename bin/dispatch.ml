@@ -42,7 +42,7 @@ let fail_threshold_arg =
   Arg.(value & opt int 3 & info [ "fail-threshold" ] ~docv:"K" ~doc)
 
 let accept_pool_arg =
-  let doc = "Reader domains in the accept pool — the number of simultaneous clients." in
+  let doc = "Reader threads in the accept pool — the number of simultaneous clients." in
   Arg.(value & opt int 4 & info [ "accept-pool" ] ~docv:"N" ~doc)
 
 let window_arg =

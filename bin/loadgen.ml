@@ -398,7 +398,7 @@ type cluster = {
 }
 
 let spawn_cluster ~nshards ~config ~probe_interval ~client_slots ~upstream_conns =
-  (* A shard accept domain owns its connection for the connection's
+  (* A shard accept thread owns its connection for the connection's
      lifetime, and every dispatcher lane is a persistent connection: the
      pool must fit all lanes plus a probe and a metrics RPC at once, or
      the overflow lane (and the status checker) starve in the backlog. *)

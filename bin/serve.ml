@@ -34,7 +34,7 @@ let max_conns_arg =
   Arg.(value & opt (some int) None & info [ "max-connections" ] ~docv:"N" ~doc)
 
 let accept_pool_arg =
-  let doc = "Reader domains in the TCP accept pool — the number of simultaneous connections." in
+  let doc = "Reader threads in the TCP accept pool — the number of simultaneous connections." in
   Arg.(value & opt int 4 & info [ "accept-pool" ] ~docv:"N" ~doc)
 
 let window_arg =

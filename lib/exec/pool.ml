@@ -59,8 +59,9 @@ let init ~jobs n f =
    batches (measured ~3.6ms per 4-domain spawn+join, dwarfing the
    solves themselves).  [run] keeps one process-wide set of worker
    domains parked on a condition variable and hands each call's work
-   to them; the result contract (submission order, lowest-index
-   exception, jobs=1 sequential) is identical to [map]'s.
+   to them, the caller working alongside as rank 0, so [jobs = N]
+   occupies N - 1 workers; the result contract (submission order,
+   lowest-index exception, jobs=1 sequential) is identical to [map]'s.
 
    Workers are daemons: they are never joined, and a process exit with
    workers parked terminates normally.  Worker-side telemetry is safe
@@ -95,8 +96,10 @@ let shared =
     finished = 0;
   }
 
-(* Set in every pool worker: a job that itself calls [run] must not
-   wait on the workers it is occupying, so nested calls inline. *)
+(* Set in every pool worker, and in a caller while it works as rank 0:
+   a job that itself calls [run] must not wait on the workers it is
+   occupying (or on [owner], which its caller holds), so nested calls
+   inline. *)
 let in_worker = Domain.DLS.new_key (fun () -> ref false)
 
 let worker rank () =
@@ -125,7 +128,8 @@ let owner = Mutex.create ()
 let run ~jobs f items =
   if jobs < 1 then invalid_arg "Pool.run: jobs must be >= 1";
   let n = Array.length items in
-  if jobs = 1 || n <= 1 || !(Domain.DLS.get in_worker) then Array.map f items
+  let nested = Domain.DLS.get in_worker in
+  if jobs = 1 || n <= 1 || !nested then Array.map f items
   else begin
     let t = shared in
     Mutex.lock owner;
@@ -133,11 +137,11 @@ let run ~jobs f items =
       ~finally:(fun () -> Mutex.unlock owner)
       (fun () ->
         Mutex.lock t.mu;
-        let want = min jobs max_workers in
+        (* Workers take ranks 1, 2, ...; rank 0 is the caller. *)
+        let want = min (jobs - 1) max_workers in
         while t.spawned < want do
-          let rank = t.spawned in
           t.spawned <- t.spawned + 1;
-          ignore (Domain.spawn (worker rank))
+          ignore (Domain.spawn (worker t.spawned))
         done;
         (* Every worker must be parked with the pre-batch epoch before
            the batch is posted, or a late registrant could miss it and
@@ -166,6 +170,13 @@ let run ~jobs f items =
         t.epoch <- t.epoch + 1;
         t.finished <- 0;
         Condition.broadcast t.work;
+        Mutex.unlock t.mu;
+        (* The body traps its jobs' exceptions, so [nested] is always
+           cleared before the caller waits for the workers. *)
+        nested := true;
+        body 0;
+        nested := false;
+        Mutex.lock t.mu;
         while t.finished < t.registered do
           Condition.wait t.done_ t.mu
         done;

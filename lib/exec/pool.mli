@@ -63,8 +63,10 @@ val run : jobs:int -> ('a -> 'b) -> 'a array -> 'b array
 
     Same contract as {!map}: results in submission order, lowest-index
     exception re-raised, [jobs = 1] (or a single item) runs sequentially
-    in the calling domain and is the bit-for-bit reference.  The pool
-    grows lazily to the largest [jobs] seen (capped internally); calls
+    in the calling domain and is the bit-for-bit reference.  The caller
+    works as one of the [jobs], so [jobs = N] occupies [N - 1] worker
+    domains.  The pool
+    grows lazily to the largest [jobs - 1] seen (capped internally); calls
     are serialised over the one shared pool.  A job that itself calls
     [run] inlines sequentially rather than deadlocking on the workers it
     occupies.  Worker domains are daemons: they park between calls and

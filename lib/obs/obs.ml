@@ -246,16 +246,18 @@ let span ?(fields = []) name f =
 
 (* ------------------------------------------------------------------ *)
 (* Metrics.  Each domain accumulates into its own store, created        *)
-(* lazily through domain-local storage, so the hot update path takes no *)
-(* lock and never contends.  Readers ([counters], [metrics_json], ...)  *)
-(* merge across stores; [Domain.join] publishes a worker's writes, so   *)
-(* merged totals read after a pool join equal the sequential totals.    *)
-(* Merging and [reset_metrics] assume no worker domain is concurrently  *)
-(* updating — the experiment engine only reads metrics between points.  *)
+(* lazily through domain-local storage, so updates from different       *)
+(* domains never contend.  Several systhreads of one domain (the TCP    *)
+(* listener's reader threads) share its store, so every update takes    *)
+(* the store's mutex — uncontended across domains, and only when        *)
+(* telemetry is on: the off path stays one bool read.  Readers          *)
+(* ([counters], [metrics_json], ...) merge across stores, each under    *)
+(* its mutex, so a merge may run while other threads update.            *)
 
 type histogram = { count : int; sum : float; min : float; max : float }
 
 type store = {
+  mu : Mutex.t;  (* serialises the threads of the owning domain and readers *)
   counter_tbl : (string, int ref) Hashtbl.t;
   gauge_tbl : (string, (float * int) ref) Hashtbl.t;  (* value, update seq *)
   hist_tbl : (string, Quantile.t) Hashtbl.t;
@@ -270,6 +272,7 @@ let gauge_seq = Atomic.make 0
 let new_store () =
   let s =
     {
+      mu = Mutex.create ();
       counter_tbl = Hashtbl.create 32;
       gauge_tbl = Hashtbl.create 16;
       hist_tbl = Hashtbl.create 16;
@@ -282,45 +285,52 @@ let store_key = Domain.DLS.new_key new_store
 let my_store () = Domain.DLS.get store_key
 let all_stores () = Mutex.protect stores_mu (fun () -> !stores)
 
+(* Every touch of a store's tables, from its domain's threads or from a
+   reader merging across stores, runs under the store's mutex. *)
+let locked st f = Mutex.protect st.mu f
+let with_my_store f = let st = my_store () in locked st (fun () -> f st)
+
 let incr ?(by = 1) name =
   if !on then begin
-    let st = my_store () in
-    let cell =
-      match Hashtbl.find_opt st.counter_tbl name with
-      | Some cell -> cell
-      | None ->
-          let cell = ref 0 in
-          Hashtbl.add st.counter_tbl name cell;
-          cell
+    let tally =
+      with_my_store (fun st ->
+          let cell =
+            match Hashtbl.find_opt st.counter_tbl name with
+            | Some cell -> cell
+            | None ->
+                let cell = ref 0 in
+                Hashtbl.add st.counter_tbl name cell;
+                cell
+          in
+          cell := !cell + by;
+          !cell)
     in
-    cell := !cell + by;
     (* The emitted running value is this domain's own tally. *)
-    emit (Counter (float_of_int !cell)) name []
+    emit (Counter (float_of_int tally)) name []
   end
 
 let gauge name v =
   if !on then begin
-    let st = my_store () in
-    let stamped = (v, Atomic.fetch_and_add gauge_seq 1) in
-    (match Hashtbl.find_opt st.gauge_tbl name with
-    | Some cell -> cell := stamped
-    | None -> Hashtbl.add st.gauge_tbl name (ref stamped));
+    with_my_store (fun st ->
+        let stamped = (v, Atomic.fetch_and_add gauge_seq 1) in
+        match Hashtbl.find_opt st.gauge_tbl name with
+        | Some cell -> cell := stamped
+        | None -> Hashtbl.add st.gauge_tbl name (ref stamped));
     emit (Counter v) name []
   end
 
 let observe name v =
-  if !on then begin
-    let st = my_store () in
-    let q =
-      match Hashtbl.find_opt st.hist_tbl name with
-      | Some q -> q
-      | None ->
-          let q = Quantile.create () in
-          Hashtbl.add st.hist_tbl name q;
-          q
-    in
-    Quantile.observe q v
-  end
+  if !on then
+    with_my_store (fun st ->
+        let q =
+          match Hashtbl.find_opt st.hist_tbl name with
+          | Some q -> q
+          | None ->
+              let q = Quantile.create () in
+              Hashtbl.add st.hist_tbl name q;
+              q
+        in
+        Quantile.observe q v)
 
 (* Merge one kind of table across every store into an alist sorted by
    name.  [combine] folds a store's cell into the accumulated value. *)
@@ -328,13 +338,14 @@ let merge_tables project combine =
   let acc = Hashtbl.create 32 in
   List.iter
     (fun st ->
-      Hashtbl.iter
-        (fun name cell ->
-          let v = !cell in
-          match Hashtbl.find_opt acc name with
-          | Some prev -> Hashtbl.replace acc name (combine prev v)
-          | None -> Hashtbl.replace acc name v)
-        (project st))
+      locked st (fun () ->
+          Hashtbl.iter
+            (fun name cell ->
+              let v = !cell in
+              match Hashtbl.find_opt acc name with
+              | Some prev -> Hashtbl.replace acc name (combine prev v)
+              | None -> Hashtbl.replace acc name v)
+            (project st)))
     (all_stores ());
   Hashtbl.fold (fun k v l -> (k, v) :: l) acc []
   |> List.sort (fun (a, _) (b, _) -> compare a b)
@@ -354,12 +365,13 @@ let sketches () =
   let acc = Hashtbl.create 32 in
   List.iter
     (fun st ->
-      Hashtbl.iter
-        (fun name q ->
-          match Hashtbl.find_opt acc name with
-          | Some prev -> Hashtbl.replace acc name (Quantile.merge prev q)
-          | None -> Hashtbl.replace acc name (Quantile.copy q))
-        st.hist_tbl)
+      locked st (fun () ->
+          Hashtbl.iter
+            (fun name q ->
+              match Hashtbl.find_opt acc name with
+              | Some prev -> Hashtbl.replace acc name (Quantile.merge prev q)
+              | None -> Hashtbl.replace acc name (Quantile.copy q))
+            st.hist_tbl))
     (all_stores ());
   Hashtbl.fold (fun k v l -> (k, v) :: l) acc []
   |> List.sort (fun (a, _) (b, _) -> compare a b)
@@ -379,15 +391,17 @@ let histograms () =
 let counter_value name =
   List.fold_left
     (fun acc st ->
-      match Hashtbl.find_opt st.counter_tbl name with Some c -> acc + !c | None -> acc)
+      locked st (fun () ->
+          match Hashtbl.find_opt st.counter_tbl name with Some c -> acc + !c | None -> acc))
     0 (all_stores ())
 
 let reset_metrics () =
   List.iter
     (fun st ->
-      Hashtbl.reset st.counter_tbl;
-      Hashtbl.reset st.gauge_tbl;
-      Hashtbl.reset st.hist_tbl)
+      locked st (fun () ->
+          Hashtbl.reset st.counter_tbl;
+          Hashtbl.reset st.gauge_tbl;
+          Hashtbl.reset st.hist_tbl))
     (all_stores ())
 
 let metrics_json () =

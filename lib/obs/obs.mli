@@ -28,18 +28,23 @@
     {[ if Obs.enabled () then Obs.event "edf.dispatch" ~fields:[ ... ] ]}
     so the disabled path allocates nothing.
 
-    {b Domain safety.}  Instrumentation calls may run concurrently from
-    several domains (the parallel experiment engine, {!E2e_exec.Pool}).
-    Counters, gauges and histograms accumulate into per-domain
-    collectors with no locking on the update path; the read-back
-    functions ({!counters}, {!counter_value}, {!metrics_json}, ...)
-    merge across collectors, and because [Domain.join] publishes a
-    worker's writes, totals read after a pool join equal the sequential
-    totals.  The sink path is serialised by a mutex and span-nesting
-    depth is domain-local.  {!install}, {!uninstall}, {!set_stats},
-    {!reset_metrics} and the metric readers are management operations:
-    call them when no worker domain is concurrently instrumenting
-    (between experiment points), not from inside a parallel job. *)
+    {b Domain and thread safety.}  Instrumentation calls may run
+    concurrently from several domains (the parallel experiment engine,
+    {!E2e_exec.Pool}) and from several systhreads of one domain (the
+    TCP listener's reader threads).  Counters, gauges and histograms
+    accumulate into per-domain collectors; an update takes its
+    collector's mutex, which only the owning domain's threads and the
+    readers contend for, and only while telemetry is on — the disabled
+    path is one bool read.  The read-back functions ({!counters},
+    {!counter_value}, {!metrics_json}, ...) merge across collectors,
+    each under its mutex, so totals read after a pool join equal the
+    sequential totals and a read racing live updates sees each
+    collector whole.  The sink path is serialised by a mutex.
+    Span-nesting depth is domain-local, so spans assume one spanning
+    thread per domain.  {!install}, {!uninstall}, {!set_stats} and
+    {!reset_metrics} are management operations: call them when no
+    worker domain is concurrently instrumenting (between experiment
+    points), not from inside a parallel job. *)
 
 type value = Bool of bool | Int of int | Float of float | Str of string
 

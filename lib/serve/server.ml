@@ -146,12 +146,15 @@ let serve_stdio ?schedules stripes = session ?schedules stripes Unix.stdin stdou
    - [stats]/[metrics] render an aggregated snapshot by locking all
      stripes in index order (drainers only ever hold their own lock,
      so the order is deadlock-free);
-   - each connection runs its reader in its accept domain and one
-     {!Wire} writer thread, the window bounding reader lead over the
-     writer (the bounded write buffer);
-   - only the reader and drainer domains touch [Obs]/[Rtrace]
-     (writer threads get pre-rendered lines), so each domain-local
-     telemetry store keeps a single writing thread. *)
+   - each connection runs its reader in its accept thread and one
+     {!Wire} writer thread, all systhreads of the listener's domain,
+     the window bounding reader lead over the writer (the bounded
+     write buffer); a process runs one domain for I/O plus one per
+     drainer (plus the solve pool's workers at [jobs > 1]);
+   - the reader threads and the drainer domains touch [Obs]/[Rtrace]
+     (writer threads get pre-rendered lines); every reader thread
+     writes the I/O domain's telemetry store, which [Obs] serialises
+     with that store's mutex, and each drainer writes its own. *)
 
 (* One stripe's serialised submit/drain path. *)
 type lane = {

@@ -3,7 +3,7 @@
     {!session} runs the framed line protocol ({!Protocol}) over a raw
     input fd and an output channel; {!serve_stdio} binds it to
     stdin/stdout and {!serve_tcp} to the shared {!Wire.serve} listener
-    with a concurrent multi-domain reader.  Both transports serve a
+    with a concurrent reader per connection.  Both transports serve a
     {!Stripes.t} (one stripe on stdio), share one read path — the
     bounded {!Wire} line reader — so the 1 MiB request-line cap and
     trailing [\r] stripping apply identically, and count hard read
@@ -19,7 +19,10 @@
 
     The TCP transport serves up to [accept_pool] connections
     simultaneously, each pipelining up to [window] outstanding replies
-    over bounded per-connection read/write buffers.  Requests route by
+    over bounded per-connection read/write buffers.  Every connection's
+    reader and writer are systhreads of the listener's one I/O domain,
+    so a server runs one domain for I/O plus one per drainer, whatever
+    the connection count.  Requests route by
     shop into a {!Stripes} batcher — same shop, same stripe — and one
     drainer domain per stripe steps its batcher as soon as a request is
     queued and routes replies back.  A drainer never waits for a batch
@@ -71,7 +74,8 @@ val serve_tcp :
   Stripes.t ->
   unit
 (** {!Wire.serve} with the {!Protocol.greeting} and this transport's
-    reader, plus one drainer domain per stripe of the given
+    reader threads in the calling domain, plus one drainer domain per
+    stripe of the given
     {!Stripes.t} stepping that stripe's batcher ([Stripes.create
     ~stripes:1] is the single-drainer server).  The listener options —
     [host], [max_connections], [accept_pool] (default 4), [window]

@@ -215,13 +215,18 @@ let writer_loop conn =
 (* ------------------------------------------------------------------ *)
 (* The listener.
 
-   An accept pool of [accept_pool] domains each owns one live
-   connection at a time.  [control] is the external-shutdown handle:
-   [shutdown] wakes blocked accepts by shutting the listener down
-   (accept fails with EINVAL) and resets every live connection
-   (readers see EOF, writers see EPIPE), so every accept domain drains
-   and [serve] returns — the in-process analogue of killing the
-   process, which the cluster harnesses use to exercise failover. *)
+   An accept pool of [accept_pool] systhreads in the caller's domain
+   each owns one live connection at a time: a listener costs no domain
+   of its own, so a minor collection (which stops every domain) never
+   has to wake idle readers.  Every blocking call here ([accept],
+   [read], [write], a condition wait) releases the domain lock, so an
+   idle pool thread costs only its stack.  [control] is the
+   external-shutdown handle: [shutdown] wakes blocked accepts by
+   shutting the listener down (accept fails with EINVAL) and resets
+   every live connection (readers see EOF, writers see EPIPE), so
+   every accept thread drains and [serve] returns — the in-process
+   analogue of killing the process, which the cluster harnesses use to
+   exercise failover. *)
 
 let resolve_host host =
   match Unix.inet_addr_of_string host with
@@ -259,7 +264,7 @@ let shutdown c =
   Option.iter shut listener;
   List.iter shut conns
 
-(* One connection, in the accept domain that owns it: greeting, writer
+(* One connection, in the accept thread that owns it: greeting, writer
    thread, handler, then teardown — join the writer (which flushes
    every outstanding reply and the farewell) before closing the fd, so
    a [quit] races nothing and no buffered reply is ever lost. *)
@@ -311,7 +316,7 @@ let serve ?(host = "127.0.0.1") ?max_connections ?(accept_pool = 4) ?(window = 6
             f (match Unix.getsockname sock with Unix.ADDR_INET (_, p) -> p | _ -> port));
         (* Connection slots are claimed before accepting, so with a
            quota exactly [max_connections] accepts happen across the
-           pool and every accept domain terminates. *)
+           pool and every accept thread terminates. *)
         let slots = Atomic.make 0 in
         let rec accept_loop () =
           if not (locked control (fun () -> control.stop)) then
@@ -347,6 +352,6 @@ let serve ?(host = "127.0.0.1") ?max_connections ?(accept_pool = 4) ?(window = 6
                   Unix.sleepf 0.01;
                   accept_loop ()
         in
-        Array.init (max 1 accept_pool) (fun _ -> Domain.spawn accept_loop)
-        |> Array.iter Domain.join
+        Array.init (max 1 accept_pool) (fun _ -> Thread.create accept_loop ())
+        |> Array.iter Thread.join
       end)

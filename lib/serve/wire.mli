@@ -5,7 +5,7 @@
     dispatcher ([E2e_cluster.Dispatcher.serve]) are thin callers of
     {!serve} that differ only in their greeting and their per-connection
     handler.  {!serve} owns the whole accept/teardown policy: socket
-    setup and [SIGPIPE], the [ready] hook, the accept-pool domains with
+    setup and [SIGPIPE], the [ready] hook, the accept-pool threads with
     the connection quota and accept retry rules, the {!control} handle,
     and each connection's reply machinery: an ordered queue of reply
     {e slots}, a counting semaphore ({e window}) bounding how far the
@@ -91,11 +91,14 @@ val serve :
 (** [serve ~greeting ~port handler] listens on [host:port] (default
     host 127.0.0.1; [port = 0] binds an ephemeral port, reported
     through [ready] once connections are accepted) and serves
-    connections with [accept_pool] (default 4) domains, each owning
-    one live connection at a time.  Per connection: [TCP_NODELAY],
-    the [greeting] line, a writer thread over a [window] (default 64)
-    of buffered replies, then [handler conn reader] in the accept
-    domain; the handler ends the connection with {!push_end} (an
+    connections with [accept_pool] (default 4) systhreads in the
+    calling domain, each owning one live connection at a time: the
+    listener spawns no domain, so the pool size is bounded by file
+    descriptors and thread stacks, not by the runtime's domain cap.
+    Per connection: [TCP_NODELAY], the [greeting] line, a writer
+    thread over a [window] (default 64) of buffered replies, then
+    [handler conn reader] in the accept thread; the handler ends the
+    connection with {!push_end} (an
     exception counts as [push_end conn None]).  Teardown joins the
     writer before closing the socket, so every buffered reply —
     including a farewell line — is flushed.  [max_connections] bounds

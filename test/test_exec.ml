@@ -117,6 +117,26 @@ let test_run_nested_inlines () =
     (Array.init 12 (fun i -> inner i))
     outer
 
+(* The caller of [run] works as rank 0, so [jobs = 2] runs on the
+   caller and one worker.  Two jobs that each wait for the other can
+   only finish on two executors at once, and one of them must be the
+   calling domain.  The wait is bounded, so a regression fails rather
+   than hangs. *)
+let test_run_caller_works () =
+  let arrived = Atomic.make 0 in
+  let rendezvous _ =
+    Atomic.incr arrived;
+    let deadline = Unix.gettimeofday () +. 5.0 in
+    while Atomic.get arrived < 2 && Unix.gettimeofday () < deadline do
+      Domain.cpu_relax ()
+    done;
+    (Atomic.get arrived >= 2, (Domain.self () :> int))
+  in
+  let results = Pool.run ~jobs:2 rendezvous [| 0; 1 |] in
+  Alcotest.(check bool) "both jobs ran at once" true (Array.for_all fst results);
+  Alcotest.(check bool) "the caller ran one of them" true
+    (Array.exists (fun (_, d) -> d = (Domain.self () :> int)) results)
+
 let test_resolve_jobs () =
   Alcotest.(check int) "explicit jobs honored" 4 (Pool.resolve_jobs (Some 4));
   Alcotest.check_raises "explicit jobs < 1 rejected"
@@ -195,6 +215,7 @@ let suite =
       test_run_matches_sequential;
     Alcotest.test_case "run exception propagation" `Quick test_run_exception_lowest_index;
     Alcotest.test_case "nested run inlines" `Quick test_run_nested_inlines;
+    Alcotest.test_case "run caller works as rank 0" `Quick test_run_caller_works;
     Alcotest.test_case "resolve_jobs" `Quick test_resolve_jobs;
     Alcotest.test_case "telemetry merges across domains" `Quick test_obs_merge_across_domains;
     Alcotest.test_case "fig9a parallel determinism" `Slow test_parallel_determinism_fig9a;

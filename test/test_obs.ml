@@ -105,6 +105,56 @@ let test_counters () =
   Alcotest.(check int) "reset zeroes counters" 0 (Obs.counter_value "c");
   Alcotest.(check bool) "reset clears registry" true (Obs.counters () = [])
 
+(* Several systhreads of one domain share its store (the TCP
+   listener's reader threads do).  Eight threads bump a shared counter
+   and histogram and register thousands of fresh names each, so the
+   store's tables resize while other threads update them, and a reader
+   domain merges throughout.  The merged totals must come out exact.
+   Without the store's mutex a preemption inside a resize loses
+   updates, which this test reports in most runs. *)
+let test_threads_share_a_store () =
+  with_clean_obs @@ fun () ->
+  Obs.set_stats true;
+  Obs.reset_metrics ();
+  let threads = 8 and per_thread = 16000 in
+  let stop = Atomic.make false in
+  let merger =
+    Domain.spawn (fun () ->
+        while not (Atomic.get stop) do
+          ignore (Obs.counters ());
+          ignore (Obs.histograms ())
+        done)
+  in
+  let worker tid =
+    for i = 0 to per_thread - 1 do
+      Obs.incr "mt.shared";
+      Obs.incr (Printf.sprintf "mt.fresh.%d.%d" tid i);
+      Obs.observe "mt.hist" (float_of_int i);
+      Obs.gauge "mt.gauge" (float_of_int i);
+      if i land 63 = 0 then Thread.yield ()
+    done
+  in
+  List.init threads (fun tid -> Thread.create worker tid) |> List.iter Thread.join;
+  Atomic.set stop true;
+  Domain.join merger;
+  let total = threads * per_thread in
+  Alcotest.(check int) "shared counter exact" total (Obs.counter_value "mt.shared");
+  let fresh =
+    List.filter
+      (fun (name, _) -> String.starts_with ~prefix:"mt.fresh." name)
+      (Obs.counters ())
+  in
+  Alcotest.(check int) "every fresh name registered once" total (List.length fresh);
+  Alcotest.(check bool) "every fresh counter is 1" true
+    (List.for_all (fun (_, v) -> v = 1) fresh);
+  match List.assoc_opt "mt.hist" (Obs.histograms ()) with
+  | Some h ->
+      Alcotest.(check int) "histogram count exact" total h.Obs.count;
+      Alcotest.(check (float 1e-6)) "histogram sum exact"
+        (float_of_int (threads * (per_thread * (per_thread - 1) / 2)))
+        h.Obs.sum
+  | None -> Alcotest.fail "histogram missing"
+
 let test_disabled_is_inert () =
   with_clean_obs @@ fun () ->
   Obs.set_stats false;
@@ -284,6 +334,8 @@ let suite =
     Alcotest.test_case "span nesting, depth and timing" `Quick test_span_nesting;
     Alcotest.test_case "span is exception-safe" `Quick test_span_exception_safe;
     Alcotest.test_case "counter/gauge/histogram arithmetic" `Quick test_counters;
+    Alcotest.test_case "threads of one domain share a store exactly" `Quick
+      test_threads_share_a_store;
     Alcotest.test_case "disabled telemetry is inert" `Quick test_disabled_is_inert;
     Alcotest.test_case "json encode/parse round trip" `Quick test_json_roundtrip;
     Alcotest.test_case "jsonl sink emits parseable lines" `Quick test_jsonl_sink_roundtrip;

@@ -883,6 +883,35 @@ let test_abrupt_disconnect () =
         [ "info shop=ghost unknown"; "bye" ]
         replies)
 
+(* The accept pool is threads of the listener's domain, not domains:
+   OCaml 5 caps a process at 128 domains, so a pool that holds 130
+   connections open at once, each answering [ping], spawns no domain
+   per connection.  Receive timeouts turn a connection that is never
+   served into a failure rather than a hang. *)
+let test_accept_pool_past_domain_cap () =
+  let n = 130 in
+  with_server ~accept_pool:n ~max_connections:n (fun port ->
+      let conns =
+        List.init n (fun _ ->
+            let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+            Unix.setsockopt_float fd Unix.SO_RCVTIMEO 10.0;
+            Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
+            (Unix.in_channel_of_descr fd, Unix.out_channel_of_descr fd))
+      in
+      let send line (_, oc) =
+        output_string oc (line ^ "\n");
+        flush oc
+      in
+      let expect what want (ic, _) = Alcotest.(check string) what want (input_line ic) in
+      (* Every connection is greeted and answers [ping] while all of
+         them are open. *)
+      List.iter (expect "greeted" Protocol.greeting) conns;
+      List.iter (send "ping") conns;
+      List.iter (expect "pong" ("pong " ^ Protocol.version)) conns;
+      List.iter (send "quit") conns;
+      List.iter (expect "bye" "bye") conns;
+      List.iter (fun (ic, _) -> close_in_noerr ic) conns)
+
 (* ------------------------------------------------------------------ *)
 (* Striped batcher                                                     *)
 
@@ -1227,7 +1256,7 @@ let test_wire_shutdown () =
   Alcotest.(check bool) "greeted" true (next () = `Line "echo ready");
   Wire.write_all fd "ping\n";
   Alcotest.(check bool) "live connection echoes" true (next () = `Line "ping");
-  (* One accept domain owns the live connection; the other is blocked
+  (* One accept thread owns the live connection; the other is blocked
      in accept.  Shutdown must release both. *)
   Wire.shutdown control;
   (match next () with
@@ -1288,6 +1317,8 @@ let suite =
      test_concurrent_transport);
     ("server: quit flushes buffered replies", `Quick, test_quit_flushes_replies);
     ("server: abrupt disconnect leaves the pool serving", `Quick, test_abrupt_disconnect);
+    ("server: accept pool holds 130 connections at once", `Quick,
+     test_accept_pool_past_domain_cap);
     ("stripes: replies byte-identical across stripe counts", `Slow,
      test_stripe_determinism);
     ("server: multi-drainer transport matches sequential oracles", `Slow,
