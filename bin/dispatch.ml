@@ -8,7 +8,8 @@
    and a status checker fails shop traffic over to the next live shard
    when one dies.  Shards may also join at runtime with
    `e2e-serve --tcp PORT --register DISPATCHER` (the ctl/1 control
-   protocol). *)
+   protocol).  One select loop on one thread serves every client and
+   every upstream lane. *)
 
 open Cmdliner
 module Dispatcher = E2e_cluster.Dispatcher
@@ -42,11 +43,17 @@ let fail_threshold_arg =
   Arg.(value & opt int 3 & info [ "fail-threshold" ] ~docv:"K" ~doc)
 
 let accept_pool_arg =
-  let doc = "Reader threads in the accept pool — the number of simultaneous clients." in
+  let doc =
+    "Clients served at once; further connections wait in the listen backlog until one \
+     leaves."
+  in
   Arg.(value & opt int 4 & info [ "accept-pool" ] ~docv:"N" ~doc)
 
 let window_arg =
-  let doc = "Pipelined replies buffered per client connection before its reader blocks." in
+  let doc =
+    "Unwritten replies per client connection after which the dispatcher stops reading \
+     that client until some are written."
+  in
   Arg.(value & opt int 64 & info [ "window" ] ~docv:"N" ~doc)
 
 let max_conns_arg =

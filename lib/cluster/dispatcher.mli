@@ -1,4 +1,5 @@
-(** The cluster front end: one listening port, N shard upstreams.
+(** The cluster front end: one listening port, N shard upstreams, one
+    thread.
 
     Clients speak the ordinary [e2e-serve/1] line protocol to the
     dispatcher.  Every admission request is routed by the
@@ -15,21 +16,25 @@
     ctl/1 shards                   # ok shards id=live|dead,...
     v}
 
+    One [Unix.select] loop on the thread that calls {!serve} runs the
+    whole data path — the listener, every client connection and every
+    upstream lane — so a request crosses no thread hand-off in the
+    dispatcher; only the [metrics] fan-out RPCs and the status checker
+    ({!Health}) run on threads of their own.
     Reply-order contract: per client connection, replies come back in
-    request order regardless of which shards answer (the same
-    {!E2e_serve.Wire} listener and slot machinery as the single-shard
-    server).
+    request order regardless of which shards answer.
     Each shard upstream may be widened to [upstream_conns] pipelined
     connections ({e lanes}); a client connection keeps a sticky lane
     per shard, so its own requests stay FIFO per shard while distinct
     clients spread across lanes.  A request whose shard cannot be
-    reached — no live shard, connect failure, or an upstream lane
-    dying mid-flight — is answered [error shard-unavailable], never
-    left hanging.  A hard upstream error drains {e every} lane of that
-    shard and marks it dead immediately, so subsequent shop traffic
-    fails over to the next live shard in hash order; sticky lane
-    assignments are invalidated (clients re-balance round-robin over
-    fresh lanes on reconnect) and the status checker ({!Health})
+    reached — no live shard, a failed lane connect, or an upstream
+    lane dying mid-flight — is answered [error shard-unavailable],
+    never left hanging (a connect refused at once is retried on the
+    next live shard first).  A hard upstream error drains {e every}
+    lane of that shard and marks it dead immediately, so subsequent
+    shop traffic fails over to the next live shard in hash order;
+    sticky lane assignments are invalidated (clients re-balance
+    round-robin over fresh lanes on reconnect) and the status checker
     revives the shard when it answers probes again. *)
 
 val version : string
@@ -89,28 +94,6 @@ type stats = {
 
 val stats : t -> stats
 
-type sticky
-(** One client connection's lane memo: which upstream lane of each
-    shard its requests ride.  Pinning a lane keeps a client's
-    per-shard request flow FIFO at any [upstream_conns]; a shard
-    teardown invalidates the memo so the next request re-picks a lane
-    round-robin (re-balancing after reconnect). *)
-
-val sticky : unit -> sticky
-(** A fresh (empty) lane memo — one per client connection. *)
-
-val dispatch : t -> sticky:sticky -> shop:string -> string -> (string -> unit) -> unit
-(** [dispatch t ~sticky ~shop line fill] routes [line] to the live
-    shard owning [shop], down the [sticky] memo's lane for that shard,
-    and calls [fill] exactly once with the reply line (or
-    [error shard-unavailable]).  Exposed for in-process tests; the
-    TCP session uses it per request line. *)
-
-val gather_metrics : t -> string
-(** The aggregated [metrics] reply: the dispatcher's own [cluster_*]
-    series, then every live shard's exposition relabeled with
-    [shard="id"] ([cluster_shard_up] marks reachability). *)
-
 val serve :
   ?host:string ->
   ?max_connections:int ->
@@ -120,17 +103,23 @@ val serve :
   port:int ->
   t ->
   unit
-(** {!E2e_serve.Wire.serve} with the dispatcher's {!greeting} and
-    client reader: the same listener, options and teardown as a shard
-    ([accept_pool] default 4, [window] default 64, [max_connections]
-    bounding total accepted connections).  The status checker runs
-    from [ready] until the listener returns, and the upstreams are
-    torn down with it.  Returns after {!shutdown} — at once, without
-    calling [ready], when {!shutdown} came first. *)
+(** Serve clients on [host:port] (default host 127.0.0.1; [port = 0]
+    binds an ephemeral port, reported through [ready]) from the
+    calling thread until {!shutdown}.  At most [accept_pool] (default
+    4) clients are connected at once — further connections wait in
+    the listen backlog; a client with [window] (default 64) unwritten
+    replies is not read until some are written; [max_connections]
+    bounds the {e total} number of clients accepted, after which
+    [serve] returns once the last one has gone.  The status checker
+    runs from [ready] until the loop ends, and the upstreams are torn
+    down with it (pending requests get [error shard-unavailable]).
+    Returns at once, without calling [ready], when {!shutdown} came
+    first.  Descriptors are watched with [Unix.select], so every
+    client and lane fd must stay below [FD_SETSIZE] (1024). *)
 
 val shutdown : t -> unit
-(** Stop serving: {!E2e_serve.Wire.shutdown} on the client listener
-    (wakes blocked accepts, resets client connections), then tear down
-    every upstream (pending requests get [error shard-unavailable]).
-    Registered shards are {e not} marked dead.  Idempotent; safe from
-    any thread. *)
+(** Stop serving: wakes the loop, which closes the listener, resets
+    every client connection (peers see a closed socket, exactly like a
+    process kill) and tears down every upstream (pending requests get
+    [error shard-unavailable]).  Registered shards are {e not} marked
+    dead.  Idempotent; safe from any thread or domain. *)

@@ -7,35 +7,46 @@
    [interval] and feeds outcomes to {!Registry.note_probe}: after the
    registry's fail-threshold consecutive failures the shard is marked
    dead (its shops fail over), and the first successful probe revives
-   it.  [rpc] is the same bounded session machinery running arbitrary
+   it — unless an upstream reported the shard down while that probe
+   was in flight.  [rpc] is the same bounded session machinery running arbitrary
    request lines — the dispatcher's metrics aggregation and the
    shard-side registration hook reuse it. *)
 
 module Wire = E2e_serve.Wire
 
-(* [rw_timeout] arms SO_RCVTIMEO/SO_SNDTIMEO for bounded one-shot
-   sessions; persistent upstream connections leave it off — an idle
-   socket timing out a read is not a dead shard. *)
-let connect_gen ~host ~port ~rw_timeout timeout =
-  match E2e_serve.Wire.resolve_host host with
+(* Start a TCP connect without blocking: the socket comes back
+   non-blocking, with [true] while the handshake is still in flight
+   (the fd turns writable when it completes; [Unix.getsockopt_error]
+   then tells success from failure).  The dispatcher's select loop
+   finishes lane connects that way; [connect] below waits under a
+   [select] deadline. *)
+let connect_start ~host ~port =
+  match Wire.resolve_host host with
   | exception Failure e -> Error e
   | inet -> (
-      let addr = Unix.ADDR_INET (inet, port) in
-      let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+      match Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 with
+      | exception Unix.Unix_error (e, _, _) -> Error (Unix.error_message e)
+      | fd -> (
+          Unix.set_nonblock fd;
+          match Unix.connect fd (Unix.ADDR_INET (inet, port)) with
+          | () -> Ok (fd, false)
+          | exception
+              Unix.Unix_error ((Unix.EINPROGRESS | Unix.EWOULDBLOCK | Unix.EAGAIN), _, _) ->
+              Ok (fd, true)
+          | exception Unix.Unix_error (e, _, _) ->
+              (try Unix.close fd with Unix.Unix_error _ -> ());
+              Error (Unix.error_message e)))
+
+(* A blocking session socket: connect bounded by [timeout], then
+   SO_RCVTIMEO/SO_SNDTIMEO armed with the same bound, so every later
+   read and write of the session is bounded too. *)
+let connect ~host ~port timeout =
+  match connect_start ~host ~port with
+  | Error e -> Error e
+  | Ok (fd, pending) -> (
       let fail msg =
         (try Unix.close fd with Unix.Unix_error _ -> ());
         Error msg
-      in
-      Unix.set_nonblock fd;
-      let pending =
-        match Unix.connect fd addr with
-        | () -> false
-        | exception Unix.Unix_error ((Unix.EINPROGRESS | Unix.EWOULDBLOCK | Unix.EAGAIN), _, _)
-          ->
-            true
-        | exception Unix.Unix_error (e, _, _) ->
-            ignore (fail "");
-            raise (Unix.Unix_error (e, "connect", ""))
       in
       match
         if not pending then Ok ()
@@ -51,24 +62,19 @@ let connect_gen ~host ~port ~rw_timeout timeout =
       | Error msg -> fail msg
       | Ok () ->
           Unix.clear_nonblock fd;
-          (* Bounded session: reads and writes past the deadline fail
-             with EAGAIN, which the Wire reader surfaces as EOF. *)
-          if rw_timeout then
-            (try
-               Unix.setsockopt_float fd Unix.SO_RCVTIMEO timeout;
-               Unix.setsockopt_float fd Unix.SO_SNDTIMEO timeout
-             with Unix.Unix_error _ -> ());
+          (* Reads and writes past the deadline fail with EAGAIN, which
+             the Wire reader surfaces as an error. *)
+          (try
+             Unix.setsockopt_float fd Unix.SO_RCVTIMEO timeout;
+             Unix.setsockopt_float fd Unix.SO_SNDTIMEO timeout
+           with Unix.Unix_error _ -> ());
           Ok fd)
-
-let connect ?(timeout = 1.0) ?(rw_timeout = false) ~host ~port () =
-  connect_gen ~host ~port ~rw_timeout timeout
 
 (* One bounded request/reply session: read the greeting, then one reply
    line per request line, then [quit].  Any timeout, short read or
    malformed greeting fails the whole call. *)
 let rpc ?(timeout = 1.0) ~host ~port lines =
-  match connect_gen ~host ~port ~rw_timeout:true timeout with
-  | exception Unix.Unix_error (e, _, _) -> Error (Unix.error_message e)
+  match connect ~host ~port timeout with
   | Error e -> Error e
   | Ok fd ->
       Fun.protect
@@ -144,8 +150,11 @@ let start ?(interval = 1.0) ?(timeout = 1.0) ?on_event registry =
             match Registry.parse_id id with
             | None -> ()
             | Some (host, port) -> (
+                let since =
+                  Option.map (fun e -> e.Registry.reports) (Registry.find_opt registry id)
+                in
                 let ok = probe ~timeout ~host ~port () in
-                match Registry.note_probe registry id ~ok with
+                match Registry.note_probe ?since registry id ~ok with
                 | (`Died | `Revived) as ev ->
                     Option.iter (fun f -> f id ev) on_event
                 | `Unchanged | `Unknown -> ()))

@@ -8,19 +8,14 @@
     after the registry's fail-threshold consecutive failures and
     revived by its first successful probe. *)
 
-val connect :
-  ?timeout:float ->
-  ?rw_timeout:bool ->
-  host:string ->
-  port:int ->
-  unit ->
-  (Unix.file_descr, string) result
-(** TCP connect with a bounded handshake ([timeout], default 1s; the
-    blocking connect runs non-blocking under a [select] deadline).
-    [rw_timeout] (default [false]) additionally arms
-    [SO_RCVTIMEO]/[SO_SNDTIMEO] for bounded one-shot sessions; the
-    dispatcher's persistent upstream connections leave it off so an
-    idle socket never times out a read. *)
+val connect_start :
+  host:string -> port:int -> (Unix.file_descr * bool, string) result
+(** Start a TCP connect without blocking.  The socket comes back
+    non-blocking, paired with [true] while the handshake is still in
+    flight: the fd turns writable when it completes, and
+    [Unix.getsockopt_error] then tells success from failure.  [Error]
+    is an unresolvable host or an immediate refusal.  The
+    dispatcher's select loop opens its upstream lanes this way. *)
 
 val rpc :
   ?timeout:float ->

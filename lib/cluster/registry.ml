@@ -23,6 +23,7 @@ type entry = {
   port : int;
   mutable state : state;
   mutable fails : int;  (* consecutive probe failures *)
+  mutable reports : int;  (* [report_down] calls so far *)
 }
 
 type t = {
@@ -98,7 +99,7 @@ let create ?(fail_threshold = 3) ?(vnodes = default_vnodes) shards =
   let entries =
     List.map
       (fun (host, port) ->
-        { id = id_of ~host ~port; host; port; state = Live; fails = 0 })
+        { id = id_of ~host ~port; host; port; state = Live; fails = 0; reports = 0 })
       shards
     |> List.sort_uniq (fun a b -> compare a.id b.id)
   in
@@ -118,7 +119,7 @@ let add t ~host ~port =
   locked t (fun () ->
       if List.exists (fun e -> e.id = id) t.entries then `Already
       else begin
-        let e = { id; host; port; state = Live; fails = 0 } in
+        let e = { id; host; port; state = Live; fails = 0; reports = 0 } in
         t.entries <- List.sort (fun a b -> compare a.id b.id) (e :: t.entries);
         rebuild t;
         `Added
@@ -195,12 +196,18 @@ let mark_live_locked t e =
   end
   else false
 
-let note_probe t id ~ok =
+(* A success whose probe began before the latest hard-error report
+   ([since] below [reports]) is stale: its pong may predate the
+   failure, so it must not revive the shard the report just killed. *)
+let note_probe ?since t id ~ok =
   locked t (fun () ->
       match List.find_opt (fun e -> e.id = id) t.entries with
       | None -> `Unknown
       | Some e ->
-          if ok then if mark_live_locked t e then `Revived else `Unchanged
+          if ok then
+            match since with
+            | Some n when n < e.reports -> `Unchanged
+            | _ -> if mark_live_locked t e then `Revived else `Unchanged
           else begin
             e.fails <- e.fails + 1;
             if e.fails >= t.fail_threshold && mark_dead_locked t e then `Died
@@ -212,6 +219,7 @@ let report_down t id =
       match List.find_opt (fun e -> e.id = id) t.entries with
       | None -> false
       | Some e ->
+          e.reports <- e.reports + 1;
           e.fails <- max e.fails t.fail_threshold;
           mark_dead_locked t e)
 

@@ -28,6 +28,7 @@ type entry = private {
   port : int;
   mutable state : state;
   mutable fails : int;  (** Consecutive probe failures. *)
+  mutable reports : int;  (** {!report_down} calls so far. *)
 }
 
 type t
@@ -72,8 +73,12 @@ val home : t -> string -> entry option
     {!route} = {!home} in a fully-live cluster (exposed for tests and
     balance accounting). *)
 
-val note_probe : t -> string -> ok:bool -> [ `Died | `Revived | `Unchanged | `Unknown ]
-(** Record one status-checker probe outcome. *)
+val note_probe :
+  ?since:int -> t -> string -> ok:bool -> [ `Died | `Revived | `Unchanged | `Unknown ]
+(** Record one status-checker probe outcome.  [since] is the shard's
+    [reports] count read when the probe began: a success is ignored
+    when a {!report_down} came after that, since the shard may have
+    answered just before it failed. *)
 
 val report_down : t -> string -> bool
 (** Mark a shard dead immediately (hard upstream I/O error); [true]

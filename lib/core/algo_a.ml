@@ -26,7 +26,7 @@ let bottleneck_windows (g : Grid.t) ~bottleneck =
 let propagate ~bottleneck ~taus starts_b =
   let m = Array.length taus in
   let n = Array.length starts_b in
-  let starts = Array.init n (fun _ -> Array.make m 0) in
+  let starts = Grid.map_rows (fun _ -> Array.make m 0) starts_b in
   Array.iteri (fun i s -> starts.(i).(bottleneck) <- s) starts_b;
   let pass j body = Obs.span "algo_a.pass" ~fields:[ ("processor", Obs.Int j) ] body in
   (* Downstream: each stage starts the instant its predecessor ends. *)

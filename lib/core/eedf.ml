@@ -18,7 +18,7 @@ let first_stage_jobs (shop : Flow_shop.t) =
 
 (* Every later subtask starts the instant its predecessor completes. *)
 let propagate (g : Grid.t) ~m ~tau starts_p1 =
-  Schedule.of_grid g (Array.map (fun s -> Array.init m (fun j -> s + (tau * j))) starts_p1)
+  Schedule.of_grid g (Grid.map_rows (fun s -> Array.init m (fun j -> s + (tau * j))) starts_p1)
 
 let with_identical_length shop f =
   match Flow_shop.is_identical_length shop with

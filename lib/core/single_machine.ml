@@ -411,8 +411,12 @@ let check_bound ~tau ~release ~deadline =
   Array.iter bound deadline;
   ignore (Grid.add_le (Grid.mul_le 4 !m) (Grid.mul_le (Array.length release + 1) tau))
 
+(* Seeded with a constant job (static data, never young), for the
+   reason [Grid.map_rows] gives. *)
 let engine_jobs ~release ~deadline =
-  Array.mapi (fun i r -> { Engine.id = i; release = r; deadline = deadline.(i) }) release
+  let jobs = Array.make (Array.length release) { Engine.id = 0; release = 0; deadline = 0 } in
+  Array.iteri (fun i r -> jobs.(i) <- { Engine.id = i; release = r; deadline = deadline.(i) }) release;
+  jobs
 
 (* The grid the jobs need on their own: the lcm of the reduced
    denominators of [tau / scale] and of every release and deadline —

@@ -8,13 +8,13 @@ let clear t =
   t.data <- [||];
   t.size <- 0
 
+(* Doubling appends the array to itself rather than [Array.make]-ing
+   past 256 slots around the pushed element: when that element is a
+   young block, [caml_make_vect] forces a minor collection (stopping
+   every domain) to promote it first. *)
 let grow t x =
-  if t.size = Array.length t.data then begin
-    let capacity = max 8 (2 * Array.length t.data) in
-    let data = Array.make capacity x in
-    Array.blit t.data 0 data 0 t.size;
-    t.data <- data
-  end
+  if t.size = Array.length t.data then
+    t.data <- (if t.size = 0 then Array.make 8 x else Array.append t.data t.data)
 
 let swap t i j =
   let tmp = t.data.(i) in

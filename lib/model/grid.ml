@@ -103,6 +103,15 @@ type t = {
   max_tau : int array;
 }
 
+(* [Array.map f a] for row-valued [f], seeded with the empty row: past
+   256 elements [Array.map] seeds the result with the fresh first row,
+   and [caml_make_vect] then forces a minor collection — stopping every
+   domain — to promote it. *)
+let map_rows f a =
+  let rows = Array.make (Array.length a) [||] in
+  Array.iteri (fun i x -> rows.(i) <- f x) a;
+  rows
+
 let build (shop : Recurrence_shop.t) (times : rat array array) =
   let tasks = shop.Recurrence_shop.tasks in
   let scale =
@@ -115,8 +124,8 @@ let build (shop : Recurrence_shop.t) (times : rat array array) =
   let on_grid = scaled scale in
   let release = Array.map (fun (t : Task.t) -> on_grid t.release) tasks in
   let deadline = Array.map (fun (t : Task.t) -> on_grid t.deadline) tasks in
-  let tau = Array.map (fun (t : Task.t) -> Array.map on_grid t.proc_times) tasks in
-  let gtimes = Array.map (Array.map on_grid) times in
+  let tau = map_rows (fun (t : Task.t) -> Array.map on_grid t.proc_times) tasks in
+  let gtimes = map_rows (Array.map on_grid) times in
   let max_tau = Array.make (Visit.length shop.Recurrence_shop.visit) 0 in
   Array.iter (Array.iteri (fun j v -> max_tau.(j) <- Int.max max_tau.(j) v)) tau;
   ignore (Array.fold_left add_le 0 max_tau);

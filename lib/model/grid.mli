@@ -62,6 +62,12 @@ val check_starts : int array array -> unit
     {!limit}.
     @raise E2e_rat.Rat.Overflow otherwise. *)
 
+val map_rows : ('a -> 'b array) -> 'a array -> 'b array array
+(** [Array.map] for row-valued functions, without the minor collection
+    [Array.map] forces past 256 rows (it seeds the result with the
+    fresh first row, which the runtime must promote first, stopping
+    every domain). *)
+
 type t = private {
   shop : Recurrence_shop.t;
   scale : int;  (** L. *)

@@ -27,7 +27,7 @@ let of_grid (g : Grid.t) gstarts =
   let scale = g.scale in
   {
     shop = g.shop;
-    starts = Array.map (Array.map (fun s -> Rat.make s scale)) gstarts;
+    starts = Grid.map_rows (Array.map (fun s -> Rat.make s scale)) gstarts;
     grid = Some { scale; gstarts };
   }
 
@@ -81,7 +81,7 @@ let scaled_instance scale (tasks : Task.t array) =
   let on = Grid.rescale scale in
   ( Array.map (fun (t : Task.t) -> on t.release) tasks,
     Array.map (fun (t : Task.t) -> on t.deadline) tasks,
-    Array.map (fun (t : Task.t) -> Array.map on t.proc_times) tasks )
+    Grid.map_rows (fun (t : Task.t) -> Array.map on t.proc_times) tasks )
 
 let makespan t =
   match t.grid with

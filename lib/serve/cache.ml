@@ -57,21 +57,30 @@ let sort_positions (tasks : Task.t array) =
        (fun a b -> compare_task tasks.(a) tasks.(b))
        (Array.to_list (Array.init (Array.length tasks) Fun.id)))
 
+(* The task arrays below start as copies and are overwritten in place:
+   past 256 elements, [Array.map]/[init] would seed a fresh array with
+   its first element, and when that is a young block [caml_make_vect]
+   forces a minor collection (stopping every domain) to promote it; a
+   copy is gathered straight into the major heap. *)
+let permuted (tasks : Task.t array) perm =
+  let out = Array.copy tasks in
+  Array.iteri (fun p orig -> out.(p) <- tasks.(orig)) perm;
+  out
+
 (* [sorted] in canonical order, relabelled [0..n-1].  The key is left
    unforced: only a cache lookup needs it, and [Add]s never look up. *)
 let of_sorted visit (sorted : Task.t array) perm =
-  let tasks =
-    Array.mapi
-      (fun p (t : Task.t) ->
-        Task.make ~id:p ~release:t.release ~deadline:t.deadline ~proc_times:t.proc_times)
-      sorted
-  in
+  let tasks = Array.copy sorted in
+  Array.iteri
+    (fun p (t : Task.t) ->
+      tasks.(p) <- Task.make ~id:p ~release:t.release ~deadline:t.deadline ~proc_times:t.proc_times)
+    sorted;
   let shop = Recurrence_shop.make ~visit tasks in
   { shop; perm; key = lazy (digest shop) }
 
 let canonicalize (shop : Recurrence_shop.t) =
   let perm = sort_positions shop.tasks in
-  of_sorted shop.visit (Array.map (fun orig -> shop.Recurrence_shop.tasks.(orig)) perm) perm
+  of_sorted shop.visit (permuted shop.Recurrence_shop.tasks perm) perm
 
 let key shop = Lazy.force (canonicalize shop).key
 
@@ -85,20 +94,20 @@ let merge ~(base : canonical) (fresh : Task.t array) =
   let fperm = sort_positions fresh in
   let perm = Array.make (n + k) 0 in
   let i = ref 0 and j = ref 0 in
-  (* [Array.init] applies its function to 0, 1, ... in order. *)
-  let sorted =
-    Array.init (n + k) (fun p ->
-        if !j >= k || (!i < n && compare_task committed.(!i) fresh.(fperm.(!j)) <= 0) then begin
-          perm.(p) <- base.perm.(!i);
-          incr i;
-          committed.(!i - 1)
-        end
-        else begin
-          perm.(p) <- n + fperm.(!j);
-          incr j;
-          fresh.(fperm.(!j - 1))
-        end)
-  in
+  let sorted = Array.append committed fresh in
+  for p = 0 to n + k - 1 do
+    sorted.(p) <-
+      (if !j >= k || (!i < n && compare_task committed.(!i) fresh.(fperm.(!j)) <= 0) then begin
+         perm.(p) <- base.perm.(!i);
+         incr i;
+         committed.(!i - 1)
+       end
+       else begin
+         perm.(p) <- n + fperm.(!j);
+         incr j;
+         fresh.(fperm.(!j - 1))
+       end)
+  done;
   of_sorted base.shop.Recurrence_shop.visit sorted perm
 
 (* {2 Structural pre-key}
@@ -142,7 +151,7 @@ module Keyer = struct
 
   let canonicalize t (shop : Recurrence_shop.t) =
     let perm = sort_positions shop.Recurrence_shop.tasks in
-    let sorted = Array.map (fun orig -> shop.Recurrence_shop.tasks.(orig)) perm in
+    let sorted = permuted shop.Recurrence_shop.tasks perm in
     let visit = shop.Recurrence_shop.visit in
     let fp = fingerprint visit sorted in
     (* Bound the memo so a never-repeating stream cannot grow it without

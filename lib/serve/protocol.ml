@@ -123,22 +123,37 @@ let render_request = function
 
 let render_schedule buf schedule = Schedule.add_csv buf ~sep:';' schedule
 
-(* An admitted reply is built in one buffer sized for its rows (about
-   24 bytes each): the head line, then the schedule written in place. *)
+(* An admitted reply is written into a scratch buffer that its domain
+   keeps between replies, then copied out once at its exact length: no
+   per-reply buffer is sized, grown or thrown away.  A render takes the
+   scratch out of its domain's slot (the take is no allocation and no
+   call, so no other systhread of the domain runs in between) and puts
+   it back after; a render that finds the slot empty meanwhile uses a
+   fresh buffer.  A scratch grown past [scratch_keep] is not kept. *)
+let scratch = Domain.DLS.new_key (fun () -> ref None)
+let scratch_keep = 1 lsl 20
+
 let render_reply ?(schedules = true) outcome =
   let head = Format.asprintf "%a" Batcher.pp_outcome outcome in
   match outcome with
   | Batcher.Reply
       (Admission.Decided { decision = Admission.Admitted { schedule; _ }; _ })
     when schedules ->
-      let rows =
-        Array.fold_left (fun acc row -> acc + Array.length row) 0 schedule.Schedule.starts
+      let slot = Domain.DLS.get scratch in
+      let buf =
+        match !slot with
+        | Some buf ->
+            slot := None;
+            Buffer.clear buf;
+            buf
+        | None -> Buffer.create 4096
       in
-      let buf = Buffer.create (String.length head + 48 + (24 * rows)) in
       Buffer.add_string buf head;
       Buffer.add_string buf " schedule=";
       render_schedule buf schedule;
-      Buffer.contents buf
+      let line = Buffer.contents buf in
+      if Buffer.length buf <= scratch_keep then slot := Some buf;
+      line
   | _ -> head
 
 let render_hello ~requested =

@@ -90,8 +90,10 @@ val render_reply : ?schedules:bool -> Batcher.outcome -> string
 (** One reply line, no terminator.  [schedules] (default [true])
     controls whether [admitted] replies carry the full [schedule=]
     field — load generators turn it off to keep reply parsing cheap.
-    An admitted reply's head and schedule rows are written into one
-    buffer sized for its rows, with no intermediate copies. *)
+    An admitted reply's head and schedule rows are written into a
+    scratch buffer its domain keeps between replies and copied out once
+    at their exact length: no per-reply buffer is sized, grown or
+    discarded.  Safe from any thread or domain. *)
 
 val render_hello : requested:string -> string
 (** [ok e2e-serve/1] when [requested] matches {!version}, an [error]

@@ -122,10 +122,10 @@ let serve_stdio ?schedules stripes = session ?schedules stripes Unix.stdin stdou
 (* Concurrent TCP transport.
 
    The listener — accept pool, connection quota, shutdown control,
-   per-connection writer thread and window — is {!Wire.serve}, shared
-   with the cluster dispatcher; this transport contributes the
-   per-connection reader and the drainers.  Requests are routed by
-   shop to a {!Stripes} batcher stripe — same shop, same stripe — and
+   per-connection writer thread and window — is {!Wire.serve}; this
+   transport contributes the per-connection reader and the drainers.
+   Requests are routed by shop to a {!Stripes} batcher stripe — same
+   shop, same stripe — and
    one drainer domain per stripe steps its batcher as soon as it holds
    a request, never waiting for a batch to fill, and routes replies
    back.  Admission semantics, trace stage attribution and the

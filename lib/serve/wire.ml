@@ -1,11 +1,12 @@
-(* Shared socket plumbing for the line-protocol transports: a bounded
-   line reader over a raw fd, the per-connection reply machinery — an
+(* Shared socket plumbing for the line-protocol transports: one line
+   framer (the blocking reader below and the cluster dispatcher's
+   select loop both run it), the per-connection reply machinery — an
    ordered cell queue of reply slots, a counting-semaphore window
    bounding reader lead, and a writer thread that flushes every
    consecutive ready reply with one [write] (writev-style coalescing) —
-   and the one TCP listener both the admission server and the cluster
-   dispatcher run: accept pool, connection quota, shutdown control and
-   the per-connection lifecycle. *)
+   and the threaded TCP listener the admission server runs: accept
+   pool, connection quota, shutdown control and the per-connection
+   lifecycle. *)
 
 let write_all fd s =
   let b = Bytes.unsafe_of_string s in
@@ -18,64 +19,59 @@ let write_all fd s =
   in
   go 0
 
-(* Bounded line reader over a raw fd: a fixed chunk buffer plus an
-   accumulator capped at [max_line] — an oversized request line is a
-   protocol error, not an unbounded allocation. *)
+(* Line framing, shared by the blocking reader below and the
+   dispatcher's select loop: a fixed chunk buffer plus an accumulator
+   capped at [max_line] — an oversized request line is a protocol
+   error, not an unbounded allocation.  The framer never reads; its
+   owner refills the chunk buffer (blocking or not) whenever
+   [next_line] asks for input. *)
 let max_line = 1 lsl 20
 
-type reader = {
-  rfd : Unix.file_descr;
+type framer = {
   rbuf : Bytes.t;
   mutable rlen : int;
   mutable rpos : int;
   acc : Buffer.t;
 }
 
-let make_reader rfd =
-  { rfd; rbuf = Bytes.create 4096; rlen = 0; rpos = 0; acc = Buffer.create 256 }
+let framer ?(size = 4096) () =
+  { rbuf = Bytes.create size; rlen = 0; rpos = 0; acc = Buffer.create 256 }
 
-let rec read_line r =
-  if Buffer.length r.acc > max_line then `Too_long
-  else if r.rpos >= r.rlen then
-    match Unix.read r.rfd r.rbuf 0 (Bytes.length r.rbuf) with
-    | 0 ->
-        if Buffer.length r.acc > 0 then begin
-          (* Partial final line at EOF behaves like [input_line]. *)
-          let s = Buffer.contents r.acc in
-          Buffer.clear r.acc;
-          `Line s
-        end
-        else `Eof
-    | n ->
-        r.rlen <- n;
-        r.rpos <- 0;
-        read_line r
-    | exception Unix.Unix_error (Unix.EINTR, _, _) -> read_line r
-    | exception Unix.Unix_error (e, _, _) -> `Error e
+(* The first newline in [b.[i .. stop)]: the bytes past the last read
+   are stale, and a search through them could run to the end of a
+   large chunk buffer. *)
+let rec newline b i stop =
+  if i >= stop then None
+  else if Bytes.unsafe_get b i = '\n' then Some i
+  else newline b (i + 1) stop
+
+let rec next_line f =
+  if Buffer.length f.acc > max_line then `Too_long
+  else if f.rpos >= f.rlen then `Need_input
   else
-    match Bytes.index_from_opt r.rbuf r.rpos '\n' with
-    | Some i when i < r.rlen ->
-        if Buffer.length r.acc + (i - r.rpos) > max_line then
+    match newline f.rbuf f.rpos f.rlen with
+    | Some i ->
+        if Buffer.length f.acc + (i - f.rpos) > max_line then
           (* The newline arrived, but the line already blew the cap: the
              bound is exact, not chunk-granular.  Nothing is consumed, so
              the result is sticky — every later call answers the same. *)
           `Too_long
-        else if Buffer.length r.acc = 0 then begin
+        else if Buffer.length f.acc = 0 then begin
           (* Hot path: the whole line sits inside the chunk buffer, so
              one [Bytes.sub_string] builds it — no accumulator round
              trip, no second copy to strip the [\r]. *)
           let stop =
-            if i > r.rpos && Bytes.get r.rbuf (i - 1) = '\r' then i - 1 else i
+            if i > f.rpos && Bytes.get f.rbuf (i - 1) = '\r' then i - 1 else i
           in
-          let s = Bytes.sub_string r.rbuf r.rpos (stop - r.rpos) in
-          r.rpos <- i + 1;
+          let s = Bytes.sub_string f.rbuf f.rpos (stop - f.rpos) in
+          f.rpos <- i + 1;
           `Line s
         end
         else begin
-          Buffer.add_subbytes r.acc r.rbuf r.rpos (i - r.rpos);
-          r.rpos <- i + 1;
-          let s = Buffer.contents r.acc in
-          Buffer.clear r.acc;
+          Buffer.add_subbytes f.acc f.rbuf f.rpos (i - f.rpos);
+          f.rpos <- i + 1;
+          let s = Buffer.contents f.acc in
+          Buffer.clear f.acc;
           let s =
             if String.length s > 0 && s.[String.length s - 1] = '\r' then
               String.sub s 0 (String.length s - 1)
@@ -83,11 +79,39 @@ let rec read_line r =
           in
           `Line s
         end
-    | _ ->
-        Buffer.add_subbytes r.acc r.rbuf r.rpos (r.rlen - r.rpos);
-        r.rpos <- r.rlen;
-        read_line r
+    | None ->
+        Buffer.add_subbytes f.acc f.rbuf f.rpos (f.rlen - f.rpos);
+        f.rpos <- f.rlen;
+        next_line f
 
+let refill f fd =
+  let n = Unix.read fd f.rbuf 0 (Bytes.length f.rbuf) in
+  f.rlen <- n;
+  f.rpos <- 0;
+  n
+
+let at_eof f =
+  if Buffer.length f.acc = 0 then None
+  else begin
+    (* Partial final line at EOF behaves like [input_line]. *)
+    let s = Buffer.contents f.acc in
+    Buffer.clear f.acc;
+    Some s
+  end
+
+type reader = { rfd : Unix.file_descr; rframe : framer }
+
+let make_reader rfd = { rfd; rframe = framer () }
+
+let rec read_line r =
+  match next_line r.rframe with
+  | (`Line _ | `Too_long) as x -> x
+  | `Need_input -> (
+      match refill r.rframe r.rfd with
+      | 0 -> ( match at_eof r.rframe with Some s -> `Line s | None -> `Eof)
+      | _ -> read_line r
+      | exception Unix.Unix_error (Unix.EINTR, _, _) -> read_line r
+      | exception Unix.Unix_error (e, _, _) -> `Error e)
 
 (* A reply slot: filled with the rendered line by whoever resolves the
    request (a drainer domain, an upstream receiver thread, or the
@@ -286,8 +310,7 @@ let retriable = function
   | Unix.EINTR | Unix.ECONNABORTED | Unix.EAGAIN | Unix.EWOULDBLOCK -> true
   | _ -> false
 
-let serve ?(host = "127.0.0.1") ?max_connections ?(accept_pool = 4) ?(window = 64) ?ready
-    ?(control = control ()) ~greeting ~port handler =
+let listen ~host ~port =
   let addr = Unix.ADDR_INET (resolve_host host, port) in
   let sock = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
   (* A peer that disappears mid-reply must surface as EPIPE on the
@@ -296,14 +319,27 @@ let serve ?(host = "127.0.0.1") ?max_connections ?(accept_pool = 4) ?(window = 6
      upstream lane writing to a dead shard) must not be killed either,
      and every write already handles EPIPE. *)
   (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore with Invalid_argument _ -> ());
+  match
+    Unix.setsockopt sock Unix.SO_REUSEADDR true;
+    Unix.bind sock addr;
+    Unix.listen sock 64
+  with
+  | () -> sock
+  | exception e ->
+      (try Unix.close sock with Unix.Unix_error _ -> ());
+      raise e
+
+let bound_port sock ~port =
+  match Unix.getsockname sock with Unix.ADDR_INET (_, p) -> p | _ -> port
+
+let serve ?(host = "127.0.0.1") ?max_connections ?(accept_pool = 4) ?(window = 64) ?ready
+    ?(control = control ()) ~greeting ~port handler =
+  let sock = listen ~host ~port in
   Fun.protect
     ~finally:(fun () ->
       locked control (fun () -> control.listener <- None);
       try Unix.close sock with Unix.Unix_error _ -> ())
     (fun () ->
-      Unix.setsockopt sock Unix.SO_REUSEADDR true;
-      Unix.bind sock addr;
-      Unix.listen sock 64;
       let already_stopped =
         locked control (fun () ->
             if not control.stop then control.listener <- Some sock;
@@ -312,8 +348,7 @@ let serve ?(host = "127.0.0.1") ?max_connections ?(accept_pool = 4) ?(window = 6
       if not already_stopped then begin
         (match ready with
         | None -> ()
-        | Some f ->
-            f (match Unix.getsockname sock with Unix.ADDR_INET (_, p) -> p | _ -> port));
+        | Some f -> f (bound_port sock ~port));
         (* Connection slots are claimed before accepting, so with a
            quota exactly [max_connections] accepts happen across the
            pool and every accept thread terminates. *)

@@ -1,11 +1,11 @@
 (** Shared socket plumbing for the line-protocol transports.
 
-    A bounded line reader over a raw [Unix.file_descr], and the one TCP
-    listener both front ends run — {!Server.serve_tcp} and the cluster
-    dispatcher ([E2e_cluster.Dispatcher.serve]) are thin callers of
-    {!serve} that differ only in their greeting and their per-connection
-    handler.  {!serve} owns the whole accept/teardown policy: socket
-    setup and [SIGPIPE], the [ready] hook, the accept-pool threads with
+    One line {!framer} — the blocking {!reader} here and the cluster
+    dispatcher's select loop both run it, so both edges apply the same
+    cap, [\r] stripping and end-of-input rule — a listening socket
+    ({!listen}), and {!serve}, the threaded TCP listener that
+    {!Server.serve_tcp} is a thin caller of.  {!serve} owns the whole
+    accept/teardown policy: socket setup and [SIGPIPE], the [ready] hook, the accept-pool threads with
     the connection quota and accept retry rules, the {!control} handle,
     and each connection's reply machinery: an ordered queue of reply
     {e slots}, a counting semaphore ({e window}) bounding how far the
@@ -29,20 +29,43 @@ val max_line : int
 (** Request-line length cap (1 MiB): an oversized line is a protocol
     error, not an unbounded allocation. *)
 
+type framer
+(** Line framing over a chunk buffer that its owner refills: the
+    {!max_line} cap (exact, not chunk-granular), [\r] stripping and
+    the partial-line-at-EOF rule.  {!read_line} runs it over a blocking
+    fd; the cluster dispatcher's select loop runs it over non-blocking
+    ones. *)
+
+val framer : ?size:int -> unit -> framer
+(** An empty framer with a [size]-byte chunk buffer (default 4096). *)
+
+val next_line : framer -> [ `Line of string | `Need_input | `Too_long ]
+(** The next complete line in the buffer (terminator stripped,
+    trailing [\r] removed), or [`Need_input] once every buffered byte
+    is consumed — only then may {!refill} run.  A line longer than
+    {!max_line} is [`Too_long], and stays so: nothing is consumed.
+    When a whole line sits inside the chunk buffer it is built with a
+    single copy. *)
+
+val refill : framer -> Unix.file_descr -> int
+(** One [Unix.read] into the chunk buffer; [0] is end of input.
+    @raise Unix.Unix_error as [Unix.read] does. *)
+
+val at_eof : framer -> string option
+(** At end of input: the partial final line, if any (returned as a
+    line, like [input_line]). *)
+
 type reader
-(** Bounded buffered line reader over a raw fd. *)
+(** A framer over a blocking fd. *)
 
 val make_reader : Unix.file_descr -> reader
 
 val read_line :
   reader -> [ `Line of string | `Eof | `Too_long | `Error of Unix.error ]
-(** Next line (terminator stripped, trailing [\r] removed).  A partial
-    final line at EOF is returned as a line.  A clean EOF is [`Eof]; a
-    hard read error (reset, half-closed socket, …) is [`Error] so
-    transports can account for it separately from orderly shutdown;
-    a line longer than {!max_line} is [`Too_long].  [EINTR] retries
-    internally.  When a whole line sits inside the chunk buffer it is
-    built with a single copy (no accumulator round trip). *)
+(** Next line, per {!next_line} and {!at_eof}.  A clean EOF is
+    [`Eof]; a hard read error (reset, half-closed socket, …) is
+    [`Error] so transports can account for it separately from orderly
+    shutdown.  [EINTR] retries internally. *)
 
 type conn
 (** One connection's reply queue, as seen by its handler. *)
@@ -76,6 +99,20 @@ val shutdown : control -> unit
     kill).  A {!serve} given a handle that is already shut down
     returns as soon as it has bound, without calling [ready].
     Idempotent; safe from any thread. *)
+
+val listen : host:string -> port:int -> Unix.file_descr
+(** A bound, listening TCP socket on [host:port] (backlog 64,
+    [SO_REUSEADDR]).  Ignores [SIGPIPE] from the first call on, for
+    good: a vanished peer surfaces as a write error on its own
+    connection.  @raise Unix.Unix_error when binding fails. *)
+
+val bound_port : Unix.file_descr -> port:int -> int
+(** The port a {!listen} socket is bound to ([port] when it cannot be
+    read back) — the ephemeral port when [port = 0]. *)
+
+val retriable : Unix.error -> bool
+(** Transient [accept] failures ([EINTR], [ECONNABORTED], [EAGAIN]):
+    retry at once. *)
 
 val serve :
   ?host:string ->

@@ -119,6 +119,23 @@ let test_probe_threshold () =
   Alcotest.(check bool) "unknown shard reported" true
     (Registry.note_probe t "nope:1" ~ok:false = `Unknown)
 
+(* The checker probes off the dispatcher's loop, so a probe can read
+   its [pong] just before the shard dies and report it just after an
+   upstream lane has reported the death: that success is stale and
+   must not revive the shard.  A probe begun after the report still
+   does. *)
+let test_stale_probe_no_revival () =
+  let t = Registry.create (shards 2) in
+  let reports () = (Option.get (Registry.find_opt t (id 0))).Registry.reports in
+  let since = reports () in
+  Alcotest.(check bool) "hard error kills" true (Registry.report_down t (id 0));
+  Alcotest.(check bool) "success from before the report ignored" true
+    (Registry.note_probe ~since t (id 0) ~ok:true = `Unchanged);
+  Alcotest.(check bool) "still dead" true
+    ((Option.get (Registry.find_opt t (id 0))).Registry.state = Registry.Dead);
+  Alcotest.(check bool) "success from after the report revives" true
+    (Registry.note_probe ~since:(reports ()) t (id 0) ~ok:true = `Revived)
+
 let test_membership_roundtrip () =
   let t = Registry.create (shards 2) in
   Alcotest.(check bool) "fresh add" true (Registry.add t ~host:"127.0.0.1" ~port:7073 = `Added);
@@ -515,6 +532,86 @@ let test_e2e_multi_lane () =
         [ c1; c2 ];
       ignore port)
 
+(* The dispatcher serves every client from its one loop thread: with
+   one client already answered (the loop and its status checker are up),
+   64 more connections, each answering [ping] while all are open, start
+   no thread.  (A thread per connection adds 64 or more.) *)
+let threads () =
+  let ic = open_in "/proc/self/status" in
+  let rec find () =
+    let l = input_line ic in
+    if String.length l > 8 && String.sub l 0 8 = "Threads:" then
+      int_of_string (String.trim (String.sub l 8 (String.length l - 8)))
+    else find ()
+  in
+  Fun.protect ~finally:(fun () -> close_in ic) find
+
+let with_dispatcher ?(config = Dispatcher.default_config) ~accept_pool shards f =
+  let t = Dispatcher.create ~config shards in
+  let set, get = wait_port () in
+  let d = Domain.spawn (fun () -> Dispatcher.serve ~accept_pool ~ready:set ~port:0 t) in
+  Fun.protect
+    ~finally:(fun () ->
+      Dispatcher.shutdown t;
+      Domain.join d)
+    (fun () -> f (get ()))
+
+let pong = "pong " ^ Dispatcher.version
+
+let test_e2e_no_thread_per_client () =
+  with_dispatcher ~accept_pool:65 [] (fun port ->
+      let first = client_connect port in
+      client_send first [ "ping" ];
+      Alcotest.(check string) "first client answered" pong (input_line first.cic);
+      let before = threads () in
+      let clients = List.init 64 (fun _ -> client_connect port) in
+      List.iter (fun c -> client_send c [ "ping" ]) clients;
+      List.iter
+        (fun c -> Alcotest.(check string) "every client answered" pong (input_line c.cic))
+        clients;
+      (* Threads that earlier tests left behind may still be exiting, so
+         the count may fall; it must not grow. *)
+      let after = threads () in
+      if after > before then
+        Alcotest.failf "64 more clients took the process from %d to %d threads" before after;
+      List.iter client_close (first :: clients))
+
+(* A [metrics] fan-out stalled by a black-hole shard — its listener
+   completes handshakes in the backlog but never accepts, so the RPC
+   waits out [probe_timeout] — runs off the loop: another client's
+   [ping] is answered at once, and the stalled client still gets its
+   replies in request order. *)
+let test_e2e_metrics_stall_is_off_loop () =
+  let hole = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+  Unix.bind hole (Unix.ADDR_INET (Unix.inet_addr_loopback, 0));
+  Unix.listen hole 8;
+  let hport = match Unix.getsockname hole with Unix.ADDR_INET (_, p) -> p | _ -> 0 in
+  let config =
+    { Dispatcher.default_config with probe_timeout = 0.3; probe_interval = 30.0 }
+  in
+  Fun.protect
+    ~finally:(fun () -> Unix.close hole)
+    (fun () ->
+      with_dispatcher ~config ~accept_pool:2 [ ("127.0.0.1", hport) ] (fun port ->
+          let a = client_connect port and b = client_connect port in
+          let t0 = Unix.gettimeofday () in
+          client_send a [ "metrics"; "ping" ];
+          Unix.sleepf 0.02;
+          client_send b [ "ping" ];
+          Alcotest.(check string) "other client's ping" pong (input_line b.cic);
+          let ping_s = Unix.gettimeofday () -. t0 in
+          if ping_s >= 0.25 then
+            Alcotest.failf "ping waited %.3f s behind the stalled metrics fan-out" ping_s;
+          let metrics = input_line a.cic in
+          let metrics_s = Unix.gettimeofday () -. t0 in
+          Alcotest.(check bool) "metrics waited out the black hole" true (metrics_s >= 0.25);
+          Alcotest.(check bool) "black-hole shard reported down" true
+            (let needle = Printf.sprintf "cluster_shard_up{shard=\"127.0.0.1:%d\"} 0" hport in
+             List.mem needle (String.split_on_char ';' metrics));
+          Alcotest.(check string) "stalled client's ping after its metrics" pong
+            (input_line a.cic);
+          List.iter client_close [ a; b ]))
+
 let suite =
   [
     ("registry: parse_id accepts host:port and rejects junk", `Quick, test_parse_id);
@@ -533,4 +630,10 @@ let suite =
     ("cluster: metrics aggregates shard expositions", `Slow, test_e2e_metrics_aggregation);
     ("cluster: multi-lane upstreams keep order and drain on kill", `Slow,
      test_e2e_multi_lane);
+    ("cluster: 64 clients start no thread in the dispatcher", `Slow,
+     test_e2e_no_thread_per_client);
+    ("cluster: a stalled metrics fan-out does not hold other clients", `Slow,
+     test_e2e_metrics_stall_is_off_loop);
+    ("registry: a probe begun before a down report does not revive", `Quick,
+     test_stale_probe_no_revival);
   ]

@@ -511,6 +511,67 @@ let large_reply_log () =
       Admission.Submit { shop = "x"; instance = infeasible_instance () } ]
   @ gen_log 18 40
 
+(* An [Array.make]/[map]/[init] of more than 256 elements whose first
+   element is a fresh block forces a minor collection first (the
+   runtime counter [EV_C_FORCE_MINOR_MAKE_VECT]), which stops every
+   domain.  One add to a 300-task shop — EEDF on unit times, Algorithm
+   H on a 1/100 grid, canonical cache on — must force none. *)
+let test_add_forces_no_minor_gc () =
+  let me = (Domain.self () :> int) in
+  let forced = ref 0 in
+  let callbacks =
+    Runtime_events.Callbacks.create
+      ~runtime_counter:(fun dom _ counter v ->
+        if dom = me && counter = Runtime_events.EV_C_FORCE_MINOR_MAKE_VECT then
+          forced := !forced + v)
+      ()
+  in
+  Runtime_events.start ();
+  let cursor = Runtime_events.create_cursor None in
+  let poll () = ignore (Runtime_events.read_poll cursor callbacks None) in
+  let task ~identical i =
+    let taus =
+      Array.init 4 (fun j ->
+          if identical then Rat.one else Rat.make (90 + ((7 * i) + (3 * j)) mod 21) 100)
+    in
+    let release = Rat.make (5 * i) 4 in
+    (release, Rat.add release (Rat.mul (Rat.sum_array taus) (Rat.of_int 3)), taus)
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      Runtime_events.free_cursor cursor;
+      Runtime_events.pause ())
+    (fun () ->
+      List.iter
+        (fun identical ->
+          let tasks =
+            Array.init 300 (fun i ->
+                let release, deadline, proc_times = task ~identical i in
+                Task.make ~id:i ~release ~deadline ~proc_times)
+          in
+          let instance =
+            Recurrence_shop.make ~visit:(E2e_model.Visit.traditional 4) tasks
+          in
+          let cache = Cache.create ~capacity:8 and keyer = Cache.Keyer.create () in
+          let st, r = Admission.apply ~cache ~keyer Admission.empty (Admission.Submit { shop = "s"; instance }) in
+          let admitted = function
+            | Admission.Decided { decision = Admission.Admitted _; _ } -> true
+            | _ -> false
+          in
+          Alcotest.(check bool) "300-task submit admitted" true (admitted r);
+          poll ();
+          forced := 0;
+          let _, r =
+            Admission.apply ~cache ~keyer st
+              (Admission.Add { shop = "s"; tasks = [ task ~identical 300 ] })
+          in
+          poll ();
+          Alcotest.(check bool) "add admitted" true (admitted r);
+          Alcotest.(check int)
+            (Printf.sprintf "forced minor collections (%s)" (if identical then "EEDF" else "H"))
+            0 !forced)
+        [ true; false ])
+
 (* Every byte of every reply (and request line) of the large log,
    pinned: a render path rewrite must not move one. *)
 let test_render_pinned_digest () =
@@ -529,7 +590,15 @@ let test_render_pinned_digest () =
          | _ -> false)
        outcomes);
   Alcotest.(check string) "reply digest" "f3ffd6c3c6176b30537046ac2fd7fae1"
-    (Digest.to_hex (Digest.string text))
+    (Digest.to_hex (Digest.string text));
+  (* Renders reuse a per-domain scratch buffer: two domains rendering
+     the log at once write the same bytes. *)
+  let render_all () =
+    String.concat "\n" (Array.to_list (Array.map (fun o -> Protocol.render_reply o) outcomes))
+  in
+  List.iter
+    (fun d -> Alcotest.(check string) "same replies from two domains at once" text (Domain.join d))
+    (List.init 2 (fun _ -> Domain.spawn render_all))
 
 (* ------------------------------------------------------------------ *)
 (* Incremental admission                                              *)
@@ -1336,4 +1405,6 @@ let suite =
     ("wire: shutdown wakes accepts, resets connections", `Quick, test_wire_shutdown);
     ("wire: shutdown before bind returns at once", `Quick,
      test_wire_shutdown_before_bind);
+    ("admission: an add to a 300-task shop forces no minor GC", `Quick,
+     test_add_forces_no_minor_gc);
   ]
