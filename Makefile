@@ -92,9 +92,9 @@ bench-cluster:
 
 # Replay the full-grammar request fixture through the stdio transport on
 # 1 and 4 domains: the reply logs must be byte-identical and contain
-# admitted verdicts, and every hostile line (a solver overflow, decimal
-# literals past the 63-bit rationals) must get an error reply followed
-# by a live pong.
+# admitted verdicts, and every hostile line (literals past the scanner's
+# magnitude and denominator bounds, a shop off its time grid) must get
+# the typed error that names its bound, followed by a live pong.
 serve-smoke:
 	rm -f $(SERVE_A) $(SERVE_B)
 	dune exec bin/serve.exe -- --stdio -j 1 \
@@ -106,9 +106,13 @@ serve-smoke:
 	grep -q '^admitted ' $(SERVE_A)
 	grep -q '^rejected ' $(SERVE_A)
 	grep -q '^metrics ' $(SERVE_A)
-	grep -A1 '^error shop=big internal$$' $(SERVE_A) | grep -q '^pong '
-	grep -A1 '^error .*"2\.00000000000000000001"$$' $(SERVE_A) | grep -q '^pong '
-	grep -A1 '^error .*"4611686018427387903\.5"$$' $(SERVE_A) | grep -q '^pong '
+	grep -A1 '^error shop=- line 1: literal "4600000000000000000" out of range: magnitude 10^12 or more$$' \
+	  $(SERVE_A) | grep -q '^pong '
+	grep -A1 '^error shop=- line 1: literal "2\.00000000000000000001" out of range: denominator past 10^9$$' \
+	  $(SERVE_A) | grep -q '^pong '
+	grep -A1 '^error shop=- line 1: literal "4611686018427387903\.5" out of range: magnitude 10^12 or more$$' \
+	  $(SERVE_A) | grep -q '^pong '
+	grep -A1 '^error shop=- out of range: time grid past 2^61-1$$' $(SERVE_A) | grep -q '^pong '
 
 # The concurrent transport determinism smoke: $(CONC_CONNS) pipelined
 # client domains against an embedded TCP server on 1 and 4 worker

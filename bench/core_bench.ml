@@ -206,6 +206,31 @@ let serve_render_case n =
       thunk (fun () -> Protocol.render_reply (Batcher.Reply reply))
   | _ -> failwith "serve_render: the shop is not admitted"
 
+(* The parse half of the admission path: one [submit] line of an
+   arbitrary stream shop of [n] tasks on 4 stages, its times written as
+   exact fractions (the wire format [render_request] gives) or as
+   4-place decimals (every time of the shop is on the 1/10^4 grid). *)
+let serve_parse_case ~decimals n =
+  let instance = Recurrence_shop.of_traditional (stream_shop ~seed:(6300 + n) ~identical:false n) in
+  let line = Protocol.render_request (Admission.Submit { shop = "L"; instance }) in
+  let line =
+    if not decimals then line
+    else
+      let decimal q =
+        let v = Rat.num q * (10_000 / Rat.den q) in
+        Printf.sprintf "%d.%04d" (v / 10_000) (v mod 10_000)
+      in
+      String.split_on_char ' ' line
+      |> List.map (fun w ->
+             if String.contains w '/' || (w <> "" && w.[0] >= '0' && w.[0] <= '9') then
+               decimal (Rat.of_decimal_string w)
+             else w)
+      |> String.concat " "
+  in
+  match Protocol.parse_request line with
+  | Ok (Protocol.Request (Admission.Submit _)) -> thunk (fun () -> Protocol.parse_request line)
+  | _ -> failwith "serve_parse: the line does not parse"
+
 (* The verify stage of the admission path: the checker on one admitted
    reply's schedule — an arbitrary stream shop of [n] tasks solved on its
    canonical form and relabelled to the candidate's task ids, as
@@ -277,6 +302,8 @@ let fixed_families () =
     ( "dispatch_replay",
       4,
       at replay (Sim.Dispatcher.run Sim.Dispatcher.Work_conserving ~actual:replay_actual) );
+    ("serve_parse", 250, serve_parse_case ~decimals:false 250);
+    ("serve_parse_decimal", 250, serve_parse_case ~decimals:true 250);
     ("serve_render", 250, serve_render_case 250);
     ("serve_verify", 250, serve_verify_case 250);
     ("stream_eedf", 250, stream_solve_case ~seed:6100 ~identical:true 250);

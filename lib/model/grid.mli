@@ -89,3 +89,23 @@ val of_schedule : Recurrence_shop.t -> rat array array -> t * int array array
 
 val to_rat : t -> int -> rat
 (** [to_rat g v] is [v / L], the rational a grid value stands for. *)
+
+(** {1 The candidate check} *)
+
+type misfit =
+  | Scale  (** L, a scaled time or P passes {!limit}: {!of_shop} would refuse. *)
+  | Bound
+      (** Everything scales, but [B* = 4 (R + P) + (n+1) P] passes
+          {!limit}, R the largest scaled release or deadline magnitude:
+          the single-machine bound B of some stage might. *)
+
+val fit :
+  stages:int -> ((rat -> rat -> rat array -> unit) -> unit) -> (unit, misfit) result
+(** [fit ~stages iter] decides whether the tasks [iter] feeds its
+    callback — [release deadline proc_times], one call per task — fit
+    the grid: L and every scaled time within {!limit}, and B* too.  It
+    compares and sums no rational, so it is safe on any input, and a
+    shop that passes it passes {!of_shop} and never overflows a
+    [Rat.compare] of two of its times (the proof is in the
+    implementation).  Times at positions [stages] and beyond widen L but
+    count toward no stage. *)

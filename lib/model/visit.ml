@@ -3,13 +3,14 @@ type t = { sequence : int array; processors : int }
 let make sequence =
   let k = Array.length sequence in
   if k = 0 then invalid_arg "Visit.make: empty sequence";
+  if Array.exists (fun p -> p < 0) sequence then invalid_arg "Visit.make: negative processor";
   let m = 1 + Array.fold_left max 0 sequence in
+  (* Without gaps there are at most [k] processors: refusing a larger
+     number first keeps [seen] no longer than the sequence, whatever
+     number a request names. *)
+  if m > k then invalid_arg "Visit.make: processor numbering has gaps";
   let seen = Array.make m false in
-  Array.iter
-    (fun p ->
-      if p < 0 then invalid_arg "Visit.make: negative processor";
-      seen.(p) <- true)
-    sequence;
+  Array.iter (fun p -> seen.(p) <- true) sequence;
   if not (Array.for_all Fun.id seen) then invalid_arg "Visit.make: processor numbering has gaps";
   { sequence; processors = m }
 

@@ -194,30 +194,51 @@ let of_decimal_string s =
             if negative then neg magnitude else magnitude)
   with Overflow -> fail ()
 
-(* Digits are peeled off the non-positive [-|n|], which unlike [|n|] is
-   representable for every int, [min_int] included. *)
-let add_int_to_buffer buf n =
-  let rec digits m =
-    if m <= -10 then digits (m / 10);
-    Buffer.add_char buf (Char.unsafe_chr (48 - (m mod 10)))
-  in
-  if n < 0 then begin
-    Buffer.add_char buf '-';
-    digits n
+(* [pow10.(k)] is 10^(k+1), the least int with k+2 digits. *)
+let pow10 =
+  let a = Array.make 18 10 in
+  for k = 1 to 17 do
+    a.(k) <- a.(k - 1) * 10
+  done;
+  a
+
+let write_int b pos n =
+  (* The digit count by comparisons, then the digits from the right,
+     peeled off the non-positive [-|n|], which unlike [|n|] is
+     representable for every int, [min_int] included. *)
+  let m = if n < 0 then n else -n in
+  let width = ref 1 in
+  while !width <= 18 && m <= -pow10.(!width - 1) do
+    incr width
+  done;
+  let start = if n < 0 then pos + 1 else pos in
+  if n < 0 then Bytes.set b pos '-';
+  let m = ref m in
+  for i = start + !width - 1 downto start do
+    Bytes.set b i (Char.unsafe_chr (48 - (!m mod 10)));
+    m := !m / 10
+  done;
+  start + !width
+
+let write b pos t =
+  let pos = write_int b pos t.num in
+  if t.den = 1 then pos
+  else begin
+    Bytes.set b pos '/';
+    write_int b (pos + 1) t.den
   end
-  else digits (-n)
+
+let add_int_to_buffer buf n =
+  let b = Bytes.create 20 in
+  Buffer.add_subbytes buf b 0 (write_int b 0 n)
 
 let add_to_buffer buf t =
-  add_int_to_buffer buf t.num;
-  if t.den <> 1 then begin
-    Buffer.add_char buf '/';
-    add_int_to_buffer buf t.den
-  end
+  let b = Bytes.create 41 in
+  Buffer.add_subbytes buf b 0 (write b 0 t)
 
 let to_string t =
-  let buf = Buffer.create 24 in
-  add_to_buffer buf t;
-  Buffer.contents buf
+  let b = Bytes.create 41 in
+  Bytes.sub_string b 0 (write b 0 t)
 
 let pp ppf t = Format.pp_print_string ppf (to_string t)
 

@@ -121,14 +121,24 @@ val of_decimal_string : string -> t
 val to_string : t -> string
 (** ["num/den"], or just ["num"] for integers. *)
 
+val write_int : Bytes.t -> int -> int -> int
+(** [write_int b pos n] writes [string_of_int n]'s text into [b] at
+    [pos] and returns the position after it: at most 20 bytes, the
+    digits counted first and then written from the right, with no
+    format parsing and no buffer between.  [min_int] included.  The
+    one digit writer behind every rational the schedule, instance and
+    reply renderings print.
+    @raise Invalid_argument when [b] is too short. *)
+
+val write : Bytes.t -> int -> t -> int
+(** {!write_int} for {!to_string}'s text — sign, numerator and, unless
+    the rational is an integer, ["/den"]: at most 41 bytes. *)
+
 val add_to_buffer : Buffer.t -> t -> unit
-(** Appends {!to_string}'s text: sign, numerator and, unless the
-    rational is an integer, ["/den"], written digit by digit with no
-    format parsing.  The writer behind every rational the schedule,
-    instance and reply renderings print. *)
+(** Appends {!to_string}'s text, through {!write}. *)
 
 val add_int_to_buffer : Buffer.t -> int -> unit
-(** Appends [string_of_int n]'s text the same way, [min_int] included. *)
+(** Appends [string_of_int n]'s text, through {!write_int}. *)
 
 val pp : Format.formatter -> t -> unit
 (** Prints like {!to_string}. *)

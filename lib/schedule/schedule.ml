@@ -359,38 +359,58 @@ let pp_table ppf t =
   done;
   Format.fprintf ppf "@]"
 
-let add_csv buf ~sep t =
+(* A row is at most three ints (20 bytes each), two rationals (41
+   each) and five separators. *)
+let row_room = 150
+
+let reserve b pos n =
+  if pos + n <= Bytes.length b then b
+  else begin
+    let grown = Bytes.create (Stdlib.max (pos + n) (2 * Bytes.length b)) in
+    Bytes.blit b 0 grown 0 pos;
+    grown
+  end
+
+let header = "task,stage,processor,start,finish"
+
+let write_csv b pos ~sep t =
+  let k = stages t in
   let seq = t.shop.Recurrence_shop.visit.Visit.sequence in
-  let add_finish =
+  (* On a grid, a finish equal to the next stage's start as ints is that
+     start's rational, already reduced: only the others cost a gcd. *)
+  let finish_of =
     match t.grid with
     | Some { scale; gstarts } ->
-        let tau = Grid.rescale scale and tasks = t.shop.Recurrence_shop.tasks in
+        let tasks = t.shop.Recurrence_shop.tasks in
         fun i j ->
-          Rat.add_to_buffer buf
-            (Rat.make (gstarts.(i).(j) + tau tasks.(i).Task.proc_times.(j)) scale)
-    | None -> fun i j -> Rat.add_to_buffer buf (finish t ~task:i ~stage:j)
+          let f = gstarts.(i).(j) + Grid.rescale scale tasks.(i).Task.proc_times.(j) in
+          if j + 1 < k && gstarts.(i).(j + 1) = f then t.starts.(i).(j + 1) else Rat.make f scale
+    | None -> fun i j -> finish t ~task:i ~stage:j
   in
-  Buffer.add_string buf "task,stage,processor,start,finish";
+  let b = ref (reserve b pos (String.length header)) in
+  Bytes.blit_string header 0 !b pos (String.length header);
+  let pos = ref (pos + String.length header) in
   for i = 0 to n_tasks t - 1 do
-    for j = 0 to stages t - 1 do
-      Buffer.add_char buf sep;
-      Rat.add_int_to_buffer buf i;
-      Buffer.add_char buf ',';
-      Rat.add_int_to_buffer buf j;
-      Buffer.add_char buf ',';
-      Rat.add_int_to_buffer buf (seq.(j) + 1);
-      Buffer.add_char buf ',';
-      Rat.add_to_buffer buf (start t ~task:i ~stage:j);
-      Buffer.add_char buf ',';
-      add_finish i j
+    for j = 0 to k - 1 do
+      b := reserve !b !pos row_room;
+      let b = !b and p = !pos in
+      Bytes.set b p sep;
+      let p = Rat.write_int b (p + 1) i in
+      Bytes.set b p ',';
+      let p = Rat.write_int b (p + 1) j in
+      Bytes.set b p ',';
+      let p = Rat.write_int b (p + 1) (seq.(j) + 1) in
+      Bytes.set b p ',';
+      let p = Rat.write b (p + 1) t.starts.(i).(j) in
+      Bytes.set b p ',';
+      pos := Rat.write b (p + 1) (finish_of i j)
     done
-  done
+  done;
+  (!b, !pos)
 
 let to_csv t =
-  let buf = Buffer.create (32 + (24 * n_tasks t * stages t)) in
-  add_csv buf ~sep:'\n' t;
-  Buffer.add_char buf '\n';
-  Buffer.contents buf
+  let b, n = write_csv (Bytes.create (64 + (24 * n_tasks t * stages t))) 0 ~sep:'\n' t in
+  Bytes.sub_string b 0 n ^ "\n"
 
 let pp_gantt ?(unit_time = Rat.one) ppf t =
   (* Column 0 sits at the earliest start, not at 0: clamping negative

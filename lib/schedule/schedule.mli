@@ -20,7 +20,7 @@ type t = private {
   starts : rat array array;  (** [starts.(i).(j)]: start of stage [j] of task [i]. *)
   grid : grid option;
       (** Present when the schedule was built by {!of_grid} (and kept by
-          {!relabel}): the checker, {!makespan} and {!add_csv} then
+          {!relabel}): the checker, {!makespan} and {!write_csv} then
           read ints. *)
 }
 
@@ -118,12 +118,17 @@ val to_csv : t -> string
     [task,stage,processor,start,finish] with exact rational fields
     (["3/2"]).  For feeding external plotting or runtime tables. *)
 
-val add_csv : Buffer.t -> sep:char -> t -> unit
-(** The rows of {!to_csv} in one buffer pass: the header, then each
-    stage's row preceded by [sep], with no trailing separator.
-    [to_csv] is [add_csv ~sep:'\n'] plus a final newline; the admission
-    service's replies use [~sep:';'].  With a grid form each finish is
-    written as [(s + tau) / L] reduced by one int gcd. *)
+val write_csv : Bytes.t -> int -> sep:char -> t -> Bytes.t * int
+(** [write_csv b pos ~sep t] writes the rows of {!to_csv} into [b] from
+    [pos] on: the header, then each stage's row preceded by [sep], with
+    no trailing separator.  It returns the bytes written to — [b], or a
+    grown copy holding [b]'s first [pos] bytes when [b] ran short — and
+    the position after the last row.  Digits go straight into the bytes,
+    with room checked once per row.  [to_csv] is [~sep:'\n'] plus a
+    final newline; the admission service's replies use [~sep:';'].
+    With a grid form a finish that equals the next stage's start on the
+    grid is written from that start's rational, and any other as
+    [(s + tau) / L] reduced by one int gcd. *)
 
 val pp_gantt : ?unit_time:rat -> Format.formatter -> t -> unit
 (** ASCII Gantt chart, one row per processor, one column per [unit_time]

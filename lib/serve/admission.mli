@@ -29,9 +29,13 @@
     request logs always produce identical replies — the property the
     batcher and the differential fuzzer build on.
 
-    A request whose own computation raises (today [Rat.Overflow] on
-    magnitudes the parser admits) is answered [error shop=<s> internal]
-    ({!internal_error}) and not committed; [Out_of_memory] propagates.
+    An [Add] whose merged candidate does not fit the integer time grid
+    ({!E2e_model.Grid.fit}) is answered with the typed request error
+    {!out_of_range} before any of its times is compared or solved (the
+    protocol scanner refuses a [Submit] instance that does not fit the
+    same way, at parse time).  A request whose own computation still
+    raises is answered [error shop=<s> internal] ({!internal_error}) and
+    not committed; [Out_of_memory] propagates.
 
     Telemetry: counters [serve.requests], [serve.admitted],
     [serve.rejected], [serve.undecided], [serve.request_errors],
@@ -135,6 +139,13 @@ val internal_error : string -> reply
     [error shop=<shop> internal]: the reply to a request that raised.
     Bumps [serve.internal_failures]. *)
 
+val out_of_range : E2e_model.Grid.misfit -> string
+(** The typed request error for a candidate off the grid, naming the
+    limit it passes: ["out of range: time grid past 2^61-1"] (L, a
+    scaled time or the stage sum P; {!E2e_model.Grid.Scale}) or
+    ["out of range: single-machine bound past 2^61-1"]
+    ({!E2e_model.Grid.Bound}). *)
+
 type prepared = {
   candidate : E2e_model.Recurrence_shop.t;
   canon : Cache.canonical;
@@ -149,7 +160,8 @@ type prepared = {
 val prepare : ?keyer:Cache.Keyer.t -> t -> request -> (prepared, reply) result
 (** Validate one request and canonicalize its candidate, or return the
     error/informational reply for requests that need no solve ([Query],
-    [Drop], malformed [Submit]/[Add]).  Canonicalization reuses earlier
+    [Drop], malformed [Submit]/[Add], an [Add] whose candidate does not
+    fit the grid: {!out_of_range}).  Canonicalization reuses earlier
     work: an [Add] merges the fresh tasks into the committed set's
     {e stored} canonical order ({!Cache.merge}), and a [Submit] goes
     through the [keyer]'s structural pre-key when one is given, sharing

@@ -1184,8 +1184,17 @@ let test_session_counts_read_errors () =
 (* ------------------------------------------------------------------ *)
 (* The per-request exception boundary                                  *)
 
-(* Task sums past 2^62: the solver raises [Rat.Overflow] on these. *)
+(* Literals past the scanner's magnitude bound, and two one-task shops
+   whose literals are in range but whose time grid is not: 1e9 on the
+   grid of 1/(p q) for two primes p, q near 1e9 passes 2^61, and 1e9 on
+   the grid of 1/p alone fits but leaves no room for the engine bound
+   B* = 4 (R + P) + (n+1) P. *)
 let huge = "4600000000000000000" and half = "2300000000000000000"
+let big_line = Printf.sprintf "submit big task 0 %s %s %s %s" huge half half half
+let off_grid = "submit offgrid task 0 1000000000 1/999999937 1/999999929"
+let off_bound = "submit offbound task 0 1000000000 1/999999937"
+let magnitude_error lit = Printf.sprintf "error shop=- line 1: literal %S out of range: magnitude 10^12 or more" lit
+let grid_error shop = Printf.sprintf "error shop=%s out of range: time grid past 2^61-1" shop
 
 (* One stdio session over pipes on a fresh one-stripe service: the reply
    lines after the greeting, and the stripes. *)
@@ -1205,41 +1214,224 @@ let stdio_session lines =
   (List.tl lines, stripes)
 
 (* Regression: the overflow escaped [Batcher.step] and killed
-   [e2e-serve --stdio] with exit 125. *)
+   [e2e-serve --stdio] with exit 125; later it was answered
+   [error shop=big internal], which named no limit.  The literal is now
+   refused by the scanner and an off-grid shop before any solve, each
+   with a typed error, and the session keeps serving. *)
 let test_overflow_submit_answered () =
-  let replies, stripes =
-    stdio_session [ Printf.sprintf "submit big task 0 %s %s %s %s" huge half half half; "ping" ]
-  in
-  Alcotest.(check (list string)) "error internal, then pong"
-    [ "error shop=big internal"; "pong " ^ Protocol.version ] replies;
-  Alcotest.(check bool) "counted" true
-    (List.mem "serve_internal_errors_total 1"
+  let replies, stripes = stdio_session [ big_line; "ping"; off_grid; "ping"; off_bound; "ping" ] in
+  Alcotest.(check (list string)) "typed errors, each followed by a pong"
+    [ magnitude_error huge; "pong " ^ Protocol.version; grid_error "-";
+      "pong " ^ Protocol.version;
+      "error shop=- out of range: single-machine bound past 2^61-1";
+      "pong " ^ Protocol.version ]
+    replies;
+  Alcotest.(check bool) "no internal error" true
+    (List.mem "serve_internal_errors_total 0"
        (String.split_on_char ';' (Protocol.render_metrics stripes)))
+
+(* Each add payload fits on its own; merged with the committed task the
+   grid is 1/(p q) and does not. *)
+let off_grid_add = "add s task 0 1000 1/999999929 1"
 
 let test_overflow_add_uncommitted () =
   let replies, _ =
-    stdio_session
-      [ "submit s task 0 10 1 1 1"; Printf.sprintf "add s task 0 %s %s %s %s" huge huge huge huge;
-        "query s" ]
+    stdio_session [ "submit s task 0 1000 1/999999937 1"; off_grid_add; "query s" ]
   in
-  Alcotest.(check (list string)) "the add is not committed"
-    [ "admitted shop=s tasks=1 algo=eedf makespan=3"; "error shop=s internal";
+  Alcotest.(check (list string)) "the add is refused by its typed error and not committed"
+    [ "admitted shop=s tasks=1 algo=algo_a makespan=999999938/999999937"; grid_error "s";
       "info shop=s tasks=1" ]
     replies
 
 (* Regression: on TCP the overflow killed the stripe's drainer domain,
-   and every later request on that stripe hung. *)
+   and every later request on that stripe hung.  The off-grid add is
+   refused by the stripe itself, which then goes on stepping. *)
 let test_overflow_keeps_stripe_stepping () =
   with_server ~drainers:1 ~max_connections:1 (fun port ->
       let _, replies =
         tcp_session ~recv_timeout:10. port
-          [ Printf.sprintf "submit big task 0 %s %s %s %s" huge half half half;
-            "submit s task 0 10 1 1 1"; "query s" ]
+          [ "submit s task 0 1000 1/999999937 1"; off_grid_add; big_line;
+            "submit t task 0 10 1 1 1"; "query s" ]
       in
       Alcotest.(check (list string)) "later requests on the stripe answered"
-        [ "error shop=big internal"; "admitted shop=s tasks=1 algo=eedf makespan=3";
+        [ "admitted shop=s tasks=1 algo=algo_a makespan=999999938/999999937"; grid_error "s";
+          magnitude_error huge; "admitted shop=t tasks=1 algo=eedf makespan=3";
           "info shop=s tasks=1"; "bye" ]
         replies)
+
+(* ------------------------------------------------------------------ *)
+(* The payload scanner against the file reader                          *)
+
+let unframe payload = String.map (function ';' -> '\n' | c -> c) payload
+
+(* The reference for a submit: [Instance_io.parse] on the payload with
+   [;] as newline. *)
+let reference_submit payload =
+  match E2e_model.Instance_io.parse (unframe (String.trim payload)) with
+  | Ok instance -> Ok (Protocol.Request (Admission.Submit { shop = "s"; instance }))
+  | Error e -> Error e
+
+(* The reference for an add: the task-only whitelist over every line
+   first, then the file reader, then the tasks' times. *)
+let reference_add payload =
+  let text = unframe (String.trim payload) in
+  let non_task =
+    List.exists
+      (fun line ->
+        let line = match String.index_opt line '#' with None -> line | Some i -> String.sub line 0 i in
+        match Protocol.cut_word line with ("" | "task"), _ -> false | _ -> true)
+      (String.split_on_char '\n' text)
+  in
+  if non_task then Error "add payload must contain only task directives"
+  else
+    match E2e_model.Instance_io.parse text with
+    | Error e -> Error e
+    | Ok shop ->
+        Ok
+          (Protocol.Request
+             (Admission.Add
+                {
+                  shop = "s";
+                  tasks =
+                    Array.to_list
+                      (Array.map
+                         (fun (t : Task.t) -> (t.release, t.deadline, t.proc_times))
+                         shop.Recurrence_shop.tasks);
+                }))
+
+let show = function Ok _ -> "Ok" | Error e -> "Error " ^ e
+
+(* Rendered instances: a random visit (with reused processors or not)
+   and 1-6 tasks whose times are either fractions on a few
+   denominators or integers up to the magnitude bound — every literal
+   in range and every shop on its grid. *)
+let rendered_instance_gen =
+  let open QCheck.Gen in
+  let frac lo hi = map2 Rat.make (int_range lo hi) (oneofl [ 1; 2; 3; 4; 100; 999; 1_000_000 ]) in
+  let int lo hi = map Rat.of_int (int_range lo hi) in
+  bool >>= fun big ->
+  let time = if big then int (-500_000_000_000) 500_000_000_000 else frac (-5000) 5000 in
+  let positive = if big then int 1 100_000_000_000 else frac 1 5000 in
+  let window = if big then int 0 499_999_999_999 else frac 0 5000 in
+  int_range 1 4 >>= fun k ->
+  int_range 1 k >>= fun m ->
+  list_repeat (k - m) (int_bound (m - 1)) >>= fun extra ->
+  shuffle_l (List.init m Fun.id @ extra) >>= fun sequence ->
+  int_range 1 6 >>= fun n ->
+  array_repeat n (triple time window (array_repeat k positive)) >|= fun params ->
+  let tasks =
+    Array.mapi
+      (fun id (release, window, proc_times) ->
+        Task.make ~id ~release ~deadline:(Rat.add release window) ~proc_times)
+      params
+  in
+  Recurrence_shop.make ~visit:(E2e_model.Visit.make (Array.of_list sequence)) tasks
+
+let prop_scanner_matches_file_reader =
+  Helpers.to_alcotest
+    (QCheck.Test.make ~name:"protocol: the scanner reads rendered instances as the file reader does"
+       ~count:500
+       (QCheck.make ~print:E2e_model.Instance_io.to_string rendered_instance_gen)
+       (fun instance ->
+         let submit = Protocol.render_request (Admission.Submit { shop = "s"; instance }) in
+         let tasks =
+           Array.to_list
+             (Array.map
+                (fun (t : Task.t) -> (t.release, t.deadline, t.proc_times))
+                instance.Recurrence_shop.tasks)
+         in
+         let add = Protocol.render_request (Admission.Add { shop = "s"; tasks }) in
+         let payload line = snd (Protocol.cut_word (snd (Protocol.cut_word line))) in
+         Protocol.parse_request submit = reference_submit (payload submit)
+         && Protocol.parse_request submit
+            = Ok (Protocol.Request (Admission.Submit { shop = "s"; instance }))
+         && Protocol.parse_request add = reference_add (payload add)
+         && Protocol.parse_request add = Ok (Protocol.Request (Admission.Add { shop = "s"; tasks }))))
+
+(* Token soup: directives, literals well and badly formed, comments and
+   separators, in the forms both grammars share (no radix prefixes,
+   underscores, signed denominators or out-of-range literals).  The
+   scanner must give the file reader's instance or its very message. *)
+let soup_gen =
+  let open QCheck.Gen in
+  let token =
+    frequency
+      [
+        (6, map string_of_int (int_range (-3) 12));
+        (3, map2 (Printf.sprintf "%d/%d") (int_range (-9) 20) (int_range 0 12));
+        (2, map2 (Printf.sprintf "%d.%d") (int_range (-3) 9) (int_range 0 999));
+        ( 2,
+          oneofl
+            [ ".5"; "-.5"; "+3"; "+1.5"; "+1/2"; "+.5"; "5."; "1.2.3"; "x"; "-"; "+"; "1//2";
+              "/2"; "1/"; "--1"; "1/0"; "0x"; "1e3"; "task"; "visit" ] );
+      ]
+  in
+  let directive = frequency [ (8, return "task"); (2, return "visit"); (1, return "tsk"); (1, return "") ] in
+  let gap = oneofl [ " "; " "; "  "; "\t" ] in
+  let segment =
+    directive >>= fun d ->
+    list_size (int_range 0 6) (pair gap token) >>= fun words ->
+    oneofl [ ""; ""; ""; " # note"; "#c" ] >|= fun comment ->
+    d ^ String.concat "" (List.map (fun (g, t) -> g ^ t) words) ^ comment
+  in
+  list_size (int_range 1 5) segment >>= fun segments ->
+  oneofl [ " ; "; ";"; " ;"; "; " ] >|= fun sep -> String.concat sep segments
+
+let prop_scanner_messages =
+  Helpers.to_alcotest
+    (QCheck.Test.make ~name:"protocol: the scanner refuses malformed payloads with the file reader's message"
+       ~count:2000 (QCheck.make ~print:Fun.id soup_gen) (fun payload ->
+         let submit = Protocol.parse_request ("submit s " ^ payload)
+         and add = Protocol.parse_request ("add s " ^ payload) in
+         let ok = submit = reference_submit payload && add = reference_add payload in
+         if not ok then
+           QCheck.Test.fail_reportf "submit: %s / %s; add: %s / %s" (show submit)
+             (show (reference_submit payload)) (show add) (show (reference_add payload));
+         ok))
+
+(* One literal at each bound and one digit past it. *)
+let test_literal_bounds () =
+  let reply lit =
+    let line =
+      if String.length lit > 0 && lit.[0] = '-' then Printf.sprintf "submit s task %s 0 1" lit
+      else Printf.sprintf "submit s task 0 %s %s" lit lit
+    in
+    match Protocol.parse_request line with
+    | Ok (Protocol.Request (Admission.Submit _)) -> "ok"
+    | Ok _ -> "not a submit"
+    | Error e -> e
+  in
+  let past lit what = Printf.sprintf "line 1: literal %S out of range: %s" lit what in
+  List.iter
+    (fun (lit, want) -> Alcotest.(check string) lit want (reply lit))
+    [
+      ("999999999999", "ok");
+      ("1000000000000", past "1000000000000" "magnitude 10^12 or more");
+      ("-999999999999", "ok");
+      ("-1000000000000", past "-1000000000000" "magnitude 10^12 or more");
+      ("000000000000000000000007", "ok");
+      ("0.123456789", "ok");
+      ("0.1234567890", past "0.1234567890" "denominator past 10^9");
+      ("1/1000000000", "ok");
+      ("1/1000000001", past "1/1000000001" "denominator past 10^9");
+      ("123456789012345678/1000000000", "ok");
+      ("1234567890123456789/1000000000", past "1234567890123456789/1000000000" "more than 18 digits");
+      ("123456789.123456789", "ok");
+      ("1234567890.123456789", past "1234567890.123456789" "more than 18 digits");
+      ("999999999999999/1000", "ok");
+      ("1000000000000000/1000", past "1000000000000000/1000" "magnitude 10^12 or more");
+      ("4611686018427387903.5", past "4611686018427387903.5" "magnitude 10^12 or more");
+      ("99999999999999999999999999", past "99999999999999999999999999" "magnitude 10^12 or more");
+      ("0x10", "line 1: Rat.of_decimal_string: \"0x10\"");
+      ("1_000", "line 1: Rat.of_decimal_string: \"1_000\"");
+      ("3/-4", "line 1: Rat.of_decimal_string: \"3/-4\"");
+    ];
+  (* A processor number no shop could have is refused without sizing
+     anything by it. *)
+  Alcotest.(check string) "huge processor number" "line 1: Visit.make: processor numbering has gaps"
+    (match Protocol.parse_request "submit v visit 1 99999999999 ; task 0 10 1 1" with
+    | Error e -> e
+    | Ok _ -> "ok")
 
 (* ------------------------------------------------------------------ *)
 (* The shared listener, driven with a trivial echo handler             *)
@@ -1397,7 +1589,7 @@ let suite =
      test_session_oversized_line);
     ("server: stdio session counts hard read errors", `Quick,
      test_session_counts_read_errors);
-    ("server: stdio overflow answered error internal", `Quick, test_overflow_submit_answered);
+    ("server: stdio overflow answered by a typed error", `Quick, test_overflow_submit_answered);
     ("server: overflowing add is not committed", `Quick, test_overflow_add_uncommitted);
     ("server: overflow keeps the TCP stripe stepping", `Quick,
      test_overflow_keeps_stripe_stepping);
@@ -1407,4 +1599,7 @@ let suite =
      test_wire_shutdown_before_bind);
     ("admission: an add to a 300-task shop forces no minor GC", `Quick,
      test_add_forces_no_minor_gc);
+    prop_scanner_matches_file_reader;
+    prop_scanner_messages;
+    ("protocol: literal bounds and their typed errors", `Quick, test_literal_bounds);
   ]
