@@ -30,8 +30,8 @@ JOBS ?= 4
 BENCH_TRIALS ?= full
 
 .PHONY: all build test bench-serve bench-core bench-cluster \
-  fuzz-smoke serve-smoke serve-conc-smoke cluster-smoke trace-smoke sweep-smoke \
-  check clean
+  fuzz-smoke serve-smoke serve-conc-smoke serve-threads-smoke cluster-smoke trace-smoke \
+  sweep-smoke check clean
 
 all: build
 
@@ -91,7 +91,7 @@ bench-cluster:
 	dune exec bin/jsonl_check.exe -- --bench BENCH_cluster.json
 
 # Replay the full-grammar request fixture through the stdio transport on
-# 1 and 4 domains: the reply logs must be byte-identical and contain
+# 1 and 4 domains (stdin is one connection of the server's select loop): the reply logs must be byte-identical and contain
 # admitted verdicts, and every hostile line (literals past the scanner's
 # magnitude and denominator bounds, a shop off its time grid) must get
 # the typed error that names its bound, followed by a live pong.
@@ -116,11 +116,10 @@ serve-smoke:
 
 # The concurrent transport determinism smoke: $(CONC_CONNS) pipelined
 # client domains against an embedded TCP server on 1 and 4 worker
-# domains, then again with the queue striped over 4 drainer domains,
-# then with 2 drainers sharing a 2-job solve pool (so several drainers
-# queue on the pool's one batch at a time), then closed-loop (one
-# request in flight per connection, so the drainer mostly steps batches
-# of one or two).  Every connection's
+# domains, then again with the queue striped over 4 stripes, then with
+# 2 stripes and a 2-job solve pool, then closed-loop (one request in
+# flight per connection, so the loop mostly steps batches of one or
+# two).  Every connection's
 # reply log must be byte-identical across domain counts, stripe counts
 # AND pipelining depths (disjoint per-connection shop namespaces) and
 # contain admitted verdicts.
@@ -149,6 +148,14 @@ serve-conc-smoke:
 	  cmp $(CONC_A).conn$$i $(CONC_C).conn$$i || exit 1; \
 	  grep -q '^admitted ' $(CONC_A).conn$$i || exit 1; \
 	done
+
+# The server's one select loop: e2e-serve with four stripes and four
+# connected clients (each greeted and answered a ping) runs one thread
+# (Threads: in /proc/<pid>/status) — no reader, writer or drainer
+# threads.  Linux only.
+serve-threads-smoke:
+	dune build bin/serve.exe
+	python3 test/serve_threads_smoke.py _build/default/bin/serve.exe
 
 # The cluster transport smoke: 2 in-process shards behind the
 # dispatcher, $(CLUS_CONNS) pipelined clients.  Every connection's
@@ -247,6 +254,7 @@ check:
 	$(MAKE) fuzz-smoke
 	$(MAKE) serve-smoke
 	$(MAKE) serve-conc-smoke
+	$(MAKE) serve-threads-smoke
 	$(MAKE) cluster-smoke
 	$(MAKE) trace-smoke
 	$(MAKE) sweep-smoke

@@ -398,10 +398,10 @@ type cluster = {
 }
 
 let spawn_cluster ~nshards ~config ~probe_interval ~client_slots ~upstream_conns =
-  (* A shard accept thread owns its connection for the connection's
-     lifetime, and every dispatcher lane is a persistent connection: the
-     pool must fit all lanes plus a probe and a metrics RPC at once, or
-     the overflow lane (and the status checker) starve in the backlog. *)
+  (* A shard's accept pool caps its open connections, and every
+     dispatcher lane is a persistent connection: the pool must fit all
+     lanes plus a probe and a metrics RPC at once, or the overflow lane
+     (and the status checker) starve in the backlog. *)
   let shards =
     List.init nshards (fun _ ->
         spawn_shard ~config ~accept_pool:(max 3 (upstream_conns + 2)) ())
@@ -765,8 +765,8 @@ let failover_check ~config ~seed ~upstream_conns =
      kill below arrives within a poll tick of the first request being
      routed, so later batches have no reply bytes anywhere and their
      lane drains them as [error shard-unavailable].  Medium instances
-     keep each batch bounded to milliseconds: the killed drainer
-     finishes at most its current batch, so joining the dead shard's
+     keep each batch bounded to milliseconds: the killed shard's loop
+     finishes at most its current settle, so joining the dead shard's
      domain stays fast (one huge instance instead would pin the join
      on an unbounded solve). *)
   let doomed_submit () =
@@ -926,9 +926,10 @@ let pipeline_arg =
 
 let drainers_arg =
   ints_arg [ "drainers" ] ~default:1 ~docv:"D,..."
-    "Drainer stripes of the embedded --self-serve server (the queue is sharded by shop; \
-     one drainer domain per stripe).  Per-connection reply logs are byte-identical at \
-     every value.  A comma list measures each."
+    "Stripes of the embedded --self-serve server (the queue is sharded by shop over that \
+     many batchers, each with its own solver cache, all stepped by the server's one loop).  \
+     Per-connection reply logs are byte-identical at every value.  A comma list measures \
+     each."
 
 let upstream_conns_arg =
   ints_arg [ "upstream-conns" ] ~default:1 ~docv:"K,..."

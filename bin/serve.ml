@@ -3,8 +3,9 @@
    e2e-serve --stdio < requests.txt          # pipelined replay transport
    e2e-serve --tcp 7070 -j 4 --cache 1024    # concurrent TCP server
 
-   One request per line in, one reply per request out (see the Protocol
-   module / README "Serving" for the grammar).  The engine layers are
+   Both transports are one select loop on the main thread (see the
+   Server module).  One request per line in, one reply per request out
+   (see the Protocol module / README "Serving" for the grammar).  The engine layers are
    deterministic: the same request stream produces a byte-identical
    reply stream at any -j value; over TCP the guarantee is
    per-connection (connections on disjoint shop namespaces). *)
@@ -30,22 +31,31 @@ let host_arg =
   Arg.(value & opt string "127.0.0.1" & info [ "host" ] ~docv:"ADDR" ~doc)
 
 let max_conns_arg =
-  let doc = "Stop the TCP accept pool after $(docv) total connections (for scripted runs)." in
+  let doc =
+    "Stop accepting after $(docv) total TCP connections, and exit once they have all ended \
+     (for scripted runs)."
+  in
   Arg.(value & opt (some int) None & info [ "max-connections" ] ~docv:"N" ~doc)
 
 let accept_pool_arg =
-  let doc = "Reader threads in the TCP accept pool — the number of simultaneous connections." in
+  let doc =
+    "Simultaneous TCP connections: the server's loop stops accepting while $(docv) are open."
+  in
   Arg.(value & opt int 4 & info [ "accept-pool" ] ~docv:"N" ~doc)
 
 let window_arg =
-  let doc = "Pipelined replies buffered per TCP connection before the reader blocks." in
+  let doc =
+    "Unwritten replies per connection past which the loop stops reading that connection \
+     (other connections are still served)."
+  in
   Arg.(value & opt int 64 & info [ "window" ] ~docv:"N" ~doc)
 
 let drainers_arg =
   let doc =
-    "Drainer stripes for the TCP transport: the queue is sharded by shop (same shop, same \
-     stripe) and one drainer domain steps each stripe's batcher.  Per-connection reply \
-     streams are byte-identical at every value.  Requires --tcp."
+    "Stripes for the TCP transport: the queue is sharded by shop (same shop, same stripe) \
+     into $(docv) batchers, each with its own solver cache, and the server's one loop steps \
+     every non-empty stripe until its queue is empty.  Per-connection reply streams are \
+     byte-identical at every value.  Requires --tcp."
   in
   Arg.(value & opt int 1 & info [ "drainers"; "stripes" ] ~docv:"N" ~doc)
 
@@ -56,10 +66,9 @@ let queue_arg =
 
 let batch_arg =
   let doc =
-    "Upper bound on the requests in one batch (and the stdio pipelining depth).  A TCP \
-     drainer steps as soon as a request is queued and never waits for a batch to fill: a \
-     batch is what the readers queued while the drainer was idle or the previous batch's \
-     solves ran, capped at $(docv)."
+    "Upper bound on the requests in one batch.  The loop steps as soon as it has read what \
+     is ready and never waits for a batch to fill: a batch is what one read of the ready \
+     connections queued on a stripe, capped at $(docv) and cut at a repeated shop."
   in
   Arg.(value & opt int Batcher.default_config.Batcher.batch & info [ "batch" ] ~docv:"N" ~doc)
 
@@ -178,7 +187,7 @@ let run stdio tcp host max_conns accept_pool window drainers queue batch cache b
   in
   let stripes = E2e_serve.Stripes.create ~config ~stripes:drainers () in
   (match tcp with
-  | None -> Server.serve_stdio ~schedules stripes
+  | None -> Server.serve_stdio ~schedules ~window stripes
   | Some port ->
       let advertised = ref None in
       let ready p =

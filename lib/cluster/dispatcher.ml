@@ -15,7 +15,8 @@
    and writes each client's replies — no request crosses a thread
    hand-off.  Per-connection reply order is kept by a queue of reply
    slots per client, pushed in read order and written in queue order
-   as they fill, from an output buffer that survives partial writes.
+   as they fill, from {!Wire}'s output buffer, which survives partial
+   writes.
 
    Each shard gets up to [upstream_conns] persistent pipelined
    upstream connections ({e lanes}), shared by every client.  A
@@ -104,38 +105,9 @@ let default_config =
 (* A client's reply slot: filled by a lane reply, a teardown, the loop
    itself (local replies) or a metrics helper; written in queue
    order. *)
-type slot = { mutable reply : string option }
+type slot = Wire.slot = { mutable reply : string option }
 
-(* An output buffer that survives partial non-blocking writes: its
-   bytes from [sent] on are still to be written. *)
-type obuf = { buf : Buffer.t; mutable sent : int }
-
-let obuf () = { buf = Buffer.create 4096; sent = 0 }
-let ob_pending o = Buffer.length o.buf > o.sent
-
-let ob_line o s =
-  Buffer.add_string o.buf s;
-  Buffer.add_char o.buf '\n'
-
-(* Write until done or the socket would block; [false] on a hard
-   write error. *)
-let rec ob_flush o fd =
-  let len = Buffer.length o.buf - o.sent in
-  if len = 0 then begin
-    Buffer.clear o.buf;
-    o.sent <- 0;
-    true
-  end
-  else
-    match Unix.single_write_substring fd (Buffer.sub o.buf o.sent len) 0 len with
-    | w ->
-        o.sent <- o.sent + w;
-        ob_flush o fd
-    | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> true
-    | exception Unix.Unix_error (Unix.EINTR, _, _) -> ob_flush o fd
-    | exception Unix.Unix_error _ -> false
-
-(* Socket reads go through {!Wire}'s framer in chunks this large. *)
+(* Lane reads go through {!Wire}'s framer in chunks this large. *)
 let chunk = 65536
 
 (* One connection of one upstream lane.  [inflight] holds the slots of
@@ -148,7 +120,7 @@ type lane = {
   lframe : Wire.framer;
   mutable connect_by : float option;  (* deadline while the connect is in flight *)
   mutable greeted : bool;
-  lout : obuf;
+  lout : Wire.obuf;
   inflight : slot Queue.t;
   mutable ldead : bool;
 }
@@ -165,15 +137,10 @@ type upstream = {
 }
 
 type client = {
-  cfd : Unix.file_descr;
-  cframe : Wire.framer;
-  slots : slot Queue.t;  (* unwritten replies, in request order *)
-  cout : obuf;
+  conn : Wire.conn;
   sticky : (string, int * int) Hashtbl.t;
       (* shard id -> (epoch, lane): the lane this client's requests for
          that shard ride *)
-  mutable reading : bool;  (* false once the request stream ended *)
-  mutable need_input : bool;  (* the framer holds no complete line *)
 }
 
 type t = {
@@ -287,7 +254,7 @@ let ensure_lane t u idx =
               connect_by =
                 (if pending then Some (Unix.gettimeofday () +. t.config.probe_timeout)
                  else None);
-              greeted = false; lout = obuf (); inflight = Queue.create (); ldead = false }
+              greeted = false; lout = Wire.obuf (); inflight = Queue.create (); ldead = false }
           in
           u.lanes.(idx) <- Some l;
           Ok l)
@@ -320,7 +287,7 @@ let dispatch t sticky ~shop line slot =
         let u = upstream_for t e in
         match ensure_lane t u (pick_lane u sticky) with
         | Ok l ->
-            ob_line l.lout line;
+            Wire.ob_line l.lout line;
             Queue.push slot l.inflight;
             t.routed <- t.routed + 1;
             (match Hashtbl.find_opt t.per_shard u.uid with
@@ -379,8 +346,8 @@ let lane_connected t u l =
   | exception Unix.Unix_error _ -> lane_failed t u l
 
 let lane_flush t u l =
-  if (not l.ldead) && l.connect_by = None && ob_pending l.lout
-     && not (ob_flush l.lout l.lfd)
+  if (not l.ldead) && l.connect_by = None && Wire.ob_pending l.lout
+     && not (Wire.ob_flush l.lout l.lfd)
   then lane_failed t u l
 
 (* ------------------------------------------------------------------ *)
@@ -567,23 +534,10 @@ let word_is l i j lit =
   let rec eq k = k >= j - i || (l.[i + k] = lit.[k] && eq (k + 1)) in
   eq 0
 
-let push_slot c =
-  let slot = { reply = None } in
-  Queue.push slot c.slots;
-  slot
-
-let reply c line = Queue.push { reply = Some line } c.slots
-
-(* End the request stream: the farewell (if any) is the last reply,
-   and the connection closes once every reply before it is written. *)
-let finish c last =
-  if c.reading then begin
-    c.reading <- false;
-    Option.iter (reply c) last
-  end
+let reply c line = Wire.reply c.conn line
 
 let start_metrics t c =
-  let slot = push_slot c in
+  let slot = Wire.slot c.conn in
   let own = own_metrics_locked t in
   let run () =
     let line = gather_metrics t own in
@@ -612,7 +566,7 @@ let handle_line t c l =
     let rest () = String.trim (String.sub l k1 (n - k1)) in
     if kw "hello" then reply c (Protocol.render_hello ~requested:(rest ()))
     else if no_rest && kw "ping" then reply c pong
-    else if no_rest && kw "quit" then finish c (Some "bye")
+    else if no_rest && kw "quit" then Wire.finish c.conn (Some "bye")
     else if no_rest && kw "stats" then reply c (stats_line_locked t)
     else if no_rest && kw "metrics" then start_metrics t c
     else if kw ctl_version then reply c (handle_ctl t (rest ()))
@@ -624,57 +578,24 @@ let handle_line t c l =
       let shop =
         if no_rest then String.sub l i0 (k1 - i0) else String.sub l i1 (skip_word l i1 - i1)
       in
-      dispatch t c.sticky ~shop l (push_slot c)
+      dispatch t c.sticky ~shop l (Wire.slot c.conn)
   end
 
-(* The client may send more: [window] unwritten replies stop its
-   reading, and so does a socket that cannot take our replies. *)
-let room ~window c = c.reading && Queue.length c.slots < window && not (ob_pending c.cout)
-
-(* Take request lines from the client's framer while it has room;
-   [true] when a line was taken. *)
-let rec pump t ~window c =
-  room ~window c
-  &&
-  match Wire.next_line c.cframe with
-  | `Need_input ->
-      c.need_input <- true;
-      false
-  | `Too_long ->
-      finish c (Some "error shop=- request line too long");
-      true
-  | `Line l ->
-      handle_line t c l;
-      ignore (pump t ~window c);
-      true
-
 let client_readable t c =
-  match Wire.refill c.cframe c.cfd with
-  | 0 ->
-      Option.iter (handle_line t c) (Wire.at_eof c.cframe);
-      finish c None
-  | _ -> c.need_input <- false
-  | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _) -> ()
-  | exception Unix.Unix_error _ ->
-      t.client_read_errors <- t.client_read_errors + 1;
-      finish c None
+  Wire.readable ~on_line:(handle_line t c)
+    ~on_error:(fun () -> t.client_read_errors <- t.client_read_errors + 1)
+    c.conn
 
-(* Move every ready head reply into the output buffer and write it;
-   take more requests while that frees window room.  [false] when the
+(* Write every ready head reply; take more requests while that frees
+   window room ([window] unwritten replies, or a socket that cannot
+   take our replies, stop a client's reading).  [false] when the
    client is gone (write error) or done (stream ended, all written). *)
 let rec service t ~window c =
-  let rec move () =
-    match Queue.peek_opt c.slots with
-    | Some { reply = Some line } ->
-        ignore (Queue.pop c.slots);
-        ob_line c.cout line;
-        move ()
-    | _ -> ()
-  in
-  move ();
-  if ob_pending c.cout && not (ob_flush c.cout c.cfd) then false
-  else if pump t ~window c then service t ~window c
-  else c.reading || (not (Queue.is_empty c.slots)) || ob_pending c.cout
+  Wire.flush c.conn;
+  if c.conn.dead then false
+  else if Wire.pump ~window ~too_long:"error shop=- request line too long" (handle_line t c) c.conn
+  then service t ~window c
+  else not (Wire.finished c.conn)
 
 (* ------------------------------------------------------------------ *)
 (* The loop.
@@ -708,13 +629,7 @@ let serve ?(host = "127.0.0.1") ?max_connections ?(accept_pool = 4) ?(window = 6
         | fd, _ ->
             Unix.set_nonblock fd;
             (try Unix.setsockopt fd Unix.TCP_NODELAY true with Unix.Unix_error _ -> ());
-            let c =
-              { cfd = fd; cframe = Wire.framer ~size:chunk (); slots = Queue.create ();
-                cout = obuf (); sticky = Hashtbl.create 8; reading = true;
-                need_input = true }
-            in
-            ob_line c.cout greeting;
-            clients := c :: !clients;
+            clients := { conn = Wire.conn ~greeting fd; sticky = Hashtbl.create 8 } :: !clients;
             incr live;
             incr accepted;
             go ()
@@ -728,14 +643,7 @@ let serve ?(host = "127.0.0.1") ?max_connections ?(accept_pool = 4) ?(window = 6
     go ()
   in
   let drain_wake () =
-    let b = Bytes.create 64 in
-    let rec go () =
-      match Unix.read t.wake_r b 0 64 with
-      | 64 -> go ()
-      | _ -> ()
-      | exception Unix.Unix_error _ -> ()
-    in
-    go ();
+    Wire.drain_pipe t.wake_r;
     Queue.iter (fun (slot, line) -> slot.reply <- Some line) t.done_q;
     Queue.clear t.done_q
   in
@@ -747,7 +655,7 @@ let serve ?(host = "127.0.0.1") ?max_connections ?(accept_pool = 4) ?(window = 6
           acc u.lanes)
       t.upstreams []
   in
-  let close_client c = try Unix.close c.cfd with Unix.Unix_error _ -> () in
+  let close_client c = try Unix.close c.conn.ifd with Unix.Unix_error _ -> () in
   let step () =
     let now = Unix.gettimeofday () in
     let lanes = all_lanes () in
@@ -760,8 +668,9 @@ let serve ?(host = "127.0.0.1") ?max_connections ?(accept_pool = 4) ?(window = 6
       if now >= !accept_pause then rd := (sock, accept_clients) :: !rd else until !accept_pause;
     List.iter
       (fun c ->
-        if c.need_input && room ~window c then rd := (c.cfd, fun () -> client_readable t c) :: !rd;
-        if ob_pending c.cout then wr := (c.cfd, ignore) :: !wr)
+        if c.conn.need_input && Wire.room ~window c.conn then
+          rd := (c.conn.ifd, fun () -> client_readable t c) :: !rd;
+        if Wire.ob_pending c.conn.out then wr := (c.conn.ifd, ignore) :: !wr)
       !clients;
     List.iter
       (fun (u, l) ->
@@ -771,7 +680,7 @@ let serve ?(host = "127.0.0.1") ?max_connections ?(accept_pool = 4) ?(window = 6
             until at
         | None ->
             rd := (l.lfd, fun () -> if not l.ldead then lane_readable t u l) :: !rd;
-            if ob_pending l.lout then wr := (l.lfd, ignore) :: !wr)
+            if Wire.ob_pending l.lout then wr := (l.lfd, ignore) :: !wr)
       lanes;
     let r, w, _ =
       try Unix.select (List.map fst !rd) (List.map fst !wr) [] !timeout
@@ -807,7 +716,7 @@ let serve ?(host = "127.0.0.1") ?max_connections ?(accept_pool = 4) ?(window = 6
     Mutex.lock t.mu;
     List.iter
       (fun c ->
-        (try Unix.shutdown c.cfd Unix.SHUTDOWN_ALL with Unix.Unix_error _ -> ());
+        (try Unix.shutdown c.conn.ifd Unix.SHUTDOWN_ALL with Unix.Unix_error _ -> ());
         close_client c)
       !clients;
     clients := [];

@@ -6,7 +6,18 @@
     thread probes every registered shard each [interval] and feeds
     outcomes to {!Registry.note_probe}, so a shard is marked dead
     after the registry's fail-threshold consecutive failures and
-    revived by its first successful probe. *)
+    revived by its first successful probe.
+
+    {b A busy shard is a slow shard.}  An [e2e-serve] shard answers
+    [ping] from the same select loop that steps its batches
+    ({!E2e_serve.Server}), so a probe waits for the step in progress.
+    A step longer than the probe's [timeout] fails the probe; a shard
+    stuck that long through the fail threshold of consecutive probes
+    (3 by default, one each [interval]) is marked dead and its shops
+    fail over to the next live shard for new requests, while the
+    requests already on its upstream lanes are still answered when the
+    step ends.  Its first successful probe afterwards revives it, and
+    its shops route back to it. *)
 
 val connect_start :
   host:string -> port:int -> (Unix.file_descr * bool, string) result

@@ -315,7 +315,7 @@ let gen_wire_log g log =
   if Prng.int g 4 = 0 then lines @ [ Oversized; Drawn (Admission.Query { shop = "s1" }) ]
   else lines
 
-(* One [Server.session] over the real [Wire] reader: the lines go in
+(* One [Server.session] over the real [Wire] framer: the lines go in
    through a file, the replies after the greeting come back. *)
 let wire_session ~jobs lines =
   let req = Filename.temp_file "e2e_serve_fuzz" ".req"
@@ -334,12 +334,13 @@ let wire_session ~jobs lines =
       let config =
         { Batcher.default_config with Batcher.batch = 4; jobs; cache_capacity = 64 }
       in
-      let fd = Unix.openfile req [ Unix.O_RDONLY ] 0 in
+      let fd = Unix.openfile req [ Unix.O_RDONLY ] 0
+      and out = Unix.openfile rep [ Unix.O_WRONLY; Unix.O_TRUNC ] 0 in
       Fun.protect
-        ~finally:(fun () -> Unix.close fd)
-        (fun () ->
-          Out_channel.with_open_bin rep (fun oc ->
-              Server.session ~schedules:false (Stripes.create ~config ()) fd oc));
+        ~finally:(fun () ->
+          Unix.close fd;
+          Unix.close out)
+        (fun () -> Server.session ~schedules:false (Stripes.create ~config ()) fd out);
       List.tl (In_channel.with_open_bin rep In_channel.input_lines))
 
 (* What each line must be answered, from [Protocol.parse_request] and

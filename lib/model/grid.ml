@@ -165,15 +165,25 @@ let to_rat g v = Rat.make v g.scale
 
 type misfit = Scale | Bound
 
-(* One pass over the candidate's times.  L grows as denominators
-   arrive; the maxima found so far are rescaled by L'/L when it does,
-   so each time is scaled once, by the L of its moment, and ends on the
-   final grid.  Times past the [stages] stage maxima of a task (a task
-   of the wrong arity, which the caller refuses on its own) still widen
-   L. *)
-let fit ~stages iter =
-  let scale = ref 1 and reach = ref 0 and tasks = ref 0 in
-  let stage_max = Array.make stages 0 in
+(* The running state of {!fit}'s pass: L, the largest scaled release
+   or deadline magnitude, the stage maxima and the task count, all on
+   the grid of scale L.  A committed shop keeps the extent of its last
+   fit, so the next candidate's pass resumes from it and walks only the
+   new tasks. *)
+type extent = { escale : int; ereach : int; estage_max : int array; etasks : int }
+
+(* One pass over the candidate's times, resumed from [e].  L grows as
+   denominators arrive; the maxima found so far are rescaled by L'/L
+   when it does, so each time is scaled once, by the L of its moment,
+   and ends on the final grid.  Resuming is the same pass: a fit over
+   the committed tasks followed by the new ones reaches the same state
+   after the committed ones as the fit that built [e].  Times past the
+   stage maxima of a task (a task of the wrong arity, which the caller
+   refuses on its own) still widen L. *)
+let extend e iter =
+  let scale = ref e.escale and reach = ref e.ereach and tasks = ref e.etasks in
+  let stage_max = Array.copy e.estage_max in
+  let stages = Array.length stage_max in
   let grow d =
     let l = lcm !scale d in
     let f = l / !scale in
@@ -207,5 +217,11 @@ let fit ~stages iter =
       | exception Rat.Overflow -> Error Scale
       | p -> (
           match add_le (mul_le 4 (add_le !reach p)) (mul_le (!tasks + 1) p) with
-          | _ -> Ok ()
+          | _ ->
+              Ok { escale = !scale; ereach = !reach; estage_max = stage_max; etasks = !tasks }
           | exception Rat.Overflow -> Error Bound))
+
+let extent ~stages iter =
+  extend { escale = 1; ereach = 0; estage_max = Array.make stages 0; etasks = 0 } iter
+
+let fit ~stages iter = Result.map ignore (extent ~stages iter)

@@ -109,3 +109,18 @@ val fit :
     [Rat.compare] of two of its times (the proof is in the
     implementation).  Times at positions [stages] and beyond widen L but
     count toward no stage. *)
+
+type extent
+(** What {!fit} knows of a candidate that fits: L, the largest scaled
+    release or deadline magnitude, the per-stage maxima and the task
+    count. *)
+
+val extent :
+  stages:int -> ((rat -> rat -> rat array -> unit) -> unit) -> (extent, misfit) result
+(** {!fit}, keeping the extent of a candidate that fits. *)
+
+val extend : extent -> ((rat -> rat -> rat array -> unit) -> unit) -> (extent, misfit) result
+(** [extend e iter] resumes the pass that built [e] with the tasks
+    [iter] feeds, rescaling what [e] holds when L grows: the result is
+    exactly {!extent} over the tasks behind [e] followed by these, at
+    the cost of the new tasks only.  [e] is not changed. *)

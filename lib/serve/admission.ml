@@ -26,8 +26,15 @@ type decision =
    merged candidate from scratch — plus the portfolio strategy that
    last admitted it, which the next full solve tries first.  The hint is
    decision-transparent: it is part of the cache key, so entries with
-   and without one always produce the same replies. *)
-type entry = { shop : Recurrence_shop.t; canon : Cache.canonical; hint : H_portfolio.strategy option }
+   and without one always produce the same replies.  [extent] is the
+   shop's grid extent once an Add has measured it, so later Adds check
+   only their new tasks against the grid. *)
+type entry = {
+  shop : Recurrence_shop.t;
+  canon : Cache.canonical;
+  hint : H_portfolio.strategy option;
+  extent : Grid.extent option;
+}
 type t = entry Smap.t
 
 type request =
@@ -198,11 +205,17 @@ let out_of_range = function
 
 (* The committed shop fits; whether the candidate still does is decided
    before any of its times is compared (merging and canonicalizing
-   compare them), so no request reaches a solver off its grid. *)
-let fits (committed : Recurrence_shop.t) tasks =
-  Grid.fit ~stages:(Visit.length committed.visit) (fun f ->
-      Array.iter (fun (t : Task.t) -> f t.release t.deadline t.proc_times) committed.tasks;
-      List.iter (fun (r, d, taus) -> f r d taus) tasks)
+   compare them), so no request reaches a solver off its grid.  With
+   the committed shop's extent kept, only the new tasks are walked;
+   the first Add to a shop walks the committed tasks once. *)
+let fits (committed : Recurrence_shop.t) extent tasks =
+  let fresh f = List.iter (fun (r, d, taus) -> f r d taus) tasks in
+  match extent with
+  | Some e -> Grid.extend e fresh
+  | None ->
+      Grid.extent ~stages:(Visit.length committed.visit) (fun f ->
+          Array.iter (fun (t : Task.t) -> f t.release t.deadline t.proc_times) committed.tasks;
+          fresh f)
 
 let fresh_tasks (committed : Recurrence_shop.t) tasks =
   let n = Recurrence_shop.n_tasks committed in
@@ -221,6 +234,7 @@ type prepared = {
   canon : Cache.canonical;
   hint : H_portfolio.strategy option;
   is_add : bool;
+  extent : Grid.extent option;
 }
 
 let prepare ?keyer t = function
@@ -233,15 +247,15 @@ let prepare ?keyer t = function
           | Some k -> Cache.Keyer.canonicalize k instance
           | None -> Cache.canonicalize instance
         in
-        Ok { candidate = instance; canon; hint = None; is_add = false }
+        Ok { candidate = instance; canon; hint = None; is_add = false; extent = None }
   | Add { shop; tasks } -> (
       match Smap.find_opt shop t with
       | None -> Error (request_error shop "unknown shop")
       | Some _ when tasks = [] -> Error (request_error shop "add expects at least one task")
-      | Some { shop = committed; canon = base; hint } -> (
-          match fits committed tasks with
+      | Some { shop = committed; canon = base; hint; extent } -> (
+          match fits committed extent tasks with
           | Error misfit -> Error (request_error shop (out_of_range misfit))
-          | Ok () -> (
+          | Ok extent -> (
           match merge_candidate committed tasks with
           | candidate ->
               (* The committed side arrives pre-sorted: only the handful
@@ -252,6 +266,7 @@ let prepare ?keyer t = function
                   canon = Cache.merge ~base (fresh_tasks committed tasks);
                   hint;
                   is_add = true;
+                  extent = Some extent;
                 }
           | exception Invalid_argument m -> Error (request_error shop m))))
   | Query { shop } ->
@@ -321,7 +336,8 @@ let commit ?prepared ?(state = None) t request decision =
       match
         match prepared with Some p -> Ok p | None -> prepare t request
       with
-      | Ok { candidate; canon; _ } -> Smap.add shop { shop = candidate; canon; hint = state } t
+      | Ok { candidate; canon; extent; _ } ->
+          Smap.add shop { shop = candidate; canon; hint = state; extent } t
       | Error _ -> t)
   | Drop { shop }, _ -> Smap.remove shop t
   | _, _ -> t

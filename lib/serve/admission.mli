@@ -152,6 +152,10 @@ type prepared = {
   hint : E2e_core.H_portfolio.strategy option;
       (** The committed shop's portfolio hint ([Add] only). *)
   is_add : bool;
+  extent : E2e_model.Grid.extent option;
+      (** The candidate's grid extent ([Add] only), which {!commit}
+          keeps so the shop's next [Add] checks only its new tasks
+          against the grid. *)
 }
 (** A validated [Submit]/[Add]: the merged committed-plus-candidate set
     together with its canonical form and the warm-start context the

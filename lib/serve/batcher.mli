@@ -132,15 +132,12 @@ val service_stats : t -> service_stats
 
 val submit : t -> Admission.request -> [ `Queued | `Overloaded ]
 
-val step : ?release:Mutex.t -> t -> (Admission.request * Rtrace.t * Admission.reply) list
+val step : t -> (Admission.request * Rtrace.t * Admission.reply) list
 (** Process one batch; [[]] when the queue is empty.  Replies are in
     submission order.  The caller must {!Rtrace.finish} each returned
     context after rendering its reply (a no-op when tracing is off).
-    [release] is a mutex the caller holds around every touch of [t]:
-    [step] unlocks it while the batch's solves run and locks it again
-    before the commits, so other threads can {!submit} (and read the
-    stats, which then count the batch but not yet its verdicts) while
-    the solves run. *)
+    The server's select loop calls it on its own thread, one stripe at
+    a time, until every queue is empty. *)
 
 val drain : t -> (Admission.request * Rtrace.t * Admission.reply) list
 (** [step] until the queue is empty, concatenating the replies. *)

@@ -155,8 +155,8 @@ val render_stats : Stripes.t -> string
 
 val render_metrics : Stripes.t -> string
 (** The [metrics] reply: [;]-framed exposition lines — the live
-    {!Stripes.service_stats} samples summed over stripes, the drainer
-    stripe count ([serve_stripes]) and
+    {!Stripes.service_stats} samples summed over stripes, the stripe
+    count ([serve_stripes]) and
     [serve_transport_read_errors_total], followed by
     {!E2e_obs.Obs.exposition_lines} (the latter empty unless stats are
     on).  Live and registry sample names never collide.

@@ -78,9 +78,9 @@ let emit_lines t w =
 (* [finish] closes the render stage (the only clock read it performs),
    streams the request's JSONL lines and feeds the per-stage and
    end-to-end registry histograms.  Call it exactly once per traced
-   request, after the reply has been rendered.  A striped server
-   finishes traces on several drainer domains, so the writer is
-   serialised per request here: one request's lines never interleave
+   request, after the reply has been rendered.  Servers running in
+   several domains of one process (in-process shards) finish traces at
+   once, so the writer is serialised per request here: one request's lines never interleave
    with another's (cross-request order across stripes is arbitrary,
    which the per-id schema validation is indifferent to). *)
 let wmu = Mutex.create ()

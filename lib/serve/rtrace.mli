@@ -16,12 +16,12 @@
     sentinel instead: no allocation, no clock reads, and reply logs are
     byte-identical with tracing on or off.
 
-    {b Determinism.}  All clock reads happen on the ingress/drainer
-    domain in submission order, never from worker-domain solves, so
+    {b Determinism.}  All clock reads happen on the server loop's
+    thread in submission order, never from worker-domain solves, so
     under a deterministic {!E2e_obs.Obs.Clock.set_source} the full
     trace is a pure function of the request log — byte-identical at
     every [jobs] value ([make check] enforces this).  With more than
-    one drainer stripe the per-request records are still well-formed
+    one stripe the per-request records are still well-formed
     and schema-valid, but cross-request record order (and, with a real
     clock, stage timings) depends on stripe interleaving — the
     byte-identical guarantee is per stripe count.
@@ -74,8 +74,9 @@ val finish : t -> unit
 (** Close the render stage (the final clock read), write the request's
     JSONL records and feed the registry histograms.  Call exactly once
     per request, after the reply has been rendered.  The JSONL writer
-    is serialised internally per request, so a striped server may
-    finish traces on several drainer domains — one request's records
+    is serialised internally per request, so servers running in
+    several domains of one process (in-process shards) may finish
+    traces at once — one request's records
     never interleave with another's (cross-stripe record order is
     arbitrary; the per-id schema is indifferent).  No-op on {!none}. *)
 

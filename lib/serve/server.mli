@@ -1,66 +1,66 @@
-(** Transports for the admission service.
+(** Transports for the admission service: one select loop per process.
 
-    {!session} runs the framed line protocol ({!Protocol}) over a raw
-    input fd and an output channel; {!serve_stdio} binds it to
-    stdin/stdout and {!serve_tcp} to the shared {!Wire.serve} listener
-    with a concurrent reader per connection.  Both transports serve a
-    {!Stripes.t} (one stripe on stdio), share one read path — the
-    bounded {!Wire} line reader — so the 1 MiB request-line cap and
-    trailing [\r] stripping apply identically, and count hard read
-    errors the same way.
+    {!serve_tcp}, {!serve_stdio} and {!session} all run the same
+    [Unix.select] loop on the calling thread.  It owns the listener and
+    every connection (stdin/stdout is one more connection, in on fd 0,
+    out on fd 1), reads whatever is ready through the bounded {!Wire}
+    framer (so the 1 MiB request-line cap and trailing [\r] stripping
+    apply on every transport), parses each line and submits requests to
+    their shop's {!Stripes} batcher — same shop, same stripe — then
+    steps every non-empty stripe itself until its queue is empty,
+    flushing each connection's finished replies after each step, and
+    writes through {!Wire.obuf}, which survives partial writes.  There
+    is no reader, writer or drainer thread: [-j 1] serves any number of
+    connections and stripes on one thread, and parallel solving comes
+    from [jobs] ({!Batcher.step} fans a batch's solves out over the
+    pool) and from running several shards.
 
-    Channel sessions are {e pipelined}: up to [chunk] request lines are
-    read before replies are written, so a replayed request log flows
-    through the batcher in real batches.  Replies always come in
-    request order, one line per non-blank request.  With a fixed chunk
-    size the reply stream is a deterministic function of the request
-    stream — the stdio smoke test in [make check] compares it
-    byte-for-byte across worker-domain counts.
-
-    The TCP transport serves up to [accept_pool] connections
-    simultaneously, each pipelining up to [window] outstanding replies
-    over bounded per-connection read/write buffers.  Every connection's
-    reader and writer are systhreads of the listener's one I/O domain,
-    so a server runs one domain for I/O plus one per drainer, whatever
-    the connection count.  Requests route by
-    shop into a {!Stripes} batcher — same shop, same stripe — and one
-    drainer domain per stripe steps its batcher as soon as a request is
-    queued and routes replies back.  A drainer never waits for a batch
-    to fill; it releases the stripe's lock while a batch's solves run,
-    so a batch is what the readers queued meanwhile, capped by the
-    batch size.  Batch boundaries never change a reply: admission
+    Replies always come in request order, one line per non-blank
+    request.  Batch boundaries never change a reply: admission
     semantics, {!Rtrace} stage attribution and the per-connection reply
-    order are exactly the sequential transport's.
-    Per-connection reply streams are byte-identical at every [jobs]
-    value, at every stripe count, and under any cross-connection
-    interleaving as long as connections use disjoint shop namespaces
-    (an admission decision reads only its own shop's committed set,
-    and the stripe map is a pure function of the shop name);
-    [stats]/[metrics] replies describe the shared live service and are
-    the one timing-dependent exception.
+    order are exactly the sequential transport's.  Per-connection reply
+    streams are byte-identical at every [jobs] value, at every stripe
+    count, and under any cross-connection interleaving as long as
+    connections use disjoint shop namespaces (an admission decision
+    reads only its own shop's committed set, and the stripe map is a
+    pure function of the shop name).  A [stats] or [metrics] line first
+    steps every stripe until it is empty, so it counts exactly the
+    requests read before it — from every connection — on both
+    transports; it is still the one timing-dependent reply when several
+    connections share the service.
 
-    When request tracing is active ({!Rtrace.active}) the transport
-    closes each request's render stage as its reply line is rendered,
-    in reply order, completing the per-request JSONL trace. *)
+    {b Backpressure.}  A connection with [window] unwritten replies (or
+    whose socket takes no more of them) is not read until it drains;
+    the other connections are served meanwhile.
+
+    {b A step holds the loop.}  While a batch is being solved nothing
+    else is read: a [ping] (including a {!E2e_cluster.Health} probe)
+    waits for the step in progress.  A shard stuck in a long solve
+    therefore fails its probes, and a cluster marks it dead after the
+    registry's fail threshold of consecutive failures.
+
+    Hard read errors (a reset or half-closed peer, as opposed to a clean
+    EOF) are counted and surfaced as [read_errors=] in [stats] and
+    [serve_transport_read_errors_total] in [metrics].  When request
+    tracing is active ({!Rtrace.active}) the loop closes each request's
+    render stage as its reply line is rendered. *)
 
 val session :
-  ?schedules:bool -> ?chunk:int -> Stripes.t -> Unix.file_descr -> out_channel -> unit
-(** Serve one session: write {!Protocol.greeting}, then read request
-    lines (through the bounded {!Wire} reader) until end-of-stream or
-    [quit].  [chunk] (default: the stripes' batch size) is the
-    pipelining depth — how many lines are read before the pending
-    requests are drained and their replies written.  Interactive
-    channel transports use [chunk = 1] so every request line is
-    answered before the next is read.  An oversized request line
-    (longer than {!Wire.max_line}) is answered with an [error] reply
-    and ends the session — the line was never fully read, so there is
-    no safe resynchronisation point.  A hard read error ends the
-    session too; it is counted first ({!Stripes.note_read_error} and
-    the [serve.read_errors] counter), so a [stats] or [metrics] line
-    read in the same chunk already reports it. *)
+  ?schedules:bool -> ?window:int -> Stripes.t -> Unix.file_descr -> Unix.file_descr -> unit
+(** [session stripes ifd ofd] serves one connection that reads from
+    [ifd] and writes to [ofd]: the {!Protocol.greeting}, then one reply
+    per request line until end of input, [quit], an oversized request
+    line (longer than {!Wire.max_line}: answered with an [error] reply,
+    after which nothing more is read — the line was never fully read,
+    so there is no safe resynchronisation point) or a hard read error
+    (counted first: {!Stripes.note_read_error} and the
+    [serve.read_errors] counter).  Returns once every reply is written;
+    closes neither fd.  [window] (default 64) bounds unwritten replies
+    as on TCP.  The fds are used as they are: a blocking [ofd] blocks
+    the loop while it writes, which is harmless with one connection. *)
 
-val serve_stdio : ?schedules:bool -> Stripes.t -> unit
-(** {!session} over stdin/stdout. *)
+val serve_stdio : ?schedules:bool -> ?window:int -> Stripes.t -> unit
+(** {!session} over stdin and stdout. *)
 
 val serve_tcp :
   ?schedules:bool ->
@@ -73,17 +73,23 @@ val serve_tcp :
   port:int ->
   Stripes.t ->
   unit
-(** {!Wire.serve} with the {!Protocol.greeting} and this transport's
-    reader threads in the calling domain, plus one drainer domain per
-    stripe of the given
-    {!Stripes.t} stepping that stripe's batcher ([Stripes.create
-    ~stripes:1] is the single-drainer server).  The listener options —
-    [host], [max_connections], [accept_pool] (default 4), [window]
-    (default 64), [ready], and [control] for an external
-    {!Wire.shutdown} — mean exactly what they mean there; requests
-    already queued in a batcher are still answered before their
-    connections tear down.  Committed state persists across
-    connections.  Hard read errors (a reset or half-closed peer, as
-    opposed to a clean EOF) are counted and surfaced as
-    [read_errors=] in [stats] and [serve_transport_read_errors_total]
-    in [metrics]. *)
+(** Listen on [host:port] (default host 127.0.0.1; [port = 0] binds an
+    ephemeral port, reported through [ready] before the first accept)
+    and serve connections from the loop until {!Wire.shutdown} on
+    [control], or, with [max_connections], until that many connections
+    have been accepted and all of them have ended.  [accept_pool]
+    (default 4) caps the connections open at once — the loop stops
+    accepting at the cap — and [window] (default 64) is the per-
+    connection bound on unwritten replies.  Each connection gets
+    [TCP_NODELAY] and the {!Protocol.greeting}.  A shutdown closes the
+    listener and resets every live connection (every queued request has
+    been answered by then: the loop waits only with every stripe
+    empty); a handle already shut down makes [serve_tcp] return right
+    after binding, without calling [ready].  Committed state persists
+    across connections.
+
+    Robustness: transient accept failures ([EINTR], [ECONNABORTED],
+    [EAGAIN]) are retried, resource-pressure failures ([EMFILE] and
+    friends) pause accepting for 10 ms, [SIGPIPE] is ignored from the
+    first call on ({!Wire.listen}), and a connection whose write fails
+    is closed without taking the loop down. *)

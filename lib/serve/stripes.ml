@@ -1,8 +1,8 @@
 (* A striped batcher: [n] independent {!Batcher.t} instances with
    requests routed by a deterministic hash of their shop name, so all
    requests on one shop land on one stripe and commit sequentially
-   there, while distinct shops spread across stripes and drain on
-   separate domains.
+   there, while distinct shops spread across stripes, each with its own
+   queue and solver cache.
 
    Determinism: an admission decision reads only its own shop's
    committed set, the canonical cache is transparency-verified

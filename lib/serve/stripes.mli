@@ -7,15 +7,16 @@
     batcher's FIFO prefix rule keeps their commits sequential.
     Requests on distinct shops are independent by construction — an
     admission decision reads only its own shop's committed set — so
-    they may drain on different stripes, and {!Server.serve_tcp} runs
-    one drainer domain per stripe.
+    they may sit on different stripes, each with its own queue and
+    solver cache; {!Server}'s one loop steps every non-empty stripe
+    until its queue is empty.
 
     {b Determinism at any stripe count.}  The stripe map is a pure
     function of the shop name, each stripe's solver cache is
     transparency-verified (cache-on and cache-off replies agree by
     construction, so re-partitioning cache contents across stripes
     cannot change a reply), and the transport writes each connection's
-    replies strictly in push order whichever stripe fills the slot.
+    replies strictly in request order whichever stripe answers them.
     Hence per-request replies — and each connection's reply log — are
     byte-identical across stripe counts; {!process_log} is the replay
     harness the determinism tests compare.
@@ -40,8 +41,7 @@ val count : t -> int
 val batchers : t -> Batcher.t array
 
 val batcher : t -> int -> Batcher.t
-(** The stripe at index [k] — transports lock and step each stripe
-    independently. *)
+(** The stripe at index [k]. *)
 
 val config : t -> Batcher.config
 (** The shared per-stripe configuration. *)
@@ -54,7 +54,7 @@ val stripe_of : t -> Admission.request -> int
 
 val submit : t -> Admission.request -> [ `Queued of int | `Overloaded ]
 (** Route to the shop's stripe and submit there; [`Queued k] names the
-    stripe so the transport can kick stripe [k]'s drainer. *)
+    stripe, whose next steps answer the request. *)
 
 val note_read_error : t -> unit
 (** Count one hard transport read error (a reset or half-closed peer,

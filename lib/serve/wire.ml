@@ -1,12 +1,9 @@
 (* Shared socket plumbing for the line-protocol transports: one line
-   framer (the blocking reader below and the cluster dispatcher's
-   select loop both run it), the per-connection reply machinery — an
-   ordered cell queue of reply slots, a counting-semaphore window
-   bounding reader lead, and a writer thread that flushes every
-   consecutive ready reply with one [write] (writev-style coalescing) —
-   and the threaded TCP listener the admission server runs: accept
-   pool, connection quota, shutdown control and the per-connection
-   lifecycle. *)
+   framer (the blocking reader below and both select loops — the
+   admission server's and the cluster dispatcher's — run it), the
+   output buffer and the connection both loops serve, the listening
+   socket, and the shutdown handle that wakes a loop through its
+   self-pipe. *)
 
 let write_all fd s =
   let b = Bytes.unsafe_of_string s in
@@ -19,9 +16,9 @@ let write_all fd s =
   in
   go 0
 
-(* Line framing, shared by the blocking reader below and the
-   dispatcher's select loop: a fixed chunk buffer plus an accumulator
-   capped at [max_line] — an oversized request line is a protocol
+(* Line framing, shared by the blocking reader below and the two
+   select loops (the server's and the dispatcher's): a fixed chunk
+   buffer plus an accumulator capped at [max_line] — an oversized request line is a protocol
    error, not an unbounded allocation.  The framer never reads; its
    owner refills the chunk buffer (blocking or not) whenever
    [next_line] asks for input. *)
@@ -113,144 +110,146 @@ let rec read_line r =
       | exception Unix.Unix_error (Unix.EINTR, _, _) -> read_line r
       | exception Unix.Unix_error (e, _, _) -> `Error e)
 
-(* A reply slot: filled with the rendered line by whoever resolves the
-   request (a drainer domain, an upstream receiver thread, or the
-   reader itself for control replies), written by the connection's
-   writer thread in queue order. *)
-type pending = { mutable line : string option }
+(* An output buffer that survives partial non-blocking writes: the
+   bytes [sent .. len) are still to be written.  Both select loops —
+   the server's and the dispatcher's — queue reply lines into one per
+   connection and flush it whenever the socket takes more. *)
+type obuf = { mutable bytes : Bytes.t; mutable len : int; mutable sent : int }
 
-type cell =
-  | Out of pending
-  | End of string option  (* final line (if any), then teardown *)
+let obuf () = { bytes = Bytes.create 4096; len = 0; sent = 0 }
+let ob_pending o = o.len > o.sent
 
-type conn = {
-  fd : Unix.file_descr;
-  cmu : Mutex.t;
-  filled : Condition.t;  (* a cell was pushed or a pending was filled *)
-  cells : cell Queue.t;
-  window : Semaphore.Counting.t;  (* bounds reader lead over writer *)
-}
+let ob_line o s =
+  let n = String.length s in
+  if o.len + n + 1 > Bytes.length o.bytes then begin
+    let live = o.len - o.sent in
+    let cap = ref (Bytes.length o.bytes) in
+    while live + n + 1 > !cap do
+      cap := 2 * !cap
+    done;
+    (* Grow, or just slide the unwritten tail to the front. *)
+    let b = if !cap > Bytes.length o.bytes then Bytes.create !cap else o.bytes in
+    Bytes.blit o.bytes o.sent b 0 live;
+    o.bytes <- b;
+    o.len <- live;
+    o.sent <- 0
+  end;
+  Bytes.blit_string s 0 o.bytes o.len n;
+  Bytes.unsafe_set o.bytes (o.len + n) '\n';
+  o.len <- o.len + n + 1
 
-let make_conn ~window fd =
-  {
-    fd;
-    cmu = Mutex.create ();
-    filled = Condition.create ();
-    cells = Queue.create ();
-    window = Semaphore.Counting.make (max 1 window);
-  }
-
-let push_cell conn cell =
-  Mutex.lock conn.cmu;
-  Queue.push cell conn.cells;
-  Condition.signal conn.filled;
-  Mutex.unlock conn.cmu
-
-(* Acquire a window slot, then queue an already-rendered reply line. *)
-let push_line conn line =
-  Semaphore.Counting.acquire conn.window;
-  push_cell conn (Out { line = Some line })
-
-(* Acquire a window slot and queue an empty reply slot; the returned
-   function resolves it from any thread or domain. *)
-let push_slot conn =
-  Semaphore.Counting.acquire conn.window;
-  let p = { line = None } in
-  push_cell conn (Out p);
-  fun line ->
-    Mutex.lock conn.cmu;
-    p.line <- Some line;
-    Condition.signal conn.filled;
-    Mutex.unlock conn.cmu
-
-let push_end conn last = push_cell conn (End last)
-
-(* Writer thread: pops cells in order, blocking while the head is an
-   unfilled reply slot.  Consecutive ready replies are coalesced into
-   one [write] — under pipelining a drained batch of replies costs one
-   syscall, not one per line.  Write errors switch to discard mode
-   rather than abandoning the queue: every slot must still be consumed
-   so the window releases and later fills go somewhere. *)
-let writer_loop conn =
-  let dead = ref false in
-  let buf = Buffer.create 4096 in
-  let flush_buf () =
-    if Buffer.length buf > 0 then begin
-      (if not !dead then
-         try write_all conn.fd (Buffer.contents buf)
-         with Unix.Unix_error _ -> dead := true);
-      Buffer.clear buf
-    end
-  in
-  (* Under [conn.cmu]: wait until the head cell is ready, then pop it
-     and every consecutive ready cell (stopping after an [End]). *)
-  let rec ready_run () =
-    match Queue.peek_opt conn.cells with
-    | None | Some (Out { line = None }) ->
-        Condition.wait conn.filled conn.cmu;
-        ready_run ()
-    | Some _ ->
-        let rec take acc =
-          match Queue.peek_opt conn.cells with
-          | Some (Out { line = Some _ } as cell) ->
-              ignore (Queue.pop conn.cells);
-              take (cell :: acc)
-          | Some (End _ as cell) ->
-              ignore (Queue.pop conn.cells);
-              List.rev (cell :: acc)
-          | _ -> List.rev acc
-        in
-        take []
-  in
-  let rec loop () =
-    Mutex.lock conn.cmu;
-    let run = ready_run () in
-    Mutex.unlock conn.cmu;
-    let finished =
-      List.fold_left
-        (fun finished cell ->
-          match cell with
-          | Out { line = Some l } ->
-              Buffer.add_string buf l;
-              Buffer.add_char buf '\n';
-              finished
-          | Out { line = None } -> assert false
-          | End last ->
-              Option.iter
-                (fun l ->
-                  Buffer.add_string buf l;
-                  Buffer.add_char buf '\n')
-                last;
-              true)
-        false run
-    in
-    flush_buf ();
-    (* Release one window slot per flushed reply, after the write: the
-       window bounds rendered-but-unwritten replies. *)
-    List.iter
-      (function
-        | Out _ -> Semaphore.Counting.release conn.window
-        | End _ -> ())
-      run;
-    if not finished then loop ()
-  in
-  loop ()
+let rec ob_flush o fd =
+  if o.sent >= o.len then begin
+    o.len <- 0;
+    o.sent <- 0;
+    true
+  end
+  else
+    match Unix.single_write fd o.bytes o.sent (o.len - o.sent) with
+    | w ->
+        o.sent <- o.sent + w;
+        ob_flush o fd
+    | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> true
+    | exception Unix.Unix_error (Unix.EINTR, _, _) -> ob_flush o fd
+    | exception Unix.Unix_error _ -> false
 
 (* ------------------------------------------------------------------ *)
-(* The listener.
+(* One connection of a select loop: a framer over its input, its reply
+   slots in request order, and its output buffer.  The loop that owns
+   it fills the slots (at once, or later when an answer arrives);
+   [flush] writes every filled head slot in order. *)
 
-   An accept pool of [accept_pool] systhreads in the caller's domain
-   each owns one live connection at a time: a listener costs no domain
-   of its own, so a minor collection (which stops every domain) never
-   has to wake idle readers.  Every blocking call here ([accept],
-   [read], [write], a condition wait) releases the domain lock, so an
-   idle pool thread costs only its stack.  [control] is the
-   external-shutdown handle: [shutdown] wakes blocked accepts by
-   shutting the listener down (accept fails with EINVAL) and resets
-   every live connection (readers see EOF, writers see EPIPE), so
-   every accept thread drains and [serve] returns — the in-process
-   analogue of killing the process, which the cluster harnesses use to
-   exercise failover. *)
+type slot = { mutable reply : string option }
+
+type conn = {
+  ifd : Unix.file_descr;
+  ofd : Unix.file_descr;
+  frame : framer;
+  slots : slot Queue.t;
+  out : obuf;
+  mutable reading : bool;
+  mutable need_input : bool;
+  mutable dead : bool;
+}
+
+(* Connection reads go through the framer in chunks this large. *)
+let chunk = 65536
+
+let conn ?ofd ~greeting ifd =
+  let c =
+    { ifd; ofd = Option.value ofd ~default:ifd; frame = framer ~size:chunk ();
+      slots = Queue.create (); out = obuf (); reading = true; need_input = true;
+      dead = false }
+  in
+  ob_line c.out greeting;
+  c
+
+let slot c =
+  let s = { reply = None } in
+  Queue.push s c.slots;
+  s
+
+let reply c line = Queue.push { reply = Some line } c.slots
+
+let finish c last =
+  if c.reading then begin
+    c.reading <- false;
+    Option.iter (reply c) last
+  end
+
+let room ~window c = c.reading && Queue.length c.slots < window && not (ob_pending c.out)
+
+let rec pump ~window ~too_long handle c =
+  room ~window c
+  &&
+  match next_line c.frame with
+  | `Need_input ->
+      c.need_input <- true;
+      false
+  | `Too_long ->
+      (* The oversized line was never fully read: resynchronising
+         mid-line would misparse its tail as requests. *)
+      finish c (Some too_long);
+      true
+  | `Line l ->
+      handle l;
+      ignore (pump ~window ~too_long handle c);
+      true
+
+let readable ~on_line ~on_error c =
+  match refill c.frame c.ifd with
+  | 0 ->
+      (* A partial final line is a line, like [input_line]'s. *)
+      Option.iter on_line (at_eof c.frame);
+      finish c None
+  | _ -> c.need_input <- false
+  | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _) -> ()
+  | exception Unix.Unix_error _ ->
+      on_error ();
+      finish c None
+
+let flush c =
+  if not c.dead then begin
+    let rec move () =
+      match Queue.peek_opt c.slots with
+      | Some { reply = Some line } ->
+          ignore (Queue.pop c.slots);
+          ob_line c.out line;
+          move ()
+      | _ -> ()
+    in
+    move ();
+    if ob_pending c.out && not (ob_flush c.out c.ofd) then begin
+      c.dead <- true;
+      c.reading <- false
+    end
+  end
+
+let finished c =
+  c.dead || ((not c.reading) && Queue.is_empty c.slots && not (ob_pending c.out))
+
+(* ------------------------------------------------------------------ *)
+(* Listening sockets and the shutdown handle. *)
 
 let resolve_host host =
   match Unix.inet_addr_of_string host with
@@ -263,48 +262,56 @@ let resolve_host host =
       | { Unix.ai_addr = Unix.ADDR_INET (addr, _); _ } :: _ -> addr
       | _ -> failwith (Printf.sprintf "cannot resolve host %S" host))
 
-type control = {
-  mu : Mutex.t;
-  mutable stop : bool;
-  mutable listener : Unix.file_descr option;
-  mutable conns : Unix.file_descr list;
-}
+(* [wake] is the write end of the self-pipe of the loop the handle is
+   attached to ({!with_wake}); [shutdown] writes one byte to it under
+   [mu], and the loop unregisters it under [mu] before closing it, so a
+   wake-up never lands on a closed (or reused) descriptor and is never
+   lost. *)
+type control = { mu : Mutex.t; mutable stop : bool; mutable wake : Unix.file_descr option }
 
-let control () = { mu = Mutex.create (); stop = false; listener = None; conns = [] }
+let control () = { mu = Mutex.create (); stop = false; wake = None }
 
 let locked c f =
   Mutex.lock c.mu;
   Fun.protect ~finally:(fun () -> Mutex.unlock c.mu) f
 
-let shutdown c =
-  let listener, conns =
-    locked c (fun () ->
-        c.stop <- true;
-        let l = c.listener in
-        c.listener <- None;
-        (l, c.conns))
-  in
-  let shut fd = try Unix.shutdown fd Unix.SHUTDOWN_ALL with Unix.Unix_error _ -> () in
-  Option.iter shut listener;
-  List.iter shut conns
+let stopped c = locked c (fun () -> c.stop)
 
-(* One connection, in the accept thread that owns it: greeting, writer
-   thread, handler, then teardown — join the writer (which flushes
-   every outstanding reply and the farewell) before closing the fd, so
-   a [quit] races nothing and no buffered reply is ever lost. *)
-let handle_conn ~greeting ~window handler fd =
+let shutdown c =
+  locked c (fun () ->
+      c.stop <- true;
+      Option.iter
+        (fun fd ->
+          try ignore (Unix.single_write_substring fd "!" 0 1)
+          with Unix.Unix_error _ -> () (* a full pipe wakes the loop anyway *))
+        c.wake)
+
+let drain_pipe fd =
+  let b = Bytes.create 64 in
+  let rec go () =
+    match Unix.read fd b 0 64 with
+    | 64 -> go ()
+    | _ -> ()
+    | exception Unix.Unix_error _ -> ()
+  in
+  go ()
+
+let with_wake c f =
+  let r, w = Unix.pipe ~cloexec:true () in
+  Unix.set_nonblock r;
+  Unix.set_nonblock w;
   Fun.protect
-    ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
+    ~finally:(fun () ->
+      locked c (fun () -> c.wake <- None);
+      (try Unix.close r with Unix.Unix_error _ -> ());
+      try Unix.close w with Unix.Unix_error _ -> ())
     (fun () ->
-      (try Unix.setsockopt fd Unix.TCP_NODELAY true with Unix.Unix_error _ -> ());
-      match write_all fd (greeting ^ "\n") with
-      | exception Unix.Unix_error _ -> ()
-      | () ->
-          let conn = make_conn ~window fd in
-          let writer = Thread.create writer_loop conn in
-          Fun.protect
-            ~finally:(fun () -> Thread.join writer)
-            (fun () -> try handler conn (make_reader fd) with _ -> push_end conn None))
+      let attached =
+        locked c (fun () ->
+            if not c.stop then c.wake <- Some w;
+            not c.stop)
+      in
+      f (if attached then Some r else None))
 
 let retriable = function
   | Unix.EINTR | Unix.ECONNABORTED | Unix.EAGAIN | Unix.EWOULDBLOCK -> true
@@ -331,62 +338,3 @@ let listen ~host ~port =
 
 let bound_port sock ~port =
   match Unix.getsockname sock with Unix.ADDR_INET (_, p) -> p | _ -> port
-
-let serve ?(host = "127.0.0.1") ?max_connections ?(accept_pool = 4) ?(window = 64) ?ready
-    ?(control = control ()) ~greeting ~port handler =
-  let sock = listen ~host ~port in
-  Fun.protect
-    ~finally:(fun () ->
-      locked control (fun () -> control.listener <- None);
-      try Unix.close sock with Unix.Unix_error _ -> ())
-    (fun () ->
-      let already_stopped =
-        locked control (fun () ->
-            if not control.stop then control.listener <- Some sock;
-            control.stop)
-      in
-      if not already_stopped then begin
-        (match ready with
-        | None -> ()
-        | Some f -> f (bound_port sock ~port));
-        (* Connection slots are claimed before accepting, so with a
-           quota exactly [max_connections] accepts happen across the
-           pool and every accept thread terminates. *)
-        let slots = Atomic.make 0 in
-        let rec accept_loop () =
-          if not (locked control (fun () -> control.stop)) then
-            let slot = Atomic.fetch_and_add slots 1 in
-            let quota_ok = match max_connections with None -> true | Some n -> slot < n in
-            if quota_ok then
-              match Unix.accept sock with
-              | fd, _ ->
-                  (* Register under the lock, or refuse when a shutdown
-                     raced the accept: no live connection escapes it. *)
-                  if locked control (fun () ->
-                         if not control.stop then control.conns <- fd :: control.conns;
-                         not control.stop)
-                  then begin
-                    (try handle_conn ~greeting ~window handler fd with _ -> ());
-                    locked control (fun () ->
-                        control.conns <- List.filter (fun fd' -> fd' != fd) control.conns)
-                  end
-                  else (try Unix.close fd with Unix.Unix_error _ -> ());
-                  accept_loop ()
-              | exception Unix.Unix_error (e, _, _) when retriable e ->
-                  (* Transient accept failures (EINTR, a connection that
-                     aborted in the backlog) must not kill the listener:
-                     retry on the same slot. *)
-                  Atomic.decr slots;
-                  accept_loop ()
-              | exception Unix.Unix_error ((Unix.EBADF | Unix.EINVAL), _, _) ->
-                  () (* listener closed or shut down: stop accepting *)
-              | exception Unix.Unix_error (_, _, _) ->
-                  (* Resource pressure (EMFILE and friends): back off and
-                     keep serving rather than dying. *)
-                  Atomic.decr slots;
-                  Unix.sleepf 0.01;
-                  accept_loop ()
-        in
-        Array.init (max 1 accept_pool) (fun _ -> Thread.create accept_loop ())
-        |> Array.iter Thread.join
-      end)

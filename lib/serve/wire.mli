@@ -1,20 +1,13 @@
 (** Shared socket plumbing for the line-protocol transports.
 
-    One line {!framer} — the blocking {!reader} here and the cluster
-    dispatcher's select loop both run it, so both edges apply the same
-    cap, [\r] stripping and end-of-input rule — a listening socket
-    ({!listen}), and {!serve}, the threaded TCP listener that
-    {!Server.serve_tcp} is a thin caller of.  {!serve} owns the whole
-    accept/teardown policy: socket setup and [SIGPIPE], the [ready] hook, the accept-pool threads with
-    the connection quota and accept retry rules, the {!control} handle,
-    and each connection's reply machinery: an ordered queue of reply
-    {e slots}, a counting semaphore ({e window}) bounding how far the
-    handler may run ahead of the writer, and a writer thread that
-    batches every consecutive ready reply into one [write] call
-    (writev-style coalescing — under pipelining a drained batch of
-    replies costs one syscall, not one per line).  Replies are written
-    strictly in push order, and an unfilled slot blocks the writer
-    until it is filled. *)
+    One line {!framer} — the blocking {!reader} here and both select
+    loops, {!Server}'s and the cluster dispatcher's, run it, so every
+    edge applies the same cap, [\r] stripping and end-of-input rule —
+    one output buffer ({!obuf}) that survives partial non-blocking
+    writes, the connection both loops serve ({!conn}: framer, reply
+    slots in request order, output buffer), a listening socket
+    ({!listen}), and the {!control} handle that stops a loop from any
+    thread by waking it through a self-pipe ({!with_wake}). *)
 
 val write_all : Unix.file_descr -> string -> unit
 (** Write the whole string, retrying on [EINTR].
@@ -33,8 +26,8 @@ type framer
 (** Line framing over a chunk buffer that its owner refills: the
     {!max_line} cap (exact, not chunk-granular), [\r] stripping and
     the partial-line-at-EOF rule.  {!read_line} runs it over a blocking
-    fd; the cluster dispatcher's select loop runs it over non-blocking
-    ones. *)
+    fd; the server's and the cluster dispatcher's select loops run it
+    over non-blocking ones. *)
 
 val framer : ?size:int -> unit -> framer
 (** An empty framer with a [size]-byte chunk buffer (default 4096). *)
@@ -67,38 +60,112 @@ val read_line :
     [`Error] so transports can account for it separately from orderly
     shutdown.  [EINTR] retries internally. *)
 
-type conn
-(** One connection's reply queue, as seen by its handler. *)
+type obuf
+(** A connection's unwritten output: reply lines queued in order, and
+    how far a non-blocking socket has taken them. *)
 
-val push_line : conn -> string -> unit
-(** Acquire one window slot and queue an already-rendered reply. *)
+val obuf : unit -> obuf
+(** An empty output buffer. *)
 
-val push_slot : conn -> (string -> unit)
-(** [push_slot conn] acquires one window slot and queues an empty reply
-    slot; the returned function fills it (exactly once, from any thread
-    or domain) and wakes the writer.  Replies behind the slot wait for
-    it, so a connection's reply order is its push order whichever
-    thread answers first. *)
+val ob_pending : obuf -> bool
+(** Some queued byte is not yet written. *)
 
-val push_end : conn -> string option -> unit
-(** Queue the final line (if any) and end the connection: the writer
-    flushes everything before it, then exits.  A handler returns right
-    after pushing it. *)
+val ob_line : obuf -> string -> unit
+(** Queue one line (the terminator is added). *)
+
+val ob_flush : obuf -> Unix.file_descr -> bool
+(** Write queued bytes until all are written or the fd would block
+    ([EAGAIN]; the rest stays queued, in order, for the next call);
+    [EINTR] retries.  [false] on a hard write error.  On a blocking fd
+    it returns once everything is written. *)
+
+(** {1 Connections of a select loop} *)
+
+type slot = { mutable reply : string option }
+(** One reply, [None] until its answer arrives. *)
+
+type conn = private {
+  ifd : Unix.file_descr;
+  ofd : Unix.file_descr;  (** [ifd] unless given apart (stdin/stdout). *)
+  frame : framer;
+  slots : slot Queue.t;  (** Unwritten replies, in request order. *)
+  out : obuf;
+  mutable reading : bool;  (** The request stream has not ended. *)
+  mutable need_input : bool;  (** The framer holds no complete line. *)
+  mutable dead : bool;  (** A write failed: nothing more is sent. *)
+}
+(** One connection of a select loop — the server's or the cluster
+    dispatcher's: a framer over its input, one slot per reply in request
+    order, and an output buffer.  Replies are written strictly in slot
+    order, however the slots fill. *)
+
+val conn : ?ofd:Unix.file_descr -> greeting:string -> Unix.file_descr -> conn
+(** [conn ~greeting fd] reads and writes [fd] ([ofd] writes apart),
+    with [greeting] queued as its first output line.  Reads go through
+    a 64 KiB chunk buffer. *)
+
+val slot : conn -> slot
+(** Queue an empty reply slot; fill it with [slot.reply <- Some line]. *)
+
+val reply : conn -> string -> unit
+(** Queue an answered reply. *)
+
+val finish : conn -> string option -> unit
+(** End the request stream: the final line (if any) is the last reply.
+    Idempotent. *)
+
+val room : window:int -> conn -> bool
+(** The connection may be read: its stream has not ended, it has fewer
+    than [window] unwritten replies, and its fd took all output so
+    far. *)
+
+val pump : window:int -> too_long:string -> (string -> unit) -> conn -> bool
+(** Hand each complete line in the framer to the handler while
+    {!room} holds; [true] when a line was taken.  A line past
+    {!max_line} ends the stream with [too_long] as its last reply. *)
+
+val readable :
+  on_line:(string -> unit) -> on_error:(unit -> unit) -> conn -> unit
+(** The input fd is readable: one read into the framer (call only with
+    [need_input] set).  At end of input a partial last line goes to
+    [on_line] and the stream ends; a hard read error (a reset, as
+    opposed to a clean EOF) calls [on_error] and ends it too. *)
+
+val flush : conn -> unit
+(** Move every filled head slot into the output buffer and write what
+    the fd takes ({!ob_flush}); a write error marks the connection
+    [dead]. *)
+
+val finished : conn -> bool
+(** Dead, or its stream ended with every reply written. *)
 
 type control
-(** External-shutdown handle for a running {!serve}: the in-process
-    analogue of killing the process.  The cluster harnesses use it to
-    exercise shard failover deterministically. *)
+(** External-shutdown handle for a running select loop
+    ({!Server.serve_tcp}): the in-process analogue of killing the
+    process.  The cluster harnesses use it to exercise shard failover
+    deterministically. *)
 
 val control : unit -> control
 
 val shutdown : control -> unit
-(** Stop the listener attached to this handle: wakes blocked accepts
-    by shutting the listening socket down and resets every live
-    connection (peers see a closed socket, exactly like a process
-    kill).  A {!serve} given a handle that is already shut down
-    returns as soon as it has bound, without calling [ready].
-    Idempotent; safe from any thread. *)
+(** Stop the loop attached to this handle: it wakes through its
+    self-pipe, closes its listener and resets every live connection
+    (peers see a closed socket, exactly like a process kill).  A loop
+    started on a handle that is already shut down returns as soon as it
+    has bound, without calling its [ready] hook.  Idempotent; safe from
+    any thread or domain. *)
+
+val stopped : control -> bool
+(** {!shutdown} was called. *)
+
+val with_wake : control -> (Unix.file_descr option -> 'a) -> 'a
+(** [with_wake c f] makes a non-blocking self-pipe, attaches it to [c]
+    and runs [f (Some r)], [r] its read end, which turns readable on
+    {!shutdown}; [f None] when [c] is already shut down.  The pipe is
+    detached and closed when [f] returns or raises. *)
+
+val drain_pipe : Unix.file_descr -> unit
+(** Read a non-blocking pipe empty. *)
 
 val listen : host:string -> port:int -> Unix.file_descr
 (** A bound, listening TCP socket on [host:port] (backlog 64,
@@ -113,39 +180,3 @@ val bound_port : Unix.file_descr -> port:int -> int
 val retriable : Unix.error -> bool
 (** Transient [accept] failures ([EINTR], [ECONNABORTED], [EAGAIN]):
     retry at once. *)
-
-val serve :
-  ?host:string ->
-  ?max_connections:int ->
-  ?accept_pool:int ->
-  ?window:int ->
-  ?ready:(int -> unit) ->
-  ?control:control ->
-  greeting:string ->
-  port:int ->
-  (conn -> reader -> unit) ->
-  unit
-(** [serve ~greeting ~port handler] listens on [host:port] (default
-    host 127.0.0.1; [port = 0] binds an ephemeral port, reported
-    through [ready] once connections are accepted) and serves
-    connections with [accept_pool] (default 4) systhreads in the
-    calling domain, each owning one live connection at a time: the
-    listener spawns no domain, so the pool size is bounded by file
-    descriptors and thread stacks, not by the runtime's domain cap.
-    Per connection: [TCP_NODELAY], the [greeting] line, a writer
-    thread over a [window] (default 64) of buffered replies, then
-    [handler conn reader] in the accept thread; the handler ends the
-    connection with {!push_end} (an
-    exception counts as [push_end conn None]).  Teardown joins the
-    writer before closing the socket, so every buffered reply —
-    including a farewell line — is flushed.  [max_connections] bounds
-    the {e total} number of connections accepted across the pool,
-    after which [serve] returns; omitted, it serves until {!shutdown}.
-
-    Robustness: transient accept failures ([EINTR], [ECONNABORTED],
-    [EAGAIN]) are retried, resource-pressure failures back off and
-    retry, [SIGPIPE] is ignored from the first call on and never
-    restored (a vanished peer surfaces as a write error on its own
-    connection, also for threads that outlive the listener),
-    and a connection whose setup or handler fails is closed without
-    taking the listener down. *)

@@ -612,6 +612,47 @@ let test_e2e_metrics_stall_is_off_loop () =
             (input_line a.cic);
           List.iter client_close [ a; b ]))
 
+(* A shard's one loop answers nothing while a step runs, so a shard
+   stuck in a slow submit is visible to the status checker: a 250-task
+   identical-length shop with windows in [0, 200] (seed 29) is proved
+   infeasible at once, but its certificate search takes about a second,
+   and a 0.2 s probe on another connection fails meanwhile.  Once the
+   reply is out the probe passes again. *)
+let test_e2e_stuck_step_fails_probe () =
+  let g = E2e_prng.Prng.create 29 in
+  let shop =
+    E2e_model.Recurrence_shop.of_traditional
+      (E2e_workload.Feasible_gen.identical_length g ~n:250 ~m:4 ~tau:E2e_rat.Rat.one
+         ~window:200)
+  in
+  let line =
+    E2e_serve.Protocol.render_request (E2e_serve.Admission.Submit { shop = "slow"; instance = shop })
+  in
+  let s = spawn_shard () in
+  Fun.protect
+    ~finally:(fun () ->
+      Wire.shutdown s.sctl;
+      Domain.join s.sdomain)
+    (fun () ->
+      let probe () = Health.probe ~timeout:0.2 ~host:"127.0.0.1" ~port:s.sport () in
+      Alcotest.(check bool) "idle shard passes the probe" true (probe ());
+      let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+      Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_loopback, s.sport));
+      Unix.setsockopt_float fd Unix.SO_RCVTIMEO 30.0;
+      let r = Wire.make_reader fd in
+      Alcotest.(check bool) "greeted" true (Wire.read_line r = `Line E2e_serve.Protocol.greeting);
+      Wire.write_all fd (line ^ "\n");
+      Unix.sleepf 0.05;
+      let during = probe () in
+      let answered = Wire.read_line r in
+      Unix.close fd;
+      (match answered with
+      | `Line l when String.length l > 9 && String.sub l 0 9 = "rejected " -> ()
+      | `Line l -> Alcotest.failf "unexpected reply %s" l
+      | _ -> Alcotest.fail "no reply to the slow submit");
+      Alcotest.(check bool) "probe fails while the step runs" false during;
+      Alcotest.(check bool) "probe passes once the reply is out" true (probe ()))
+
 let suite =
   [
     ("registry: parse_id accepts host:port and rejects junk", `Quick, test_parse_id);
@@ -636,4 +677,6 @@ let suite =
      test_e2e_metrics_stall_is_off_loop);
     ("registry: a probe begun before a down report does not revive", `Quick,
      test_stale_probe_no_revival);
+    ("cluster: a shard stuck in a step fails its probe until it answers", `Slow,
+     test_e2e_stuck_step_fails_probe);
   ]

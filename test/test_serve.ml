@@ -952,11 +952,11 @@ let test_abrupt_disconnect () =
         [ "info shop=ghost unknown"; "bye" ]
         replies)
 
-(* The accept pool is threads of the listener's domain, not domains:
-   OCaml 5 caps a process at 128 domains, so a pool that holds 130
-   connections open at once, each answering [ping], spawns no domain
-   per connection.  Receive timeouts turn a connection that is never
-   served into a failure rather than a hang. *)
+(* The loop holds 130 connections open at once, each answering
+   [ping], on its one thread — past OCaml 5's cap of 128 domains, and
+   under [select]'s FD_SETSIZE of 1,024.  Receive timeouts turn a
+   connection that is never served into a failure rather than a
+   hang. *)
 let test_accept_pool_past_domain_cap () =
   let n = 130 in
   with_server ~accept_pool:n ~max_connections:n (fun port ->
@@ -1031,8 +1031,8 @@ let test_stripe_determinism () =
   Alcotest.(check bool) "ids handed out" true (ids_seen >= List.length log / 2)
 
 (* The striped TCP transport against per-connection sequential oracles:
-   same guarantee as [test_concurrent_transport], now with one drainer
-   domain per stripe. *)
+   same guarantee as [test_concurrent_transport], now with the queue
+   striped over 2 and 4 batchers. *)
 let test_multi_drainer_transport () =
   let n_clients = 3 and requests = 24 in
   let logs =
@@ -1120,9 +1120,8 @@ let test_session_oversized_line () =
         Unix.close req_w)
       ()
   in
-  let oc = Unix.out_channel_of_descr rep_w in
-  Server.session ~schedules:false ~chunk:1 (Stripes.create ()) req_r oc;
-  close_out oc;
+  Server.session ~schedules:false (Stripes.create ()) req_r rep_w;
+  Unix.close rep_w;
   Unix.close req_r;
   Thread.join writer;
   let ic = Unix.in_channel_of_descr rep_r in
@@ -1156,9 +1155,8 @@ let test_session_counts_read_errors () =
   let session =
     Thread.create
       (fun () ->
-        let oc = Unix.out_channel_of_descr rep_w in
-        Server.session ~schedules:false ~chunk:1 stripes server oc;
-        close_out oc)
+        Server.session ~schedules:false stripes server rep_w;
+        Unix.close rep_w)
       ()
   in
   let ic = Unix.in_channel_of_descr rep_r in
@@ -1203,9 +1201,8 @@ let stdio_session lines =
   Wire.write_all req_w (String.concat "" (List.map (fun l -> l ^ "\n") lines));
   Unix.close req_w;
   let stripes = Stripes.create () in
-  let oc = Unix.out_channel_of_descr rep_w in
-  Server.session ~schedules:false stripes req_r oc;
-  close_out oc;
+  Server.session ~schedules:false stripes req_r rep_w;
+  Unix.close rep_w;
   Unix.close req_r;
   let ic = Unix.in_channel_of_descr rep_r in
   let rec read acc = match input_line ic with l -> read (l :: acc) | exception End_of_file -> acc in
@@ -1434,37 +1431,25 @@ let test_literal_bounds () =
     | Ok _ -> "ok")
 
 (* ------------------------------------------------------------------ *)
-(* The shared listener, driven with a trivial echo handler             *)
+(* The select loop's listener: quota, shutdown and the ready hook      *)
 
-let echo conn r =
-  let rec loop () =
-    match Wire.read_line r with
-    | `Line "quit" -> Wire.push_end conn (Some "bye")
-    | `Line l ->
-        Wire.push_line conn l;
-        loop ()
-    | `Eof | `Error _ | `Too_long -> Wire.push_end conn None
-  in
-  loop ()
-
-(* [Wire.serve] over [echo] in its own domain: the bound port, a flag
-   set once [serve] returns, and the count of handled connections. *)
-let spawn_echo ?max_connections ~accept_pool ~control () =
+(* [Server.serve_tcp] in its own domain: the bound port, a flag set
+   once it returns, and its stripes. *)
+let spawn_loop ?max_connections ?(window = 64) ~accept_pool ~control () =
   let mu = Mutex.create () and cv = Condition.create () in
   let port = ref 0 in
-  let finished = Atomic.make false and handled = Atomic.make 0 in
+  let finished = Atomic.make false in
+  let config = { Batcher.default_config with Batcher.queue_capacity = 4096 } in
+  let stripes = Stripes.create ~config () in
   let domain =
     Domain.spawn (fun () ->
-        Wire.serve ?max_connections ~accept_pool ~control ~greeting:"echo ready"
+        Server.serve_tcp ~schedules:false ?max_connections ~accept_pool ~window ~control
           ~ready:(fun p ->
             Mutex.lock mu;
             port := p;
             Condition.signal cv;
             Mutex.unlock mu)
-          ~port:0
-          (fun conn r ->
-            Atomic.incr handled;
-            echo conn r);
+          ~port:0 stripes;
         Atomic.set finished true)
   in
   Mutex.lock mu;
@@ -1473,10 +1458,10 @@ let spawn_echo ?max_connections ~accept_pool ~control () =
   done;
   let p = !port in
   Mutex.unlock mu;
-  (p, finished, handled, domain)
+  (p, finished, stripes, domain)
 
-(* Wait (bounded) for [serve] to return; on a timeout shut it down so
-   the domain can be joined and the failure reported. *)
+(* Wait (bounded) for [serve_tcp] to return; on a timeout shut it down
+   so the domain can be joined and the failure reported. *)
 let await_return ~control (finished, domain) what =
   let deadline = Unix.gettimeofday () +. 5.0 in
   while (not (Atomic.get finished)) && Unix.gettimeofday () < deadline do
@@ -1489,17 +1474,20 @@ let await_return ~control (finished, domain) what =
 
 let test_wire_quota () =
   let control = Wire.control () in
-  let port, finished, handled, domain =
-    spawn_echo ~max_connections:2 ~accept_pool:4 ~control ()
+  let port, finished, stripes, domain =
+    spawn_loop ~max_connections:2 ~accept_pool:4 ~control ()
   in
   List.iter
-    (fun line ->
-      let greeting, replies = tcp_session port [ line ] in
-      Alcotest.(check string) "greeting" "echo ready" greeting;
-      Alcotest.(check (list string)) "echoed" [ line; "bye" ] replies)
+    (fun shop ->
+      let greeting, replies = tcp_session port [ "query " ^ shop ] in
+      Alcotest.(check string) "greeting" Protocol.greeting greeting;
+      Alcotest.(check (list string)) "answered"
+        [ Printf.sprintf "info shop=%s unknown" shop; "bye" ]
+        replies)
     [ "a"; "b" ];
   await_return ~control (finished, domain) "serve returns after the quota";
-  Alcotest.(check int) "exactly N connections handled" 2 (Atomic.get handled);
+  Alcotest.(check int) "exactly N connections served" 2
+    (Stripes.service_stats stripes).Batcher.submitted;
   let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
   (match Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_loopback, port)) with
   | () -> Alcotest.fail "listener still accepting after the quota"
@@ -1508,17 +1496,18 @@ let test_wire_quota () =
 
 let test_wire_shutdown () =
   let control = Wire.control () in
-  let port, finished, _, domain = spawn_echo ~accept_pool:2 ~control () in
+  let port, finished, _, domain = spawn_loop ~accept_pool:2 ~control () in
   let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
   Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
   Unix.setsockopt_float fd Unix.SO_RCVTIMEO 5.0;
   let r = Wire.make_reader fd in
   let next () = Wire.read_line r in
-  Alcotest.(check bool) "greeted" true (next () = `Line "echo ready");
+  Alcotest.(check bool) "greeted" true (next () = `Line Protocol.greeting);
   Wire.write_all fd "ping\n";
-  Alcotest.(check bool) "live connection echoes" true (next () = `Line "ping");
-  (* One accept thread owns the live connection; the other is blocked
-     in accept.  Shutdown must release both. *)
+  Alcotest.(check bool) "live connection answers" true
+    (next () = `Line ("pong " ^ Protocol.version));
+  (* The loop waits in select with one live connection and room for
+     another; shutdown must reset the one and stop accepting. *)
   Wire.shutdown control;
   (match next () with
   | `Eof -> ()
@@ -1534,9 +1523,223 @@ let test_wire_shutdown_before_bind () =
   let control = Wire.control () in
   Wire.shutdown control;
   let ready_called = ref false in
-  Wire.serve ~control ~greeting:"echo ready" ~ready:(fun _ -> ready_called := true) ~port:0
-    echo;
+  Server.serve_tcp ~control ~ready:(fun _ -> ready_called := true) ~port:0 (Stripes.create ());
   Alcotest.(check bool) "ready never called" false !ready_called
+
+(* ------------------------------------------------------------------ *)
+(* The select loop: backpressure, partial writes, stats parity         *)
+
+(* [Wire.ob_flush] on a socket that takes a few KB at a time: lines of
+   every size, appended while earlier ones are half written, come out
+   whole and in order. *)
+let test_partial_writes_keep_order () =
+  let w, r = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Unix.set_nonblock w;
+  Unix.set_nonblock r;
+  (try Unix.setsockopt_int w Unix.SO_SNDBUF 4096 with Unix.Unix_error _ -> ());
+  let g = Prng.create 7 in
+  let lines =
+    List.init 300 (fun i ->
+        let n = 1 + Prng.int g (if i mod 10 = 0 then 60_000 else 3_000) in
+        String.init n (fun k -> Char.chr (Char.code 'a' + ((i + k) mod 26))))
+  in
+  let o = Wire.obuf () and got = Buffer.create (1 lsl 20) in
+  let chunk = Bytes.create 65536 in
+  let take n =
+    match Unix.read r chunk 0 (min n 65536) with
+    | k -> Buffer.add_subbytes got chunk 0 k
+    | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> ()
+  in
+  List.iter
+    (fun l ->
+      Wire.ob_line o l;
+      Alcotest.(check bool) "flush" true (Wire.ob_flush o w);
+      take (1 + Prng.int g 8_000))
+    lines;
+  let partial = Wire.ob_pending o in
+  while Wire.ob_pending o do
+    Alcotest.(check bool) "flush" true (Wire.ob_flush o w);
+    take 65536
+  done;
+  take 65536;
+  take 65536;
+  Unix.close w;
+  Unix.close r;
+  Alcotest.(check bool) "the socket refused some bytes along the way" true partial;
+  Alcotest.(check int) "every byte arrived" (List.fold_left (fun n l -> n + String.length l + 1) 0 lines)
+    (Buffer.length got);
+  Alcotest.(check bool) "in order" true
+    (Buffer.contents got = String.concat "" (List.map (fun l -> l ^ "\n") lines))
+
+let metrics_value name line =
+  List.find_map
+    (fun kv ->
+      match String.index_opt kv ' ' with
+      | Some i when String.sub kv 0 i = name ->
+          Some (int_of_string (String.sub kv (i + 1) (String.length kv - i - 1)))
+      | _ -> None)
+    (String.split_on_char ';' (String.sub line 8 (String.length line - 8)))
+
+(* A client that sends [metrics]/[query] pairs and never reads: each
+   [metrics] reply is tens of KB (one series per committed shop), so its
+   replies outgrow the socket buffers, and the loop must stop reading
+   it once [window] replies are unwritten — while a second client is
+   still served.  Once the first client reads, every reply arrives
+   whole and in request order, each [metrics] counting exactly the
+   queries read before it. *)
+let test_window_backpressure () =
+  let control = Wire.control () in
+  let port, finished, _, domain = spawn_loop ~window:4 ~accept_pool:2 ~control () in
+  let connect ?rcvbuf () =
+    let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+    Option.iter (Unix.setsockopt_int fd Unix.SO_RCVBUF) rcvbuf;
+    Unix.setsockopt_float fd Unix.SO_RCVTIMEO 30.0;
+    Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
+    let r = Wire.make_reader fd in
+    Alcotest.(check bool) "greeted" true (Wire.read_line r = `Line Protocol.greeting);
+    (fd, r)
+  in
+  let line r = match Wire.read_line r with `Line l -> l | _ -> Alcotest.fail "no reply" in
+  let shops = 200 and pairs = 400 in
+  let bfd, br = connect () in
+  for i = 1 to shops do
+    Wire.write_all bfd (Printf.sprintf "submit p%d task 0 10 1 1\n" i)
+  done;
+  for _ = 1 to shops do
+    ignore (line br)
+  done;
+  let afd, ar = connect ~rcvbuf:8192 () in
+  Wire.write_all afd (String.concat "" (List.init pairs (fun _ -> "metrics\nquery a\n")));
+  (* Queries read from the silent client so far, as the other client
+     sees them. *)
+  let read_from_a () =
+    Wire.write_all bfd "metrics\n";
+    Option.get (metrics_value "serve_submitted_total" (line br)) - shops
+  in
+  let rec plateau last same tries =
+    Unix.sleepf 0.05;
+    let n = read_from_a () in
+    if n = last && n > 0 then if same >= 3 then n else plateau n (same + 1) tries
+    else if tries = 0 then n
+    else plateau n 0 (tries - 1)
+  in
+  let stalled = plateau (-1) 0 200 in
+  if stalled >= pairs then
+    Alcotest.failf "all %d requests were read from a client that never reads" pairs;
+  Wire.write_all bfd "ping\n";
+  Alcotest.(check string) "the other client is served" ("pong " ^ Protocol.version) (line br);
+  for i = 0 to pairs - 1 do
+    let m = line ar in
+    Alcotest.(check bool) "a whole metrics reply" true
+      (String.length m > 8 && String.sub m 0 8 = "metrics "
+      && metrics_value "serve_submitted_total" m = Some (shops + i)
+      && metrics_value "serve_committed_shops" m = Some shops);
+    Alcotest.(check string) "then the query's" "info shop=a unknown" (line ar)
+  done;
+  Unix.close afd;
+  Unix.close bfd;
+  Wire.shutdown control;
+  await_return ~control (finished, domain) "serve returns after shutdown"
+
+(* The same log over stdio and over TCP: every reply matches, [stats]
+   included, and each [stats] counts exactly the requests before it. *)
+let test_stats_same_on_both_transports () =
+  let lines =
+    [ "submit p1 task 0 10 1 1 ; task 1 12 2 1"; "submit p2 task 0 20 2 2"; "stats";
+      "add p1 task 2 30 1 1"; "query p1"; "drop p2"; "stats"; "submit p3 task 0 40 3 3";
+      "stats" ]
+  in
+  let stdio, _ = stdio_session lines in
+  let _, tcp = with_server ~max_connections:1 (fun port -> tcp_session port lines) in
+  Alcotest.(check (list string)) "same replies over stdio and TCP" (stdio @ [ "bye" ]) tcp;
+  let stats = List.filter (fun l -> String.length l > 6 && String.sub l 0 6 = "stats ") stdio in
+  Alcotest.(check (list string)) "each stats line counts what came before it"
+    [ "shops=2 tasks=3"; "shops=1 tasks=3"; "shops=2 tasks=4" ]
+    (List.map
+       (fun l -> List.nth (String.split_on_char ' ' l) 2 ^ " " ^ List.nth (String.split_on_char ' ' l) 3)
+       stats)
+
+(* ------------------------------------------------------------------ *)
+(* The incremental grid check                                          *)
+
+(* Times that draw past the grid's bounds: denominators that share
+   nothing (two primes near 10^9 overflow L), and magnitudes that fit L
+   but push B* = 4 (R + P) + (n+1) P past the limit. *)
+let grid_rat =
+  QCheck.Gen.(
+    map2
+      (fun num den -> Rat.make num den)
+      (frequency
+         [ (6, int_range 0 100); (2, int_range 0 1_000_000); (2, int_range 0 1_000_000_000);
+           (1, int_range 0 999_999_999_999) ])
+      (frequency
+         [ (6, oneofl [ 1; 2; 3; 4; 1000 ]); (2, int_range 1 1000);
+           (1, oneofl [ 999_999_937; 999_999_929; 999_999_893 ]); (1, int_range 1 1_000_000_000) ]))
+
+let grid_task stages =
+  QCheck.Gen.(
+    triple grid_rat grid_rat
+      (int_range stages (stages + 1) >>= fun n -> array_size (return n) grid_rat))
+
+let grid_case =
+  QCheck.Gen.(
+    int_range 1 3 >>= fun stages ->
+    pair (list_size (int_range 0 6) (grid_task stages))
+      (list_size (int_range 1 8) (list_size (int_range 1 3) (grid_task stages)))
+    >|= fun (base, adds) -> (stages, base, adds))
+
+(* Along a random add sequence — a refused add is not committed — the
+   extent kept from the last fit, resumed with the new tasks, answers
+   exactly what [Grid.fit] over the whole merged candidate answers. *)
+let test_grid_extent_resumes () =
+  let module Grid = E2e_model.Grid in
+  let outcomes = Hashtbl.create 3 in
+  let count k = Hashtbl.replace outcomes k (1 + Option.value ~default:0 (Hashtbl.find_opt outcomes k)) in
+  let feed tasks f = List.iter (fun (r, d, taus) -> f r d taus) tasks in
+  let kind = function Ok _ -> "ok" | Error Grid.Scale -> "scale" | Error Grid.Bound -> "bound" in
+  let prop (stages, base, adds) =
+    match Grid.extent ~stages (feed base) with
+    | Error _ -> true
+    | Ok e ->
+        let rec go e committed = function
+          | [] -> true
+          | batch :: rest -> (
+              let merged = committed @ batch in
+              let whole = Grid.fit ~stages (feed merged) and resumed = Grid.extend e (feed batch) in
+              count (kind resumed);
+              kind resumed = kind whole
+              &&
+              match resumed with
+              | Ok e' -> go e' merged rest
+              | Error _ -> go e committed rest)
+        in
+        go e base adds
+  in
+  QCheck.Test.check_exn ~rand:(Random.State.make [| 30 |])
+    (QCheck.Test.make ~name:"resumed extent = fit of the merged candidate" ~count:2000
+       (QCheck.make grid_case) prop);
+  List.iter
+    (fun k ->
+      Alcotest.(check bool) (k ^ " outcomes drawn") true (Hashtbl.mem outcomes k))
+    [ "ok"; "scale"; "bound" ]
+
+(* Through [Admission]: the first add measures the committed shop, the
+   next ones resume from the kept extent, and a refused add leaves the
+   kept extent as it was. *)
+let test_adds_resume_extent () =
+  let replies, _ =
+    stdio_session
+      [ "submit s task 0 1000 1/999999937 1"; "add s task 0 1000 1 1"; off_grid_add;
+        "add s task 0 1000 1 1"; off_grid_add; "query s" ]
+  in
+  match replies with
+  | [ _; first; refused; second; refused'; query ] ->
+      Alcotest.(check bool) "first add admitted" true (String.sub first 0 9 = "admitted ");
+      Alcotest.(check string) "off-grid add refused" (grid_error "s") refused;
+      Alcotest.(check bool) "second add admitted" true (String.sub second 0 9 = "admitted ");
+      Alcotest.(check string) "still refused" (grid_error "s") refused';
+      Alcotest.(check string) "three tasks committed" "info shop=s tasks=3" query
+  | _ -> Alcotest.failf "expected 6 replies, got %d" (List.length replies)
 
 let suite =
   [
@@ -1602,4 +1805,13 @@ let suite =
     prop_scanner_matches_file_reader;
     prop_scanner_messages;
     ("protocol: literal bounds and their typed errors", `Quick, test_literal_bounds);
+    ("wire: partial writes keep byte order", `Quick, test_partial_writes_keep_order);
+    ("server: a client that never reads stops being read at its window", `Slow,
+     test_window_backpressure);
+    ("server: stdio and TCP answer a log with the same stats lines", `Quick,
+     test_stats_same_on_both_transports);
+    ("admission: a resumed grid extent fits like the merged shop", `Quick,
+     test_grid_extent_resumes);
+    ("admission: adds check only their new tasks against the grid", `Quick,
+     test_adds_resume_extent);
   ]
