@@ -1652,12 +1652,14 @@ let test_stats_same_on_both_transports () =
   let stdio, _ = stdio_session lines in
   let _, tcp = with_server ~max_connections:1 (fun port -> tcp_session port lines) in
   Alcotest.(check (list string)) "same replies over stdio and TCP" (stdio @ [ "bye" ]) tcp;
-  let stats = List.filter (fun l -> String.length l > 6 && String.sub l 0 6 = "stats ") stdio in
+  let shops_tasks l =
+    match String.split_on_char ' ' l with
+    | "stats" :: _pending :: shops :: tasks :: _ -> Some (shops ^ " " ^ tasks)
+    | _ -> None
+  in
   Alcotest.(check (list string)) "each stats line counts what came before it"
     [ "shops=2 tasks=3"; "shops=1 tasks=3"; "shops=2 tasks=4" ]
-    (List.map
-       (fun l -> List.nth (String.split_on_char ' ' l) 2 ^ " " ^ List.nth (String.split_on_char ' ' l) 3)
-       stats)
+    (List.filter_map shops_tasks stdio)
 
 (* ------------------------------------------------------------------ *)
 (* The incremental grid check                                          *)
