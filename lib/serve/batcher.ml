@@ -207,9 +207,9 @@ let internal_error t req =
   t.svc.internal_errors <- t.svc.internal_errors + 1;
   Admission.internal_error (shop_of req)
 
-let step t =
+let step_each ?(before_solve = ignore) t emit =
   match take_batch t with
-  | [] -> []
+  | [] -> ()
   | batch ->
       Obs.span "serve.batch" (fun () ->
           Obs.incr "serve.batches";
@@ -261,7 +261,12 @@ let step t =
              pure — worker domains never touch the clock, so traces are
              unaffected by the domain count.  The persistent pool matters
              here: a server steps thousands of small batches, and a
-             per-batch domain spawn would cost more than the solves. *)
+             per-batch domain spawn would cost more than the solves.
+             When the solves would run one after another anyway (one job,
+             or at most one miss), each runs in phase 3 instead, just
+             before its own verify, so the replies ahead of it are
+             emitted — and can be written — before it starts. *)
+          let solve = Admission.guard (fun p -> fst (Admission.solve_prepared ~budget:t.cfg.budget p)) in
           let misses =
             List.filter_map
               (function
@@ -271,15 +276,15 @@ let step t =
             |> Array.of_list
           in
           let solved =
-            Pool.run ~jobs:t.cfg.jobs
-              (Admission.guard (fun p -> fst (Admission.solve_prepared ~budget:t.cfg.budget p)))
-              misses
+            if t.cfg.jobs = 1 || Array.length misses <= 1 then None
+            else Some (Pool.run ~jobs:t.cfg.jobs solve misses)
           in
           (* Phase 3 (sequential, submission order): relabel + verify,
              cache insertion, commits, reply emission. *)
           let next_miss = ref 0 in
-          List.map
+          List.iter
             (fun (req, tr, slot) ->
+              emit @@
               match slot with
               | Resolved reply ->
                   Rtrace.mark tr 3;
@@ -294,10 +299,15 @@ let step t =
                   let prepared, solved, key =
                     match slot with
                     | Hit { solved; prepared } -> (prepared, Ok solved, None)
-                    | Miss { prepared; key } ->
-                        let r = solved.(!next_miss) in
-                        incr next_miss;
-                        (prepared, r, key)
+                    | Miss { prepared; key } -> (
+                        match solved with
+                        | Some solved ->
+                            let r = solved.(!next_miss) in
+                            incr next_miss;
+                            (prepared, r, key)
+                        | None ->
+                            before_solve ();
+                            (prepared, solve prepared, key))
                     | Resolved _ -> assert false
                   in
                   let { Admission.candidate; canon; _ } = prepared in
@@ -331,6 +341,11 @@ let step t =
                   Rtrace.set_verdict tr (verdict_of_reply reply);
                   (req, tr, reply))
             slots)
+
+let step t =
+  let acc = ref [] in
+  step_each t (fun r -> acc := r :: !acc);
+  List.rev !acc
 
 let drain t =
   let rec go acc = match step t with [] -> List.concat (List.rev acc) | r -> go (r :: acc) in

@@ -132,12 +132,23 @@ val service_stats : t -> service_stats
 
 val submit : t -> Admission.request -> [ `Queued | `Overloaded ]
 
+val step_each :
+  ?before_solve:(unit -> unit) ->
+  t ->
+  (Admission.request * Rtrace.t * Admission.reply -> unit) ->
+  unit
+(** Process one batch (nothing when the queue is empty), handing each
+    reply to the callback as soon as it is committed, in submission
+    order.  The caller must {!Rtrace.finish} each context after
+    rendering its reply (a no-op when tracing is off).  When the
+    batch's solves run one after another anyway ([jobs = 1], or at most
+    one miss), each runs just before its own commit, after
+    [before_solve ()] (default: nothing) — so the replies ahead of it
+    can be written first.  The server's select loop calls it on its own
+    thread, one stripe at a time, until every queue is empty. *)
+
 val step : t -> (Admission.request * Rtrace.t * Admission.reply) list
-(** Process one batch; [[]] when the queue is empty.  Replies are in
-    submission order.  The caller must {!Rtrace.finish} each returned
-    context after rendering its reply (a no-op when tracing is off).
-    The server's select loop calls it on its own thread, one stripe at
-    a time, until every queue is empty. *)
+(** {!step_each} collecting the replies: [[]] when the queue is empty. *)
 
 val drain : t -> (Admission.request * Rtrace.t * Admission.reply) list
 (** [step] until the queue is empty, concatenating the replies. *)

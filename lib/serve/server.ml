@@ -57,21 +57,24 @@ let open_conn ?ofd fd =
 
 (* Step every non-empty stripe until every queue is empty, filling the
    slots its replies answer and flushing the connections they belong to
-   after each step. *)
+   after each step — and before each solve the step runs after replies
+   it already emitted, so a finished reply never waits for another
+   request's solve. *)
 let settle l =
   let touched = ref [] in
+  let flush () =
+    List.iter Wire.flush !touched;
+    touched := []
+  in
   let step k b =
-    List.iter
-      (fun (_req, tr, reply) ->
+    Batcher.step_each b ~before_solve:flush (fun (_req, tr, reply) ->
         let c, slot = Queue.pop l.routes.(k) in
         slot.Wire.reply <-
           Some (Protocol.render_reply ~schedules:l.schedules (Batcher.Reply reply));
         (* The reply line exists: the render stage closes here. *)
         Rtrace.finish tr;
-        if not (List.memq c !touched) then touched := c :: !touched)
-      (Batcher.step b);
-    List.iter Wire.flush !touched;
-    touched := []
+        if not (List.memq c !touched) then touched := c :: !touched);
+    flush ()
   in
   let rec go () =
     let stepped = ref false in

@@ -335,6 +335,37 @@ let test_batch_splits_same_shop () =
   | Batcher.Reply (Admission.Request_error _) -> ()
   | _ -> Alcotest.fail "duplicate submit should be an error"
 
+(* With one job a batch's solves run one after another anyway, so each
+   runs just before its own commit: every reply ahead of it is emitted
+   first, and the hook before each solve is where a transport writes
+   them.  With more jobs the solves fan out up front and the hook never
+   runs.  Replies are the same either way. *)
+let test_step_each_emits_before_solves () =
+  let g = Prng.of_path [| 13; 97; 0 |] in
+  let submit shop = Admission.Submit { shop; instance = gen_instance g } in
+  let log = [ submit "a"; Admission.Query { shop = "q" }; submit "b"; submit "c" ] in
+  let run jobs =
+    let config = { Batcher.default_config with Batcher.jobs; cache_capacity = 0 } in
+    let b = Batcher.create ~config () in
+    List.iter (fun r -> ignore (Batcher.submit b r)) log;
+    let events = ref [] in
+    Batcher.step_each b
+      ~before_solve:(fun () -> events := "solve" :: !events)
+      (fun (req, _, reply) ->
+        events :=
+          (Batcher.shop_of req ^ " " ^ Protocol.render_reply (Batcher.Reply reply)) :: !events);
+    Alcotest.(check int) "one batch drains the queue" 0 (Batcher.pending b);
+    List.rev !events
+  in
+  let replies = List.filter (fun e -> e <> "solve") in
+  let sequential = run 1 and fanned = run 2 in
+  Alcotest.(check (list string)) "a solve starts only after the replies ahead of it"
+    [ "solve"; "a"; "q"; "solve"; "b"; "solve"; "c" ]
+    (List.map (fun e -> List.hd (String.split_on_char ' ' e)) sequential);
+  Alcotest.(check (list string)) "fanned-out solves skip the hook" (replies fanned) fanned;
+  Alcotest.(check (list string)) "replies identical across jobs" (replies fanned)
+    (replies sequential)
+
 (* ------------------------------------------------------------------ *)
 (* Admitted schedules replayed through the runtime dispatcher         *)
 
@@ -1761,6 +1792,8 @@ let suite =
     ("admission: rejected sets never commit", `Quick, test_rejected_never_commits);
     ("batcher: backpressure answers overloaded", `Quick, test_backpressure);
     ("batcher: same-shop requests split batches", `Quick, test_batch_splits_same_shop);
+    ("batcher: one job emits each reply before the next solve", `Quick,
+     test_step_each_emits_before_solves);
     ("dispatcher: admitted schedules replay without misses", `Slow,
      test_dispatcher_replays_admissions);
     ("protocol: request round-trips", `Quick, test_protocol_roundtrip);
