@@ -266,17 +266,21 @@ let step_each ?(before_solve = ignore) t emit =
              or at most one miss), each runs in phase 3 instead, just
              before its own verify, so the replies ahead of it are
              emitted — and can be written — before it starts. *)
-          let solve = Admission.guard (fun p -> fst (Admission.solve_prepared ~budget:t.cfg.budget p)) in
-          let misses =
-            List.filter_map
-              (function
-                | _, _, Miss { prepared; _ } -> Some prepared
-                | _, _, (Resolved _ | Hit _) -> None)
-              slots
-            |> Array.of_list
+          let solve =
+            Admission.guard (fun p -> fst (Admission.solve_prepared ~budget:t.cfg.budget p))
           in
           let solved =
-            if t.cfg.jobs = 1 || Array.length misses <= 1 then None
+            let misses =
+              if t.cfg.jobs = 1 then [||]
+              else
+                List.filter_map
+                  (function
+                    | _, _, Miss { prepared; _ } -> Some prepared
+                    | _, _, (Resolved _ | Hit _) -> None)
+                  slots
+                |> Array.of_list
+            in
+            if Array.length misses <= 1 then None
             else Some (Pool.run ~jobs:t.cfg.jobs solve misses)
           in
           (* Phase 3 (sequential, submission order): relabel + verify,

@@ -15,7 +15,10 @@
     submission order; cache misses and every [Add] solved in parallel
     ({!E2e_exec.Pool.map} preserves submission order and every solve is
     a pure function of its candidate), so an [Add]'s solve is timed in
-    the solve stage; then relabelling + checker verification
+    the solve stage — or, when they would run one after another anyway
+    ([jobs = 1], or at most one miss), each solved in phase 3 just
+    before its own verify, so the replies ahead of it are out first
+    ({!step_each}); then relabelling + checker verification
     ({!Admission.verify_decision}), cache insertion, state commits and
     reply emission sequentially in submission order again.  Only
     [Submit]s use the cache: phase 1 asks {!Admission.cache_for}, and

@@ -8,8 +8,11 @@
     apply on every transport), parses each line and submits requests to
     their shop's {!Stripes} batcher — same shop, same stripe — then
     steps every non-empty stripe itself until its queue is empty,
-    flushing each connection's finished replies after each step, and
-    writes through {!Wire.obuf}, which survives partial writes.  There
+    flushing each connection's finished replies after each step — and,
+    when a batch's solves run one after another ([jobs = 1]), before
+    each solve, so a reply never waits for the solves batched behind it
+    ({!Batcher.step_each}) — and writes through {!Wire.obuf}, which
+    survives partial writes.  There
     is no reader, writer or drainer thread: [-j 1] serves any number of
     connections and stripes on one thread, and parallel solving comes
     from [jobs] ({!Batcher.step} fans a batch's solves out over the
