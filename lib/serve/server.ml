@@ -57,9 +57,9 @@ let open_conn ?ofd fd =
 
 (* Step every non-empty stripe until every queue is empty, filling the
    slots its replies answer and flushing the connections they belong to
-   after each step — and before each solve the step runs after replies
-   it already emitted, so a finished reply never waits for another
-   request's solve. *)
+   after each step — and, when a step solves its requests one by one,
+   before each solve, so a finished reply never waits for a solve
+   batched behind it. *)
 let settle l =
   let touched = ref [] in
   let flush () =

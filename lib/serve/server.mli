@@ -12,11 +12,11 @@
     when a batch's solves run one after another ([jobs = 1]), before
     each solve, so a reply never waits for the solves batched behind it
     ({!Batcher.step_each}) — and writes through {!Wire.obuf}, which
-    survives partial writes.  There
-    is no reader, writer or drainer thread: [-j 1] serves any number of
-    connections and stripes on one thread, and parallel solving comes
-    from [jobs] ({!Batcher.step} fans a batch's solves out over the
-    pool) and from running several shards.
+    survives partial writes.  There is no reader, writer or drainer
+    thread: [-j 1] serves any number of connections and stripes on one
+    thread, and parallel solving comes from [jobs] ({!Batcher.step_each}
+    fans a batch's solves out over the pool) and from running several
+    shards.
 
     Replies always come in request order, one line per non-blank
     request.  Batch boundaries never change a reply: admission
