@@ -1792,8 +1792,6 @@ let suite =
     ("admission: rejected sets never commit", `Quick, test_rejected_never_commits);
     ("batcher: backpressure answers overloaded", `Quick, test_backpressure);
     ("batcher: same-shop requests split batches", `Quick, test_batch_splits_same_shop);
-    ("batcher: one job emits each reply before the next solve", `Quick,
-     test_step_each_emits_before_solves);
     ("dispatcher: admitted schedules replay without misses", `Slow,
      test_dispatcher_replays_admissions);
     ("protocol: request round-trips", `Quick, test_protocol_roundtrip);
@@ -1849,4 +1847,6 @@ let suite =
      test_grid_extent_resumes);
     ("admission: adds check only their new tasks against the grid", `Quick,
      test_adds_resume_extent);
+    ("batcher: one job emits each reply before the next solve", `Quick,
+     test_step_each_emits_before_solves);
   ]
